@@ -94,6 +94,9 @@ class BVSpace:
     def bracket_via_defect(self, phi: Poly, psi: Poly) -> Poly:
         """The bracket recovered from delta and the product alone:
         (-1)^p(Phi) delta(Phi Psi) + (-1)^(p(Phi)+1) delta(Phi) Psi - Phi delta(Psi).
+
+        Kept on purpose as a second, independent route: it is the cross-check
+        of ``bracket``, which is computed from the derivative formula.
         """
         out = self.ctx.zero()
         for phi_h, p_phi in zip(phi.parity_split(), (EVEN, ODD)):

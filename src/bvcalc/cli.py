@@ -61,10 +61,7 @@ def _require_lie(model: Model) -> lie.LieModel:
 
 
 def _brst_derivation(model: Model):
-    lm = _require_lie(model)
-    if lm.module_dim:
-        return lie.brst_rep(lm, model.module_names, model.ghost_names)
-    return lie.brst_lie(lm, model.ghost_names)
+    return lie.brst_rep(_require_lie(model), model.module_names, model.ghost_names)
 
 
 def _action(model: Model, name: str | None) -> Poly:

@@ -1,15 +1,15 @@
 """Parity-homogeneous derivations given by their images on generators.
 
-A derivation is extended to the whole algebra by the graded Leibniz rule;
-composition and squares are realized by repeated application, never by
-symbolic operator algebra.  The degree-n rows of the square reproduce the
-quadratic relations of a strong homotopy structure.
+A derivation is extended to the whole algebra by the graded Leibniz rule,
+realized as the vector field sum_v D(v) d/dv in left derivatives; composition
+and squares are realized by repeated application, never by symbolic operator
+algebra.  The degree-n rows of the square reproduce the quadratic relations
+of a strong homotopy structure.
 """
 
 from __future__ import annotations
 
-from .scalars import Scalar
-from .superalgebra import Context, EVEN, ODD, Poly, _mask_bits
+from .superalgebra import Context, EVEN, ODD, Poly
 
 
 class Derivation:
@@ -50,34 +50,16 @@ class Derivation:
         return self.apply(poly)
 
     def apply(self, poly: Poly) -> Poly:
-        """Graded Leibniz rule: sign (-1)^(parity(D)*parity(prefix)) per factor."""
+        """The vector field sum_v D(v) * d/dv with left derivatives.
+
+        This is the graded Leibniz rule: moving D past a factor a costs
+        (-1)^(parity(D) * parity(a)).
+        """
         if poly.ctx != self.ctx:
             raise ValueError("context mismatch")
-        ctx = self.ctx
-        zero_exps = (0,) * ctx.n_even
-        out = ctx.zero()
-        for (exps, mask), coeff in poly.terms.items():
-            # even factors sit in front of the odd part and carry parity 0,
-            # so they contribute the plain exponent rule with no sign
-            for s, k in enumerate(exps):
-                if not k:
-                    continue
-                img = self.images.get(ctx.even_names[s])
-                if img is None:
-                    continue
-                e = list(exps)
-                e[s] = k - 1
-                out = out + _splice(ctx, (tuple(e), 0), img, (zero_exps, mask),
-                                    coeff * k)
-            # odd factor at position t among the odd part: prefix parity is t
-            bits = _mask_bits(mask)
-            for t, s in enumerate(bits):
-                img = self.images.get(ctx.odd_names[s])
-                if img is None:
-                    continue
-                c = -coeff if self.parity and t & 1 else coeff
-                out = out + _splice(ctx, (exps, _bits_mask(bits[:t])), img,
-                                    (zero_exps, _bits_mask(bits[t + 1:])), c)
+        out = self.ctx.zero()
+        for name, img in self.images.items():
+            out += img * poly.left_deriv(name)
         return out
 
     def square_residual(self):
@@ -125,17 +107,3 @@ class Derivation:
     def __repr__(self):
         imgs = ", ".join(f"{v} -> {img}" for v, img in sorted(self.images.items()))
         return f"Derivation({'odd' if self.parity else 'even'}; {imgs})"
-
-
-def _bits_mask(bits):
-    mask = 0
-    for b in bits:
-        mask |= 1 << b
-    return mask
-
-
-def _splice(ctx, prefix_mono, image, suffix_mono, coeff):
-    """coeff * prefix * image * suffix, the affixes being single monomials."""
-    left = Poly(ctx, {prefix_mono: Scalar.of(coeff)})
-    right = Poly(ctx, {suffix_mono: Scalar.one()})
-    return left * image * right

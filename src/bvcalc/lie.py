@@ -75,12 +75,6 @@ class LieModel:
     def rho_at(self, i, j, k) -> Fraction:
         return self.rho.get((i, j, k), Fraction(0))
 
-    def action_matrix(self, k: int) -> ExactMatrix:
-        """Matrix of basis vector k acting on the module."""
-        n = self.module_dim
-        return ExactMatrix([[self.rho_at(i, j, k) for j in range(n)]
-                            for i in range(n)], n)
-
     def adjoint(self) -> "LieModel":
         """Same algebra acting on itself: rho[i, j, k] = f[i, k, j]."""
         rho = {(i, j, k): self.f_at(i, k, j)
@@ -92,39 +86,38 @@ class LieModel:
 def jacobi_check(model: LieModel):
     """Violating triples (j, k, m) with their residual vectors.
 
-    Empty iff sum_l (f^l_jk f^i_lm + f^l_km f^i_lj + f^l_mj f^i_lk) vanishes
-    for every i and every triple.
+    Residual entry i is the c^j c^k c^m coefficient of D^2(c^i) for
+    D = brst_lie(model), which is the Jacobiator
+    sum_l (f^l_jk f^i_lm + f^l_km f^i_lj + f^l_mj f^i_lk).
     """
+    D = brst_lie(model)
+    cs = D.ctx.odd_names
+    square = D.square_residual()
     out = []
-    rng = range(model.dim)
-    for j, k, m in combinations(rng, 3):
-        residual = []
-        for i in rng:
-            total = Fraction(0)
-            for l in rng:
-                total += (model.f_at(l, j, k) * model.f_at(i, l, m)
-                          + model.f_at(l, k, m) * model.f_at(i, l, j)
-                          + model.f_at(l, m, j) * model.f_at(i, l, k))
-            residual.append(total)
+    for triple in combinations(range(model.dim), 3):
+        odd = [cs[t] for t in triple]
+        residual = [square[c].coefficient(odd=odd).as_fraction() for c in cs]
         if any(residual):
-            out.append(((j, k, m), residual))
+            out.append((triple, residual))
     return out
 
 
 def rep_check(model: LieModel):
-    """Violations of rho([g_j, g_k]) = rho(g_j) rho(g_k) - rho(g_k) rho(g_j)."""
+    """Violations of rho([g_j, g_k]) = rho(g_j) rho(g_k) - rho(g_k) rho(g_j).
+
+    Entry (a, b) of the residual for the pair (j, k) is the v^b c^j c^k
+    coefficient of D^2(v^a) for D = brst_rep(model).
+    """
+    D = brst_rep(model)
+    vs, cs = D.ctx.even_names, D.ctx.odd_names
+    square = D.square_residual()
     out = []
-    n, m = model.module_dim, model.dim
-    mats = [model.action_matrix(k) for k in range(m)]
-    for j, k in combinations(range(m), 2):
-        lhs = [[sum((model.f_at(l, j, k) * mats[l].rows[a][b] for l in range(m)),
-                    Fraction(0)) for b in range(n)] for a in range(n)]
-        comm_jk = mats[j].mul(mats[k])
-        comm_kj = mats[k].mul(mats[j])
-        residual = [[lhs[a][b] - comm_jk.rows[a][b] + comm_kj.rows[a][b]
-                     for b in range(n)] for a in range(n)]
+    for j, k in combinations(range(model.dim), 2):
+        odd = [cs[j], cs[k]]
+        residual = [[square[va].coefficient({vb: 1}, odd).as_fraction() for vb in vs]
+                    for va in vs]
         if any(any(row) for row in residual):
-            out.append(((j, k), ExactMatrix(residual, n)))
+            out.append(((j, k), ExactMatrix(residual, len(vs))))
     return out
 
 
@@ -198,7 +191,7 @@ def ce_matrices(model: LieModel, p: int):
         raise ValueError("only p = 0 and p = 1 are supported")
     if p == 1 and model.module_dim == 0:
         raise ValueError("p = 1 needs a module")
-    D = brst_rep(model) if model.module_dim else brst_lie(model)
+    D = brst_rep(model)
     ctx = D.ctx
     mats = []
     for q in range(model.dim + 1):
@@ -233,8 +226,7 @@ def trace_condition(model: LieModel, module_names=None, ghost_names=None) -> Pol
     Zero iff the action and the bracket are both traceless, which is exactly
     when the hbar-linear lift solves the quantum master equation.
     """
-    ctx = (rep_context(model, module_names, ghost_names) if model.module_dim
-           else ghost_context(model.dim, ghost_names))
+    ctx = rep_context(model, module_names, ghost_names)
     cs = ctx.odd_names
     out = ctx.zero()
     for k in range(model.dim):

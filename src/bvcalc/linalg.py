@@ -30,15 +30,6 @@ class ExactMatrix:
         self.nrows = len(rows)
         self.ncols = ncols
 
-    def mul(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        rows = [[sum((self.rows[i][k] * other.rows[k][j]
-                      for k in range(self.ncols)), Fraction(0))
-                 for j in range(other.ncols)]
-                for i in range(self.nrows)]
-        return ExactMatrix(rows, other.ncols)
-
     @property
     def is_zero(self) -> bool:
         return all(not x for row in self.rows for x in row)

@@ -127,31 +127,26 @@ class _Parser:
                 return self.ctx.zero()
         return base ** n
 
+    def _rational(self, value: int) -> Poly:
+        """value, or value/den when '/' and a positive integer follow."""
+        nk, ntext, _ = self.peek()
+        if nk == "op" and ntext == "/":
+            self.advance()
+            den = self.advance()
+            if den[0] != "num" or int(den[1]) == 0:
+                self.error("denominator must be a positive integer", den)
+            return self.ctx.scalar(Fraction(value, int(den[1])))
+        return self.ctx.scalar(value)
+
     def primary(self) -> Poly:
         kind, text, col = self.advance()
         if kind == "num":
-            value = int(text)
-            nk, ntext, _ = self.peek()
-            if nk == "op" and ntext == "/":
-                self.advance()
-                den = self.advance()
-                if den[0] != "num" or int(den[1]) == 0:
-                    self.error("denominator must be a positive integer", den)
-                return self.ctx.scalar(Fraction(value, int(den[1])))
-            return self.ctx.scalar(value)
+            return self._rational(int(text))
         if kind == "op" and text == "-":
             num = self.advance()
             if num[0] != "num":
                 self.error("expected a number after '-'", num)
-            value = -int(num[1])
-            nk, ntext, _ = self.peek()
-            if nk == "op" and ntext == "/":
-                self.advance()
-                den = self.advance()
-                if den[0] != "num" or int(den[1]) == 0:
-                    self.error("denominator must be a positive integer", den)
-                return self.ctx.scalar(Fraction(value, int(den[1])))
-            return self.ctx.scalar(value)
+            return self._rational(-int(num[1]))
         if kind == "ident":
             if text == "i":
                 return self.ctx.scalar(Scalar.i())

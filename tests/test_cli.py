@@ -189,6 +189,62 @@ class TestCommands:
         assert "trace: -1*c1" in out
 
 
+NON_JACOBI = """[lie]
+basis = a b c d
+
+[brackets]
+[a,b] = c
+[b,c] = 2*d
+[a,c] = b + 1/3*d
+[c,d] = a
+"""
+
+
+def broken_sl2_adjoint() -> str:
+    text = (MODELS / "sl2_adjoint.model").read_text()
+    text = text.replace("e.vf = 2*vh\n", "e.vf = 2*vh + ve\n")
+    return text.replace("f.ve = -2*vh\n", "f.ve = -3*vh\n")
+
+
+class TestFailingReports:
+    """Failing check-lie / check-rep reports, pinned detail by detail."""
+
+    CASES = {
+        "check-lie": (lambda: NON_JACOBI, [
+            ("violations", "2"),
+            ("triple (1,2,4)", "[1, 0, 0, 0]"),
+            ("triple (2,3,4)", "[0, 0, 1, 0]"),
+        ]),
+        "check-rep": (broken_sl2_adjoint, [
+            ("violations", "2"),
+            ("pair (1,2)", "[[0, 0, 0]; [0, 0, -1]; [0, 0, 0]]"),
+            ("pair (2,3)", "[[1, 0, -3]; [-1, -1, 0]; [0, 0, 0]]"),
+        ]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_text_report(self, capsys, tmp_path, command):
+        text, details = self.CASES[command]
+        model = tmp_path / "broken.model"
+        model.write_text(text())
+        code, out = run(capsys, command, model)
+        assert code == 1
+        expected = [f"command: {command}", f"model: {model}", "status: fail"]
+        expected += [f"{key}: {value}" for key, value in details]
+        assert out == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_json_report(self, capsys, tmp_path, command):
+        text, details = self.CASES[command]
+        model = tmp_path / "broken.model"
+        model.write_text(text())
+        code, out = run(capsys, command, model, "--json")
+        assert code == 1
+        assert json.loads(out) == {
+            "command": command, "model": str(model), "status": "fail",
+            "details": [list(d) for d in details]}
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("args", [
         ("qme", "solvable2.model"),

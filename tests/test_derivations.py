@@ -5,15 +5,17 @@ from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import Context
 
 from conftest import sl2, solvable2
+from oracles import leibniz_splice_apply
 
 
-def random_odd_derivation(rng, ctx, max_degree=3):
+def random_derivation(rng, ctx, parity=ODD, max_degree=3, hbar_max=0):
     images = {}
     for g in ctx.generators:
-        img = random_poly(rng, ctx, max_degree, 3, parity=(g.parity + 1) % 2)
+        img = random_poly(rng, ctx, max_degree, 3, parity=(g.parity + parity) % 2,
+                          hbar_max=hbar_max)
         if not img.is_zero:
             images[g.name] = img
-    return Derivation(ctx, ODD, images)
+    return Derivation(ctx, parity, images)
 
 
 @pytest.fixture
@@ -54,7 +56,7 @@ class TestApply:
         assert D.apply(ctx.gen("ch") * ctx.gen("ce")).is_zero
 
     def test_leibniz_random(self, rng, homotopy_ctx):
-        D = random_odd_derivation(rng, homotopy_ctx)
+        D = random_derivation(rng, homotopy_ctx)
         for _ in range(80):
             a = random_poly(rng, homotopy_ctx, 3, 3)
             ea, oa = a.parity_split()
@@ -63,6 +65,14 @@ class TestApply:
             rhs = (D.apply(ea) * b + ea * D.apply(b)
                    + D.apply(oa) * b - oa * D.apply(b))
             assert lhs == rhs
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_matches_splice_oracle(self, rng, ctx_mixed, parity):
+        # mixed-parity generators, coefficients with i and powers of hbar
+        for _ in range(150):
+            D = random_derivation(rng, ctx_mixed, parity, hbar_max=2)
+            phi = random_poly(rng, ctx_mixed, 4, 4, hbar_max=2)
+            assert D.apply(phi) == leibniz_splice_apply(D, phi)
 
     def test_parity_validation(self, homotopy_ctx):
         with pytest.raises(ValueError, match="parity"):
@@ -97,8 +107,8 @@ class TestSquare:
 
 class TestCommutator:
     def test_commutator_satisfies_leibniz(self, rng, homotopy_ctx):
-        D = random_odd_derivation(rng, homotopy_ctx)
-        E = random_odd_derivation(rng, homotopy_ctx)
+        D = random_derivation(rng, homotopy_ctx)
+        E = random_derivation(rng, homotopy_ctx)
         C = D.commutator(E)
         assert C.parity == EVEN
         for _ in range(40):
@@ -107,8 +117,8 @@ class TestCommutator:
             assert C.apply(a * b) == C.apply(a) * b + a * C.apply(b)
 
     def test_commutator_matches_composition(self, rng, homotopy_ctx):
-        D = random_odd_derivation(rng, homotopy_ctx)
-        E = random_odd_derivation(rng, homotopy_ctx)
+        D = random_derivation(rng, homotopy_ctx)
+        E = random_derivation(rng, homotopy_ctx)
         C = D.commutator(E)
         for _ in range(40):
             phi = random_poly(rng, homotopy_ctx, 3, 3)
@@ -170,7 +180,7 @@ class TestLinfRelations:
 
     def test_rows_sum_to_square(self, rng, homotopy_ctx):
         for _ in range(10):
-            D = random_odd_derivation(rng, homotopy_ctx)
+            D = random_derivation(rng, homotopy_ctx)
             square = D.square_residual()
             n_max = max((p.max_degree() for p in square.values()), default=1) or 1
             rows = D.linf_relations(n_max)

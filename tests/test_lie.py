@@ -4,24 +4,25 @@ from math import comb
 import pytest
 
 from bvcalc import (LieModel, brst_lie, brst_rep, ce_cohomology_dims,
-                    ce_matrices, jacobi_check, rep_check, trace_condition)
-from bvcalc.linalg import ExactMatrix, bareiss_rank
+                    ce_matrices, ghost_context, jacobi_check, rep_check,
+                    rep_context, trace_condition)
+from bvcalc.linalg import bareiss_rank
 
 from conftest import abelian, sl2, sl2_rescaled, solvable2
+from oracles import action_matrix, jacobi_triple_loop, matmul, rep_commutator_check
 
 
 def adjoint_oracle_jacobi(model):
     """Independent route: Jacobi holds iff ad is a representation, checked
     with plain matrix commutators."""
     m = model.dim
-    ad = [ExactMatrix([[model.f_at(i, k, j) for j in range(m)]
-                       for i in range(m)], m) for k in range(m)]
+    ad = [action_matrix(model.adjoint(), k) for k in range(m)]
     for j in range(m):
         for k in range(m):
             bracket_action = [[sum((model.f_at(l, j, k) * ad[l].rows[a][b]
                                     for l in range(m)), Fraction(0))
                                for b in range(m)] for a in range(m)]
-            comm = [[ad[j].mul(ad[k]).rows[a][b] - ad[k].mul(ad[j]).rows[a][b]
+            comm = [[matmul(ad[j], ad[k]).rows[a][b] - matmul(ad[k], ad[j]).rows[a][b]
                      for b in range(m)] for a in range(m)]
             if bracket_action != comm:
                 return False
@@ -71,9 +72,11 @@ class TestJacobi:
         assert jacobi_check(broken)
 
     def test_matches_matrix_oracle(self, rng):
-        for _ in range(40):
-            model = random_structure_constants(rng)
-            assert (jacobi_check(model) == []) == adjoint_oracle_jacobi(model)
+        for n in range(40):
+            model = random_structure_constants(rng, 3 + n % 2)
+            violations = jacobi_check(model)
+            assert (violations == []) == adjoint_oracle_jacobi(model)
+            assert violations == jacobi_triple_loop(model)
 
 
 class TestRep:
@@ -91,6 +94,18 @@ class TestRep:
         rho[(0, 0, 0)] = Fraction(1)
         broken = LieModel(adj.dim, adj.module_dim, adj.f, rho)
         assert rep_check(broken)
+
+    def test_matches_commutator_oracle(self, rng):
+        for n in range(30):
+            base = sl2() if n % 3 == 0 else random_structure_constants(rng, 3)
+            module_dim = 1 + n % 3
+            rho = {(i, j, k): Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                   for i in range(module_dim) for j in range(module_dim)
+                   for k in range(3) if rng.random() < 0.4}
+            model = LieModel.build(3, dict(base.f), module_dim, rho)
+            assert rep_check(model) == rep_commutator_check(model)
+        adj = sl2().adjoint()
+        assert rep_check(adj) == rep_commutator_check(adj) == []
 
 
 class TestBrst:
@@ -117,6 +132,10 @@ class TestBrst:
         lie_only = brst_lie(sl2())
         for c in ("c1", "c2", "c3"):
             assert str(D.image(c)) == str(lie_only.image(c))
+        for model in (sl2(), solvable2()):
+            assert rep_context(model) == ghost_context(model.dim)
+            D, lie_only = brst_rep(model), brst_lie(model)
+            assert D.ctx == lie_only.ctx and D.images == lie_only.images
 
     def test_square_iff_checks(self, rng):
         # nilpotence of the full differential = Jacobi plus representation
@@ -162,7 +181,7 @@ class TestChevalleyEilenberg:
                          (sl2_rescaled().adjoint(), 1)):
             mats = ce_matrices(model, p)
             for low, high in zip(mats, mats[1:]):
-                assert high.mul(low).is_zero
+                assert matmul(high, low).is_zero
 
     def test_euler_characteristic_vanishes(self):
         for model in (sl2(), solvable2(), abelian(4), sl2_rescaled()):
