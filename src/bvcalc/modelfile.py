@@ -55,8 +55,14 @@ _SECTIONS = ("lie", "brackets", "rep", "generators", "exprs")
 
 
 def load_model(path: str) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number the lines as parse_model does; the prefix decodes cleanly
+        line = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ModelError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}", line) from None
     return parse_model(text, path)
 
 

@@ -8,7 +8,8 @@ Grammar (juxtaposition is not multiplication):
     rational := int ('/' uint)?
 
 Identifiers must be declared generators.  An odd generator raised to a power
-of two or more warns and yields zero.
+of two or more warns and yields zero.  Parentheses nest at most
+``MAX_NESTING`` deep; deeper input is a ParseError at the offending '('.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ class ParseError(ValueError):
 class OddPowerWarning(UserWarning):
     """An odd generator was squared; the factor is zero."""
 
+
+# Each level of parentheses costs four interpreter frames (primary, expr,
+# term, factor), so 100 levels use about 400 of Python's default recursion
+# limit of 1000 and leave the rest to the caller and to Poly arithmetic.
+MAX_NESTING = 100
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*/^()]))")
@@ -60,6 +66,7 @@ class _Parser:
         self.pos = 0
         self.ctx = ctx
         self.line = line
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -157,7 +164,12 @@ class _Parser:
             except ValueError:
                 raise ParseError(f"unknown identifier {text!r}", self.line, col) from None
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 self.line, col)
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             closing = self.advance()
             if closing[:2] != ("op", ")"):
                 self.error("expected ')'", closing)

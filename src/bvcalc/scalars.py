@@ -3,11 +3,20 @@
 A scalar is a finite sum ``sum_k (a_k + b_k*i) * hbar**k`` with a_k, b_k
 exact rationals of unbounded precision and k ranging over a finite set of
 (possibly negative) integers.  Nothing in this module ever rounds.
+
+Storage: each hbar power k maps to one integer triple ``(re, im, den)``
+meaning ``(re + im*i) / den``, with ``den > 0``, ``gcd(re, im, den) == 1``
+and ``(re, im) != (0, 0)``.  This form is canonical, so equal scalars have
+equal dicts.  Arithmetic works on the integers directly (gcd-normalized
+rational arithmetic, Knuth TAOCP vol. 2, 4.5.1); ``Fraction`` appears only
+at the edges: the public constructor, ``key()``, ``as_fraction()`` and
+rendering.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class Scalar:
@@ -19,9 +28,19 @@ class Scalar:
         clean = {}
         if terms:
             for k, (re, im) in terms.items():
-                re, im = Fraction(re), Fraction(im)
+                if not isinstance(re, (int, Fraction)):
+                    re = Fraction(re)
+                if not isinstance(im, (int, Fraction)):
+                    im = Fraction(im)
                 if re or im:
-                    clean[int(k)] = (re, im)
+                    # Both parts are reduced, so over their lcm the triple
+                    # already has gcd 1: a prime dividing den divides the
+                    # denominator of one part to full power, and that part's
+                    # numerator is prime to it.
+                    d1, d2 = re.denominator, im.denominator
+                    den = d1 if d1 == d2 else lcm(d1, d2)
+                    clean[int(k)] = (re.numerator * (den // d1),
+                                     im.numerator * (den // d2), den)
         self._terms = clean
 
     # -- constructors -------------------------------------------------
@@ -31,8 +50,10 @@ class Scalar:
         """Coerce an int, Fraction or Scalar into a Scalar."""
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls({0: (value, 0)})
+        if isinstance(value, int):
+            return _make({0: (value, 0, 1)} if value else {})
+        if isinstance(value, Fraction):
+            return _make({0: (value.numerator, 0, value.denominator)} if value else {})
         raise TypeError(f"cannot make a Scalar out of {value!r}")
 
     @classmethod
@@ -66,12 +87,12 @@ class Scalar:
     def component(self, k: int) -> "Scalar":
         """The (a_k + b_k*i) piece, with the hbar power stripped off."""
         if k in self._terms:
-            return Scalar({0: self._terms[k]})
+            return _make({0: self._terms[k]})
         return Scalar()
 
     def split_hbar(self):
         """[(k, hbar-free Scalar)] with k ascending; sums back to self*hbar^k."""
-        return [(k, Scalar({0: self._terms[k]})) for k in sorted(self._terms)]
+        return [(k, _make({0: self._terms[k]})) for k in sorted(self._terms)]
 
     def as_fraction(self) -> Fraction:
         """The value as an exact rational; raises if i or hbar is present."""
@@ -79,27 +100,53 @@ class Scalar:
             return Fraction(0)
         if set(self._terms) != {0}:
             raise ValueError(f"scalar {self} carries hbar, not a plain rational")
-        re, im = self._terms[0]
+        re, im, den = self._terms[0]
         if im:
             raise ValueError(f"scalar {self} has an imaginary part")
-        return re
+        return Fraction(re, den)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        other = Scalar.of(other)
-        terms = dict(self._terms)
-        for k, (re, im) in other._terms.items():
-            re0, im0 = terms.get(k, (Fraction(0), Fraction(0)))
-            terms[k] = (re0 + re, im0 + im)
-        return Scalar(terms)
+        if isinstance(other, Scalar):
+            terms = dict(self._terms)
+            for k, e2 in other._terms.items():
+                e1 = terms.get(k)
+                if e1 is None:
+                    terms[k] = e2
+                    continue
+                a1, b1, d1 = e1
+                a2, b2, d2 = e2
+                if d1 == d2:
+                    re, im, den = a1 + a2, b1 + b2, d1
+                else:
+                    re, im, den = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2
+                if re or im:
+                    g = gcd(re, im, den)
+                    terms[k] = (re // g, im // g, den // g) if g != 1 else (re, im, den)
+                else:
+                    del terms[k]
+            return _make(terms)
+        if isinstance(other, int):
+            if not other:
+                return self
+            terms = dict(self._terms)
+            # re + other*den is re modulo den, so the gcd stays 1.
+            re, im, den = terms.get(0, (0, 0, 1))
+            re += other * den
+            if re or im:
+                terms[0] = (re, im, den)
+            else:
+                del terms[0]
+            return _make(terms)
+        if isinstance(other, Fraction):
+            return self + Scalar.of(other)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Scalar({k: (-re, -im) for k, (re, im) in self._terms.items()})
+        return _make({k: (-re, -im, den) for k, (re, im, den) in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
@@ -110,16 +157,52 @@ class Scalar:
         return Scalar.of(other) + (-self)
 
     def __mul__(self, other):
-        if not isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, int):
+            if not other:
+                return _make({})
+            if other == 1:
+                return self
+            # gcd(re*n, im*n, den) = gcd(n, den) because gcd(re, im, den) = 1.
+            out = {}
+            for k, (re, im, den) in self._terms.items():
+                g = gcd(other, den)
+                n = other // g if g != 1 else other
+                out[k] = (re * n, im * n, den // g)
+            return _make(out)
+        if isinstance(other, Fraction):
+            other = Scalar.of(other)
+        elif not isinstance(other, Scalar):
             return NotImplemented
-        other = Scalar.of(other)
-        terms = {}
-        for k1, (a, b) in self._terms.items():
-            for k2, (c, d) in other._terms.items():
+        t1, t2 = self._terms, other._terms
+        if len(t1) == 1 and len(t2) == 1:
+            # Z[i] has no zero divisors, so a one-term product never vanishes.
+            ((k1, (a, b, d1)),) = t1.items()
+            ((k2, (c, e, d2)),) = t2.items()
+            re, im, den = a * c - b * e, a * e + b * c, d1 * d2
+            if den != 1:
+                g = gcd(re, im, den)
+                if g != 1:
+                    re, im, den = re // g, im // g, den // g
+            return _make({k1 + k2: (re, im, den)})
+        acc = {}
+        for k1, (a, b, d1) in t1.items():
+            for k2, (c, e, d2) in t2.items():
                 k = k1 + k2
-                re0, im0 = terms.get(k, (Fraction(0), Fraction(0)))
-                terms[k] = (re0 + a * c - b * d, im0 + a * d + b * c)
-        return Scalar(terms)
+                re, im, den = a * c - b * e, a * e + b * c, d1 * d2
+                prev = acc.get(k)
+                if prev is not None:
+                    p_re, p_im, p_den = prev
+                    if p_den == den:
+                        re, im = re + p_re, im + p_im
+                    else:
+                        re, im, den = re * p_den + p_re * den, im * p_den + p_im * den, den * p_den
+                acc[k] = (re, im, den)
+        out = {}
+        for k, (re, im, den) in acc.items():
+            if re or im:
+                g = gcd(re, im, den)
+                out[k] = (re // g, im // g, den // g) if g != 1 else (re, im, den)
+        return _make(out)
 
     __rmul__ = __mul__
 
@@ -135,7 +218,8 @@ class Scalar:
 
     def key(self):
         """Canonical hashable form (used for deterministic ordering)."""
-        return tuple((k, re, im) for k, (re, im) in sorted(self._terms.items()))
+        return tuple((k, Fraction(re, den), Fraction(im, den))
+                     for k, (re, im, den) in sorted(self._terms.items()))
 
     # -- rendering ----------------------------------------------------
 
@@ -147,11 +231,11 @@ class Scalar:
         """
         out = []
         for k in sorted(self._terms):
-            re, im = self._terms[k]
+            re, im, den = self._terms[k]
             if re:
-                out.append(_atom(re, k, imag=False))
+                out.append(_atom(Fraction(re, den), k, imag=False))
             if im:
-                out.append(_atom(im, k, imag=True))
+                out.append(_atom(Fraction(im, den), k, imag=True))
         return out
 
     def __str__(self):
@@ -168,6 +252,16 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+_new = object.__new__
+
+
+def _make(terms) -> Scalar:
+    """Trusted constructor: ``terms`` is already canonical and is not copied."""
+    s = _new(Scalar)
+    s._terms = terms
+    return s
 
 
 def _atom(coeff: Fraction, power: int, imag: bool):

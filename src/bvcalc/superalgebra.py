@@ -37,7 +37,7 @@ class Generator:
 class Context:
     """Ordered generator table; declaration order is the canonical odd order."""
 
-    __slots__ = ("generators", "_slot", "even_names", "odd_names",
+    __slots__ = ("generators", "_slot", "_role", "even_names", "odd_names",
                  "antifield_even_slots", "antifield_odd_mask", "pairs")
 
     def __init__(self, generators):
@@ -60,6 +60,7 @@ class Context:
                 odd_names.append(g.name)
         self.generators = generators
         self._slot = slot
+        self._role = {g.name: g.role for g in generators}
         self.even_names = tuple(even_names)
         self.odd_names = tuple(odd_names)
 
@@ -109,10 +110,10 @@ class Context:
         return self.slot(name)[0]
 
     def role_of(self, name: str) -> str:
-        for g in self.generators:
-            if g.name == name:
-                return g.role
-        raise ValueError(f"unknown generator {name!r}")
+        try:
+            return self._role[name]
+        except KeyError:
+            raise ValueError(f"unknown generator {name!r}") from None
 
     @property
     def n_even(self) -> int:
@@ -315,29 +316,20 @@ class Poly:
     # -- derivatives -------------------------------------------------------
 
     def left_deriv(self, name: str) -> "Poly":
+        # Lowering one exponent (or clearing one odd bit) is injective on the
+        # monomials it applies to, and c*k with k > 0 never vanishes, so the
+        # result needs neither merging nor a zero filter.
         parity, s = self.ctx.slot(name)
-        terms = {}
         if parity == EVEN:
-            for (exps, mask), c in self.terms.items():
-                k = exps[s]
-                if not k:
-                    continue
-                e = list(exps)
-                e[s] = k - 1
-                mono = (tuple(e), mask)
-                c2 = c * k
-                terms[mono] = terms[mono] + c2 if mono in terms else c2
+            terms = {(exps[:s] + (exps[s] - 1,) + exps[s + 1:], mask): c * exps[s]
+                     for (exps, mask), c in self.terms.items() if exps[s]}
         else:
             bit = 1 << s
-            for (exps, mask), c in self.terms.items():
-                if not mask & bit:
-                    continue
-                # sign: odd generators preceding this one inside the monomial
-                before = (mask & (bit - 1)).bit_count()
-                c2 = -c if before & 1 else c
-                mono = (exps, mask ^ bit)
-                terms[mono] = terms[mono] + c2 if mono in terms else c2
-        return Poly(self.ctx, terms)
+            below = bit - 1
+            # sign: odd generators preceding this one inside the monomial
+            terms = {(exps, mask ^ bit): -c if (mask & below).bit_count() & 1 else c
+                     for (exps, mask), c in self.terms.items() if mask & bit}
+        return _poly(self.ctx, terms)
 
     def right_deriv(self, name: str) -> "Poly":
         """(-1)^(parity(v)*parity(component)) * left derivative, per component."""
@@ -490,6 +482,14 @@ class Poly:
     def key(self):
         """Canonical hashable form; equal Polys have equal keys."""
         return tuple((m, self.terms[m].key()) for m in self.sorted_monos())
+
+
+def _poly(ctx: Context, terms) -> Poly:
+    """Trusted constructor: ``terms`` has no zero coefficient and is not copied."""
+    p = object.__new__(Poly)
+    p.ctx = ctx
+    p.terms = terms
+    return p
 
 
 def grade_decompose(poly: Poly, grading: str):

@@ -5,6 +5,10 @@ products and commutators, the Jacobiator as a triple sum over structure
 constants, and the graded Leibniz rule spliced factor by factor.  The
 library reads the same quantities off the square of the BRST differential
 and applies derivations as vector fields; tests require exact equality.
+
+``FractionScalar`` is the earlier ``Scalar``: a pair of ``Fraction`` parts
+per hbar power, re-normalized by ``Fraction`` on every operation.  The
+library's integer-triple ``Scalar`` must agree with it on every query.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from bvcalc.linalg import ExactMatrix
-from bvcalc.scalars import Scalar
+from bvcalc.scalars import Scalar, _atom, _guard, _signed
 from bvcalc.superalgebra import Poly, _mask_bits
 
 
@@ -113,3 +117,163 @@ def _splice(ctx, prefix_mono, image, suffix_mono, coeff):
     left = Poly(ctx, {prefix_mono: Scalar.of(coeff)})
     right = Poly(ctx, {suffix_mono: Scalar.one()})
     return left * image * right
+
+
+class FractionScalar:
+    """Q(i)[hbar, hbar^-1] as {k: (Fraction re, Fraction im)}; the slow oracle."""
+
+    __slots__ = ("_terms",)
+
+    def __init__(self, terms=None):
+        clean = {}
+        if terms:
+            for k, (re, im) in terms.items():
+                re, im = Fraction(re), Fraction(im)
+                if re or im:
+                    clean[int(k)] = (re, im)
+        self._terms = clean
+
+    # -- constructors -------------------------------------------------
+
+    @classmethod
+    def of(cls, value) -> "FractionScalar":
+        """Coerce an int, Fraction or FractionScalar into a FractionScalar."""
+        if isinstance(value, FractionScalar):
+            return value
+        if isinstance(value, (int, Fraction)):
+            return cls({0: (value, 0)})
+        raise TypeError(f"cannot make a FractionScalar out of {value!r}")
+
+    @classmethod
+    def zero(cls) -> "FractionScalar":
+        return cls()
+
+    @classmethod
+    def one(cls) -> "FractionScalar":
+        return cls({0: (1, 0)})
+
+    @classmethod
+    def i(cls) -> "FractionScalar":
+        return cls({0: (0, 1)})
+
+    @classmethod
+    def hbar(cls, power: int = 1, coeff=1) -> "FractionScalar":
+        return cls({power: (coeff, 0)})
+
+    # -- queries ------------------------------------------------------
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def hbar_powers(self):
+        return sorted(self._terms)
+
+    def component(self, k: int) -> "FractionScalar":
+        """The (a_k + b_k*i) piece, with the hbar power stripped off."""
+        if k in self._terms:
+            return FractionScalar({0: self._terms[k]})
+        return FractionScalar()
+
+    def split_hbar(self):
+        """[(k, hbar-free FractionScalar)] with k ascending; sums back to self*hbar^k."""
+        return [(k, FractionScalar({0: self._terms[k]})) for k in sorted(self._terms)]
+
+    def as_fraction(self) -> Fraction:
+        """The value as an exact rational; raises if i or hbar is present."""
+        if not self._terms:
+            return Fraction(0)
+        if set(self._terms) != {0}:
+            raise ValueError(f"scalar {self} carries hbar, not a plain rational")
+        re, im = self._terms[0]
+        if im:
+            raise ValueError(f"scalar {self} has an imaginary part")
+        return re
+
+    # -- arithmetic ---------------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, (FractionScalar, int, Fraction)):
+            return NotImplemented
+        other = FractionScalar.of(other)
+        terms = dict(self._terms)
+        for k, (re, im) in other._terms.items():
+            re0, im0 = terms.get(k, (Fraction(0), Fraction(0)))
+            terms[k] = (re0 + re, im0 + im)
+        return FractionScalar(terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionScalar({k: (-re, -im) for k, (re, im) in self._terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, (FractionScalar, int, Fraction)):
+            return NotImplemented
+        return self + (-FractionScalar.of(other))
+
+    def __rsub__(self, other):
+        return FractionScalar.of(other) + (-self)
+
+    def __mul__(self, other):
+        if not isinstance(other, (FractionScalar, int, Fraction)):
+            return NotImplemented
+        other = FractionScalar.of(other)
+        terms = {}
+        for k1, (a, b) in self._terms.items():
+            for k2, (c, d) in other._terms.items():
+                k = k1 + k2
+                re0, im0 = terms.get(k, (Fraction(0), Fraction(0)))
+                terms[k] = (re0 + a * c - b * d, im0 + a * d + b * c)
+        return FractionScalar(terms)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = FractionScalar.of(other)
+        if not isinstance(other, FractionScalar):
+            return NotImplemented
+        return self._terms == other._terms
+
+    def __hash__(self):
+        return hash(self.key())
+
+    def key(self):
+        """Canonical hashable form (used for deterministic ordering)."""
+        return tuple((k, re, im) for k, (re, im) in sorted(self._terms.items()))
+
+    # -- rendering ----------------------------------------------------
+
+    def atoms(self):
+        """List of (sign, magnitude_text) pieces in canonical order.
+
+        Magnitude texts are grammar-compatible factors like ``1/2``, ``2*i``,
+        ``hbar^2`` or ``3*i*hbar``; the sign is +1 or -1.
+        """
+        out = []
+        for k in sorted(self._terms):
+            re, im = self._terms[k]
+            if re:
+                out.append(_atom(re, k, imag=False))
+            if im:
+                out.append(_atom(im, k, imag=True))
+        return out
+
+    def __str__(self):
+        atoms = self.atoms()
+        if not atoms:
+            return "0"
+        parts = []
+        for n, (sign, text) in enumerate(atoms):
+            if n == 0:
+                parts.append(_signed(sign, text) if sign < 0 else text)
+            else:
+                parts.append(" - " + _guard(text) if sign < 0 else " + " + text)
+        return "".join(parts)
+
+    def __repr__(self):
+        return f"FractionScalar({self})"

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,6 +9,8 @@ from bvcalc import ModelError, cli, parse_model
 from bvcalc.modelfile import load_model
 
 from conftest import MODELS
+
+SRC = MODELS.parent / "src"
 
 
 def run(capsys, *args):
@@ -82,6 +87,35 @@ class TestExitCodes:
         code, out = run(capsys, "check-lie", bad)
         assert code == 2
         assert "status: refused" in out
+
+
+class TestHostileInput:
+    """Input that once crashed the CLI must be refused: exit 2, no traceback."""
+
+    def run_child(self, model):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.run([sys.executable, "-m", "bvcalc.cli", "master", str(model)],
+                              capture_output=True, text=True, env=env, timeout=60)
+
+    def assert_refused(self, proc, message):
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "status: refused" in proc.stdout
+        error = [ln for ln in proc.stdout.splitlines() if ln.startswith("error:")]
+        assert len(error) == 1 and message in error[0]
+
+    def test_deeply_nested_parentheses(self, tmp_path):
+        model = tmp_path / "deep.model"
+        model.write_text("[generators]\nx even field\nxp odd antifield x\n[exprs]\n"
+                         "S = " + "(" * 3000 + "x" + ")" * 3000 + "\n")
+        self.assert_refused(self.run_child(model),
+                            "parentheses nested deeper than 100 (line 5, column 101)")
+
+    def test_invalid_utf8(self, tmp_path):
+        model = tmp_path / "bytes.model"
+        model.write_bytes(b"[generators]\nx even field\nxp odd antifield x\n"
+                          b"[exprs]\nS = x\xff\n")
+        self.assert_refused(self.run_child(model), "invalid UTF-8 byte 0xff (line 5)")
 
 
 class TestCommands:

@@ -5,6 +5,7 @@ import pytest
 
 from bvcalc import (EVEN, ODD, OddPowerWarning, ParseError, Scalar,
                     parse_expression)
+from bvcalc.parser import MAX_NESTING
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import Context
 
@@ -60,6 +61,18 @@ class TestGrammar:
             parse_expression("x + q", ctx, line=3)
         assert err.value.line == 3
         assert err.value.col == 5
+
+    def test_nesting_limit(self, ctx):
+        deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert parse_expression(deepest, ctx) == ctx.gen("x")
+        src = "x + " + "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+        with pytest.raises(ParseError) as err:
+            parse_expression(src, ctx, line=4)
+        assert err.value.line == 4
+        assert err.value.col == len("x + ") + MAX_NESTING + 1
+        # siblings do not add up: only the depth of one chain counts
+        wide = "*".join(["(" * MAX_NESTING + "x" + ")" * MAX_NESTING] * 3)
+        assert parse_expression(wide, ctx) == ctx.monomial(1, {"x": 3})
 
 
 class TestRoundTrip:
