@@ -186,3 +186,5 @@ def test_arithmetic_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     a + b, a + 5, a * b, a * 6, a * one_term, one_term * one_term, -a
     assert made == []
+    Fraction(1, 3)
+    assert made == [(1, 3)]  # the patch does see construction
