@@ -2,8 +2,7 @@
 master-equation checks and desk-scale gauge-independence experiments."""
 
 from .scalars import Scalar
-from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD,
-                           PLAIN, Poly, grade_decompose)
+from .superalgebra import ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, PLAIN, Poly
 from .derivations import Derivation
 from .lie import (LieModel, brst_lie, brst_rep, ce_cohomology_dims,
                   ce_matrices, ghost_context, jacobi_check, rep_check,
@@ -25,7 +24,7 @@ __all__ = [
     "berezin_integrate", "brst_lie", "brst_rep", "ce_cohomology_dims",
     "ce_matrices", "exact_boundary_integrals", "exp_delta",
     "gauge_independence_experiment", "gaussian_expectation", "ghost_context",
-    "grade_decompose", "jacobi_check", "lagrangian_integral", "load_model",
+    "jacobi_check", "lagrangian_integral", "load_model",
     "parse_expression", "parse_model", "rep_check", "rep_context",
     "restrict_to_lagrangian", "standard_damping", "trace_condition",
 ]

@@ -5,11 +5,11 @@ Sign conventions (chosen once; every identity test depends on them):
 * delta applies the field derivative first, then the antifield derivative,
   summed over the pairs.  The opposite order differs by signs that would
   break the divergence cross-check against the structure-constant trace.
-* the bracket of parity-homogeneous Phi, Psi is
-      sum_i (-1)^(p(x+_i) p(Phi))          dPhi/dx+_i * dPsi/dx^i
-          - (-1)^((p(Phi)+1)(p(Psi)+1) + p(x+_i) p(Psi)) dPsi/dx+_i * dPhi/dx^i
-  with left derivatives throughout; non-homogeneous inputs are split by
-  parity and recombined linearly.
+* the bracket is
+      sum_i <-dPhi/dx+_i * dPsi/dx^i + <-dPhi/dx^i * dPsi/dx+_i
+  with right derivatives (<-d) on Phi and left derivatives on Psi.  Both
+  carry their Koszul sign per monomial, so the formula is bilinear and
+  holds for inputs of mixed parity as they are.
 """
 
 from __future__ import annotations
@@ -48,12 +48,6 @@ class BVSpace:
                  for name, parity in specs]
         return cls(Context(gens))
 
-    def antifield_of(self, field_name: str) -> str:
-        for f, a in self.pairs:
-            if f == field_name:
-                return a
-        raise ValueError(f"{field_name} is not a field here")
-
     # -- Laplacian and bracket -------------------------------------------
 
     def delta(self, phi: Poly) -> Poly:
@@ -66,29 +60,15 @@ class BVSpace:
         return out
 
     def bracket(self, phi: Poly, psi: Poly) -> Poly:
+        """sum over pairs of <-dPhi/dx+ dPsi/dx + <-dPhi/dx dPsi/dx+."""
         if phi.ctx != self.ctx or psi.ctx != self.ctx:
             raise ValueError("context mismatch")
         out = self.ctx.zero()
-        for phi_h, p_phi in zip(phi.parity_split(), (EVEN, ODD)):
-            if phi_h.is_zero:
-                continue
-            for psi_h, p_psi in zip(psi.parity_split(), (EVEN, ODD)):
-                if psi_h.is_zero:
-                    continue
-                out = out + self._bracket_h(phi_h, p_phi, psi_h, p_psi)
-        return out
-
-    def _bracket_h(self, phi, p_phi, psi, p_psi):
-        out = self.ctx.zero()
+        if phi.is_zero or psi.is_zero:
+            return out
         for f, a in self.pairs:
-            p_a = self.ctx.parity_of(a)
-            t1 = phi.left_deriv(a) * psi.left_deriv(f)
-            if p_a and p_phi:
-                t1 = -t1
-            t2 = psi.left_deriv(a) * phi.left_deriv(f)
-            if ((p_phi + 1) * (p_psi + 1) + p_a * p_psi) % 2 == 0:
-                t2 = -t2
-            out = out + t1 + t2
+            out = (out + phi.right_deriv(a) * psi.left_deriv(f)
+                   + phi.right_deriv(f) * psi.left_deriv(a))
         return out
 
     def bracket_via_defect(self, phi: Poly, psi: Poly) -> Poly:

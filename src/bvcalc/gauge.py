@@ -10,6 +10,7 @@ equality checks rather than tolerance checks.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .bv import BVSpace
@@ -109,23 +110,20 @@ class ExpElement:
 
 
 def exp_delta(element: ExpElement) -> ExpElement:
-    """delta of a sum of P*exp(T):
+    """delta of a sum of P*exp(T): the coefficient of exp(T) becomes
 
-    per parity-homogeneous P the coefficient of exp(T) becomes
-    delta(P) + (-1)^p(P) {P, T} + (-1)^p(P) P (delta(T) + 1/2 {T, T}).
+    delta(P) + {sP, T} + sP (delta(T) + 1/2 {T, T}),
+
+    where sP is the even part of P minus its odd part.
     """
     bvs = element.bvs
     half = Fraction(1, 2)
     out = []
     for p, t in element.pairs:
+        even, odd = p.parity_split()
+        signed = even - odd
         curvature = bvs.delta(t) + half * bvs.bracket(t, t)
-        for p_h, par in zip(p.parity_split(), (EVEN, ODD)):
-            if p_h.is_zero:
-                continue
-            coeff = bvs.bracket(p_h, t) + p_h * curvature
-            if par:
-                coeff = -coeff
-            out.append((bvs.delta(p_h) + coeff, t))
+        out.append((bvs.delta(p) + bvs.bracket(signed, t) + signed * curvature, t))
     return ExpElement(bvs, out)
 
 
@@ -142,24 +140,15 @@ def berezin_integrate(poly: Poly, odd_names) -> Poly:
     """Iterated single-variable Berezin integrals, innermost = last listed.
 
     A single integral extracts the coefficient with the variable moved to the
-    rightmost position of the odd part, so integrating in declaration order
-    picks out the top monomial coefficient with sign +1.
+    rightmost position of the odd part, which is minus the right derivative,
+    so integrating in declaration order picks out the top monomial
+    coefficient with sign +1.
     """
     out = poly
     for name in reversed(list(odd_names)):
-        parity, s = poly.ctx.slot(name)
-        if parity != ODD:
+        if poly.ctx.parity_of(name) != ODD:
             raise ValueError(f"{name} is not odd")
-        bit = 1 << s
-        terms = {}
-        for (exps, mask), c in out.terms.items():
-            if not mask & bit:
-                continue
-            behind = (mask >> (s + 1)).bit_count()
-            c2 = -c if behind & 1 else c
-            mono = (exps, mask ^ bit)
-            terms[mono] = terms[mono] + c2 if mono in terms else c2
-        out = Poly(out.ctx, terms)
+        out = -out.right_deriv(name)
     return out
 
 
@@ -184,18 +173,10 @@ def gaussian_expectation(poly: Poly) -> Scalar:
             if k % 2:
                 dead = True
                 break
-            weight *= _double_factorial(k - 1)
+            weight *= math.prod(range(k - 1, 0, -2))
         if not dead:
             total = total + c * weight
     return total
-
-
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 def standard_damping(bvs: BVSpace) -> Poly:
@@ -243,15 +224,8 @@ def _exp_nilpotent(nil: Poly) -> Poly:
         power = power * nil
         if power.is_zero:
             return out
-        out = out + Fraction(1, _factorial(k)) * power
+        out = out + Fraction(1, math.factorial(k)) * power
         k += 1
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def gauge_independence_experiment(element: ExpElement, fermions):

@@ -70,7 +70,9 @@ def parse_model(text: str, path: str = "<string>") -> Model:
     sections: dict[str, list] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # entries keep their indentation so that diagnostics give file columns
+        entry = raw.split("#", 1)[0].rstrip()
+        line = entry.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]") and "," not in line:
@@ -83,7 +85,7 @@ def parse_model(text: str, path: str = "<string>") -> Model:
             continue
         if current is None:
             raise ModelError("content before the first section header", lineno)
-        current.append((lineno, line))
+        current.append((lineno, entry))
 
     if ("lie" in sections) == ("generators" in sections):
         raise ModelError("a model needs exactly one of [lie] or [generators]")
@@ -109,12 +111,23 @@ def parse_model(text: str, path: str = "<string>") -> Model:
             raise ModelError(f"bad expression name {name!r}", lineno)
         if name in exprs:
             raise ModelError(f"duplicate expression {name!r}", lineno)
-        try:
-            exprs[name] = parse_expression(src, bvs.ctx, line=lineno)
-        except ParseError as exc:
-            raise ModelError(f"in expression {name!r}: {exc}", lineno) from exc
+        exprs[name] = _parse_rhs(line, lineno, bvs.ctx, f"expression {name!r}")
 
     return Model(path, bvs, model, module_names, ghost_names, exprs)
+
+
+def _parse_rhs(line: str, lineno: int, ctx: Context, what: str) -> Poly:
+    """Parse the right-hand side of a 'lhs = expr' entry.
+
+    The left-hand side and '=' are blanked to spaces, which the tokenizer
+    skips, so a ParseError carries the column within the file line; its
+    message already names the line.
+    """
+    lhs, _, rhs = line.partition("=")
+    try:
+        return parse_expression(" " * (len(lhs) + 1) + rhs, ctx, line=lineno)
+    except ParseError as exc:
+        raise ModelError(f"in {what}: {exc}") from exc
 
 
 def _keyvalue(lines, key):
@@ -154,8 +167,7 @@ def _build_lie(sections):
 
     brackets = {}
     for lineno, line in sections.get("brackets", []):
-        lhs, _, rhs = line.partition("=")
-        lhs, rhs = lhs.strip(), rhs.strip()
+        lhs = line.partition("=")[0].strip()
         if not (lhs.startswith("[") and lhs.endswith("]") and "," in lhs):
             raise ModelError("bracket lines look like '[a,b] = expr'", lineno)
         a, _, b = lhs[1:-1].partition(",")
@@ -164,10 +176,7 @@ def _build_lie(sections):
             if name not in basis_index:
                 raise ModelError(f"unknown basis vector {name!r}", lineno)
         j, k = basis_index[a], basis_index[b]
-        try:
-            value = parse_expression(rhs, basis_ctx, line=lineno)
-        except ParseError as exc:
-            raise ModelError(f"in bracket [{a},{b}]: {exc}", lineno) from exc
+        value = _parse_rhs(line, lineno, basis_ctx, f"bracket [{a},{b}]")
         for (exps, mask), coeff in value.terms.items():
             if mask or sum(exps) != 1:
                 raise ModelError(f"bracket [{a},{b}] must be linear in the basis", lineno)
@@ -176,8 +185,7 @@ def _build_lie(sections):
 
     rho = {}
     for lineno, line in sections.get("rep", []):
-        lhs, _, rhs = line.partition("=")
-        lhs, rhs = lhs.strip(), rhs.strip()
+        lhs = line.partition("=")[0].strip()
         g, _, v = lhs.partition(".")
         g, v = g.strip(), v.strip()
         if g not in basis_index:
@@ -185,10 +193,7 @@ def _build_lie(sections):
         if v not in module_index:
             raise ModelError(f"unknown module coordinate {v!r}", lineno)
         k, j = basis_index[g], module_index[v]
-        try:
-            value = parse_expression(rhs, module_ctx, line=lineno)
-        except ParseError as exc:
-            raise ModelError(f"in rep entry {g}.{v}: {exc}", lineno) from exc
+        value = _parse_rhs(line, lineno, module_ctx, f"rep entry {g}.{v}")
         for (exps, mask), coeff in value.terms.items():
             if mask or sum(exps) > 1:
                 raise ModelError(f"rep entry {g}.{v} must be linear", lineno)

@@ -285,8 +285,3 @@ def _guard(text: str) -> str:
 
 def _signed(sign: int, text: str) -> str:
     return "-" + _guard(text) if sign < 0 else text
-
-
-ZERO = Scalar.zero()
-ONE = Scalar.one()
-I = Scalar.i()

@@ -183,7 +183,8 @@ class Context:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, Context) and self.generators == other.generators
+        return self is other or (isinstance(other, Context)
+                                 and self.generators == other.generators)
 
     def __hash__(self):
         return hash(self.generators)
@@ -303,9 +304,6 @@ class Poly:
             raise ValueError("polynomial is not parity-homogeneous")
         return parities.pop() if parities else 0
 
-    def is_homogeneous(self) -> bool:
-        return len({m[1].bit_count() & 1 for m in self.terms}) <= 1
-
     def parity_split(self):
         """(even part, odd part)."""
         even, odd = {}, {}
@@ -332,15 +330,16 @@ class Poly:
         return _poly(self.ctx, terms)
 
     def right_deriv(self, name: str) -> "Poly":
-        """(-1)^(parity(v)*parity(component)) * left derivative, per component."""
-        v_par = self.ctx.parity_of(name)
-        out = self.ctx.zero()
-        for part, par in zip(self.parity_split(), (EVEN, ODD)):
-            d = part.left_deriv(name)
-            if v_par and par:
-                d = -d
-            out = out + d
-        return out
+        """(-1)^(parity(v)*parity(F)) * left derivative, sign taken per monomial."""
+        parity, s = self.ctx.slot(name)
+        if parity == EVEN:
+            return self.left_deriv(name)
+        bit = 1 << s
+        # the left sign (odd generators before v) times (-1)^p(monomial)
+        # leaves (-1)^(1 + odd generators after v)
+        terms = {(exps, mask ^ bit): c if (mask >> s + 1).bit_count() & 1 else -c
+                 for (exps, mask), c in self.terms.items() if mask & bit}
+        return _poly(self.ctx, terms)
 
     # -- substitution ------------------------------------------------------
 
@@ -412,10 +411,6 @@ class Poly:
         for m, c in self.terms.items():
             buckets.setdefault(self.mono_antifield_degree(m), {})[m] = c
         return [(k, Poly(self.ctx, buckets[k])) for k in sorted(buckets)]
-
-    def antifield_part(self, n: int) -> "Poly":
-        return Poly(self.ctx, {m: c for m, c in self.terms.items()
-                               if self.mono_antifield_degree(m) == n})
 
     def coefficient(self, even=None, odd=()) -> Scalar:
         """Coefficient of the canonical monomial with the given factors."""
@@ -490,12 +485,3 @@ def _poly(ctx: Context, terms) -> Poly:
     p.ctx = ctx
     p.terms = terms
     return p
-
-
-def grade_decompose(poly: Poly, grading: str):
-    """Split a Poly by 'hbar' power or by 'antifield' degree."""
-    if grading == "hbar":
-        return poly.hbar_decompose()
-    if grading == "antifield":
-        return poly.antifield_decompose()
-    raise ValueError(f"unknown grading {grading!r}")

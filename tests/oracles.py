@@ -6,6 +6,12 @@ constants, and the graded Leibniz rule spliced factor by factor.  The
 library reads the same quantities off the square of the BRST differential
 and applies derivations as vector fields; tests require exact equality.
 
+The Koszul-sign routes below split their arguments by parity and apply a
+sign table per homogeneous component: the antibracket as four sub-brackets,
+the right derivative as two signed left derivatives, Berezin integration as
+a hand-written coefficient loop, and the Laplacian of P*exp(T) per parity
+of P.  The library takes every sign per monomial instead.
+
 ``FractionScalar`` is the earlier ``Scalar``: a pair of ``Fraction`` parts
 per hbar power, re-normalized by ``Fraction`` on every operation.  The
 library's integer-triple ``Scalar`` must agree with it on every query.
@@ -16,9 +22,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from bvcalc.gauge import ExpElement
 from bvcalc.linalg import ExactMatrix
 from bvcalc.scalars import Scalar, _atom, _guard, _signed
-from bvcalc.superalgebra import Poly, _mask_bits
+from bvcalc.superalgebra import EVEN, ODD, Poly, _mask_bits
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -117,6 +124,81 @@ def _splice(ctx, prefix_mono, image, suffix_mono, coeff):
     left = Poly(ctx, {prefix_mono: Scalar.of(coeff)})
     right = Poly(ctx, {suffix_mono: Scalar.one()})
     return left * image * right
+
+
+def right_deriv_split(poly: Poly, name: str) -> Poly:
+    """(-1)^(parity(v)*parity(component)) * left derivative, per component."""
+    v_par = poly.ctx.parity_of(name)
+    out = poly.ctx.zero()
+    for part, par in zip(poly.parity_split(), (EVEN, ODD)):
+        d = part.left_deriv(name)
+        if v_par and par:
+            d = -d
+        out = out + d
+    return out
+
+
+def bracket_split(bvs, phi: Poly, psi: Poly) -> Poly:
+    """The antibracket with left derivatives only, per homogeneous part:
+        sum_i (-1)^(p(x+_i) p(Phi))          dPhi/dx+_i * dPsi/dx^i
+            - (-1)^((p(Phi)+1)(p(Psi)+1) + p(x+_i) p(Psi)) dPsi/dx+_i * dPhi/dx^i
+    """
+    ctx = bvs.ctx
+    out = ctx.zero()
+    for phi_h, p_phi in zip(phi.parity_split(), (EVEN, ODD)):
+        if phi_h.is_zero:
+            continue
+        for psi_h, p_psi in zip(psi.parity_split(), (EVEN, ODD)):
+            if psi_h.is_zero:
+                continue
+            for f, a in bvs.pairs:
+                p_a = ctx.parity_of(a)
+                t1 = phi_h.left_deriv(a) * psi_h.left_deriv(f)
+                if p_a and p_phi:
+                    t1 = -t1
+                t2 = psi_h.left_deriv(a) * phi_h.left_deriv(f)
+                if ((p_phi + 1) * (p_psi + 1) + p_a * p_psi) % 2 == 0:
+                    t2 = -t2
+                out = out + t1 + t2
+    return out
+
+
+def berezin_loop(poly: Poly, odd_names) -> Poly:
+    """Iterated Berezin integrals, innermost = last listed: each one keeps the
+    monomials containing the variable, with the sign of moving it rightmost."""
+    out = poly
+    for name in reversed(list(odd_names)):
+        parity, s = poly.ctx.slot(name)
+        if parity != ODD:
+            raise ValueError(f"{name} is not odd")
+        bit = 1 << s
+        terms = {}
+        for (exps, mask), c in out.terms.items():
+            if not mask & bit:
+                continue
+            behind = (mask >> (s + 1)).bit_count()
+            c2 = -c if behind & 1 else c
+            mono = (exps, mask ^ bit)
+            terms[mono] = terms[mono] + c2 if mono in terms else c2
+        out = Poly(out.ctx, terms)
+    return out
+
+
+def exp_delta_split(element):
+    """delta of a sum of P*exp(T), per parity-homogeneous part of P:
+    delta(P) + (-1)^p(P) {P, T} + (-1)^p(P) P (delta(T) + 1/2 {T, T})."""
+    bvs = element.bvs
+    out = []
+    for p, t in element.pairs:
+        curvature = bvs.delta(t) + Fraction(1, 2) * bracket_split(bvs, t, t)
+        for p_h, par in zip(p.parity_split(), (EVEN, ODD)):
+            if p_h.is_zero:
+                continue
+            coeff = bracket_split(bvs, p_h, t) + p_h * curvature
+            if par:
+                coeff = -coeff
+            out.append((bvs.delta(p_h) + coeff, t))
+    return ExpElement(bvs, out)
 
 
 class FractionScalar:

@@ -4,10 +4,12 @@ import pytest
 
 from bvcalc import (BVSpace, Derivation, EVEN, ODD, Scalar, brst_lie,
                     brst_rep, parse_expression, trace_condition)
+from bvcalc.gauge import ExpElement, berezin_integrate, exp_delta
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import Context
 
 from conftest import sl2, sl2_rescaled, solvable2
+from oracles import berezin_loop, bracket_split, exp_delta_split, right_deriv_split
 
 
 def random_field_derivation(rng, bvs, max_degree=3):
@@ -66,6 +68,50 @@ class TestBracket:
             psi = random_poly(rng, bvs_2_2.ctx, 4, 3)
             assert bvs_2_2.bracket(one, psi).is_zero
             assert bvs_2_2.bracket(psi, one).is_zero
+
+
+FIELD_SPECS = {
+    "2|2": [("x1", EVEN), ("x2", EVEN), ("t1", ODD), ("t2", ODD)],
+    "1|1": [("x", EVEN), ("th", ODD)],
+    "0|3": [("t1", ODD), ("t2", ODD), ("t3", ODD)],
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FIELD_SPECS))
+class TestSignOracles:
+    """Per-monomial signs against the parity-split routes in tests/oracles.py,
+    on mixed-parity inputs with i and hbar; every tenth argument is zero."""
+
+    def pairs(self, rng, ctx, count):
+        for n in range(count):
+            a = ctx.zero() if n % 10 == 3 else random_poly(rng, ctx, 4, 4, hbar_max=1)
+            b = ctx.zero() if n % 10 == 7 else random_poly(rng, ctx, 4, 4, hbar_max=1)
+            yield a, b
+
+    def test_bracket_and_right_deriv(self, spec, rng):
+        bvs = BVSpace.over_fields(FIELD_SPECS[spec])
+        names = [g.name for g in bvs.ctx.generators]
+        for a, b in self.pairs(rng, bvs.ctx, 120):
+            assert bvs.bracket(a, b) == bracket_split(bvs, a, b)
+            for name in names:
+                assert a.right_deriv(name) == right_deriv_split(a, name)
+
+    def test_berezin(self, spec, rng):
+        bvs = BVSpace.over_fields(FIELD_SPECS[spec])
+        ctx = bvs.ctx
+        odd_fields = [f for f, _ in bvs.pairs if ctx.parity_of(f) == ODD]
+        for a, _ in self.pairs(rng, ctx, 120):
+            for names in [odd_fields, ctx.odd_names] + [[n] for n in ctx.odd_names]:
+                assert berezin_integrate(a, names) == berezin_loop(a, names)
+
+    def test_exp_delta(self, spec, rng):
+        bvs = BVSpace.over_fields(FIELD_SPECS[spec])
+        ctx = bvs.ctx
+        for _ in range(30):
+            p = random_poly(rng, ctx, 4, 4, hbar_max=1)
+            t = random_poly(rng, ctx, 3, 3, parity=EVEN, hbar_max=1)
+            element = ExpElement(bvs, [(p, t)])
+            assert exp_delta(element) == exp_delta_split(element)
 
 
 class TestQuadraticLift:

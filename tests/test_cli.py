@@ -52,6 +52,21 @@ class TestModelFiles:
         with pytest.raises(ModelError, match=message):
             parse_model(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("[generators]\nx even field\nxp odd antifield x\n[exprs]\n  S =   x + $\n",
+         "in expression 'S': unexpected character '$' (line 5, column 13)"),
+        ("[lie]\nbasis = a b\n[brackets]\n\t[a,b] = b + $\n",
+         "in bracket [a,b]: unexpected character '$' (line 4, column 14)"),
+        ("[lie]\nbasis = a\nmodule = v\n[rep]\n    a.v = 2*(v  # open\n",
+         "in rep entry a.v: expected ')' (line 5, column 15)"),
+    ])
+    def test_expression_diagnostics_give_file_columns(self, text, message):
+        # indented entries: the column counts from the start of the file line,
+        # and the line is named once
+        with pytest.raises(ModelError) as err:
+            parse_model(text)
+        assert str(err.value) == message
+
     def test_bracket_consistency_error(self):
         text = "[lie]\nbasis = a b\n[brackets]\n[a,b] = b\n[b,a] = b\n"
         with pytest.raises(ModelError, match="inconsistent"):
@@ -109,7 +124,7 @@ class TestHostileInput:
         model.write_text("[generators]\nx even field\nxp odd antifield x\n[exprs]\n"
                          "S = " + "(" * 3000 + "x" + ")" * 3000 + "\n")
         self.assert_refused(self.run_child(model),
-                            "parentheses nested deeper than 100 (line 5, column 101)")
+                            "parentheses nested deeper than 100 (line 5, column 105)")
 
     def test_invalid_utf8(self, tmp_path):
         model = tmp_path / "bytes.model"

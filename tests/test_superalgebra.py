@@ -1,6 +1,6 @@
 import pytest
 
-from bvcalc import EVEN, ODD, Scalar, grade_decompose
+from bvcalc import EVEN, ODD, Scalar
 from bvcalc.randgen import random_homogeneous, random_poly
 from bvcalc.superalgebra import Context
 
@@ -141,23 +141,23 @@ class TestGrading:
     def test_hbar_split(self, bvs_1_1):
         ctx = bvs_1_1.ctx
         phi = ctx.gen("x") + Scalar.hbar() * (ctx.gen("xp") * ctx.gen("x"))
-        parts = grade_decompose(phi, "hbar")
+        parts = phi.hbar_decompose()
         assert parts == [(0, ctx.gen("x")), (1, ctx.gen("xp") * ctx.gen("x"))]
 
     def test_antifield_split(self, bvs_1_1):
         ctx = bvs_1_1.ctx
         phi = ctx.gen("x") + ctx.gen("xp") * ctx.gen("x")
-        parts = grade_decompose(phi, "antifield")
+        parts = phi.antifield_decompose()
         assert parts == [(0, ctx.gen("x")), (1, ctx.gen("xp") * ctx.gen("x"))]
 
     def test_zero_decomposes_empty(self, bvs_1_1):
-        assert grade_decompose(bvs_1_1.ctx.zero(), "hbar") == []
-        assert grade_decompose(bvs_1_1.ctx.zero(), "antifield") == []
+        assert bvs_1_1.ctx.zero().hbar_decompose() == []
+        assert bvs_1_1.ctx.zero().antifield_decompose() == []
 
     def test_mixed_scalar_splits_across_components(self, bvs_1_1):
         ctx = bvs_1_1.ctx
         phi = (Scalar.of(1) + Scalar.hbar()) * ctx.gen("x")
-        assert grade_decompose(phi, "hbar") == [(0, ctx.gen("x")), (1, ctx.gen("x"))]
+        assert phi.hbar_decompose() == [(0, ctx.gen("x")), (1, ctx.gen("x"))]
 
 
 def test_transport_tracks_reordering_signs(rng):
