@@ -1,8 +1,9 @@
 """Command-line verifier: loads a model file, runs a check, prints a report.
 
 Exit codes: 0 when the requested check passes, 1 when it ran and failed,
-2 on refusals (bad model, parse error, unmet precondition).  Reports are
-deterministic for a fixed (model, flags, seed) triple.
+2 on refusals (bad model, parse error, unmet precondition), 3 on an internal
+error (an exception no handler expects; one line on stderr, no traceback).
+Reports are deterministic for a fixed (model, flags, seed) triple.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .superalgebra import Poly
 
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
 _EXIT = {PASS: 0, FAIL: 1, REFUSED: 2}
+INTERNAL_ERROR = 3
 
 
 class Report:
@@ -320,6 +322,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as exc:  # a crash must never read as "check ran and failed"
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        sys.stderr.write(f"internal error: {message}\n")
+        return INTERNAL_ERROR
+
+
+def _run(args) -> int:
     command = args.command
     try:
         model = load_model(args.model)

@@ -17,7 +17,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from .derivations import Derivation
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, sparse_rank
+from .scalars import Scalar
 from .superalgebra import Context, EVEN, Generator, ODD, Poly
 
 
@@ -171,13 +172,35 @@ def _brst(model: LieModel, ctx: Context, vs, cs) -> Derivation:
 
 
 def _ce_basis(ctx: Context, p: int, q: int):
-    """Monomial basis of the (p, q) bigraded piece, in a fixed order."""
-    cs = ctx.odd_names
-    vs = ctx.even_names
-    combos = list(combinations(range(len(cs)), q))
+    """Monomial keys of the (p, q) bigraded piece, in a fixed order."""
+    n_even = ctx.n_even
+    masks = [sum(1 << i for i in combo) for combo in combinations(range(ctx.n_odd), q)]
     if p == 0:
-        return [({}, [cs[i] for i in combo]) for combo in combos]
-    return [({v: 1}, [cs[i] for i in combo]) for v in vs for combo in combos]
+        return [((0,) * n_even, mask) for mask in masks]
+    return [(tuple(int(s == v) for s in range(n_even)), mask)
+            for v in range(n_even) for mask in masks]
+
+
+def _ce_images(model: LieModel, p: int):
+    """[(basis of C^(p,q), images)] for q = 0..dim.
+
+    Each image is the sparse vector {monomial key: Fraction} of D applied to
+    one basis monomial, for D = brst_rep(model).
+    """
+    if p not in (0, 1):
+        raise ValueError("only p = 0 and p = 1 are supported")
+    if p == 1 and model.module_dim == 0:
+        raise ValueError("p = 1 needs a module")
+    D = brst_rep(model)
+    ctx = D.ctx
+    one = Scalar.one()
+    out = []
+    for q in range(model.dim + 1):
+        basis = _ce_basis(ctx, p, q)
+        images = [{m: c.as_fraction() for m, c in D.apply(Poly(ctx, {key: one})).terms.items()}
+                  for key in basis]
+        out.append((basis, images))
+    return out
 
 
 def ce_matrices(model: LieModel, p: int):
@@ -187,35 +210,26 @@ def ce_matrices(model: LieModel, p: int):
     of the col basis monomial; consecutive matrices compose to zero whenever
     the structure checks pass.
     """
-    if p not in (0, 1):
-        raise ValueError("only p = 0 and p = 1 are supported")
-    if p == 1 and model.module_dim == 0:
-        raise ValueError("p = 1 needs a module")
-    D = brst_rep(model)
-    ctx = D.ctx
+    pieces = _ce_images(model, p)
+    targets = [basis for basis, _ in pieces[1:]] + [[]]
     mats = []
-    for q in range(model.dim + 1):
-        src = _ce_basis(ctx, p, q)
-        dst = _ce_basis(ctx, p, q + 1)
-        rows = [[Fraction(0)] * len(src) for _ in dst]
-        for col, (even, odd) in enumerate(src):
-            image = D.apply(ctx.monomial(1, even, odd))
-            for row, (even2, odd2) in enumerate(dst):
-                c = image.coefficient(even2, odd2)
-                if not c.is_zero:
-                    rows[row][col] = c.as_fraction()
-        mats.append(ExactMatrix(rows, len(src)))
+    for (basis, images), dst in zip(pieces, targets):
+        row_of = {key: row for row, key in enumerate(dst)}
+        rows = [[0] * len(basis) for _ in dst]
+        for col, image in enumerate(images):
+            for key, value in image.items():
+                rows[row_of[key]][col] = value
+        mats.append(ExactMatrix(rows, len(basis)))
     return mats
 
 
 def ce_cohomology_dims(model: LieModel, p: int):
-    """dim ker - incoming rank per ghost degree, by exact elimination."""
-    mats = ce_matrices(model, p)
+    """dim ker - incoming rank per ghost degree, by exact sparse elimination."""
     dims = []
     prev_rank = 0
-    for mat in mats:
-        rank = mat.rank()
-        dims.append(mat.ncols - rank - prev_rank)
+    for basis, images in _ce_images(model, p):
+        rank = sparse_rank(images)
+        dims.append(len(basis) - rank - prev_rank)
         prev_rank = rank
     return dims
 

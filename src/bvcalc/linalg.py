@@ -1,13 +1,18 @@
-"""Exact dense matrices over the rationals with fraction-free rank.
+"""Exact rational matrices and their rank by sparse integer elimination.
 
-Rank is computed by Bareiss elimination on an integer rescaling of the rows,
-so no floating point (and no intermediate fraction blow-up) is involved.
+Rank has one route, ``sparse_rank``: each vector is a sparse map
+{column key: rational}, scaled to a primitive integer row, and the rows are
+reduced into an echelon form keyed by their lead column.  Every intermediate
+row is divided by the gcd of its entries, so no floating point and no
+fraction blow-up is involved.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 
 
 class ExactMatrix:
@@ -18,12 +23,13 @@ class ExactMatrix:
     def __init__(self, rows, ncols=None):
         rows = [tuple(Fraction(x) for x in row) for row in rows]
         if rows:
-            ncols_found = {len(r) for r in rows}
-            if len(ncols_found) != 1:
+            widths = {len(r) for r in rows}
+            if len(widths) != 1:
                 raise ValueError("ragged matrix")
-            ncols = ncols_found.pop()
-            if ncols is None:
-                raise ValueError("cannot infer column count")
+            width = widths.pop()
+            if ncols is not None and ncols != width:
+                raise ValueError(f"rows have {width} columns, not {ncols}")
+            ncols = width
         elif ncols is None:
             ncols = 0
         self.rows = tuple(rows)
@@ -35,7 +41,8 @@ class ExactMatrix:
         return all(not x for row in self.rows for x in row)
 
     def rank(self) -> int:
-        return bareiss_rank(self.rows)
+        return sparse_rank({col: x for col, x in enumerate(row) if x}
+                           for row in self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix)
@@ -45,31 +52,50 @@ class ExactMatrix:
         return f"ExactMatrix({[list(map(str, r)) for r in self.rows]})"
 
 
-def bareiss_rank(rows) -> int:
-    """Rank of a rational matrix by fraction-free (Bareiss) elimination."""
-    m = []
+def _primitive(row: dict) -> dict:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
+
+
+def sparse_rank(vectors) -> int:
+    """Rank over Q of sparse vectors {column key: int or Fraction}.
+
+    Column keys need only be hashable.  Columns are renumbered from the
+    rarest to the most common and each row's lead is its rarest column,
+    which keeps fill-in low.  Rows are reduced sparsest first; a row meets
+    only the pivot rows whose lead it contains, and each reduction step
+    removes the row's lead without adding a rarer column.
+    """
+    vectors = [{k: x for k, x in vec.items() if x} for vec in vectors]
+    counts = Counter(k for vec in vectors for k in vec)
+    column = {k: n for n, (k, _) in enumerate(sorted(counts.items(), key=itemgetter(1)))}
+    rows = []
+    for vec in vectors:
+        if vec:
+            scale = lcm(*(x.denominator for x in vec.values()))
+            rows.append(_primitive({column[k]: x.numerator * (scale // x.denominator)
+                                    for k, x in vec.items()}))
+    rows.sort(key=len)
+    pivots = {}
     for row in rows:
-        row = [Fraction(x) for x in row]
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        m.append([int(x * scale) for x in row])
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if m[r][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
-            m[r][col] = 0
-        prev = m[row][col]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            a, b = pivot[lead], row[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            for k, v in pivot.items():
+                x = row.get(k, 0) - b * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+            if row:
+                row = _primitive(row)
+    return len(pivots)

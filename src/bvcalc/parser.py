@@ -10,6 +10,8 @@ Grammar (juxtaposition is not multiplication):
 Identifiers must be declared generators.  An odd generator raised to a power
 of two or more warns and yields zero.  Parentheses nest at most
 ``MAX_NESTING`` deep; deeper input is a ParseError at the offending '('.
+Exponents are at most ``MAX_EXPONENT``; a larger one is a ParseError at the
+exponent's column.
 """
 
 from __future__ import annotations
@@ -37,6 +39,10 @@ class OddPowerWarning(UserWarning):
 # term, factor), so 100 levels use about 400 of Python's default recursion
 # limit of 1000 and leave the rest to the caller and to Poly arithmetic.
 MAX_NESTING = 100
+
+# Enough for the scaled workloads ((x+1)^400); x^1000000 ran for seconds
+# before it was refused.
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*/^()]))")
@@ -119,7 +125,11 @@ class _Parser:
                 exp_tok = self.advance()
                 if exp_tok[0] != "num":
                     self.error("exponent must be an unsigned integer", exp_tok)
-                base = self._power(base, int(exp_tok[1]), exp_tok)
+                # compare the digits before int() so a huge literal is refused cheaply
+                digits = exp_tok[1].lstrip("0") or "0"
+                if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                    self.error(f"exponent larger than {MAX_EXPONENT}", exp_tok)
+                base = self._power(base, int(digits), exp_tok)
             else:
                 return base
 

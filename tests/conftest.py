@@ -49,3 +49,63 @@ def solvable2() -> LieModel:
 
 def abelian(m: int) -> LieModel:
     return LieModel.build(m, {})
+
+
+def _matrix_algebra(basis, coords) -> LieModel:
+    """Structure constants of the span of integer matrices {(row, col): value}
+    under the commutator; coords(matrix) gives its coordinates in the basis."""
+    brackets = {}
+    for j, x in enumerate(basis):
+        for k in range(j + 1, len(basis)):
+            comm = {}
+            for (a, b), u in x.items():
+                for (c, d), v in basis[k].items():
+                    if b == c:
+                        comm[(a, d)] = comm.get((a, d), 0) + u * v
+                    if d == a:
+                        comm[(c, b)] = comm.get((c, b), 0) - u * v
+            for i, val in enumerate(coords(comm)):
+                if val:
+                    brackets[(i, j, k)] = val
+    return LieModel.build(len(basis), brackets)
+
+
+def gl(n: int) -> LieModel:
+    """gl(n) in the basis E_ab, row-major."""
+    cells = [(a, b) for a in range(n) for b in range(n)]
+    return _matrix_algebra([{cell: 1} for cell in cells],
+                           lambda m: [m.get(cell, 0) for cell in cells])
+
+
+def sl(n: int) -> LieModel:
+    """sl(n) in the basis E_aa - E_(a+1)(a+1), then the off-diagonal E_ab."""
+    off = [(a, b) for a in range(n) for b in range(n) if a != b]
+    basis = [{(a, a): 1, (a + 1, a + 1): -1} for a in range(n - 1)]
+    basis += [{cell: 1} for cell in off]
+
+    def coords(m):
+        diag = [sum(m.get((r, r), 0) for r in range(a + 1)) for a in range(n - 1)]
+        return diag + [m.get(cell, 0) for cell in off]
+    return _matrix_algebra(basis, coords)
+
+
+def change_basis(model: LieModel, shears) -> LieModel:
+    """The same algebra in the basis e'_j = sum_b A[b][j] e_b, where A is the
+    product of the elementary matrices I + s E_ab for (a, b, s) in shears."""
+    n = model.dim
+    mat = [[int(r == c) for c in range(n)] for r in range(n)]
+    inv = [row[:] for row in mat]
+    for a, b, s in shears:
+        for r in range(n):          # A <- A (I + s E_ab)
+            mat[r][b] += s * mat[r][a]
+        for c in range(n):          # A^-1 <- (I - s E_ab) A^-1
+            inv[a][c] -= s * inv[b][c]
+    brackets = {}
+    for j in range(n):
+        for k in range(j + 1, n):
+            for (a, b, c), val in model.f.items():
+                weight = val * mat[b][j] * mat[c][k]
+                if weight:
+                    for i in range(n):
+                        brackets[(i, j, k)] = brackets.get((i, j, k), 0) + inv[i][a] * weight
+    return LieModel.build(n, {key: val for key, val in brackets.items() if val})

@@ -1,9 +1,10 @@
 """Independent slow routes kept as oracles for the library's fast paths.
 
-Each function here is a direct transcription of a textbook formula: matrix
-products and commutators, the Jacobiator as a triple sum over structure
-constants, and the graded Leibniz rule spliced factor by factor.  The
-library reads the same quantities off the square of the BRST differential
+Each function here is a direct transcription of a textbook formula: dense
+matrix rank by Bareiss and by Gauss-Jordan elimination, matrix products and
+commutators, the Jacobiator as a triple sum over structure constants, and
+the graded Leibniz rule spliced factor by factor.  The library ranks sparse
+vectors, reads the same quantities off the square of the BRST differential
 and applies derivations as vector fields; tests require exact equality.
 
 The Koszul-sign routes below split their arguments by parity and apply a
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from bvcalc.gauge import ExpElement
 from bvcalc.linalg import ExactMatrix
@@ -35,6 +37,53 @@ def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
              for j in range(b.ncols)]
             for i in range(a.nrows)]
     return ExactMatrix(rows, b.ncols)
+
+
+def bareiss_rank(rows) -> int:
+    """Rank of a dense rational matrix by fraction-free (Bareiss) elimination."""
+    m = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        scale = lcm(*(x.denominator for x in row)) if row else 1
+        m.append([int(x * scale) for x in row])
+    if not m or not m[0]:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, nrows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        for r in range(row + 1, nrows):
+            for c in range(col + 1, ncols):
+                m[r][c] = (m[row][col] * m[r][c] - m[r][col] * m[row][c]) // prev
+            m[r][col] = 0
+        prev = m[row][col]
+        rank += 1
+        row += 1
+        if row == nrows:
+            break
+    return rank
+
+
+def fraction_rank(rows) -> int:
+    """Rank of a dense rational matrix by Gauss-Jordan elimination on Fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def action_matrix(model, k: int) -> ExactMatrix:

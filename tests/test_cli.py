@@ -133,6 +133,32 @@ class TestHostileInput:
         self.assert_refused(self.run_child(model), "invalid UTF-8 byte 0xff (line 5)")
 
 
+    def test_huge_exponent(self, tmp_path):
+        model = tmp_path / "power.model"
+        model.write_text("[generators]\nx even field\nxp odd antifield x\n[exprs]\n"
+                         "S = x^1000000\n")
+        self.assert_refused(self.run_child(model),
+                            "exponent larger than 1000 (line 5, column 7)")
+
+
+class TestInternalError:
+    """An exception no handler expects exits 3 with one stderr line."""
+
+    def test_crash_exits_three_without_traceback(self):
+        script = ("import sys; from bvcalc import cli\n"
+                  "def crash(model, args):\n"
+                  "    raise KeyError('no such entry')\n"
+                  "cli._COMMANDS['brst'] = crash\n"
+                  f"sys.exit(cli.main(['brst', {str(MODELS / 'sl2.model')!r}]))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == ["internal error: KeyError: 'no such entry'"]
+
+
 class TestCommands:
     def test_check_lie_abelian(self, capsys):
         code, out = run(capsys, "check-lie", MODELS / "abelian.model")

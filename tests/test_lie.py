@@ -6,10 +6,10 @@ import pytest
 from bvcalc import (LieModel, brst_lie, brst_rep, ce_cohomology_dims,
                     ce_matrices, ghost_context, jacobi_check, rep_check,
                     rep_context, trace_condition)
-from bvcalc.linalg import bareiss_rank
 
-from conftest import abelian, sl2, sl2_rescaled, solvable2
-from oracles import action_matrix, jacobi_triple_loop, matmul, rep_commutator_check
+from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
+from oracles import (action_matrix, bareiss_rank, jacobi_triple_loop, matmul,
+                     rep_commutator_check)
 
 
 def adjoint_oracle_jacobi(model):
@@ -188,11 +188,54 @@ class TestChevalleyEilenberg:
             dims = ce_cohomology_dims(model, 0)
             assert sum((-1) ** q * d for q, d in enumerate(dims)) == 0
 
+    def test_rank_matches_bareiss_oracle(self):
+        for model, p in ((gl(2).adjoint(), 1), (sl2().adjoint(), 1),
+                         (sl(3), 0), (gl(3), 0)):
+            for mat in ce_matrices(model, p):
+                assert mat.rank() == bareiss_rank(mat.rows)
+
     def test_p_validation(self):
         with pytest.raises(ValueError):
             ce_matrices(sl2(), 2)
         with pytest.raises(ValueError):
             ce_matrices(sl2(), 1)  # no module
+
+
+def poincare(*degrees):
+    """Coefficients of prod (1 + t^d) over the given degrees."""
+    coeffs = [1]
+    for d in degrees:
+        coeffs = [a + (coeffs[q - d] if 0 <= q - d < len(coeffs) else 0)
+                  for q, a in enumerate(coeffs + [0] * d)]
+    return coeffs
+
+
+class TestClosedFormCohomology:
+    """Poincare polynomials from the literature: H*(gl(n)) is an exterior
+    algebra on generators of degrees 1, 3, ..., 2n-1 and H*(sl(n)) drops the
+    degree-1 generator; a simple algebra has no cohomology with coefficients
+    in a nontrivial irreducible module (Whitehead)."""
+
+    def test_gl3(self):
+        assert ce_cohomology_dims(gl(3), 0) == poincare(1, 3, 5) \
+            == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+
+    def test_sl3(self):
+        assert ce_cohomology_dims(sl(3), 0) == poincare(3, 5)
+
+    def test_gl3_after_unimodular_change_of_basis(self):
+        shears = [(0, 4, 1), (3, 1, -1), (8, 2, 1), (5, 0, -1), (2, 7, 1),
+                  (6, 3, 1), (1, 8, -1), (4, 6, 1), (7, 5, -1)]
+        sheared = change_basis(gl(3), shears)
+        assert sheared.f != gl(3).f
+        assert not jacobi_check(sheared)
+        assert ce_cohomology_dims(sheared, 0) == poincare(1, 3, 5)
+
+    def test_sl2_adjoint_whitehead_vanishing(self):
+        assert ce_cohomology_dims(sl2().adjoint(), 1) == [0, 0, 0, 0]
+
+    def test_gl2_adjoint(self):
+        assert ce_cohomology_dims(gl(2).adjoint(), 1) == [1, 1, 0, 1, 1]
 
 
 class TestTraceCondition:
@@ -214,31 +257,3 @@ class TestTraceCondition:
         expected = (ctx.monomial(n * ts[0], odd=["c1"])
                     + ctx.monomial(n * ts[1], odd=["c2"]))
         assert trace == expected
-
-
-class TestRank:
-    def test_bareiss_matches_fraction_elimination(self, rng):
-        def fraction_rank(rows):
-            rows = [list(r) for r in rows]
-            rank = 0
-            for col in range(len(rows[0]) if rows else 0):
-                pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-                if pivot is None:
-                    continue
-                rows[rank], rows[pivot] = rows[pivot], rows[rank]
-                for r in range(len(rows)):
-                    if r != rank and rows[r][col]:
-                        factor = rows[r][col] / rows[rank][col]
-                        rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-                rank += 1
-            return rank
-
-        for _ in range(60):
-            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                     for _ in range(nc)] for _ in range(nr)]
-            assert bareiss_rank(rows) == fraction_rank(rows)
-
-    def test_empty_and_zero(self):
-        assert bareiss_rank([]) == 0
-        assert bareiss_rank([[Fraction(0), Fraction(0)]]) == 0

@@ -1,0 +1,106 @@
+from fractions import Fraction
+
+import pytest
+
+from bvcalc.linalg import ExactMatrix, sparse_rank
+
+from oracles import bareiss_rank, fraction_rank
+
+
+def sparse(rows):
+    return [{col: x for col, x in enumerate(row) if x} for row in rows]
+
+
+def random_rows(rng, nrows, ncols):
+    """Random rational rows with a share of zeros, zero rows and repeats."""
+    rows = []
+    for _ in range(nrows):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([Fraction(0)] * ncols)
+        elif kind < 0.3 and rows:
+            # a rational combination of earlier rows: rank-deficient on purpose
+            row = [Fraction(0)] * ncols
+            for other in rng.sample(rows, min(2, len(rows))):
+                factor = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                row = [a + factor * b for a, b in zip(row, other)]
+            rows.append(row)
+        else:
+            rows.append([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                         if rng.random() < 0.5 else Fraction(0) for _ in range(ncols)])
+    return rows
+
+
+def block_diagonal(blocks):
+    width = sum(len(b[0]) for b in blocks)
+    rows, offset = [], 0
+    for block in blocks:
+        for row in block:
+            rows.append([Fraction(0)] * offset + list(row)
+                        + [Fraction(0)] * (width - offset - len(row)))
+        offset += len(block[0])
+    return rows
+
+
+class TestRank:
+    def test_bareiss_matches_fraction_elimination(self, rng):
+        for _ in range(60):
+            nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                     for _ in range(nc)] for _ in range(nr)]
+            assert bareiss_rank(rows) == fraction_rank(rows)
+
+    def test_empty_and_zero(self):
+        assert sparse_rank([]) == 0
+        assert sparse_rank([{}, {0: 0, 3: Fraction(0)}]) == 0
+        assert ExactMatrix([], 3).rank() == 0
+        assert ExactMatrix([[Fraction(0), Fraction(0)]]).rank() == 0
+        assert bareiss_rank([]) == 0
+        assert bareiss_rank([[Fraction(0), Fraction(0)]]) == 0
+
+    def test_sparse_matches_oracles(self, rng):
+        for _ in range(200):
+            rows = random_rows(rng, rng.randint(1, 9), rng.randint(1, 9))
+            expected = bareiss_rank(rows)
+            assert fraction_rank(rows) == expected
+            assert sparse_rank(sparse(rows)) == expected
+            assert ExactMatrix(rows).rank() == expected
+
+    def test_block_diagonal(self, rng):
+        for _ in range(40):
+            blocks = [random_rows(rng, rng.randint(1, 4), rng.randint(1, 4))
+                      for _ in range(rng.randint(2, 4))]
+            rows = block_diagonal(blocks)
+            rng.shuffle(rows)
+            expected = sum(bareiss_rank(block) for block in blocks)
+            assert bareiss_rank(rows) == expected
+            assert sparse_rank(sparse(rows)) == expected
+
+    def test_keys_need_only_be_hashable(self):
+        # monomial keys and keys of mixed types; the third vector is the
+        # sum of the first two
+        vectors = [{((1, 0), 3): Fraction(1, 2), "c1": 2},
+                   {"c1": Fraction(-1, 3), 7: 1},
+                   {((1, 0), 3): Fraction(1, 2), "c1": Fraction(5, 3), 7: 1}]
+        assert sparse_rank(vectors) == 2
+        assert sparse_rank(vectors + [{7: 1}]) == 3
+
+    def test_integer_and_fraction_entries_agree(self):
+        assert sparse_rank([{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}]) == 1
+        assert sparse_rank([{0: 10**30, 1: 1}, {0: 1, 1: Fraction(1, 10**30)}]) == 1
+
+
+class TestExactMatrix:
+    def test_column_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="columns"):
+            ExactMatrix([[1, 2]], 3)
+
+    def test_column_count_checked_and_inferred(self):
+        assert ExactMatrix([[1, 2]], 2).ncols == 2
+        assert ExactMatrix([[1, 2]]).ncols == 2
+        assert ExactMatrix([], 4).ncols == 4
+        assert ExactMatrix([]).ncols == 0
+
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError, match="ragged"):
+            ExactMatrix([[1, 2], [3]])

@@ -5,7 +5,7 @@ import pytest
 
 from bvcalc import (EVEN, ODD, OddPowerWarning, ParseError, Scalar,
                     parse_expression)
-from bvcalc.parser import MAX_NESTING
+from bvcalc.parser import MAX_EXPONENT, MAX_NESTING
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import Context
 
@@ -73,6 +73,17 @@ class TestGrammar:
         # siblings do not add up: only the depth of one chain counts
         wide = "*".join(["(" * MAX_NESTING + "x" + ")" * MAX_NESTING] * 3)
         assert parse_expression(wide, ctx) == ctx.monomial(1, {"x": 3})
+
+    def test_exponent_bound(self, ctx):
+        assert MAX_EXPONENT >= 400
+        assert parse_expression(f"x^{MAX_EXPONENT}", ctx) == \
+            ctx.monomial(1, {"x": MAX_EXPONENT})
+        assert parse_expression("x^0002", ctx) == ctx.monomial(1, {"x": 2})
+        for exponent in (str(MAX_EXPONENT + 1), "1000000", "9" * 5000):
+            src = "y + x^" + exponent
+            with pytest.raises(ParseError, match="exponent larger than") as err:
+                parse_expression(src, ctx, line=2)
+            assert (err.value.line, err.value.col) == (2, len("y + x^") + 1)
 
 
 class TestRoundTrip:
