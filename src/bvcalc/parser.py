@@ -40,8 +40,8 @@ class OddPowerWarning(UserWarning):
 # limit of 1000 and leave the rest to the caller and to Poly arithmetic.
 MAX_NESTING = 100
 
-# Enough for the scaled workloads ((x+1)^400); x^1000000 ran for seconds
-# before it was refused.
+# Enough for the scaled workloads ((x+1)^400); x^1000000 would run for
+# seconds.
 MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"

@@ -132,7 +132,6 @@ class TestHostileInput:
                           b"[exprs]\nS = x\xff\n")
         self.assert_refused(self.run_child(model), "invalid UTF-8 byte 0xff (line 5)")
 
-
     def test_huge_exponent(self, tmp_path):
         model = tmp_path / "power.model"
         model.write_text("[generators]\nx even field\nxp odd antifield x\n[exprs]\n"
