@@ -19,13 +19,14 @@ from fractions import Fraction
 
 from .derivations import Derivation
 from .scalars import Scalar
-from .superalgebra import ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, Poly
+from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, Poly,
+                           _collect, _mul_into)
 
 
 class BVSpace:
     """A Context in which every field generator has a paired antifield."""
 
-    __slots__ = ("ctx", "field_ctx", "pairs")
+    __slots__ = ("ctx", "field_ctx", "pairs", "_pair_slots")
 
     def __init__(self, ctx: Context):
         fields = [g for g in ctx.generators if g.role == FIELD]
@@ -35,6 +36,11 @@ class BVSpace:
         self.ctx = ctx
         self.pairs = ctx.pairs
         self.field_ctx = Context(Generator(g.name, g.parity, FIELD) for g in fields)
+        # per pair: the even member's slot and the odd member's bit
+        self._pair_slots = []
+        for f, a in self.pairs:
+            even, odd = (f, a) if ctx.parity_of(f) == EVEN else (a, f)
+            self._pair_slots.append((ctx.slot(even)[1], 1 << ctx.slot(odd)[1]))
 
     @classmethod
     def over_fields(cls, specs, antifield_suffix: str = "p") -> "BVSpace":
@@ -51,24 +57,40 @@ class BVSpace:
     # -- Laplacian and bracket -------------------------------------------
 
     def delta(self, phi: Poly) -> Poly:
-        """Sum over pairs of the antifield derivative of the field derivative."""
+        """Sum over pairs of the antifield derivative of the field derivative.
+
+        Whichever member of a pair is odd, the double derivative of a
+        monomial containing both is its coefficient times the even member's
+        exponent, with the sign of the odd generators before the odd member.
+        """
         if phi.ctx != self.ctx:
             raise ValueError("context mismatch")
-        out = self.ctx.zero()
-        for f, a in self.pairs:
-            out = out + phi.left_deriv(f).left_deriv(a)
-        return out
+        out = {}
+        get = out.get
+        for (exps, mask), c in phi.terms.items():
+            for s, bit in self._pair_slots:
+                k = exps[s]
+                if k and mask & bit:
+                    dc = c * k
+                    if (mask & (bit - 1)).bit_count() & 1:
+                        dc = -dc
+                    mono = (exps[:s] + (k - 1,) + exps[s + 1:], mask ^ bit)
+                    prev = get(mono)
+                    out[mono] = dc if prev is None else prev + dc
+        return _collect(self.ctx, out)
 
     def bracket(self, phi: Poly, psi: Poly) -> Poly:
         """sum over pairs of <-dPhi/dx+ dPsi/dx + <-dPhi/dx dPsi/dx+."""
         if phi.ctx != self.ctx or psi.ctx != self.ctx:
             raise ValueError("context mismatch")
-        out = self.ctx.zero()
+        return _collect(self.ctx, self._bracket_into({}, phi, psi))
+
+    def _bracket_into(self, out: dict, phi: Poly, psi: Poly) -> dict:
         if phi.is_zero or psi.is_zero:
             return out
         for f, a in self.pairs:
-            out = (out + phi.right_deriv(a) * psi.left_deriv(f)
-                   + phi.right_deriv(f) * psi.left_deriv(a))
+            _mul_into(out, 1, phi.right_deriv(a).terms, psi.left_deriv(f).terms)
+            _mul_into(out, 1, phi.right_deriv(f).terms, psi.left_deriv(a).terms)
         return out
 
     def bracket_via_defect(self, phi: Poly, psi: Poly) -> Poly:
@@ -99,16 +121,16 @@ class BVSpace:
     def s1_of(self, derivation: Derivation) -> Poly:
         """sum_i antifield_i * D(field_i); even whenever D is odd."""
         D = self.lift(derivation)
-        out = self.ctx.zero()
+        out = {}
         for f, a in self.pairs:
             img = D.image(f)
             if any(img.mono_antifield_degree(m) for m in img.terms):
                 raise ValueError("derivation touches antifields")
-            out = out + self.ctx.gen(a) * img
+            _mul_into(out, 1, self.ctx.gen(a).terms, img.terms)
         for g in self.ctx.generators:
             if g.role == ANTIFIELD and not D.image(g.name).is_zero:
                 raise ValueError("derivation touches antifields")
-        return out
+        return _collect(self.ctx, out)
 
     def extract_derivation(self, s1: Poly) -> Derivation:
         """Field-space derivation with image bracket(s1, field); inverse of s1_of."""
@@ -153,16 +175,17 @@ class BVSpace:
         if not parts:
             return []
         lo, hi = min(parts), max(parts)
-        two_i = Scalar.i() * 2
+        two_i = self.ctx.scalar(Scalar.i() * 2).terms
         out = []
         for k in range(min(2 * lo, lo + 1), max(2 * hi, hi + 1) + 1):
-            r = self.ctx.zero()
+            r = {}
             for a in range(lo, hi + 1):
                 b = k - a
                 if b in parts and a in parts:
-                    r = r + self.bracket(parts[a], parts[b])
+                    self._bracket_into(r, parts[a], parts[b])
             if (k - 1) in parts:
-                r = r - two_i * self.delta(parts[k - 1])
+                _mul_into(r, -1, two_i, self.delta(parts[k - 1]).terms)
+            r = _collect(self.ctx, r)
             if not r.is_zero:
                 out.append((k, r))
         return out

@@ -9,13 +9,13 @@ of a strong homotopy structure.
 
 from __future__ import annotations
 
-from .superalgebra import Context, EVEN, ODD, Poly
+from .superalgebra import Context, EVEN, ODD, Poly, _collect, _mul_into
 
 
 class Derivation:
     """Derivation of fixed parity, stored as generator -> image Poly."""
 
-    __slots__ = ("ctx", "parity", "images")
+    __slots__ = ("ctx", "parity", "images", "_even_images", "_odd_images")
 
     def __init__(self, ctx: Context, parity: int, images):
         if parity not in (EVEN, ODD):
@@ -37,6 +37,12 @@ class Derivation:
         self.ctx = ctx
         self.parity = parity
         self.images = clean
+        # (slot, image terms) per generator with an image, for ``apply``
+        self._even_images = []
+        self._odd_images = []
+        for name, img in clean.items():
+            gen_parity, s = ctx.slot(name)
+            (self._odd_images if gen_parity else self._even_images).append((s, img.terms))
 
     def image(self, name: str) -> Poly:
         self.ctx.slot(name)
@@ -53,14 +59,29 @@ class Derivation:
         """The vector field sum_v D(v) * d/dv with left derivatives.
 
         This is the graded Leibniz rule: moving D past a factor a costs
-        (-1)^(parity(D) * parity(a)).
+        (-1)^(parity(D) * parity(a)).  Each monomial is differentiated in
+        place by every generator it contains that has an image, and every
+        D(v) * dm/dv lands in one terms dict.
         """
         if poly.ctx != self.ctx:
             raise ValueError("context mismatch")
-        out = self.ctx.zero()
-        for name, img in self.images.items():
-            out += img * poly.left_deriv(name)
-        return out
+        out = {}
+        even_images, odd_images = self._even_images, self._odd_images
+        for (exps, mask), c in poly.terms.items():
+            for s, img in even_images:
+                k = exps[s]
+                if k:
+                    mono = (exps[:s] + (k - 1,) + exps[s + 1:], mask)
+                    _mul_into(out, 1, img, {mono: c * k})
+            if not mask:
+                continue
+            for s, img in odd_images:
+                bit = 1 << s
+                if mask & bit:
+                    # d/dv of an odd v passes the odd generators before it
+                    dc = -c if (mask & (bit - 1)).bit_count() & 1 else c
+                    _mul_into(out, 1, img, {(exps, mask ^ bit): dc})
+        return _collect(self.ctx, out)
 
     def square_residual(self):
         """{generator: D(D(generator))}; all zero iff D squares to zero."""

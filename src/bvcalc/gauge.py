@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .bv import BVSpace
 from .scalars import Scalar
-from .superalgebra import EVEN, FIELD, ODD, Poly
+from .superalgebra import EVEN, FIELD, ODD, Poly, _add_into, _collect, _mul_into
 
 
 class NotDeltaClosed(Exception):
@@ -64,20 +65,19 @@ class ExpElement:
     __slots__ = ("bvs", "pairs")
 
     def __init__(self, bvs: BVSpace, pairs):
+        # T.key() -> [sum of the P that share T, T]; the key is hashed once
+        # per pair and is also the sort key, so pair order is canonical
         merged = {}
-        keep = {}
         for p, t in pairs:
             if p.ctx != bvs.ctx or t.ctx != bvs.ctx:
                 raise ValueError("context mismatch")
             if not t.is_zero and t.parity() != EVEN:
                 raise ValueError("exponent must be even")
-            k = t.key()
-            merged[k] = merged[k] + p if k in merged else p
-            keep[k] = t
+            entry = merged.setdefault(t.key(), [None, t])
+            entry[0] = p if entry[0] is None else entry[0] + p
         self.bvs = bvs
-        self.pairs = tuple(sorted(((merged[k], keep[k]) for k in merged
-                                   if not merged[k].is_zero),
-                                  key=lambda pt: pt[1].key()))
+        self.pairs = tuple((p, t) for _, (p, t) in sorted(merged.items(), key=itemgetter(0))
+                           if not p.is_zero)
 
     @property
     def is_zero(self) -> bool:
@@ -163,7 +163,7 @@ def gaussian_expectation(poly: Poly) -> Scalar:
     for (exps, mask), c in poly.terms.items():
         if mask:
             raise ValueError("odd generator present in a Gaussian moment")
-        weight = Fraction(1)
+        weight = 1
         dead = False
         for s, k in enumerate(exps):
             if not k:
@@ -182,12 +182,12 @@ def gaussian_expectation(poly: Poly) -> Scalar:
 def standard_damping(bvs: BVSpace) -> Poly:
     """-1/2 sum over even fields of the squared coordinate."""
     ctx = bvs.ctx
-    out = ctx.zero()
+    out = {}
     half = Fraction(-1, 2)
     for f, _ in bvs.pairs:
         if ctx.parity_of(f) == EVEN:
-            out = out + ctx.monomial(half, even={f: 2})
-    return out
+            _add_into(out, ctx.monomial(half, even={f: 2}).terms)
+    return _collect(ctx, out)
 
 
 def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:
@@ -217,14 +217,15 @@ def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:
 
 
 def _exp_nilpotent(nil: Poly) -> Poly:
-    out = nil.ctx.one()
-    power = nil.ctx.one()
+    ctx = nil.ctx
+    out = dict(ctx.one().terms)
+    power = ctx.one()
     k = 1
     while True:
         power = power * nil
         if power.is_zero:
-            return out
-        out = out + Fraction(1, math.factorial(k)) * power
+            return _collect(ctx, out)
+        _mul_into(out, 1, ctx.scalar(Fraction(1, math.factorial(k))).terms, power.terms)
         k += 1
 
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from .derivations import Derivation
 from .linalg import ExactMatrix, sparse_rank
 from .scalars import Scalar
-from .superalgebra import Context, EVEN, Generator, ODD, Poly
+from .superalgebra import Context, EVEN, Generator, ODD, Poly, _add_into, _collect
 
 
 @dataclass(frozen=True)
@@ -157,17 +157,17 @@ def _brst(model: LieModel, ctx: Context, vs, cs) -> Derivation:
     half = Fraction(1, 2)
     images = {}
     for i, cname in enumerate(cs):
-        img = ctx.zero()
+        img = {}
         for (ii, j, k), val in model.f.items():
             if ii == i:
-                img = img + ctx.monomial(half * val, odd=[cs[j], cs[k]])
-        images[cname] = img
+                _add_into(img, ctx.monomial(half * val, odd=[cs[j], cs[k]]).terms)
+        images[cname] = _collect(ctx, img)
     for i, vname in enumerate(vs):
-        img = ctx.zero()
+        img = {}
         for (ii, j, k), val in model.rho.items():
             if ii == i:
-                img = img + ctx.monomial(val, even={vs[j]: 1}, odd=[cs[k]])
-        images[vname] = img
+                _add_into(img, ctx.monomial(val, even={vs[j]: 1}, odd=[cs[k]]).terms)
+        images[vname] = _collect(ctx, img)
     return Derivation(ctx, ODD, images)
 
 
@@ -242,7 +242,7 @@ def trace_condition(model: LieModel, module_names=None, ghost_names=None) -> Pol
     """
     ctx = rep_context(model, module_names, ghost_names)
     cs = ctx.odd_names
-    out = ctx.zero()
+    out = {}
     for k in range(model.dim):
         total = Fraction(0)
         for i in range(model.dim):
@@ -250,5 +250,5 @@ def trace_condition(model: LieModel, module_names=None, ghost_names=None) -> Pol
         for i in range(model.module_dim):
             total += model.rho_at(i, i, k)
         if total:
-            out = out + ctx.monomial(total, odd=[cs[k]])
-    return out
+            _add_into(out, ctx.monomial(total, odd=[cs[k]]).terms)
+    return _collect(ctx, out)

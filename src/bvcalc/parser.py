@@ -11,7 +11,8 @@ Identifiers must be declared generators.  An odd generator raised to a power
 of two or more warns and yields zero.  Parentheses nest at most
 ``MAX_NESTING`` deep; deeper input is a ParseError at the offending '('.
 Exponents are at most ``MAX_EXPONENT``; a larger one is a ParseError at the
-exponent's column.
+exponent's column.  A number literal longer than the interpreter converts to
+``int`` (4300 digits by default) is a ParseError at the literal's column.
 """
 
 from __future__ import annotations
@@ -144,26 +145,36 @@ class _Parser:
                 return self.ctx.zero()
         return base ** n
 
+    def _int(self, tok) -> int:
+        try:
+            return int(tok[1])
+        except ValueError:
+            # only the interpreter's digit limit can fail here; the
+            # tokenizer has already checked the characters
+            self.error(f"number literal too long ({len(tok[1])} digits)", tok)
+
     def _rational(self, value: int) -> Poly:
         """value, or value/den when '/' and a positive integer follow."""
         nk, ntext, _ = self.peek()
         if nk == "op" and ntext == "/":
             self.advance()
             den = self.advance()
-            if den[0] != "num" or int(den[1]) == 0:
+            d = self._int(den) if den[0] == "num" else 0
+            if not d:
                 self.error("denominator must be a positive integer", den)
-            return self.ctx.scalar(Fraction(value, int(den[1])))
+            return self.ctx.scalar(Fraction(value, d))
         return self.ctx.scalar(value)
 
     def primary(self) -> Poly:
-        kind, text, col = self.advance()
+        tok = self.advance()
+        kind, text, col = tok
         if kind == "num":
-            return self._rational(int(text))
+            return self._rational(self._int(tok))
         if kind == "op" and text == "-":
             num = self.advance()
             if num[0] != "num":
                 self.error("expected a number after '-'", num)
-            return self._rational(-int(num[1]))
+            return self._rational(-self._int(num))
         if kind == "ident":
             if text == "i":
                 return self.ctx.scalar(Scalar.i())

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar
-from .superalgebra import Context, EVEN, ODD, Poly
+from .superalgebra import Context, EVEN, ODD, Poly, _add_into, _collect
 
 
 def random_scalar(rng, hbar_max: int = 0, imag: bool = True) -> Scalar:
@@ -26,7 +26,7 @@ def random_poly(rng, ctx: Context, max_degree: int = 4, terms: int = 4,
                 parity=None, hbar_max: int = 0, imag: bool = True) -> Poly:
     """Random sparse Poly; with parity set, every monomial matches it."""
     names = [g.name for g in ctx.generators]
-    out = ctx.zero()
+    out = {}
     for _ in range(terms):
         d = rng.randint(0, max_degree)
         picks = [rng.choice(names) for _ in range(d)]
@@ -39,8 +39,8 @@ def random_poly(rng, ctx: Context, max_degree: int = 4, terms: int = 4,
         for g in picks:
             if ctx.parity_of(g) == EVEN:
                 even[g] = even.get(g, 0) + 1
-        out = out + ctx.monomial(random_scalar(rng, hbar_max, imag), even, odd)
-    return out
+        _add_into(out, ctx.monomial(random_scalar(rng, hbar_max, imag), even, odd).terms)
+    return _collect(ctx, out)
 
 
 def random_homogeneous(rng, ctx: Context, max_degree: int = 4, terms: int = 4,

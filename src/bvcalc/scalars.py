@@ -58,15 +58,15 @@ class Scalar:
 
     @classmethod
     def zero(cls) -> "Scalar":
-        return cls()
+        return _make({})
 
     @classmethod
     def one(cls) -> "Scalar":
-        return cls({0: (1, 0)})
+        return _make({0: (1, 0, 1)})
 
     @classmethod
     def i(cls) -> "Scalar":
-        return cls({0: (0, 1)})
+        return _make({0: (0, 1, 1)})
 
     @classmethod
     def hbar(cls, power: int = 1, coeff=1) -> "Scalar":

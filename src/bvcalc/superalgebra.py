@@ -7,6 +7,14 @@ even generators and a strictly increasing set of odd generators (as a bitmask);
 odd squares vanish, and every product sign is the parity of the number of
 transpositions needed to merge the odd factor lists.
 
+Every product goes through one private kernel, ``_mul_into(terms, sign, a,
+b)``: it adds ``sign * a * b`` into a plain dict of terms, merging equal
+monomials as it goes and leaving any coefficient that cancels to zero in
+place.  A sum of products (a derivation applied to a polynomial, the
+antibracket, a substitution) therefore accumulates into one dict, and the
+zero coefficients are dropped once, when ``_collect`` turns the dict into a
+Poly.  ``Poly.__mul__`` is the kernel applied to an empty dict.
+
 All values here are immutable after construction and every operation is
 pure, so they can be shared freely between threads or processes.
 """
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .scalars import Scalar
 
@@ -162,25 +171,47 @@ class Context:
             if parity != EVEN:
                 raise ValueError(f"{name} is odd; pass it in the odd sequence")
             exps[s] += int(k)
-        p = Poly(self, {(tuple(exps), 0): Scalar.of(coeff)})
+        c = Scalar.of(coeff)
+        mask = 0
         for name in odd:
-            p = p * self.gen(name)
-        return p
+            parity, s = self.slot(name)
+            if parity != ODD:
+                raise ValueError(f"{name} is even; pass it in the even mapping")
+            sign = _merge_sign(mask, 1 << s)
+            if sign is None:
+                return self.zero()
+            if sign < 0:
+                c = -c
+            mask |= 1 << s
+        return Poly(self, {(tuple(exps), mask): c})
 
     def transport(self, poly: "Poly", target: "Context") -> "Poly":
-        """Rebuild a Poly by generator names inside another context."""
-        out = target.zero()
-        for (exps, mask), coeff in poly.terms.items():
-            even = {}
+        """Rebuild a Poly by generator names inside another context.
+
+        Each generator of this context maps to its slot in the target once;
+        a generator the target lacks is an error only where it occurs.
+        """
+        if target == self:
+            return poly
+        even_to = [target._slot.get(name) for name in self.even_names]
+        odd_to = [target._slot.get(name) for name in self.odd_names]
+        terms = {}
+        for (exps, mask), c in poly.terms.items():
+            new_exps = [0] * target.n_even
             for s, k in enumerate(exps):
                 if k:
-                    name = self.even_names[s]
-                    if target.parity_of(name) != EVEN:
-                        raise ValueError(f"generator {name} changes parity")
-                    even[name] = k
-            odd = [self.odd_names[s] for s in _mask_bits(mask)]
-            out = out + target.monomial(coeff, even, odd)
-        return out
+                    new_exps[_target_slot(even_to[s], self.even_names[s], EVEN)] = k
+            # odd factors are placed left to right in this context's order,
+            # each to the right of those before it, as a product would
+            new_mask = 0
+            for s in _mask_bits(mask):
+                bit = 1 << _target_slot(odd_to[s], self.odd_names[s], ODD)
+                if _merge_sign(new_mask, bit) < 0:
+                    c = -c
+                new_mask |= bit
+            terms[(tuple(new_exps), new_mask)] = c
+        # the slot map is injective and signs never vanish: no merge, no zero
+        return _poly(target, terms)
 
     def __eq__(self, other):
         return self is other or (isinstance(other, Context)
@@ -195,6 +226,14 @@ class Context:
 
 
 # -- monomial helpers ----------------------------------------------------
+
+def _target_slot(target, name: str, parity: int) -> int:
+    if target is None:
+        raise ValueError(f"unknown generator {name!r}")
+    if target[0] != parity:
+        raise ValueError(f"generator {name} changes parity")
+    return target[1]
+
 
 def _mask_bits(mask: int):
     bits = []
@@ -223,6 +262,51 @@ def _merge_sign(a: int, b: int):
     return -1 if inv & 1 else 1
 
 
+def _mul_into(terms: dict, sign: int, a: dict, b: dict) -> dict:
+    """Add sign * a * b into ``terms``, with a, b and terms monomial -> Scalar.
+
+    Each term pair follows the ``_merge_sign`` rule: overlapping odd masks
+    are skipped, and the Koszul sign of merging a's odd factors with b's
+    flips the product.  Coefficients that cancel stay in ``terms`` as zeros;
+    ``_collect`` drops them once the sum is complete.
+    """
+    get = terms.get
+    for (e1, m1), c1 in a.items():
+        if sign < 0:
+            c1 = -c1
+        neg = None
+        # bit j of above1 is the parity of the odd factors of a above slot
+        # j: the transpositions that an odd factor j of b makes merging in
+        above1 = 0
+        m = m1
+        while m:
+            low = m & -m
+            above1 ^= low - 1
+            m ^= low
+        for (e2, m2), c2 in b.items():
+            if m1 & m2:
+                continue
+            if (above1 & m2).bit_count() & 1:
+                if neg is None:
+                    neg = -c1
+                c = neg * c2
+            else:
+                c = c1 * c2
+            mono = (tuple(map(add, e1, e2)), m1 | m2)
+            prev = get(mono)
+            terms[mono] = c if prev is None else prev + c
+    return terms
+
+
+def _add_into(terms: dict, a: dict) -> dict:
+    """Add the terms of a into ``terms``; zeros are left for ``_collect``."""
+    get = terms.get
+    for mono, c in a.items():
+        prev = get(mono)
+        terms[mono] = c if prev is None else prev + c
+    return terms
+
+
 class Poly:
     """Sparse exact superpolynomial attached to a Context."""
 
@@ -243,15 +327,12 @@ class Poly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            terms[m] = terms[m] + c if m in terms else c
-        return Poly(self.ctx, terms)
+        return _collect(self.ctx, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, {m: -c for m, c in self.terms.items()})
+        return _poly(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -261,18 +342,7 @@ class Poly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        terms = {}
-        for (e1, m1), c1 in self.terms.items():
-            for (e2, m2), c2 in other.terms.items():
-                sign = _merge_sign(m1, m2)
-                if sign is None:
-                    continue
-                mono = (tuple(a + b for a, b in zip(e1, e2)), m1 | m2)
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                terms[mono] = terms[mono] + c if mono in terms else c
-        return Poly(self.ctx, terms)
+        return _collect(self.ctx, _mul_into({}, 1, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -309,7 +379,7 @@ class Poly:
         even, odd = {}, {}
         for m, c in self.terms.items():
             (even if m[1].bit_count() & 1 == 0 else odd)[m] = c
-        return Poly(self.ctx, even), Poly(self.ctx, odd)
+        return _poly(self.ctx, even), _poly(self.ctx, odd)
 
     # -- derivatives -------------------------------------------------------
 
@@ -358,26 +428,39 @@ class Poly:
             if not img.is_zero and img.parity() != parity:
                 raise ValueError(f"substitution for {name} changes parity")
             images[name] = img
+        ctx = self.ctx
+        zero_mono = ctx.zero_mono()
+
+        def image(name):
+            img = images.get(name)
+            if img is None:
+                img = images[name] = ctx.gen(name)
+            return img
+
         powers: dict[str, list[Poly]] = {}
 
         def power(name, k):
-            cache = powers.setdefault(name, [self.ctx.one()])
-            base = images.get(name, self.ctx.gen(name))
+            cache = powers.get(name)
+            if cache is None:
+                cache = powers[name] = [ctx.one(), image(name)]
             while len(cache) <= k:
-                cache.append(cache[-1] * base)
+                cache.append(cache[-1] * cache[1])
             return cache[k]
 
-        out = self.ctx.zero()
+        out = {}
         for (exps, mask), c in self.terms.items():
-            term = self.ctx.scalar(c)
-            for s, k in enumerate(exps):
-                if k:
-                    term = term * power(self.ctx.even_names[s], k)
-            for s in _mask_bits(mask):
-                name = self.ctx.odd_names[s]
-                term = term * images.get(name, self.ctx.gen(name))
-            out = out + term
-        return out
+            # even factors first, then odd ones in canonical order, as in
+            # the monomial itself; the last product lands in ``out``
+            factors = [power(ctx.even_names[s], k) for s, k in enumerate(exps) if k]
+            factors += [image(ctx.odd_names[s]) for s in _mask_bits(mask)]
+            head = {zero_mono: c}
+            if not factors:
+                _add_into(out, head)
+                continue
+            for f in factors[:-1]:
+                head = _mul_into({}, 1, head, f.terms)
+            _mul_into(out, 1, head, factors[-1].terms)
+        return _collect(ctx, out)
 
     # -- gradings -----------------------------------------------------------
 
@@ -395,8 +478,8 @@ class Poly:
         return max((self.mono_degree(m) for m in self.terms), default=0)
 
     def degree_part(self, n: int) -> "Poly":
-        return Poly(self.ctx, {m: c for m, c in self.terms.items()
-                               if self.mono_degree(m) == n})
+        return _poly(self.ctx, {m: c for m, c in self.terms.items()
+                                if self.mono_degree(m) == n})
 
     def hbar_decompose(self):
         """[(k, Poly)] with the hbar powers stripped out of the coefficients."""
@@ -485,3 +568,8 @@ def _poly(ctx: Context, terms) -> Poly:
     p.ctx = ctx
     p.terms = terms
     return p
+
+
+def _collect(ctx: Context, terms: dict) -> Poly:
+    """The Poly of an accumulated terms dict: the one zero filter of a sum."""
+    return _poly(ctx, {m: c for m, c in terms.items() if c})

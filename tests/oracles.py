@@ -13,6 +13,13 @@ the right derivative as two signed left derivatives, Berezin integration as
 a hand-written coefficient loop, and the Laplacian of P*exp(T) per parity
 of P.  The library takes every sign per monomial instead.
 
+The sum-loop routes build every step of a sum as a new Poly: the product
+term pair by term pair through the filtering constructor, a derivation as
+the sum over generators of image times left derivative, delta and the
+antibracket as sums over pairs, and substitution as a sum over terms of
+factor-by-factor products.  The library accumulates each of these into one
+terms dict through its multiply-accumulate kernel.
+
 ``FractionScalar`` is the earlier ``Scalar``: a pair of ``Fraction`` parts
 per hbar power, re-normalized by ``Fraction`` on every operation.  The
 library's integer-triple ``Scalar`` must agree with it on every query.
@@ -27,7 +34,7 @@ from math import lcm
 from bvcalc.gauge import ExpElement
 from bvcalc.linalg import ExactMatrix
 from bvcalc.scalars import Scalar, _atom, _guard, _signed
-from bvcalc.superalgebra import EVEN, ODD, Poly, _mask_bits
+from bvcalc.superalgebra import EVEN, ODD, Poly, _mask_bits, _merge_sign
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -248,6 +255,72 @@ def exp_delta_split(element):
                 coeff = -coeff
             out.append((bvs.delta(p_h) + coeff, t))
     return ExpElement(bvs, out)
+
+
+def add_pairwise(p: Poly, q: Poly) -> Poly:
+    """p + q on a copy of p's terms, zeros dropped by the Poly constructor."""
+    terms = dict(p.terms)
+    for m, c in q.terms.items():
+        terms[m] = terms[m] + c if m in terms else c
+    return Poly(p.ctx, terms)
+
+
+def mul_pairwise(p: Poly, q: Poly) -> Poly:
+    """p * q term pair by term pair, with the Koszul sign of ``_merge_sign``."""
+    terms = {}
+    for (e1, m1), c1 in p.terms.items():
+        for (e2, m2), c2 in q.terms.items():
+            sign = _merge_sign(m1, m2)
+            if sign is None:
+                continue
+            mono = (tuple(a + b for a, b in zip(e1, e2)), m1 | m2)
+            c = c1 * c2
+            if sign < 0:
+                c = -c
+            terms[mono] = terms[mono] + c if mono in terms else c
+    return Poly(p.ctx, terms)
+
+
+def apply_sum(D, poly: Poly) -> Poly:
+    """sum over generators v with an image of D(v) * d/dv poly."""
+    out = D.ctx.zero()
+    for name, img in D.images.items():
+        out = add_pairwise(out, mul_pairwise(img, poly.left_deriv(name)))
+    return out
+
+
+def delta_sum(bvs, phi: Poly) -> Poly:
+    """sum over pairs of the antifield derivative of the field derivative."""
+    out = bvs.ctx.zero()
+    for f, a in bvs.pairs:
+        out = add_pairwise(out, phi.left_deriv(f).left_deriv(a))
+    return out
+
+
+def bracket_sum(bvs, phi: Poly, psi: Poly) -> Poly:
+    """sum over pairs of <-dPhi/dx+ dPsi/dx + <-dPhi/dx dPsi/dx+."""
+    out = bvs.ctx.zero()
+    for f, a in bvs.pairs:
+        out = add_pairwise(out, mul_pairwise(phi.right_deriv(a), psi.left_deriv(f)))
+        out = add_pairwise(out, mul_pairwise(phi.right_deriv(f), psi.left_deriv(a)))
+    return out
+
+
+def substitute_sum(poly: Poly, assignments) -> Poly:
+    """Each term's coefficient times the images of its factors, even ones
+    first, then odd ones in canonical order; the terms summed one by one."""
+    ctx = poly.ctx
+    images = {name: img if isinstance(img, Poly) else ctx.scalar(img)
+              for name, img in assignments.items()}
+    out = ctx.zero()
+    for (exps, mask), c in poly.terms.items():
+        factors = [name for s, k in enumerate(exps) for name in [ctx.even_names[s]] * k]
+        factors += [ctx.odd_names[s] for s in _mask_bits(mask)]
+        term = ctx.scalar(c)
+        for name in factors:
+            term = mul_pairwise(term, images[name] if name in images else ctx.gen(name))
+        out = add_pairwise(out, term)
+    return out
 
 
 class FractionScalar:

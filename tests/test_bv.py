@@ -9,7 +9,8 @@ from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import Context
 
 from conftest import sl2, sl2_rescaled, solvable2
-from oracles import berezin_loop, bracket_split, exp_delta_split, right_deriv_split
+from oracles import (berezin_loop, bracket_split, bracket_sum, delta_sum, exp_delta_split,
+                     right_deriv_split)
 
 
 def random_field_derivation(rng, bvs, max_degree=3):
@@ -95,6 +96,17 @@ class TestSignOracles:
             assert bvs.bracket(a, b) == bracket_split(bvs, a, b)
             for name in names:
                 assert a.right_deriv(name) == right_deriv_split(a, name)
+
+    def test_delta_and_bracket_sum_loops(self, spec, rng):
+        bvs = BVSpace.over_fields(FIELD_SPECS[spec])
+        for a, b in self.pairs(rng, bvs.ctx, 120):
+            assert bvs.delta(a) == delta_sum(bvs, a)
+            assert bvs.bracket(a, b) == bracket_sum(bvs, a, b)
+        # {psi, psi} of an odd psi with several terms cancels pair by pair
+        for _ in range(20):
+            psi = random_poly(rng, bvs.ctx, 3, 5, ODD, hbar_max=1)
+            assert bvs.bracket(psi, psi).terms == {}
+            assert bracket_sum(bvs, psi, psi).is_zero
 
     def test_berezin(self, spec, rng):
         bvs = BVSpace.over_fields(FIELD_SPECS[spec])

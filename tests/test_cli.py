@@ -139,6 +139,18 @@ class TestHostileInput:
         self.assert_refused(self.run_child(model),
                             "exponent larger than 1000 (line 5, column 7)")
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this interpreter has no int digit limit")
+    @pytest.mark.parametrize("rhs, col", [("x*" + "9" * 5000, 7),
+                                          ("x*1/" + "9" * 5000, 9),
+                                          ("x*-" + "9" * 5000, 8)])
+    def test_number_literal_past_int_digit_limit(self, tmp_path, rhs, col):
+        model = tmp_path / "digits.model"
+        model.write_text("[generators]\nx even field\nxp odd antifield x\n[exprs]\n"
+                         f"S = {rhs}\n")
+        self.assert_refused(self.run_child(model),
+                            f"number literal too long (5000 digits) (line 5, column {col})")
+
 
 class TestInternalError:
     """An exception no handler expects exits 3 with one stderr line."""

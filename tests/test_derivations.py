@@ -5,7 +5,7 @@ from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import Context
 
 from conftest import sl2, solvable2
-from oracles import leibniz_splice_apply
+from oracles import apply_sum, leibniz_splice_apply
 
 
 def random_derivation(rng, ctx, parity=ODD, max_degree=3, hbar_max=0):
@@ -73,6 +73,21 @@ class TestApply:
             D = random_derivation(rng, ctx_mixed, parity, hbar_max=2)
             phi = random_poly(rng, ctx_mixed, 4, 4, hbar_max=2)
             assert D.apply(phi) == leibniz_splice_apply(D, phi)
+
+    @pytest.mark.parametrize("parity", [EVEN, ODD])
+    def test_matches_sum_loop_oracle(self, rng, ctx_mixed, parity):
+        # images on a random subset of the generators, so inputs contain
+        # generators without an image; coefficients with i and hbar
+        missed = 0
+        for _ in range(150):
+            full = random_derivation(rng, ctx_mixed, parity, hbar_max=2)
+            keep = rng.sample(sorted(full.images), rng.randint(0, len(full.images)))
+            D = Derivation(ctx_mixed, parity, {v: full.images[v] for v in keep})
+            phi = random_poly(rng, ctx_mixed, 4, 4, hbar_max=2)
+            missed += any(phi.left_deriv(g.name).terms and g.name not in D.images
+                          for g in ctx_mixed.generators)
+            assert D.apply(phi) == apply_sum(D, phi)
+        assert missed > 50
 
     def test_parity_validation(self, homotopy_ctx):
         with pytest.raises(ValueError, match="parity"):

@@ -2,7 +2,9 @@ import pytest
 
 from bvcalc import EVEN, ODD, Scalar
 from bvcalc.randgen import random_homogeneous, random_poly
-from bvcalc.superalgebra import Context
+from bvcalc.superalgebra import Context, _collect, _mul_into
+
+from oracles import add_pairwise, mul_pairwise, substitute_sum
 
 
 def brute_merge_sign(left, right):
@@ -45,6 +47,18 @@ class TestProducts:
             else:
                 combined = [f"t{i}" for i in sorted(left + right)]
                 assert product == ctx.monomial(expected, odd=combined)
+
+    def test_monomial_reorders_with_the_bubble_sort_sign(self, rng):
+        ctx = Context.plain([(f"t{i}", ODD) for i in range(6)] + [("u", EVEN)])
+        for _ in range(200):
+            picks = [rng.randrange(6) for _ in range(rng.randint(0, 4))]
+            expected = brute_merge_sign([], picks)
+            mono = ctx.monomial(3, {"u": 1}, [f"t{i}" for i in picks])
+            if expected is None:
+                assert mono.is_zero
+            else:
+                assert mono == ctx.monomial(3 * expected, {"u": 1},
+                                            [f"t{i}" for i in sorted(picks)])
 
     def test_graded_commutativity_random(self, ctx_mixed, rng):
         for _ in range(120):
@@ -160,6 +174,58 @@ class TestGrading:
         assert phi.hbar_decompose() == [(0, ctx.gen("x")), (1, ctx.gen("x"))]
 
 
+class TestKernelOracles:
+    """The multiply-accumulate kernel against the pairwise routes in
+    tests/oracles.py, on mixed-parity inputs with i and hbar."""
+
+    def polys(self, rng, ctx, count):
+        for n in range(count):
+            a = ctx.zero() if n % 10 == 3 else random_poly(rng, ctx, 4, 4, hbar_max=2)
+            b = ctx.zero() if n % 10 == 7 else random_poly(rng, ctx, 4, 4, hbar_max=2)
+            yield a, b
+
+    def test_products(self, ctx_mixed, rng):
+        for a, b in self.polys(rng, ctx_mixed, 300):
+            assert a * b == mul_pairwise(a, b)
+            assert 3 * a == mul_pairwise(ctx_mixed.scalar(3), a)
+
+    def test_products_that_cancel(self, ctx_mixed, rng):
+        # an odd element squares to zero, term pair by term pair; with an
+        # even part x added, only the cross terms 2*x*psi survive
+        x = ctx_mixed.gen("x")
+        cancelled = 0
+        for _ in range(200):
+            psi = random_poly(rng, ctx_mixed, 4, 6, ODD, hbar_max=2)
+            # terms in t1 and in t2 meet with opposite signs
+            cancelled += len({mask for _, mask in psi.terms}) > 1
+            assert (psi * psi).terms == {}
+            square = (x + psi) * (x + psi)
+            assert square == mul_pairwise(x + psi, x + psi) == x * x + 2 * x * psi
+            assert all(not c.is_zero for c in square.terms.values())
+        assert cancelled > 50
+
+    def test_accumulates_signed_products_into_a_sum(self, ctx_mixed, rng):
+        for a, b in self.polys(rng, ctx_mixed, 150):
+            c = random_poly(rng, ctx_mixed, 4, 4, hbar_max=1)
+            for sign in (1, -1):
+                out = _collect(ctx_mixed, _mul_into(dict(c.terms), sign, a.terms, b.terms))
+                assert out == add_pairwise(c, mul_pairwise(ctx_mixed.scalar(sign),
+                                                           mul_pairwise(a, b)))
+            # c - c*1 leaves every coefficient at zero until the filter
+            assert _collect(ctx_mixed, _mul_into(dict(c.terms), -1, c.terms,
+                                                 ctx_mixed.one().terms)).is_zero
+
+    def test_substitute(self, ctx_mixed, rng):
+        for p, _ in self.polys(rng, ctx_mixed, 150):
+            # a random subset of the generators is assigned; zero images too
+            assignments = {}
+            for g in ctx_mixed.generators:
+                if rng.random() < 0.6:
+                    img = random_poly(rng, ctx_mixed, 2, 3, g.parity, hbar_max=1)
+                    assignments[g.name] = ctx_mixed.zero() if rng.random() < 0.1 else img
+            assert p.substitute(assignments) == substitute_sum(p, assignments)
+
+
 def test_transport_tracks_reordering_signs(rng):
     src = Context.plain([("a", ODD), ("b", ODD), ("u", EVEN)])
     dst = Context.plain([("u", EVEN), ("b", ODD), ("a", ODD)])
@@ -168,6 +234,20 @@ def test_transport_tracks_reordering_signs(rng):
     for _ in range(40):
         p = random_poly(rng, src, 4, 4, hbar_max=1)
         assert dst.transport(src.transport(p, dst), src) == p
+
+
+def test_transport_refuses_missing_and_parity_changing_generators():
+    src = Context.plain([("a", ODD), ("u", EVEN), ("w", EVEN)])
+    flipped = Context.plain([("a", EVEN), ("u", ODD)])
+    small = Context.plain([("a", ODD), ("u", EVEN)])
+    with pytest.raises(ValueError, match="a changes parity"):
+        src.transport(src.gen("a"), flipped)
+    with pytest.raises(ValueError, match="u changes parity"):
+        src.transport(src.gen("u"), flipped)
+    with pytest.raises(ValueError, match="unknown generator 'w'"):
+        src.transport(src.gen("w"), small)
+    # generators that do not occur need not exist in the target
+    assert src.transport(src.gen("a") * src.gen("u"), small) == small.gen("a") * small.gen("u")
 
 
 def test_canonical_form_idempotent(ctx_mixed, rng):
