@@ -322,12 +322,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # exact answers may have coefficients past the interpreter's str(int)
+    # digit limit; parser.MAX_LITERAL_DIGITS bounds the input literals instead
+    lift = hasattr(sys, "set_int_max_str_digits")
+    if lift:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         return _run(args)
     except Exception as exc:  # a crash must never read as "check ran and failed"
         message = " ".join(f"{type(exc).__name__}: {exc}".split())
         sys.stderr.write(f"internal error: {message}\n")
         return INTERNAL_ERROR
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(saved)
 
 
 def _run(args) -> int:

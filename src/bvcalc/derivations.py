@@ -59,29 +59,12 @@ class Derivation:
         """The vector field sum_v D(v) * d/dv with left derivatives.
 
         This is the graded Leibniz rule: moving D past a factor a costs
-        (-1)^(parity(D) * parity(a)).  Each monomial is differentiated in
-        place by every generator it contains that has an image, and every
-        D(v) * dm/dv lands in one terms dict.
+        (-1)^(parity(D) * parity(a)); see ``_apply_into``.
         """
         if poly.ctx != self.ctx:
             raise ValueError("context mismatch")
-        out = {}
-        even_images, odd_images = self._even_images, self._odd_images
-        for (exps, mask), c in poly.terms.items():
-            for s, img in even_images:
-                k = exps[s]
-                if k:
-                    mono = (exps[:s] + (k - 1,) + exps[s + 1:], mask)
-                    _mul_into(out, 1, img, {mono: c * k})
-            if not mask:
-                continue
-            for s, img in odd_images:
-                bit = 1 << s
-                if mask & bit:
-                    # d/dv of an odd v passes the odd generators before it
-                    dc = -c if (mask & (bit - 1)).bit_count() & 1 else c
-                    _mul_into(out, 1, img, {(exps, mask ^ bit): dc})
-        return _collect(self.ctx, out)
+        return _collect(self.ctx, _apply_into({}, self._even_images, self._odd_images,
+                                              poly.terms))
 
     def square_residual(self):
         """{generator: D(D(generator))}; all zero iff D squares to zero."""
@@ -128,3 +111,31 @@ class Derivation:
     def __repr__(self):
         imgs = ", ".join(f"{v} -> {img}" for v, img in sorted(self.images.items()))
         return f"Derivation({'odd' if self.parity else 'even'}; {imgs})"
+
+
+def _apply_into(out: dict, even_images, odd_images, terms: dict) -> dict:
+    """Add sum_v D(v) * d/dv of ``terms`` into ``out`` and return it.
+
+    ``even_images`` and ``odd_images`` list (slot, image terms) for each
+    generator with an image.  Each monomial is differentiated in place by
+    every generator it contains that has an image, and every D(v) * dm/dv
+    lands in ``out`` through ``_mul_into``; cancelled coefficients stay as
+    zeros.  Coefficients may be of any type with ``*``, ``+`` and unary
+    ``-``: ``Scalar`` for ``Derivation.apply``, ``int`` or ``Fraction`` for
+    the rational BRST table in ``lie``.
+    """
+    for (exps, mask), c in terms.items():
+        for s, img in even_images:
+            k = exps[s]
+            if k:
+                mono = (exps[:s] + (k - 1,) + exps[s + 1:], mask)
+                _mul_into(out, 1, img, {mono: c * k})
+        if not mask:
+            continue
+        for s, img in odd_images:
+            bit = 1 << s
+            if mask & bit:
+                # d/dv of an odd v passes the odd generators before it
+                dc = -c if (mask & (bit - 1)).bit_count() & 1 else c
+                _mul_into(out, 1, img, {(exps, mask ^ bit): dc})
+    return out

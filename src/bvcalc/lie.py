@@ -8,6 +8,16 @@ Conventions, fixed once here and used everywhere:
   vector j, so the matrix of the k-th action has (i, j) entry rho[i, j, k].
 * The ghost differential sends c^i to (1/2) f^i_jk c^j c^k and, when a module
   is present, v^i to rho^i_jk v^j c^k.
+
+Every quantity here is computed over Q from one BRST table,
+``_brst_table``: the images of the generators as terms dicts keyed by
+monomial, with ``int`` coefficients where the denominator is 1 and
+``Fraction`` ones otherwise.  The Jacobi and representation residuals are
+read off the square of that differential, and the Chevalley-Eilenberg
+images are the differential applied to each cochain monomial, both through
+``derivations._apply_into``, the Leibniz loop of ``Derivation.apply``.
+None of this can produce an i or an hbar, so no ``Scalar`` is involved;
+only ``brst_lie`` and ``brst_rep`` wrap the same table as Polys.
 """
 
 from __future__ import annotations
@@ -16,10 +26,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .derivations import Derivation
+from .derivations import Derivation, _apply_into
 from .linalg import ExactMatrix, sparse_rank
 from .scalars import Scalar
-from .superalgebra import Context, EVEN, Generator, ODD, Poly, _add_into, _collect
+from .superalgebra import (Context, EVEN, Generator, ODD, Poly, _add_into, _collect,
+                           _mask_bits, _poly)
 
 
 @dataclass(frozen=True)
@@ -84,6 +95,50 @@ class LieModel:
         return LieModel(self.dim, self.dim, dict(self.f), rho)
 
 
+def _rational(x):
+    """x as an int when its denominator is 1, else unchanged."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _unit(n: int, j: int) -> tuple:
+    return tuple(int(s == j) for s in range(n))
+
+
+def _brst_table(model: LieModel, module: bool):
+    """(even images, odd images) of the BRST differential, one terms dict
+    per generator slot, with int or Fraction coefficients.
+
+    The ghost image of c^i sums (1/2) f^i_jk c^j c^k over both orders of
+    (j, k), which is f^i_jk c^j c^k over j < k.  With ``module`` the context
+    is ``rep_context``'s and v^i maps to rho^i_jk v^j c^k; without it the
+    context is ``ghost_context``'s and there are no even images.
+    """
+    n = model.module_dim if module else 0
+    zero = (0,) * n
+    odd = [{} for _ in range(model.dim)]
+    for (i, j, k), val in model.f.items():
+        if j < k and val:
+            odd[i][(zero, 1 << j | 1 << k)] = _rational(val)
+    even = [{} for _ in range(n)]
+    for (i, j, k), val in (model.rho.items() if module else ()):
+        if val:
+            even[i][(_unit(n, j), 1 << k)] = _rational(val)
+    return even, odd
+
+
+def _slots(images):
+    """The (slot, image terms) pairs ``_apply_into`` takes."""
+    return [(s, img) for s, img in enumerate(images) if img]
+
+
+def _violations(squares, read):
+    """[(indices, read(mask))] for each odd mask with a nonzero coefficient in
+    some square, in ``combinations`` order of the odd indices."""
+    masks = {mask for sq in squares for (_, mask), c in sq.items() if c}
+    return [(tuple(bits), read(mask)) for bits, mask in
+            sorted((_mask_bits(mask), mask) for mask in masks)]
+
+
 def jacobi_check(model: LieModel):
     """Violating triples (j, k, m) with their residual vectors.
 
@@ -91,16 +146,11 @@ def jacobi_check(model: LieModel):
     D = brst_lie(model), which is the Jacobiator
     sum_l (f^l_jk f^i_lm + f^l_km f^i_lj + f^l_mj f^i_lk).
     """
-    D = brst_lie(model)
-    cs = D.ctx.odd_names
-    square = D.square_residual()
-    out = []
-    for triple in combinations(range(model.dim), 3):
-        odd = [cs[t] for t in triple]
-        residual = [square[c].coefficient(odd=odd).as_fraction() for c in cs]
-        if any(residual):
-            out.append((triple, residual))
-    return out
+    _, odd = _brst_table(model, False)
+    odd_slots = _slots(odd)
+    squares = [_apply_into({}, (), odd_slots, img) for img in odd]
+    return _violations(squares, lambda mask: [Fraction(sq.get(((), mask), 0))
+                                              for sq in squares])
 
 
 def rep_check(model: LieModel):
@@ -109,17 +159,13 @@ def rep_check(model: LieModel):
     Entry (a, b) of the residual for the pair (j, k) is the v^b c^j c^k
     coefficient of D^2(v^a) for D = brst_rep(model).
     """
-    D = brst_rep(model)
-    vs, cs = D.ctx.even_names, D.ctx.odd_names
-    square = D.square_residual()
-    out = []
-    for j, k in combinations(range(model.dim), 2):
-        odd = [cs[j], cs[k]]
-        residual = [[square[va].coefficient({vb: 1}, odd).as_fraction() for vb in vs]
-                    for va in vs]
-        if any(any(row) for row in residual):
-            out.append(((j, k), ExactMatrix(residual, len(vs))))
-    return out
+    even, odd = _brst_table(model, True)
+    even_slots, odd_slots = _slots(even), _slots(odd)
+    squares = [_apply_into({}, even_slots, odd_slots, img) for img in even]
+    n = model.module_dim
+    units = [_unit(n, b) for b in range(n)]
+    return _violations(squares, lambda mask: ExactMatrix(
+        [[sq.get((u, mask), 0) for u in units] for sq in squares], n))
 
 
 def ghost_context(m: int, names=None) -> Context:
@@ -141,64 +187,50 @@ def rep_context(model: LieModel, module_names=None, ghost_names=None) -> Context
 
 def brst_lie(model: LieModel, ghost_names=None) -> Derivation:
     """Odd derivation with c^i -> (1/2) f^i_jk c^j c^k on the ghost algebra."""
-    ctx = ghost_context(model.dim, ghost_names)
-    return _brst(model, ctx, [], list(ctx.odd_names))
+    return _brst(model, ghost_context(model.dim, ghost_names), False)
 
 
 def brst_rep(model: LieModel, module_names=None, ghost_names=None) -> Derivation:
     """Odd derivation with v^i -> rho^i_jk v^j c^k and the ghost images."""
-    ctx = rep_context(model, module_names, ghost_names)
-    vs = list(ctx.even_names)
-    cs = list(ctx.odd_names)
-    return _brst(model, ctx, vs, cs)
+    return _brst(model, rep_context(model, module_names, ghost_names), True)
 
 
-def _brst(model: LieModel, ctx: Context, vs, cs) -> Derivation:
-    half = Fraction(1, 2)
-    images = {}
-    for i, cname in enumerate(cs):
-        img = {}
-        for (ii, j, k), val in model.f.items():
-            if ii == i:
-                _add_into(img, ctx.monomial(half * val, odd=[cs[j], cs[k]]).terms)
-        images[cname] = _collect(ctx, img)
-    for i, vname in enumerate(vs):
-        img = {}
-        for (ii, j, k), val in model.rho.items():
-            if ii == i:
-                _add_into(img, ctx.monomial(val, even={vs[j]: 1}, odd=[cs[k]]).terms)
-        images[vname] = _collect(ctx, img)
-    return Derivation(ctx, ODD, images)
+def _brst(model: LieModel, ctx: Context, module: bool) -> Derivation:
+    """The BRST table as a Derivation with Scalar coefficients on ctx."""
+    even, odd = _brst_table(model, module)
+    names = ctx.even_names + ctx.odd_names
+    return Derivation(ctx, ODD, {
+        name: _poly(ctx, {m: Scalar.of(c) for m, c in img.items()})
+        for name, img in zip(names, even + odd)})
 
 
-def _ce_basis(ctx: Context, p: int, q: int):
+def _ce_basis(n_even: int, n_odd: int, p: int, q: int):
     """Monomial keys of the (p, q) bigraded piece, in a fixed order."""
-    n_even = ctx.n_even
-    masks = [sum(1 << i for i in combo) for combo in combinations(range(ctx.n_odd), q)]
+    masks = [sum(1 << i for i in combo) for combo in combinations(range(n_odd), q)]
     if p == 0:
         return [((0,) * n_even, mask) for mask in masks]
-    return [(tuple(int(s == v) for s in range(n_even)), mask)
-            for v in range(n_even) for mask in masks]
+    return [(_unit(n_even, v), mask) for v in range(n_even) for mask in masks]
 
 
 def _ce_images(model: LieModel, p: int):
     """[(basis of C^(p,q), images)] for q = 0..dim.
 
-    Each image is the sparse vector {monomial key: Fraction} of D applied to
-    one basis monomial, for D = brst_rep(model).
+    Each image is the sparse vector {monomial key: int or Fraction} of the
+    BRST differential of ``brst_rep(model)`` applied to one basis monomial.
     """
     if p not in (0, 1):
         raise ValueError("only p = 0 and p = 1 are supported")
     if p == 1 and model.module_dim == 0:
         raise ValueError("p = 1 needs a module")
-    D = brst_rep(model)
-    ctx = D.ctx
-    one = Scalar.one()
+    even, odd = _brst_table(model, True)
+    even_slots, odd_slots = _slots(even), _slots(odd)
     out = []
     for q in range(model.dim + 1):
-        basis = _ce_basis(ctx, p, q)
-        images = [{m: c.as_fraction() for m, c in D.apply(Poly(ctx, {key: one})).terms.items()}
-                  for key in basis]
+        basis = _ce_basis(model.module_dim, model.dim, p, q)
+        images = []
+        for key in basis:
+            image = _apply_into({}, even_slots, odd_slots, {key: 1})
+            images.append({m: c for m, c in image.items() if c})
         out.append((basis, images))
     return out
 

@@ -11,8 +11,8 @@ Identifiers must be declared generators.  An odd generator raised to a power
 of two or more warns and yields zero.  Parentheses nest at most
 ``MAX_NESTING`` deep; deeper input is a ParseError at the offending '('.
 Exponents are at most ``MAX_EXPONENT``; a larger one is a ParseError at the
-exponent's column.  A number literal longer than the interpreter converts to
-``int`` (4300 digits by default) is a ParseError at the literal's column.
+exponent's column.  A number literal has at most ``MAX_LITERAL_DIGITS``
+digits; a longer one is a ParseError at the literal's column.
 """
 
 from __future__ import annotations
@@ -44,6 +44,10 @@ MAX_NESTING = 100
 # Enough for the scaled workloads ((x+1)^400); x^1000000 would run for
 # seconds.
 MAX_EXPONENT = 1000
+
+# The default digit limit of int(str) in CPython; stated here so that
+# the bound does not depend on the interpreter or its settings.
+MAX_LITERAL_DIGITS = 4300
 
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*/^()]))")
@@ -146,12 +150,10 @@ class _Parser:
         return base ** n
 
     def _int(self, tok) -> int:
-        try:
-            return int(tok[1])
-        except ValueError:
-            # only the interpreter's digit limit can fail here; the
-            # tokenizer has already checked the characters
+        # counted before int(), whose time grows with the square of the digits
+        if len(tok[1]) > MAX_LITERAL_DIGITS:
             self.error(f"number literal too long ({len(tok[1])} digits)", tok)
+        return int(tok[1])
 
     def _rational(self, value: int) -> Poly:
         """value, or value/den when '/' and a positive integer follow."""

@@ -263,7 +263,8 @@ def _merge_sign(a: int, b: int):
 
 
 def _mul_into(terms: dict, sign: int, a: dict, b: dict) -> dict:
-    """Add sign * a * b into ``terms``, with a, b and terms monomial -> Scalar.
+    """Add sign * a * b into ``terms``, with a, b and terms monomial ->
+    coefficient (a Scalar, or an int or Fraction in ``lie``).
 
     Each term pair follows the ``_merge_sign`` rule: overlapping odd masks
     are skipped, and the Koszul sign of merging a's odd factors with b's

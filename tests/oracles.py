@@ -20,6 +20,12 @@ antibracket as sums over pairs, and substitution as a sum over terms of
 factor-by-factor products.  The library accumulates each of these into one
 terms dict through its multiply-accumulate kernel.
 
+The BRST routes build the Lie-algebra differential the textbook way, with
+c^i -> (1/2) f^i_jk c^j c^k summed over both orders of (j, k) as Scalar
+Polys, and the Chevalley-Eilenberg images by applying that Derivation to
+each cochain monomial.  The library builds one rational table of the
+images, with each pair j < k entered once, and applies it over Q.
+
 ``FractionScalar`` is the earlier ``Scalar``: a pair of ``Fraction`` parts
 per hbar power, re-normalized by ``Fraction`` on every operation.  The
 library's integer-triple ``Scalar`` must agree with it on every query.
@@ -31,7 +37,9 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from bvcalc.derivations import Derivation
 from bvcalc.gauge import ExpElement
+from bvcalc.lie import rep_context
 from bvcalc.linalg import ExactMatrix
 from bvcalc.scalars import Scalar, _atom, _guard, _signed
 from bvcalc.superalgebra import EVEN, ODD, Poly, _mask_bits, _merge_sign
@@ -135,6 +143,46 @@ def rep_commutator_check(model):
                      for b in range(n)] for a in range(n)]
         if any(any(row) for row in residual):
             out.append(((j, k), ExactMatrix(residual, n)))
+    return out
+
+
+def brst_half_sum(model, ctx) -> Derivation:
+    """The BRST differential on ctx, a ``ghost_context`` or a
+    ``rep_context``: c^i -> (1/2) f^i_jk c^j c^k over both orders of (j, k),
+    and v^i -> rho^i_jk v^j c^k for the even generators ctx has."""
+    vs, cs = ctx.even_names, ctx.odd_names
+    half = Fraction(1, 2)
+    images = {}
+    for i, cname in enumerate(cs):
+        images[cname] = ctx.zero()
+        for (ii, j, k), val in model.f.items():
+            if ii == i:
+                images[cname] += ctx.monomial(half * val, odd=[cs[j], cs[k]])
+    for i, vname in enumerate(vs):
+        images[vname] = ctx.zero()
+        for (ii, j, k), val in model.rho.items():
+            if ii == i:
+                images[vname] += ctx.monomial(val, even={vs[j]: 1}, odd=[cs[k]])
+    return Derivation(ctx, ODD, images)
+
+
+def ce_images_scalar(model, p: int):
+    """[(basis of C^(p,q), images)] for q = 0..dim, each image the Fraction
+    coefficients of ``brst_half_sum`` applied to one basis monomial."""
+    ctx = rep_context(model)
+    D = brst_half_sum(model, ctx)
+    out = []
+    for q in range(model.dim + 1):
+        masks = [_bits_mask(bits) for bits in combinations(range(model.dim), q)]
+        if p == 0:
+            basis = [((0,) * ctx.n_even, mask) for mask in masks]
+        else:
+            basis = [(tuple(int(s == v) for s in range(ctx.n_even)), mask)
+                     for v in range(ctx.n_even) for mask in masks]
+        images = [{m: c.as_fraction()
+                   for m, c in D.apply(Poly(ctx, {key: Scalar.one()})).terms.items()}
+                  for key in basis]
+        out.append((basis, images))
     return out
 
 

@@ -139,8 +139,6 @@ class TestHostileInput:
         self.assert_refused(self.run_child(model),
                             "exponent larger than 1000 (line 5, column 7)")
 
-    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                        reason="this interpreter has no int digit limit")
     @pytest.mark.parametrize("rhs, col", [("x*" + "9" * 5000, 7),
                                           ("x*1/" + "9" * 5000, 9),
                                           ("x*-" + "9" * 5000, 8)])
@@ -150,6 +148,18 @@ class TestHostileInput:
                          f"S = {rhs}\n")
         self.assert_refused(self.run_child(model),
                             f"number literal too long (5000 digits) (line 5, column {col})")
+
+    def test_answer_past_int_digit_limit_is_reported(self, tmp_path, capsys):
+        # the x-derivative at x=1 is 2*10^5000, past str(int)'s default limit
+        model = tmp_path / "wide.model"
+        model.write_text("[generators]\nx even field\nxp odd antifield x\n[exprs]\n"
+                         "S = (10^1000)^5*x^2\n")
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out = run(capsys, "onshell", model, "--action", "S", "--point", "x=1")
+        assert code == 1
+        assert "status: fail" in out
+        assert f"d/dx = 2{'0' * 5000}\n" in out
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
 class TestInternalError:

@@ -6,10 +6,11 @@ import pytest
 from bvcalc import (LieModel, brst_lie, brst_rep, ce_cohomology_dims,
                     ce_matrices, ghost_context, jacobi_check, rep_check,
                     rep_context, trace_condition)
+from bvcalc.lie import _ce_images
 
 from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
-from oracles import (action_matrix, bareiss_rank, jacobi_triple_loop, matmul,
-                     rep_commutator_check)
+from oracles import (action_matrix, bareiss_rank, brst_half_sum, ce_images_scalar,
+                     jacobi_triple_loop, matmul, rep_commutator_check)
 
 
 def adjoint_oracle_jacobi(model):
@@ -35,8 +36,18 @@ def random_structure_constants(rng, m=3):
         for k in range(j + 1, m):
             for i in range(m):
                 if rng.random() < 0.5:
-                    brackets[(i, j, k)] = Fraction(rng.randint(-2, 2))
+                    brackets[(i, j, k)] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
     return LieModel.build(m, brackets)
+
+
+def sl2_half_f() -> LieModel:
+    """Basis (h, e, f/2): [h,e] = 2e, [h,f/2] = -f, [e,f/2] = h/2."""
+    return LieModel.build(3, {(1, 0, 1): 2, (2, 0, 2): -2, (0, 1, 2): Fraction(1, 2)})
+
+
+def random_shears(rng, n, count=9):
+    """Elementary shears (a, b, +-1) with a != b, for ``change_basis``."""
+    return [(*rng.sample(range(n), 2), rng.choice((-1, 1))) for _ in range(count)]
 
 
 class TestBuild:
@@ -150,6 +161,37 @@ class TestBrst:
             square_zero = all(p.is_zero
                               for p in brst_rep(model).square_residual().values())
             assert good == square_zero
+
+
+class TestRationalTable:
+    """The rational BRST table against the Scalar routes in oracles.py."""
+
+    CASES = [("gl3", lambda: gl(3), 0), ("sl3", lambda: sl(3), 0),
+             ("sl2-adjoint", sl2, 1), ("gl2-adjoint", lambda: gl(2), 1),
+             ("sl2-half-f", sl2_half_f, 0), ("sl2-half-f-adjoint", sl2_half_f, 1)]
+
+    @pytest.mark.parametrize("sheared", [False, True], ids=["canonical", "sheared"])
+    @pytest.mark.parametrize("build, p", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_matches_scalar_oracles(self, rng, build, p, sheared):
+        model = build()
+        if sheared:
+            model = change_basis(model, random_shears(rng, model.dim))
+        if p:
+            model = model.adjoint()
+        assert _ce_images(model, p) == ce_images_scalar(model, p)
+        assert jacobi_check(model) == jacobi_triple_loop(model) == []
+        assert rep_check(model) == rep_commutator_check(model) == []
+        assert brst_lie(model).images == brst_half_sum(model, ghost_context(model.dim)).images
+        assert brst_rep(model).images == brst_half_sum(model, rep_context(model)).images
+
+    def test_int_and_fraction_coefficients_mix(self):
+        for model, p in ((sl2_half_f(), 0), (sl2_half_f().adjoint(), 1)):
+            kinds = {type(c) for _, images in _ce_images(model, p)
+                     for image in images for c in image.values()}
+            assert kinds == {int, Fraction}
+        assert ce_cohomology_dims(sl2_half_f(), 0) == [1, 0, 0, 1]
+        assert ce_cohomology_dims(sl2_half_f().adjoint(), 1) == [0, 0, 0, 0]
 
 
 class TestChevalleyEilenberg:

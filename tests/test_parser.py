@@ -5,7 +5,7 @@ import pytest
 
 from bvcalc import (EVEN, ODD, OddPowerWarning, ParseError, Scalar,
                     parse_expression)
-from bvcalc.parser import MAX_EXPONENT, MAX_NESTING
+from bvcalc.parser import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import Context
 
@@ -84,6 +84,15 @@ class TestGrammar:
             with pytest.raises(ParseError, match="exponent larger than") as err:
                 parse_expression(src, ctx, line=2)
             assert (err.value.line, err.value.col) == (2, len("y + x^") + 1)
+
+    def test_literal_digit_bound(self, ctx):
+        widest = "9" * MAX_LITERAL_DIGITS
+        assert parse_expression(f"{widest}*x", ctx) == ctx.monomial(int(widest), {"x": 1})
+        wider = "9" * (MAX_LITERAL_DIGITS + 1)
+        for src, col in ((f"{wider}*x", 1), (f"x + 1/{wider}", 7), ("x - " + "0" * 5000, 5)):
+            with pytest.raises(ParseError, match="number literal too long") as err:
+                parse_expression(src, ctx, line=3)
+            assert (err.value.line, err.value.col) == (3, col)
 
 
 class TestRoundTrip:
