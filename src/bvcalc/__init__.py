@@ -8,19 +8,21 @@ from .lie import (LieModel, brst_lie, brst_rep, ce_cohomology_dims,
                   ce_matrices, ghost_context, jacobi_check, rep_check,
                   rep_context, trace_condition)
 from .bv import AntifieldReport, BVSpace
-from .gauge import (ExpElement, GaugeFermion, NonNormalizedDamping,
-                    NotDeltaClosed, berezin_integrate, exp_delta,
-                    exact_boundary_integrals, gauge_independence_experiment,
-                    gaussian_expectation, lagrangian_integral,
-                    restrict_to_lagrangian, standard_damping)
+from .gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,
+                    NonNormalizedDamping, NotDeltaClosed, berezin_integrate,
+                    exp_delta, exact_boundary_integrals,
+                    gauge_independence_experiment, gaussian_expectation,
+                    lagrangian_integral, restrict_to_lagrangian,
+                    standard_damping)
 from .parser import OddPowerWarning, ParseError, parse_expression
 from .modelfile import Model, ModelError, load_model, parse_model
 
 __all__ = [
     "ANTIFIELD", "AntifieldReport", "BVSpace", "Context", "Derivation",
     "EVEN", "ExpElement", "FIELD", "GaugeFermion", "Generator", "LieModel",
-    "Model", "ModelError", "NonNormalizedDamping", "NotDeltaClosed", "ODD",
-    "OddPowerWarning", "ParseError", "PLAIN", "Poly", "Scalar",
+    "Model", "ModelError", "NonGaussianIntegrand", "NonNormalizedDamping",
+    "NotDeltaClosed", "ODD", "OddPowerWarning", "ParseError", "PLAIN", "Poly",
+    "Scalar",
     "berezin_integrate", "brst_lie", "brst_rep", "ce_cohomology_dims",
     "ce_matrices", "exact_boundary_integrals", "exp_delta",
     "gauge_independence_experiment", "gaussian_expectation", "ghost_context",

@@ -3,6 +3,9 @@
 Exit codes: 0 when the requested check passes, 1 when it ran and failed,
 2 on refusals (bad model, parse error, unmet precondition), 3 on an internal
 error (an exception no handler expects; one line on stderr, no traceback).
+Preconditions on the input are checked before the computation they guard,
+so a ValueError raised inside a computation is an internal error, not a
+refusal.
 Reports are deterministic for a fixed (model, flags, seed) triple.
 """
 
@@ -56,6 +59,14 @@ class Refusal(Exception):
         self.details = list(details)
 
 
+def _checked(check, *args):
+    """Run a library check of the input; its ValueError is a refusal."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise Refusal(str(exc)) from None
+
+
 def _require_lie(model: Model) -> lie.LieModel:
     if model.lie is None:
         raise Refusal("this command needs a [lie] model")
@@ -67,16 +78,19 @@ def _brst_derivation(model: Model):
 
 
 def _action(model: Model, name: str | None) -> Poly:
-    """Named expression, or for Lie models the assembled S0 + hbar*S1."""
+    """Named expression, or for Lie models the assembled S0 + hbar*S1;
+    refused unless it is even."""
     if name:
-        return model.expr(name)
-    if model.lie is not None:
+        s = model.expr(name)
+    elif model.lie is not None:
         s0 = model.exprs.get("S0", model.ctx.zero())
         s1 = model.bvs.s1_of(_brst_derivation(model))
-        return s0 + Scalar.hbar() * s1
-    if "S" in model.exprs:
-        return model.exprs["S"]
-    raise Refusal("no action: give --action or name an expression 'S'")
+        s = s0 + Scalar.hbar() * s1
+    elif "S" in model.exprs:
+        s = model.exprs["S"]
+    else:
+        raise Refusal("no action: give --action or name an expression 'S'")
+    return _checked(model.bvs.check_action, s)
 
 
 def _parse_point(text: str) -> dict:
@@ -132,6 +146,8 @@ def _cmd_linf(model: Model, args):
         # always show the first three quadratic-relation rows
         n_max = max([3] + [p.max_degree() for p in square.values()
                            if not p.is_zero])
+    elif n_max < 1:
+        raise Refusal("n_max must be at least 1")
     rows = D.linf_relations(n_max)
     details = []
     for n, row in rows:
@@ -147,10 +163,9 @@ def _cmd_linf(model: Model, args):
 
 def _cmd_ce_cohomology(model: Model, args):
     lm = _require_lie(model)
-    try:
-        dims = lie.ce_cohomology_dims(lm, args.p)
-    except ValueError as exc:
-        raise Refusal(str(exc)) from None
+    if args.p == 1 and not lm.module_dim:
+        raise Refusal("p = 1 needs a module")
+    dims = lie.ce_cohomology_dims(lm, args.p)
     details = [("dims", "(" + ", ".join(str(d) for d in dims) + ")")]
     details += [(f"H^{q}", d) for q, d in enumerate(dims)]
     return PASS, details
@@ -185,6 +200,9 @@ def _cmd_hbar_seq(model: Model, args):
 
 def _cmd_onshell(model: Model, args):
     points = [_parse_point(text) for text in args.point or []]
+    for point in points:
+        # evaluating 0 at the point checks its coordinate names
+        _checked(model.bvs.evaluate_even_fields, model.ctx.zero(), point)
     report = model.bvs.antifield_report(_action(model, args.action), points)
     details = [("bracket(S0,S1)", report.bracket_s0_s1),
                ("offshell {S1,S1}+2{S0,S2}", report.offshell_residual)]
@@ -229,12 +247,12 @@ def _cmd_gauge_exp(model: Model, args):
     bvs = model.bvs
     p = model.expr(args.p)
     t = model.expr(args.t) if args.t else gauge.standard_damping(bvs)
-    element = gauge.ExpElement(bvs, [(p, t)])
+    element = _checked(gauge.ExpElement, bvs, [(p, t)])
     fermions = []
     for name in args.gauge:
         try:
             fermions.append(gauge.GaugeFermion(bvs, model.expr(name)))
-        except ValueError as exc:
+        except ValueError as exc:     # the constructor only checks its input
             raise Refusal(f"gauge {name!r}: {exc}") from None
     if not fermions:
         raise Refusal("give at least one --gauge expression name")
@@ -353,7 +371,8 @@ def _run(args) -> int:
     except Refusal as exc:
         report = Report(command, args.model, REFUSED,
                         [("error", exc)] + exc.details)
-    except (ModelError, ParseError, gauge.NonNormalizedDamping, ValueError) as exc:
+    except (ModelError, ParseError, gauge.NonNormalizedDamping,
+            gauge.NonGaussianIntegrand) as exc:
         report = Report(command, args.model, REFUSED, [("error", exc)])
     _emit(report, args.json)
     return report.exit_code

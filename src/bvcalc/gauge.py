@@ -32,6 +32,11 @@ class NonNormalizedDamping(Exception):
     standard damping -1/2 sum of squared even fields."""
 
 
+class NonGaussianIntegrand(ValueError):
+    """Raised when a Gaussian moment is asked of a monomial with an odd
+    generator or an even generator that is not a field."""
+
+
 class GaugeFermion:
     """An odd polynomial in the field generators only."""
 
@@ -162,14 +167,14 @@ def gaussian_expectation(poly: Poly) -> Scalar:
     total = Scalar.zero()
     for (exps, mask), c in poly.terms.items():
         if mask:
-            raise ValueError("odd generator present in a Gaussian moment")
+            raise NonGaussianIntegrand("odd generator present in a Gaussian moment")
         weight = 1
         dead = False
         for s, k in enumerate(exps):
             if not k:
                 continue
             if ctx.role_of(ctx.even_names[s]) != FIELD:
-                raise ValueError(f"{ctx.even_names[s]} is not an even field")
+                raise NonGaussianIntegrand(f"{ctx.even_names[s]} is not an even field")
             if k % 2:
                 dead = True
                 break

@@ -11,7 +11,10 @@ Identifiers must be declared generators.  An odd generator raised to a power
 of two or more warns and yields zero.  Parentheses nest at most
 ``MAX_NESTING`` deep; deeper input is a ParseError at the offending '('.
 Exponents are at most ``MAX_EXPONENT``; a larger one is a ParseError at the
-exponent's column.  A number literal has at most ``MAX_LITERAL_DIGITS``
+exponent's column.  A power is expanded one multiplication at a time, and
+the work of one '^' (running-product terms times base terms, summed over
+the steps) is at most ``MAX_POWER_WORK``; a power that needs more is a
+ParseError at the '^'.  A number literal has at most ``MAX_LITERAL_DIGITS``
 digits; a longer one is a ParseError at the literal's column.
 """
 
@@ -44,6 +47,11 @@ MAX_NESTING = 100
 # Enough for the scaled workloads ((x+1)^400); x^1000000 would run for
 # seconds.
 MAX_EXPONENT = 1000
+
+# Term products one '^' may spend, counted before each step.  (x+1)^400
+# needs 160,398 and (x+y+1)^16 2,445; (x+xp*x+1)^1000 would need about
+# 3,000,000 (11 s on a 2-vCPU VM) and is refused after 0.6 s.
+MAX_POWER_WORK = 200_000
 
 # The default digit limit of int(str) in CPython; stated here so that
 # the bound does not depend on the interpreter or its settings.
@@ -126,7 +134,7 @@ class _Parser:
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text == "^":
-                self.advance()
+                caret = self.advance()
                 exp_tok = self.advance()
                 if exp_tok[0] != "num":
                     self.error("exponent must be an unsigned integer", exp_tok)
@@ -134,11 +142,13 @@ class _Parser:
                 digits = exp_tok[1].lstrip("0") or "0"
                 if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                     self.error(f"exponent larger than {MAX_EXPONENT}", exp_tok)
-                base = self._power(base, int(digits), exp_tok)
+                base = self._power(base, int(digits), caret)
             else:
                 return base
 
-    def _power(self, base: Poly, n: int, tok) -> Poly:
+    def _power(self, base: Poly, n: int, caret) -> Poly:
+        if n == 0:
+            return self.ctx.one()
         if n >= 2:
             odd_square = any(mask and all(k == 0 for k in exps)
                              for (exps, mask) in base.terms
@@ -147,7 +157,13 @@ class _Parser:
                 warnings.warn("odd generator raised to a power >= 2 is zero",
                               OddPowerWarning, stacklevel=4)
                 return self.ctx.zero()
-        return base ** n
+        out, work = base, 0
+        for _ in range(n - 1):
+            work += len(out.terms) * len(base.terms)
+            if work > MAX_POWER_WORK:
+                self.error(f"power needs more than {MAX_POWER_WORK} term products", caret)
+            out = out * base
+        return out
 
     def _int(self, tok) -> int:
         # counted before int(), whose time grows with the square of the digits

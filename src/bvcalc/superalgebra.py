@@ -15,6 +15,10 @@ antibracket, a substitution) therefore accumulates into one dict, and the
 zero coefficients are dropped once, when ``_collect`` turns the dict into a
 Poly.  ``Poly.__mul__`` is the kernel applied to an empty dict.
 
+``Poly.substitute`` touches only the assigned generators: it groups the terms
+by their assigned part, passes the terms with none through unchanged, and
+multiplies each group by the product of its images once.
+
 All values here are immutable after construction and every operation is
 pure, so they can be shared freely between threads or processes.
 """
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .scalars import Scalar
 
@@ -419,48 +423,64 @@ class Poly:
 
         Every image must be parity-homogeneous of the generator's own parity
         (zero always qualifies); unassigned generators map to themselves.
+
+        The terms are grouped by their assigned part, P = sum_a A_a * g^a,
+        where g^a is a monomial in the assigned generators and A_a a terms
+        dict in the unassigned ones only.  Splitting an odd set into its
+        unassigned part u and assigned part a gives
+        theta = _merge_sign(u, a) * theta_u * theta_a; since each image has
+        its generator's parity, the morphism maps this to
+        _merge_sign(u, a) * theta_u * (the images of theta_a, in order).
+        So A_0 passes through unchanged, and each other group costs one
+        product of cached image powers and odd images, multiplied by A_a
+        into the output.
         """
-        images = {}
+        ctx = self.ctx
+        even_images, odd_images = {}, {}
         for name, img in assignments.items():
-            parity, _ = self.ctx.slot(name)
-            img = img if isinstance(img, Poly) else self.ctx.scalar(img)
-            if img.ctx != self.ctx:
+            parity, s = ctx.slot(name)
+            img = img if isinstance(img, Poly) else ctx.scalar(img)
+            if img.ctx != ctx:
                 raise ValueError("context mismatch in substitution")
             if not img.is_zero and img.parity() != parity:
                 raise ValueError(f"substitution for {name} changes parity")
-            images[name] = img
-        ctx = self.ctx
-        zero_mono = ctx.zero_mono()
+            (even_images if parity == EVEN else odd_images)[s] = img.terms
+        even_slots = sorted(even_images)
+        odd_mask = sum(1 << s for s in odd_images)
+        take = tuple(int(s in even_images) for s in range(ctx.n_even))
+        keep = tuple(1 - k for k in take)
 
-        def image(name):
-            img = images.get(name)
-            if img is None:
-                img = images[name] = ctx.gen(name)
-            return img
-
-        powers: dict[str, list[Poly]] = {}
-
-        def power(name, k):
-            cache = powers.get(name)
-            if cache is None:
-                cache = powers[name] = [ctx.one(), image(name)]
-            while len(cache) <= k:
-                cache.append(cache[-1] * cache[1])
-            return cache[k]
-
-        out = {}
-        for (exps, mask), c in self.terms.items():
-            # even factors first, then odd ones in canonical order, as in
-            # the monomial itself; the last product lands in ``out``
-            factors = [power(ctx.even_names[s], k) for s, k in enumerate(exps) if k]
-            factors += [image(ctx.odd_names[s]) for s in _mask_bits(mask)]
-            head = {zero_mono: c}
-            if not factors:
-                _add_into(out, head)
+        out, groups = {}, {}
+        for mono, c in self.terms.items():
+            exps, mask = mono
+            a_exps = tuple(map(mul, exps, take))
+            a_mask = mask & odd_mask
+            if not a_mask and not any(a_exps):
+                out[mono] = c
                 continue
-            for f in factors[:-1]:
-                head = _mul_into({}, 1, head, f.terms)
-            _mul_into(out, 1, head, factors[-1].terms)
+            u_mask = mask ^ a_mask
+            if _merge_sign(u_mask, a_mask) < 0:
+                c = -c
+            # the split is injective, so no two terms meet in one group
+            groups.setdefault((a_exps, a_mask), {})[(tuple(map(mul, exps, keep)), u_mask)] = c
+
+        powers = {s: [None, img] for s, img in even_images.items()}
+        for (a_exps, a_mask), part in groups.items():
+            # even factors first, then odd ones in canonical order, as in
+            # the assigned part of the monomial itself
+            factors = []
+            for s in even_slots:
+                k = a_exps[s]
+                if k:
+                    cache = powers[s]
+                    while len(cache) <= k:
+                        cache.append(_collect(ctx, _mul_into({}, 1, cache[-1], cache[1])).terms)
+                    factors.append(cache[k])
+            factors += [odd_images[s] for s in _mask_bits(a_mask)]
+            product = factors[0]
+            for f in factors[1:]:
+                product = _mul_into({}, 1, product, f)
+            _mul_into(out, 1, part, product)
         return _collect(ctx, out)
 
     # -- gradings -----------------------------------------------------------

@@ -18,7 +18,9 @@ term pair by term pair through the filtering constructor, a derivation as
 the sum over generators of image times left derivative, delta and the
 antibracket as sums over pairs, and substitution as a sum over terms of
 factor-by-factor products.  The library accumulates each of these into one
-terms dict through its multiply-accumulate kernel.
+terms dict through its multiply-accumulate kernel; its substitution also
+groups the terms by their assigned part and multiplies only the assigned
+factors, with the Koszul sign of splitting them off.
 
 The BRST routes build the Lie-algebra differential the textbook way, with
 c^i -> (1/2) f^i_jk c^j c^k summed over both orders of (j, k) as Scalar
@@ -355,8 +357,10 @@ def bracket_sum(bvs, phi: Poly, psi: Poly) -> Poly:
 
 
 def substitute_sum(poly: Poly, assignments) -> Poly:
-    """Each term's coefficient times the images of its factors, even ones
-    first, then odd ones in canonical order; the terms summed one by one."""
+    """The substitution oracle for ``Poly.substitute``: each term's
+    coefficient times the images of all its factors (an unassigned generator
+    is its own image), even ones first, then odd ones in canonical order;
+    the terms summed one by one.  No grouping and no split sign."""
     ctx = poly.ctx
     images = {name: img if isinstance(img, Poly) else ctx.scalar(img)
               for name, img in assignments.items()}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -139,6 +140,27 @@ class TestHostileInput:
         self.assert_refused(self.run_child(model),
                             "exponent larger than 1000 (line 5, column 7)")
 
+    def test_power_past_work_bound(self, tmp_path):
+        model = tmp_path / "power.model"
+        model.write_text("[generators]\nx even field\nxp odd antifield x\n[exprs]\n"
+                         "S = (x+xp*x+1)^1000\n")
+        start = time.perf_counter()
+        proc = self.run_child(model)
+        assert time.perf_counter() - start < 5     # a child start included
+        self.assert_refused(proc, "power needs more than 200000 term products "
+                                  "(line 5, column 15)")
+
+    def test_power_within_work_bound(self, tmp_path, capsys):
+        # the largest generated power model of the benchmark, and (x+1)^200
+        model = tmp_path / "power.model"
+        model.write_text("[generators]\nx even field\ny even field\nth odd field\n"
+                         "xp odd antifield x\nyp odd antifield y\nthp even antifield th\n\n"
+                         "[exprs]\nS = (x+y+1)^16 + 2/3*(x-y)^10*x\nT = (x+1)^200\n")
+        for action in ("S", "T"):
+            code, out = run(capsys, "master", model, "--action", action)
+            assert code == 0
+            assert "residual: 0\n" in out
+
     @pytest.mark.parametrize("rhs, col", [("x*" + "9" * 5000, 7),
                                           ("x*1/" + "9" * 5000, 9),
                                           ("x*-" + "9" * 5000, 8)])
@@ -178,6 +200,63 @@ class TestInternalError:
         assert "Traceback" not in proc.stdout + proc.stderr
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == ["internal error: KeyError: 'no such entry'"]
+
+    @pytest.mark.parametrize("command, target", [
+        ("check-lie", "bvcalc.lie.jacobi_check"),
+        ("qme", "bvcalc.bv.BVSpace.bracket"),
+        ("ce-cohomology", "bvcalc.lie.ce_cohomology_dims"),
+        ("onshell", "bvcalc.bv.BVSpace.antifield_report"),
+    ])
+    def test_library_value_error_exits_three(self, command, target, monkeypatch, capsys):
+        # a ValueError from inside a computation is a fault, not a refusal
+        def fault(*args, **kwargs):
+            raise ValueError("library fault")
+        monkeypatch.setattr(target, fault)
+        code = cli.main([command, str(MODELS / "sl2_adjoint.model")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["internal error: ValueError: library fault"]
+
+
+class TestPreconditions:
+    """Input the library rejects with a ValueError is refused (exit 2),
+    checked before the computation it guards."""
+
+    MODEL = ("[generators]\nx even field\nth odd field\nxp odd antifield x\n"
+             "thp even antifield th\nz odd plain\nw even plain\n\n[exprs]\n"
+             "S = x^2 + xp*x*th\nODD = th\nMIX = x + th\nPZ = z*th\nPW = w*th\n"
+             "F1 = th*x\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["master", "--action", "ODD"], "an action must be even"),
+        (["qme", "--action", "MIX"], "polynomial is not parity-homogeneous"),
+        (["hbar-seq", "--action", "ODD"], "an action must be even"),
+        (["omega-square", "--action", "ODD"], "an action must be even"),
+        (["onshell", "--action", "ODD"], "an action must be even"),
+        (["onshell", "--point", "th=1"], "th is not an even field coordinate"),
+        (["onshell", "--point", "w=1"], "w is not an even field coordinate"),
+        (["onshell", "--point", "zz=1"], "unknown generator 'zz'"),
+        (["gauge-exp", "--p", "S", "--t", "ODD", "--gauge", "F1"], "exponent must be even"),
+        (["gauge-exp", "--p", "PZ", "--gauge", "F1"],
+         "odd generator present in a Gaussian moment"),
+        (["gauge-exp", "--p", "PW", "--gauge", "F1"], "w is not an even field"),
+    ])
+    def test_refused(self, args, message, tmp_path, capsys):
+        model = tmp_path / "plain.model"
+        model.write_text(self.MODEL)
+        code, out = run(capsys, args[0], model, *args[1:])
+        assert code == 2
+        assert f"status: refused\nerror: {message}\n" in out
+
+    @pytest.mark.parametrize("args, message", [
+        (["linf", "models/sl2.model", "--nmax", "0"], "n_max must be at least 1"),
+        (["ce-cohomology", "models/sl2.model", "--p", "1"], "p = 1 needs a module"),
+    ])
+    def test_refused_on_fixture(self, args, message, capsys):
+        code, out = run(capsys, args[0], MODELS.parent / args[1], *args[2:])
+        assert code == 2
+        assert f"status: refused\nerror: {message}\n" in out
 
 
 class TestCommands:

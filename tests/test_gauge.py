@@ -9,7 +9,11 @@ from bvcalc import (EVEN, Scalar, berezin_integrate,
                     standard_damping)
 from bvcalc.gauge import (ExpElement, GaugeFermion, NonNormalizedDamping,
                           NotDeltaClosed)
+from bvcalc.modelfile import load_model
 from bvcalc.randgen import random_poly
+
+from conftest import MODELS
+from oracles import substitute_sum
 
 
 @pytest.fixture
@@ -106,6 +110,26 @@ class TestRestriction:
             p = random_poly(rng, bvs_1_1.ctx, 4, 4)
             out = restrict_to_lagrangian(p, fermions[1])
             assert all(out.mono_antifield_degree(m) == 0 for m in out.terms)
+
+    def test_gauge11_model_equals_oracle(self):
+        # the fixture's gauges F0..F3 on P0, XI and S times the damping and
+        # on delta of the XI element; every odd product these gauges make
+        # vanishes, so the split sign is left to the property test
+        model = load_model(str(MODELS / "gauge11.model"))
+        bvs = model.bvs
+        damping = standard_damping(bvs)
+        elements = [ExpElement(bvs, [(model.expr(name), damping)]) for name in ("P0", "XI", "S")]
+        elements.append(exp_delta(elements[1]))
+        for name in ("F0", "F1", "F2", "F3"):
+            fermion = GaugeFermion(bvs, model.expr(name))
+            images = fermion.antifield_images()
+            for xi in elements:
+                pairs = [(substitute_sum(p, images), substitute_sum(t, images))
+                         for p, t in xi.pairs]
+                for (p, t), (p_sum, t_sum) in zip(xi.pairs, pairs):
+                    assert restrict_to_lagrangian(p, fermion) == p_sum
+                    assert restrict_to_lagrangian(t, fermion) == t_sum
+                assert restrict_to_lagrangian(xi, fermion) == ExpElement(bvs, pairs)
 
     def test_fermion_validation(self, bvs_1_1):
         ctx = bvs_1_1.ctx

@@ -1,11 +1,13 @@
+import time
 import warnings
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from bvcalc import (EVEN, ODD, OddPowerWarning, ParseError, Scalar,
                     parse_expression)
-from bvcalc.parser import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING
+from bvcalc.parser import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, MAX_POWER_WORK
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import Context
 
@@ -84,6 +86,30 @@ class TestGrammar:
             with pytest.raises(ParseError, match="exponent larger than") as err:
                 parse_expression(src, ctx, line=2)
             assert (err.value.line, err.value.col) == (2, len("y + x^") + 1)
+
+    def test_power_work_bound_admits(self, ctx):
+        x, y = ctx.gen("x"), ctx.gen("y")
+        assert parse_expression("(x+1)^200", ctx) == (x + 1) ** 200
+        wide = parse_expression("(x+1)^400", ctx)
+        assert len(wide.terms) == 401
+        assert wide.coefficient({"x": 200}) == Scalar.of(comb(400, 200))
+        assert parse_expression("(x+y+1)^16", ctx) == (x + y + 1) ** 16
+        assert parse_expression("(x-y)^10*x", ctx) == (x - y) ** 10 * x
+        assert parse_expression("(2*x*c1 + y)^1000", ctx) == \
+            (2 * x * ctx.gen("c1") + y) ** 1000
+        assert parse_expression("(x+1)^0", ctx) == ctx.one()
+        assert parse_expression("(x+y)^1", ctx) == x + y
+
+    def test_power_work_bound_refuses(self, ctx):
+        # ~2k terms after k steps of 3-term products: the sum passes the
+        # budget near k = 260, long before the exponent bound; the column is
+        # that of the '^' whose expansion passes it
+        src = "y^2 + (x+c1*x+1)^1000"
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=f"more than {MAX_POWER_WORK} term products") as err:
+            parse_expression(src, ctx, line=2)
+        assert time.perf_counter() - start < 2
+        assert (err.value.line, err.value.col) == (2, src.rindex("^") + 1)
 
     def test_literal_digit_bound(self, ctx):
         widest = "9" * MAX_LITERAL_DIGITS

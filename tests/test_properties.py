@@ -1,7 +1,8 @@
 """Property tests against the oracles in oracles.py: the multiply-accumulate
 product equals the pairwise product on small drawn polynomials over 2 even +
-2 odd generators, and the rational Lie routes equal the Scalar ones on drawn
-antisymmetric tables."""
+2 odd generators, substitution equals the term-by-term substitution over
+2 even + 3 odd generators, and the rational Lie routes equal the Scalar ones
+on drawn antisymmetric tables."""
 
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from bvcalc.lie import _ce_images  # noqa: E402
 from bvcalc.superalgebra import Context, Poly  # noqa: E402
 
 from oracles import (ce_images_scalar, jacobi_triple_loop, mul_pairwise,  # noqa: E402
-                     rep_commutator_check)
+                     rep_commutator_check, substitute_sum)
 
 CTX = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD), ("t2", ODD)])
 
@@ -32,6 +33,52 @@ polys = st.dictionaries(monomials, scalars, max_size=5).map(lambda terms: Poly(C
 def test_kernel_product_equals_pairwise_product(a, b):
     assert a * b == mul_pairwise(a, b)
     assert all(not c.is_zero for c in (a * b).terms.values())
+
+
+# three odd generators, so that unassigned odd factors sit on both sides of
+# assigned ones and the split sign is exercised
+CTX5 = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD), ("t2", ODD), ("t3", ODD)])
+monomials5 = st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(0, 7))
+polys5 = st.dictionaries(monomials5, scalars, max_size=6).map(lambda terms: Poly(CTX5, terms))
+
+
+def _homogeneous5(parity):
+    monos = monomials5.filter(lambda m: m[1].bit_count() % 2 == parity)
+    return st.dictionaries(monos, scalars, min_size=1, max_size=3).map(
+        lambda terms: Poly(CTX5, terms))
+
+
+@st.composite
+def assignments5(draw):
+    """A random subset of the generators, each sent to zero, a scalar (even
+    ones only), another generator of its parity, itself times x, or a drawn
+    homogeneous polynomial that may contain the assigned generators."""
+    out = {}
+    for g in CTX5.generators:
+        if not draw(st.booleans()):
+            continue
+        kinds = ["zero", "swap", "times_x", "poly"] + (["scalar"] if g.parity == EVEN else [])
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            out[g.name] = CTX5.zero()
+        elif kind == "scalar":
+            out[g.name] = draw(scalars)
+        elif kind == "swap":
+            same = [h.name for h in CTX5.generators if h.parity == g.parity]
+            out[g.name] = CTX5.gen(draw(st.sampled_from(same)))
+        elif kind == "times_x":
+            out[g.name] = CTX5.gen(g.name) * CTX5.gen("x")
+        else:
+            out[g.name] = draw(_homogeneous5(g.parity))
+    return out
+
+
+@hypothesis.settings(max_examples=200, deadline=2000)
+@hypothesis.given(polys5, assignments5())
+def test_grouped_substitution_equals_term_by_term(p, assignments):
+    out = p.substitute(assignments)
+    assert out == substitute_sum(p, assignments)
+    assert all(not c.is_zero for c in out.terms.values())
 
 
 rationals = st.one_of(st.integers(-3, 3),

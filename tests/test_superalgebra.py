@@ -136,6 +136,21 @@ class TestSubstitution:
         swapped = (t1 * t2).substitute({"t1": t2, "t2": t1})
         assert swapped == -(t1 * t2)
 
+    def test_middle_odd_generator_only(self):
+        # t2 -> image with t1 and t3 unassigned on either side of it: the
+        # split t1*t2*t3 = t1*t3 * t2 costs one transposition
+        ctx = Context.plain([("x", EVEN), ("t1", ODD), ("t2", ODD), ("t3", ODD)])
+        x, t1, t2, t3 = (ctx.gen(n) for n in ("x", "t1", "t2", "t3"))
+        cases = [
+            (t2 * t3, {"t2": t1}, t1 * t3),
+            (t1 * t2 * t3, {"t2": x * t2}, x * t1 * t2 * t3),
+            (t1 * t2 * t3, {"t2": t1 + t3}, ctx.zero()),
+            (x * t1 * t2 * t3 + t2 * t3 + t1, {"t2": t3 * t1 * t2 + x * t2},
+             x * x * t1 * t2 * t3 + x * t2 * t3 + t1),
+        ]
+        for p, images, expected in cases:
+            assert p.substitute(images) == expected == substitute_sum(p, images)
+
     def test_parity_mismatch_rejected(self, ctx_mixed):
         with pytest.raises(ValueError, match="parity"):
             ctx_mixed.gen("x").substitute({"x": ctx_mixed.gen("t1")})
