@@ -18,6 +18,20 @@ images are the differential applied to each cochain monomial, both through
 ``derivations._apply_into``, the Leibniz loop of ``Derivation.apply``.
 None of this can produce an i or an hbar, so no ``Scalar`` is involved;
 only ``brst_lie`` and ``brst_rep`` wrap the same table as Polys.
+
+Poincare duality of the ghost complex.  The traces tr ad(e_k) = f^i_ik
+(``_ad_traces``) are the bracket half of ``trace_condition``.  On the top
+degree, d takes c^1..c^n with c^k left out to +-tr ad(e_k) c^1..c^n, so
+d_(n-1): Lambda^(n-1) -> Lambda^n vanishes when every trace does.  Then for
+a in Lambda^q and b in Lambda^(n-1-q) the Leibniz rule gives
+0 = d(a b) = (da) b + (-1)^q a (db), so d_(n-1-q) is +- the transpose of
+d_q in complementary-mask bases and the two have equal rank (Hazewinkel,
+"A duality theorem for cohomology of Lie algebras", Math. USSR-Sb. 12,
+1970).  Only the derivation property of d is used, not Jacobi, so
+``ce_cohomology_dims`` ranks d_0..d_((n-1)//2) alone at p = 0 for any
+traceless table.  At p = 1 the transpose of d is the differential with
+coefficients in the dual module, a different complex, so every degree is
+ranked.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .derivations import Derivation, _apply_into
 from .linalg import ExactMatrix, sparse_rank
@@ -212,8 +227,8 @@ def _ce_basis(n_even: int, n_odd: int, p: int, q: int):
     return [(_unit(n_even, v), mask) for v in range(n_even) for mask in masks]
 
 
-def _ce_images(model: LieModel, p: int):
-    """[(basis of C^(p,q), images)] for q = 0..dim.
+def _ce_images(model: LieModel, p: int, top: int | None = None):
+    """[(basis of C^(p,q), images)] for q = 0..top, by default up to dim.
 
     Each image is the sparse vector {monomial key: int or Fraction} of the
     BRST differential of ``brst_rep(model)`` applied to one basis monomial.
@@ -225,7 +240,7 @@ def _ce_images(model: LieModel, p: int):
     even, odd = _brst_table(model, True)
     even_slots, odd_slots = _slots(even), _slots(odd)
     out = []
-    for q in range(model.dim + 1):
+    for q in range(model.dim + 1 if top is None else top + 1):
         basis = _ce_basis(model.module_dim, model.dim, p, q)
         images = []
         for key in basis:
@@ -255,15 +270,32 @@ def ce_matrices(model: LieModel, p: int):
     return mats
 
 
+def _ad_traces(model: LieModel):
+    """tr ad(e_k) = sum_i f^i_ik for k = 0..dim-1, as Fractions."""
+    traces = [Fraction(0)] * model.dim
+    for (i, j, k), val in model.f.items():
+        if i == j:
+            traces[k] += val
+    return traces
+
+
 def ce_cohomology_dims(model: LieModel, p: int):
-    """dim ker - incoming rank per ghost degree, by exact sparse elimination."""
-    dims = []
-    prev_rank = 0
-    for basis, images in _ce_images(model, p):
-        rank = sparse_rank(images)
-        dims.append(len(basis) - rank - prev_rank)
-        prev_rank = rank
-    return dims
+    """dim ker - incoming rank per ghost degree, by exact sparse elimination.
+
+    Here d_q maps ghost degree q to q + 1.  At p = 0 with every trace
+    tr ad(e_k) zero, only d_q for q <= (n-1)//2 is built and ranked, for
+    n = dim: rank d_q = rank d_(n-1-q) for the other q < n, and d_n = 0
+    (Poincare duality, see the module docstring; Jacobi is not needed).
+    Otherwise every d_q is ranked.
+    """
+    n = model.dim
+    dual = p == 0 and not any(_ad_traces(model))
+    pieces = _ce_images(model, p, (n - 1) // 2 if dual else None)
+    ranks = [sparse_rank(images) for _, images in pieces]
+    if dual:
+        ranks += [ranks[n - 1 - q] for q in range(len(ranks), n)] + [0]
+    sizes = [comb(n, q) * (model.module_dim if p else 1) for q in range(n + 1)]
+    return [size - rank - prev for size, rank, prev in zip(sizes, ranks, [0] + ranks)]
 
 
 def trace_condition(model: LieModel, module_names=None, ghost_names=None) -> Poly:
@@ -275,10 +307,7 @@ def trace_condition(model: LieModel, module_names=None, ghost_names=None) -> Pol
     ctx = rep_context(model, module_names, ghost_names)
     cs = ctx.odd_names
     out = {}
-    for k in range(model.dim):
-        total = Fraction(0)
-        for i in range(model.dim):
-            total += model.f_at(i, i, k)
+    for k, total in enumerate(_ad_traces(model)):
         for i in range(model.module_dim):
             total += model.rho_at(i, i, k)
         if total:

@@ -11,11 +11,13 @@ Identifiers must be declared generators.  An odd generator raised to a power
 of two or more warns and yields zero.  Parentheses nest at most
 ``MAX_NESTING`` deep; deeper input is a ParseError at the offending '('.
 Exponents are at most ``MAX_EXPONENT``; a larger one is a ParseError at the
-exponent's column.  A power is expanded one multiplication at a time, and
-the work of one '^' (running-product terms times base terms, summed over
-the steps) is at most ``MAX_POWER_WORK``; a power that needs more is a
-ParseError at the '^'.  A number literal has at most ``MAX_LITERAL_DIGITS``
-digits; a longer one is a ParseError at the literal's column.
+exponent's column.  A power is expanded one multiplication at a time.
+Every multiplication of one expression draws on one budget of
+``MAX_PRODUCT_WORK`` term products: a '*' costs left terms times right
+terms, and each step of a '^' running-product terms times base terms.  The
+'*' or '^' whose product would pass the budget is a ParseError at its
+column.  A number literal has at most ``MAX_LITERAL_DIGITS`` digits; a
+longer one is a ParseError at the literal's column.
 """
 
 from __future__ import annotations
@@ -48,10 +50,12 @@ MAX_NESTING = 100
 # seconds.
 MAX_EXPONENT = 1000
 
-# Term products one '^' may spend, counted before each step.  (x+1)^400
-# needs 160,398 and (x+y+1)^16 2,445; (x+xp*x+1)^1000 would need about
-# 3,000,000 (11 s on a 2-vCPU VM) and is refused after 0.6 s.
-MAX_POWER_WORK = 200_000
+# Term products one expression may spend over all its '*' and '^', counted
+# before each product.  (x+1)^400 needs 160,398 and (x+y+1)^16 2,445;
+# (x+xp*x+1)^1000 would need about 3,000,000 (11 s on a 2-vCPU VM) and is
+# refused after 0.6 s; (x+y+1)^30*(x+y+1)^30*(x+y+1)^30 is refused at its
+# first '*', which alone needs 246,016.
+MAX_PRODUCT_WORK = 200_000
 
 # The default digit limit of int(str) in CPython; stated here so that
 # the bound does not depend on the interpreter or its settings.
@@ -86,6 +90,7 @@ class _Parser:
         self.ctx = ctx
         self.line = line
         self.depth = 0
+        self.work = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -122,8 +127,10 @@ class _Parser:
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text == "*":
-                self.advance()
-                value = value * self.factor()
+                star = self.advance()
+                rhs = self.factor()
+                self._charge(len(value.terms) * len(rhs.terms), "product", star)
+                value = value * rhs
             elif kind in ("num", "ident") or (kind == "op" and text == "("):
                 self.error("juxtaposition is not multiplication; use '*'")
             else:
@@ -157,13 +164,17 @@ class _Parser:
                 warnings.warn("odd generator raised to a power >= 2 is zero",
                               OddPowerWarning, stacklevel=4)
                 return self.ctx.zero()
-        out, work = base, 0
+        out = base
         for _ in range(n - 1):
-            work += len(out.terms) * len(base.terms)
-            if work > MAX_POWER_WORK:
-                self.error(f"power needs more than {MAX_POWER_WORK} term products", caret)
+            self._charge(len(out.terms) * len(base.terms), "power", caret)
             out = out * base
         return out
+
+    def _charge(self, work: int, what: str, tok):
+        """Draw work term products from the expression's budget."""
+        self.work += work
+        if self.work > MAX_PRODUCT_WORK:
+            self.error(f"{what} needs more than {MAX_PRODUCT_WORK} term products", tok)
 
     def _int(self, tok) -> int:
         # counted before int(), whose time grows with the square of the digits

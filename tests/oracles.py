@@ -26,7 +26,10 @@ The BRST routes build the Lie-algebra differential the textbook way, with
 c^i -> (1/2) f^i_jk c^j c^k summed over both orders of (j, k) as Scalar
 Polys, and the Chevalley-Eilenberg images by applying that Derivation to
 each cochain monomial.  The library builds one rational table of the
-images, with each pair j < k entered once, and applies it over Q.
+images, with each pair j < k entered once, and applies it over Q.  The
+Chevalley-Eilenberg oracle ranks every differential of the complex; the
+library ranks only the lower half of it when every tr ad(e_k) is zero, by
+Poincare duality.
 
 ``FractionScalar`` is the earlier ``Scalar``: a pair of ``Fraction`` parts
 per hbar power, re-normalized by ``Fraction`` on every operation.  The
@@ -41,8 +44,8 @@ from math import lcm
 
 from bvcalc.derivations import Derivation
 from bvcalc.gauge import ExpElement
-from bvcalc.lie import rep_context
-from bvcalc.linalg import ExactMatrix
+from bvcalc.lie import _ce_images, rep_context
+from bvcalc.linalg import ExactMatrix, sparse_rank
 from bvcalc.scalars import Scalar, _atom, _guard, _signed
 from bvcalc.superalgebra import EVEN, ODD, Poly, _mask_bits, _merge_sign
 
@@ -186,6 +189,18 @@ def ce_images_scalar(model, p: int):
                   for key in basis]
         out.append((basis, images))
     return out
+
+
+def ce_cohomology_dims_full(model, p: int):
+    """Oracle for the duality route of ``ce_cohomology_dims``: every
+    differential d_0..d_dim is built and ranked, traceless or not."""
+    dims = []
+    prev_rank = 0
+    for basis, images in _ce_images(model, p):
+        rank = sparse_rank(images)
+        dims.append(len(basis) - rank - prev_rank)
+        prev_rank = rank
+    return dims
 
 
 def leibniz_splice_apply(D, poly: Poly) -> Poly:

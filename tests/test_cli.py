@@ -150,6 +150,17 @@ class TestHostileInput:
         self.assert_refused(proc, "power needs more than 200000 term products "
                                   "(line 5, column 15)")
 
+    def test_product_past_work_bound(self, tmp_path):
+        model = tmp_path / "product.model"
+        model.write_text("[generators]\nx even field\ny even field\nxp odd antifield x\n"
+                         "yp odd antifield y\n[exprs]\n"
+                         "S = (x+y+1)^30*(x+y+1)^30*(x+y+1)^30\n")
+        start = time.perf_counter()
+        proc = self.run_child(model)
+        assert time.perf_counter() - start < 5     # a child start included
+        self.assert_refused(proc, "product needs more than 200000 term products "
+                                  "(line 7, column 15)")
+
     def test_power_within_work_bound(self, tmp_path, capsys):
         # the largest generated power model of the benchmark, and (x+1)^200
         model = tmp_path / "power.model"

@@ -1,0 +1,152 @@
+"""Grammar fuzz tests.  Expression strings built from the parser's tokens
+must end in a Poly or a ParseError with a column inside the line, and model
+files built from the same pieces must give ``check-lie`` an exit code of 0,
+1 or 2 with no traceback.  Each case has a deadline, so an input that runs
+away fails the test.
+
+Only the term products of '*' and '^' are budgeted, not the size of a
+coefficient, so literals here have at most 40 digits or are past
+``MAX_LITERAL_DIGITS`` (refused), exponents past 3 sit only on bases whose
+coefficients stay small, and no base mixes hbar powers under them."""
+
+import contextlib
+import io
+import warnings
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from bvcalc import EVEN, ODD, OddPowerWarning, ParseError, Poly, cli, parse_expression  # noqa: E402
+from bvcalc.parser import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING  # noqa: E402
+from bvcalc.superalgebra import Context  # noqa: E402
+
+CTX = Context.plain([("x", EVEN), ("y", EVEN), ("c1", ODD), ("c2", ODD)])
+
+literals = st.one_of(
+    st.integers(0, 99).map(str),
+    st.builds("{}/{}".format, st.integers(0, 99), st.integers(0, 9)),
+    st.integers(0, 99).map("-{}".format),
+    st.integers(10 ** 20, 10 ** 40).map(str),
+    st.sampled_from(["9" * (MAX_LITERAL_DIGITS + 1), "1/" + "0" * (MAX_LITERAL_DIGITS + 1)]),
+)
+small_exponents = st.sampled_from(["0", "1", "2", "3", "03"])
+big_exponents = st.sampled_from([str(MAX_EXPONENT - 1), str(MAX_EXPONENT),
+                                 str(MAX_EXPONENT + 1), "9" * 30, "9" * 5000])
+# (x+1) passes the product budget at a large exponent, in a fraction of a
+# second; the rest fit
+BIG_BASES = ["x", "c1", "i", "hbar", "(x+1)", "(2*x*c1 + y)", "(1+i)"]
+NESTING = [1, 2, MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1]
+
+
+def atoms(names):
+    return st.one_of(st.sampled_from(list(names) + ["i", "hbar", "q"]), literals)
+
+
+@st.composite
+def expressions(draw, names=("x", "y", "c1", "c2"), depth=3):
+    """A well-formed or nearly well-formed expression over names."""
+    kind = draw(st.sampled_from(["atom", "atom", "sum", "product", "power",
+                                 "parens", "nested", "big power"]) if depth else st.just("atom"))
+    sub = expressions(names, depth - 1)
+    if kind == "atom":
+        return draw(atoms(names))
+    if kind == "sum":
+        return draw(sub) + draw(st.sampled_from(["+", " - ", " + -"])) + draw(sub)
+    if kind == "product":
+        return draw(sub) + draw(st.sampled_from(["*", " * ", " "])) + draw(sub)
+    if kind == "power":
+        return "(" + draw(sub) + ")^" + draw(small_exponents)
+    if kind == "parens":
+        return "(" + draw(sub) + ")"
+    if kind == "nested":
+        depth = draw(st.sampled_from(NESTING))
+        return "(" * depth + draw(sub) + ")" * depth
+    return draw(st.sampled_from(BIG_BASES)) + "^" + draw(big_exponents)
+
+
+# at most 12 tokens, so a chain of '^' stays short
+TOKENS = ["x", "y", "c1", "c2", "i", "hbar", "q", "0", "1", "2", "3", "٣",
+          "+", "-", "*", "/", "^", "(", ")", "?", "é", " ", "\t"]
+token_soup = st.builds(lambda parts, sep: sep.join(parts),
+                       st.lists(st.sampled_from(TOKENS), max_size=12),
+                       st.sampled_from(["", " "]))
+
+
+def parse_outcome(src):
+    """The Poly, or the ParseError with its position checked."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OddPowerWarning)
+        try:
+            out = parse_expression(src, CTX, line=7)
+        except ParseError as exc:
+            assert exc.line == 7 and 1 <= exc.col <= len(src) + 1
+            return exc
+    assert isinstance(out, Poly)
+    return out
+
+
+@hypothesis.settings(max_examples=200, deadline=5000)
+@hypothesis.given(st.one_of(expressions(), token_soup))
+def test_expression_ends_in_poly_or_parse_error(src):
+    hypothesis.event(type(parse_outcome(src)).__name__)
+
+
+@st.composite
+def lie_model_files(draw):
+    """Lie model text with drawn basis names, brackets (linear or not),
+    rep entries, expressions and stray lines."""
+    basis = draw(st.lists(st.sampled_from(["a", "b", "h", "e", "f"]), unique=True, min_size=3,
+                          max_size=4)
+                 | st.lists(st.sampled_from(["a", "hbar", "1a", "v"]), max_size=3))
+    module = draw(st.lists(st.sampled_from(["v", "w", "a"]), unique=True, max_size=2))
+    lines = ["[lie]", "basis = " + " ".join(basis)]
+    if module:
+        lines.append("module = " + " ".join(module))
+    names = basis or ["a"]
+    coeffs = st.sampled_from(["1", "-1", "2", "1/2", "-3/2"]) | literals
+    linear = st.lists(st.tuples(coeffs, st.sampled_from(names)), min_size=1, max_size=3).map(
+        lambda terms: " + ".join(f"{c}*{n}" for c, n in terms))
+    lines.append("[brackets]")
+    for _ in range(draw(st.integers(0, 4))):
+        pool = draw(st.sampled_from([names, names, names, names + ["z"]]))
+        lhs = "[{},{}]".format(*(draw(st.permutations(pool)) * 2))
+        rhs = draw(draw(st.sampled_from([linear, linear, linear, expressions(tuple(names), 2)])))
+        lines.append(f"{lhs} = {rhs}")
+    if module and draw(st.booleans()):
+        lines.append("[rep]")
+        for _ in range(draw(st.integers(0, 3))):
+            g, v = draw(st.sampled_from(names)), draw(st.sampled_from(module))
+            lines.append(f"{g}.{v} = {draw(expressions(tuple(module), 1))}")
+    if draw(st.booleans()):
+        ghosts = tuple(f"c{k + 1}" for k in range(len(basis))) or ("c1",)
+        lines.append("[exprs]")
+        lines.append("S0 = " + draw(expressions(ghosts + tuple(module), 2)))
+    stray = st.sampled_from(["", "# note", "[nope]", "[lie]", "[generators]", "x even field",
+                             "= 1", "[a,a] = a", "basis = a b", "\t[a,b] = b", "a.v = v"])
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(stray))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def model_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "drawn.model"
+
+
+@hypothesis.settings(max_examples=150, deadline=5000)
+@hypothesis.given(text=lie_model_files())
+@hypothesis.example(text="[lie]\nbasis = a b e\n[brackets]\n[a,b] = e + a\n[b,e] = a\n"
+                         "[e,a] = b\n")
+def test_check_lie_exits_0_1_or_2_without_traceback(model_path, text):
+    model_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", OddPowerWarning)
+        code = cli.main(["check-lie", str(model_path)])
+    hypothesis.event(f"exit {code}")
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert out.getvalue().startswith("command: check-lie\n")

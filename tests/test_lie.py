@@ -6,11 +6,12 @@ import pytest
 from bvcalc import (LieModel, brst_lie, brst_rep, ce_cohomology_dims,
                     ce_matrices, ghost_context, jacobi_check, rep_check,
                     rep_context, trace_condition)
-from bvcalc.lie import _ce_images
+from bvcalc import lie
+from bvcalc.lie import _ad_traces, _ce_images
 
 from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
-from oracles import (action_matrix, bareiss_rank, brst_half_sum, ce_images_scalar,
-                     jacobi_triple_loop, matmul, rep_commutator_check)
+from oracles import (action_matrix, bareiss_rank, brst_half_sum, ce_cohomology_dims_full,
+                     ce_images_scalar, jacobi_triple_loop, matmul, rep_commutator_check)
 
 
 def adjoint_oracle_jacobi(model):
@@ -243,6 +244,51 @@ class TestChevalleyEilenberg:
             ce_matrices(sl2(), 1)  # no module
 
 
+class TestDualityRoute:
+    """With every tr ad(e_k) zero, ce_cohomology_dims at p = 0 builds and
+    ranks d_0..d_((n-1)//2) only; otherwise it ranks all of d_0..d_n.  Both
+    routes agree with the full-complex oracle."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The number of differentials each library call builds."""
+        counts = []
+        real = lie._ce_images
+
+        def spy(model, p, top=None):
+            pieces = real(model, p, top)
+            counts.append(len(pieces))
+            return pieces
+        monkeypatch.setattr(lie, "_ce_images", spy)
+        return counts
+
+    def test_solvable2_takes_full_route(self, built):
+        assert _ad_traces(solvable2()) == [-1, 0]
+        assert ce_cohomology_dims(solvable2(), 0) == ce_cohomology_dims_full(solvable2(), 0) \
+            == [1, 1, 0]
+        assert built == [3]
+
+    def test_dimensions_zero_and_one(self, built):
+        assert ce_cohomology_dims(LieModel.build(0, {}), 0) == [1]
+        assert ce_cohomology_dims(abelian(1), 0) == [1, 1]
+        assert built == [0, 1]
+
+    def test_p0_with_a_module(self, built):
+        adj = sl2().adjoint()
+        assert ce_cohomology_dims(adj, 0) == ce_cohomology_dims_full(adj, 0) == [1, 0, 0, 1]
+        # p = 1 is another complex; it always takes the full route
+        assert ce_cohomology_dims(adj, 1) == ce_cohomology_dims_full(adj, 1) == [0, 0, 0, 0]
+        assert built == [2, 4]
+
+    def test_traceless_table_that_fails_jacobi(self, built):
+        # so(3) with [e3, e4] = e1 added: every trace is zero, Jacobi fails
+        model = LieModel.build(4, {(2, 0, 1): 1, (0, 1, 2): 1, (0, 2, 3): 1})
+        assert not any(_ad_traces(model)) and jacobi_check(model)
+        assert ce_cohomology_dims(model, 0) == ce_cohomology_dims_full(model, 0) \
+            == [1, 2, 2, 2, 1]
+        assert built == [2]
+
+
 def poincare(*degrees):
     """Coefficients of prod (1 + t^d) over the given degrees."""
     coeffs = [1]
@@ -264,6 +310,12 @@ class TestClosedFormCohomology:
 
     def test_sl3(self):
         assert ce_cohomology_dims(sl(3), 0) == poincare(3, 5)
+
+    def test_sl4(self):
+        assert ce_cohomology_dims(sl(4), 0) == poincare(3, 5, 7)
+
+    def test_gl4(self):
+        assert ce_cohomology_dims(gl(4), 0) == poincare(1, 3, 5, 7)
 
     def test_gl3_after_unimodular_change_of_basis(self):
         shears = [(0, 4, 1), (3, 1, -1), (8, 2, 1), (5, 0, -1), (2, 7, 1),

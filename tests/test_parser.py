@@ -7,7 +7,7 @@ import pytest
 
 from bvcalc import (EVEN, ODD, OddPowerWarning, ParseError, Scalar,
                     parse_expression)
-from bvcalc.parser import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, MAX_POWER_WORK
+from bvcalc.parser import MAX_EXPONENT, MAX_LITERAL_DIGITS, MAX_NESTING, MAX_PRODUCT_WORK
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import Context
 
@@ -106,10 +106,41 @@ class TestGrammar:
         # that of the '^' whose expansion passes it
         src = "y^2 + (x+c1*x+1)^1000"
         start = time.perf_counter()
-        with pytest.raises(ParseError, match=f"more than {MAX_POWER_WORK} term products") as err:
+        with pytest.raises(ParseError, match=f"more than {MAX_PRODUCT_WORK} term products") as err:
             parse_expression(src, ctx, line=2)
         assert time.perf_counter() - start < 2
         assert (err.value.line, err.value.col) == (2, src.rindex("^") + 1)
+
+    def test_product_work_bound_refuses(self, ctx):
+        # each power spends 14,877 units; the first '*' would multiply 496 by
+        # 496 terms, and the three-factor product used to parse for seconds
+        src = "(x+y+1)^30*(x+y+1)^30*(x+y+1)^30"
+        start = time.perf_counter()
+        with pytest.raises(ParseError,
+                           match=f"product needs more than {MAX_PRODUCT_WORK} term products") as err:
+            parse_expression(src, ctx, line=2)
+        assert time.perf_counter() - start < 2
+        assert (err.value.line, err.value.col) == (2, src.index("*") + 1)
+
+    def test_product_chain_shares_the_budget(self, ctx):
+        # the k-th '*' of (x+1)*(x+1)*... costs 2(k+1), at most 1,402 here,
+        # but the running total passes the budget at k = 446
+        src = "*".join(["(x+1)"] * 700)
+        with pytest.raises(ParseError, match="product needs more than") as err:
+            parse_expression(src, ctx)
+        assert err.value.col == 446 * len("(x+1)*")
+
+    def test_powers_and_products_share_the_budget(self, ctx):
+        # each alone fits: 160,398 + 10,098 for the powers, then 401 * 101
+        # for the '*'; in the sum, 40,198 + 201 come before the 160,398
+        src = "(x+1)^400*(y+1)^100"
+        with pytest.raises(ParseError, match="product needs more than") as err:
+            parse_expression(src, ctx)
+        assert err.value.col == src.index("*") + 1
+        src = "(y+1)^200*y + (x+1)^400"
+        with pytest.raises(ParseError, match="power needs more than") as err:
+            parse_expression(src, ctx)
+        assert err.value.col == src.rindex("^") + 1
 
     def test_literal_digit_bound(self, ctx):
         widest = "9" * MAX_LITERAL_DIGITS

@@ -1,8 +1,9 @@
 """Property tests against the oracles in oracles.py: the multiply-accumulate
 product equals the pairwise product on small drawn polynomials over 2 even +
 2 odd generators, substitution equals the term-by-term substitution over
-2 even + 3 odd generators, and the rational Lie routes equal the Scalar ones
-on drawn antisymmetric tables."""
+2 even + 3 odd generators, the rational Lie routes equal the Scalar ones
+on drawn antisymmetric tables, and the Chevalley-Eilenberg dims equal the
+full-complex ranks on drawn tables, traceless or not."""
 
 from fractions import Fraction
 
@@ -12,11 +13,12 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bvcalc import EVEN, ODD, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
-from bvcalc.lie import _ce_images  # noqa: E402
+from bvcalc.lie import _ad_traces, _ce_images, ce_cohomology_dims  # noqa: E402
 from bvcalc.superalgebra import Context, Poly  # noqa: E402
 
-from oracles import (ce_images_scalar, jacobi_triple_loop, mul_pairwise,  # noqa: E402
-                     rep_commutator_check, substitute_sum)
+from oracles import (ce_cohomology_dims_full, ce_images_scalar,  # noqa: E402
+                     jacobi_triple_loop, mul_pairwise, rep_commutator_check,
+                     substitute_sum)
 
 CTX = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD), ("t2", ODD)])
 
@@ -109,3 +111,29 @@ def test_rational_lie_routes_equal_scalar_oracles(model):
         assert _ce_images(model, p) == ce_images_scalar(model, p)
     assert jacobi_check(model) == jacobi_triple_loop(model)
     assert rep_check(model) == rep_commutator_check(model)
+
+
+@st.composite
+def ce_tables(draw):
+    """Antisymmetric f of dim 0..6 with integer entries and halves and
+    thirds, mostly failing Jacobi; about half of them are made traceless by
+    correcting f^j_jk, j = k+1 mod dim, which enters tr ad(e_k) alone."""
+    dim = draw(st.integers(0, 6))
+    brackets = _table(draw, [(i, j, k) for j in range(dim) for k in range(j + 1, dim)
+                             for i in range(dim)], 14)
+    if dim >= 2 and draw(st.booleans()):
+        for k, trace in enumerate(_ad_traces(LieModel.build(dim, brackets))):
+            j = (k + 1) % dim
+            key, sign = ((j, j, k), 1) if j < k else ((j, k, j), -1)
+            brackets[key] = brackets.get(key, 0) - sign * trace
+    return LieModel.build(dim, brackets)
+
+
+@hypothesis.settings(max_examples=200, deadline=5000)
+@hypothesis.given(ce_tables())
+@hypothesis.example(LieModel.build(4, {(2, 0, 1): 1, (0, 1, 2): 1, (0, 2, 3): 1}))
+@hypothesis.example(LieModel.build(3, {(1, 0, 1): Fraction(1, 2), (0, 1, 2): 1}))
+def test_ce_dims_equal_full_complex_oracle(model):
+    hypothesis.event("traceless" if not any(_ad_traces(model)) else "not traceless")
+    hypothesis.event("Jacobi holds" if not jacobi_triple_loop(model) else "Jacobi fails")
+    assert ce_cohomology_dims(model, 0) == ce_cohomology_dims_full(model, 0)
