@@ -9,7 +9,12 @@ Sign conventions (chosen once; every identity test depends on them):
       sum_i <-dPhi/dx+_i * dPsi/dx^i + <-dPhi/dx^i * dPsi/dx+_i
   with right derivatives (<-d) on Phi and left derivatives on Psi.  Both
   carry their Koszul sign per monomial, so the formula is bilinear and
-  holds for inputs of mixed parity as they are.
+  holds for inputs of mixed parity as they are.  With e the even and o the
+  odd member of pair i, whichever of them is the field, the pair's term is
+      (<-d_o Phi)(d_e Psi) + (d_e Phi)(d_o Psi),
+  since a right derivative by an even generator is the left one.  So the
+  bracket sweeps each argument once, taking d_e and d_o for every pair as
+  plain term dicts, and builds no derivative Poly.
 """
 
 from __future__ import annotations
@@ -80,7 +85,11 @@ class BVSpace:
         return _collect(self.ctx, out)
 
     def bracket(self, phi: Poly, psi: Poly) -> Poly:
-        """sum over pairs of <-dPhi/dx+ dPsi/dx + <-dPhi/dx dPsi/dx+."""
+        """sum over pairs of <-dPhi/dx+ dPsi/dx + <-dPhi/dx dPsi/dx+.
+
+        Computed as (<-d_o Phi)(d_e Psi) + (d_e Phi)(d_o Psi) per pair, with
+        e and o its even and odd member, from one sweep over each argument.
+        """
         if phi.ctx != self.ctx or psi.ctx != self.ctx:
             raise ValueError("context mismatch")
         return _collect(self.ctx, self._bracket_into({}, phi, psi))
@@ -88,9 +97,31 @@ class BVSpace:
     def _bracket_into(self, out: dict, phi: Poly, psi: Poly) -> dict:
         if phi.is_zero or psi.is_zero:
             return out
-        for f, a in self.pairs:
-            _mul_into(out, 1, phi.right_deriv(a).terms, psi.left_deriv(f).terms)
-            _mul_into(out, 1, phi.right_deriv(f).terms, psi.left_deriv(a).terms)
+        for (de_phi, do_phi), (de_psi, do_psi) in zip(
+                self._pair_derivs(phi.terms, True), self._pair_derivs(psi.terms, False)):
+            if do_phi and de_psi:
+                _mul_into(out, 1, do_phi, de_psi)
+            if de_phi and do_psi:
+                _mul_into(out, 1, de_phi, do_psi)
+        return out
+
+    def _pair_derivs(self, terms: dict, right: bool) -> list:
+        """Per pair, the terms of the even member's derivative and of the odd
+        member's, from one sweep over ``terms``.  The odd derivative is a
+        right derivative when ``right``, else a left one; each lowers one
+        exponent or clears one bit, so neither needs merging."""
+        out = [({}, {}) for _ in self._pair_slots]
+        for (exps, mask), c in terms.items():
+            # the right sign (-1)^(1 + odd generators after v) is the left
+            # sign (-1)^(odd generators before v) times (-1)^p(monomial)
+            flip = mask.bit_count() & 1 if right else 0
+            for (s, bit), (de, do) in zip(self._pair_slots, out):
+                k = exps[s]
+                if k:
+                    de[exps[:s] + (k - 1,) + exps[s + 1:], mask] = c * k
+                if mask & bit:
+                    neg = ((mask & (bit - 1)).bit_count() + flip) & 1
+                    do[exps, mask ^ bit] = -c if neg else c
         return out
 
     def bracket_via_defect(self, phi: Poly, psi: Poly) -> Poly:

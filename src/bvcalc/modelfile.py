@@ -138,27 +138,37 @@ def _keyvalue(lines, key):
     return None, None
 
 
+def _rational(coeff, what: str, lineno: int):
+    """A structure constant, which must be a plain rational."""
+    try:
+        return coeff.as_fraction()
+    except ValueError as exc:
+        raise ModelError(f"{what}: {exc}", lineno) from None
+
+
 def _build_lie(sections):
     lie_lines = sections["lie"]
     for lineno, line in lie_lines:
         key = line.partition("=")[0].strip()
         if key not in ("basis", "module"):
             raise ModelError(f"unknown [lie] entry {key!r}", lineno)
-    _, basis_text = _keyvalue(lie_lines, "basis")
+    basis_line, basis_text = _keyvalue(lie_lines, "basis")
     if basis_text is None:
         raise ModelError("[lie] needs a 'basis = name...' line",
                          lie_lines[0][0] if lie_lines else None)
     basis = basis_text.split()
-    _, module_text = _keyvalue(lie_lines, "module")
+    if not basis:
+        raise ModelError("[lie] basis names no vector", basis_line)
+    module_line, module_text = _keyvalue(lie_lines, "module")
     module = module_text.split() if module_text else []
     m, n = len(basis), len(module)
-    if len(set(basis)) != m or not all(b.isidentifier() for b in basis):
-        raise ModelError("basis names must be distinct identifiers")
-    if len(set(module)) != n or not all(v.isidentifier() for v in module):
-        raise ModelError("module names must be distinct identifiers")
-    for name in (*basis, *module):
-        if name in ("i", "hbar"):
-            raise ModelError(f"{name!r} is reserved in expressions")
+    for what, names, lineno in (("basis", basis, basis_line),
+                                ("module", module, module_line)):
+        if len(set(names)) != len(names) or not all(v.isidentifier() for v in names):
+            raise ModelError(f"{what} names must be distinct identifiers", lineno)
+        for name in names:
+            if name in ("i", "hbar"):
+                raise ModelError(f"{name!r} is reserved in expressions", lineno)
 
     basis_index = {b: i for i, b in enumerate(basis)}
     module_index = {v: i for i, v in enumerate(module)}
@@ -181,7 +191,7 @@ def _build_lie(sections):
             if mask or sum(exps) != 1:
                 raise ModelError(f"bracket [{a},{b}] must be linear in the basis", lineno)
             i = exps.index(1)
-            brackets[(i, j, k)] = coeff.as_fraction()
+            brackets[(i, j, k)] = _rational(coeff, f"bracket [{a},{b}]", lineno)
 
     rho = {}
     for lineno, line in sections.get("rep", []):
@@ -202,7 +212,7 @@ def _build_lie(sections):
                     raise ModelError(f"rep entry {g}.{v} has a constant part", lineno)
                 continue
             i = exps.index(1)
-            rho[(i, j, k)] = coeff.as_fraction()
+            rho[(i, j, k)] = _rational(coeff, f"rep entry {g}.{v}", lineno)
 
     try:
         lie = LieModel.build(m, brackets, n, rho)

@@ -13,11 +13,15 @@ of two or more warns and yields zero.  Parentheses nest at most
 Exponents are at most ``MAX_EXPONENT``; a larger one is a ParseError at the
 exponent's column.  A power is expanded one multiplication at a time.
 Every multiplication of one expression draws on one budget of
-``MAX_PRODUCT_WORK`` term products: a '*' costs left terms times right
-terms, and each step of a '^' running-product terms times base terms.  The
-'*' or '^' whose product would pass the budget is a ParseError at its
-column.  A number literal has at most ``MAX_LITERAL_DIGITS`` digits; a
-longer one is a ParseError at the literal's column.
+``MAX_PRODUCT_WORK`` term products, counted by size: a '*' costs the size
+of its left factor times the size of its right one, and each step of a '^'
+the size of the running product times the size of the base.  A Poly's size
+is the sum over its terms of the number of hbar powers in the coefficient,
+so it is the term count when every coefficient carries one power, and it
+also counts the hbar polynomials that ``(1+hbar)^n`` builds.  The '*' or
+'^' whose product would pass the budget is a ParseError at its column.
+A number literal has at most ``MAX_LITERAL_DIGITS`` digits; a longer one is
+a ParseError at the literal's column.
 """
 
 from __future__ import annotations
@@ -50,10 +54,12 @@ MAX_NESTING = 100
 # seconds.
 MAX_EXPONENT = 1000
 
-# Term products one expression may spend over all its '*' and '^', counted
-# before each product.  (x+1)^400 needs 160,398 and (x+y+1)^16 2,445;
-# (x+xp*x+1)^1000 would need about 3,000,000 (11 s on a 2-vCPU VM) and is
-# refused after 0.6 s; (x+y+1)^30*(x+y+1)^30*(x+y+1)^30 is refused at its
+# Work one expression may spend over all its '*' and '^', counted before each
+# product as size times size (``_size``: terms weighted by their hbar
+# powers).  (x+1)^400 and (1+hbar)^400 need 160,398 each and (x+y+1)^16
+# 2,445; (x+xp*x+1)^1000 would need about 3,000,000 (11 s on a 2-vCPU VM)
+# and is refused after 0.6 s, and (1+hbar)^1000 about 1,000,000 and is
+# refused after 0.2 s; (x+y+1)^30*(x+y+1)^30*(x+y+1)^30 is refused at its
 # first '*', which alone needs 246,016.
 MAX_PRODUCT_WORK = 200_000
 
@@ -129,7 +135,7 @@ class _Parser:
             if kind == "op" and text == "*":
                 star = self.advance()
                 rhs = self.factor()
-                self._charge(len(value.terms) * len(rhs.terms), "product", star)
+                self._charge(_size(value) * _size(rhs), "product", star)
                 value = value * rhs
             elif kind in ("num", "ident") or (kind == "op" and text == "("):
                 self.error("juxtaposition is not multiplication; use '*'")
@@ -165,13 +171,15 @@ class _Parser:
                               OddPowerWarning, stacklevel=4)
                 return self.ctx.zero()
         out = base
+        base_size = _size(base)
         for _ in range(n - 1):
-            self._charge(len(out.terms) * len(base.terms), "power", caret)
+            self._charge(_size(out) * base_size, "power", caret)
             out = out * base
         return out
 
     def _charge(self, work: int, what: str, tok):
-        """Draw work term products from the expression's budget."""
+        """Draw work term products, weighted by hbar powers, from the
+        expression's budget."""
         self.work += work
         if self.work > MAX_PRODUCT_WORK:
             self.error(f"{what} needs more than {MAX_PRODUCT_WORK} term products", tok)
@@ -226,6 +234,11 @@ class _Parser:
             return value
         self.error(f"expected a factor, found {text!r}" if text else "unexpected end of input",
                    (kind, text, col))
+
+
+def _size(poly: Poly) -> int:
+    """The product-budget size: hbar powers summed over the coefficients."""
+    return sum(map(len, poly.terms.values()))
 
 
 def parse_expression(src: str, ctx: Context, line: int = 1) -> Poly:

@@ -81,6 +81,10 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self._terms)
 
+    def __len__(self) -> int:
+        """The number of hbar powers with a nonzero coefficient."""
+        return len(self._terms)
+
     def hbar_powers(self):
         return sorted(self._terms)
 

@@ -6,7 +6,7 @@ from bvcalc import (BVSpace, Derivation, EVEN, ODD, Scalar, brst_lie,
                     brst_rep, parse_expression, trace_condition)
 from bvcalc.gauge import ExpElement, berezin_integrate, exp_delta
 from bvcalc.randgen import random_poly
-from bvcalc.superalgebra import Context
+from bvcalc.superalgebra import ANTIFIELD, FIELD, Context, Generator, Poly
 
 from conftest import sl2, sl2_rescaled, solvable2
 from oracles import (berezin_loop, bracket_split, bracket_sum, delta_sum, exp_delta_split,
@@ -78,7 +78,29 @@ FIELD_SPECS = {
 }
 
 
-@pytest.mark.parametrize("spec", sorted(FIELD_SPECS))
+# Each antifield right after its field: the odd generators are then
+# t1, x1p, t2, x2p, so field and antifield odd bits interleave, a layout
+# that over_fields (every antifield after every field) never builds.
+INTERLEAVED = [("t1", ODD), ("x1", EVEN), ("t2", ODD), ("x2", EVEN)]
+
+
+def space(spec):
+    if spec == "interleaved":
+        return BVSpace(Context(
+            g for name, parity in INTERLEAVED
+            for g in (Generator(name, parity, FIELD),
+                      Generator(name + "p", 1 - parity, ANTIFIELD, name))))
+    return BVSpace.over_fields(FIELD_SPECS[spec])
+
+
+def test_interleaved_layout():
+    ctx = space("interleaved").ctx
+    assert [g.name for g in ctx.generators] == ["t1", "t1p", "x1", "x1p",
+                                                "t2", "t2p", "x2", "x2p"]
+    assert ctx.odd_names == ("t1", "x1p", "t2", "x2p")
+
+
+@pytest.mark.parametrize("spec", sorted(FIELD_SPECS) + ["interleaved"])
 class TestSignOracles:
     """Per-monomial signs against the parity-split routes in tests/oracles.py,
     on mixed-parity inputs with i and hbar; every tenth argument is zero."""
@@ -90,7 +112,7 @@ class TestSignOracles:
             yield a, b
 
     def test_bracket_and_right_deriv(self, spec, rng):
-        bvs = BVSpace.over_fields(FIELD_SPECS[spec])
+        bvs = space(spec)
         names = [g.name for g in bvs.ctx.generators]
         for a, b in self.pairs(rng, bvs.ctx, 120):
             assert bvs.bracket(a, b) == bracket_split(bvs, a, b)
@@ -98,18 +120,43 @@ class TestSignOracles:
                 assert a.right_deriv(name) == right_deriv_split(a, name)
 
     def test_delta_and_bracket_sum_loops(self, spec, rng):
-        bvs = BVSpace.over_fields(FIELD_SPECS[spec])
+        bvs = space(spec)
         for a, b in self.pairs(rng, bvs.ctx, 120):
             assert bvs.delta(a) == delta_sum(bvs, a)
             assert bvs.bracket(a, b) == bracket_sum(bvs, a, b)
+            # the same object as both arguments
+            assert bvs.bracket(a, a) == bracket_sum(bvs, a, a)
         # {psi, psi} of an odd psi with several terms cancels pair by pair
         for _ in range(20):
             psi = random_poly(rng, bvs.ctx, 3, 5, ODD, hbar_max=1)
             assert bvs.bracket(psi, psi).terms == {}
             assert bracket_sum(bvs, psi, psi).is_zero
 
+    def test_bracket_builds_no_derivative_poly(self, spec, rng, monkeypatch):
+        bvs = space(spec)
+        two_i_hbar = Scalar.hbar(1, 2) * Scalar.i()
+        cases = []
+        for a, b in self.pairs(rng, bvs.ctx, 30):
+            s = random_poly(rng, bvs.ctx, 3, 4, parity=EVEN, hbar_max=1)
+            # the oracles take their derivatives as Polys, so run them first
+            qme = bracket_sum(bvs, s, s) - two_i_hbar * delta_sum(bvs, s)
+            cases.append((a, b, bracket_split(bvs, a, b), s, qme))
+
+        def refuse(poly, name):
+            raise AssertionError("derivative Poly built")
+
+        monkeypatch.setattr(Poly, "left_deriv", refuse)
+        monkeypatch.setattr(Poly, "right_deriv", refuse)
+        for a, b, expected, s, qme in cases:
+            assert bvs.bracket(a, b) == expected
+            total = bvs.ctx.zero()
+            for k, r in bvs.hbar_equations(s):
+                total = total + Scalar.hbar(k) * r
+            assert total == qme
+            assert bvs.quantum_master_residual(s) == qme
+
     def test_berezin(self, spec, rng):
-        bvs = BVSpace.over_fields(FIELD_SPECS[spec])
+        bvs = space(spec)
         ctx = bvs.ctx
         odd_fields = [f for f, _ in bvs.pairs if ctx.parity_of(f) == ODD]
         for a, _ in self.pairs(rng, ctx, 120):
@@ -117,7 +164,7 @@ class TestSignOracles:
                 assert berezin_integrate(a, names) == berezin_loop(a, names)
 
     def test_exp_delta(self, spec, rng):
-        bvs = BVSpace.over_fields(FIELD_SPECS[spec])
+        bvs = space(spec)
         ctx = bvs.ctx
         for _ in range(30):
             p = random_poly(rng, ctx, 4, 4, hbar_max=1)

@@ -68,6 +68,26 @@ class TestModelFiles:
             parse_model(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("[lie]\nbasis =\n", "[lie] basis names no vector (line 2)"),
+        ("[lie]\n\nbasis = a 2b\n", "basis names must be distinct identifiers (line 3)"),
+        ("[lie]\nbasis = a b\nmodule = v v\n",
+         "module names must be distinct identifiers (line 3)"),
+        ("[lie]\nbasis = a hbar\n", "'hbar' is reserved in expressions (line 2)"),
+        ("[lie]\nmodule = i\nbasis = a\n", "'i' is reserved in expressions (line 2)"),
+        # a structure constant with i or hbar once exited 3 from as_fraction
+        ("[lie]\nbasis = a b\n[brackets]\n[a,b] = i*a\n",
+         "bracket [a,b]: scalar i has an imaginary part (line 4)"),
+        ("[lie]\nbasis = a\nmodule = v\n[rep]\na.v = hbar*v\n",
+         "rep entry a.v: scalar hbar carries hbar, not a plain rational (line 5)"),
+    ])
+    def test_lie_diagnostics_name_their_line(self, text, message, capsys, tmp_path):
+        model = tmp_path / "bad.model"
+        model.write_text(text)
+        code, out = run(capsys, "check-lie", model)
+        assert code == 2
+        assert f"error: {message}" in out.splitlines()
+
     def test_bracket_consistency_error(self):
         text = "[lie]\nbasis = a b\n[brackets]\n[a,b] = b\n[b,a] = b\n"
         with pytest.raises(ModelError, match="inconsistent"):

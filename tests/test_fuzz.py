@@ -4,10 +4,11 @@ files built from the same pieces must give ``check-lie`` an exit code of 0,
 1 or 2 with no traceback.  Each case has a deadline, so an input that runs
 away fails the test.
 
-Only the term products of '*' and '^' are budgeted, not the size of a
-coefficient, so literals here have at most 40 digits or are past
-``MAX_LITERAL_DIGITS`` (refused), exponents past 3 sit only on bases whose
-coefficients stay small, and no base mixes hbar powers under them."""
+The term products of '*' and '^' are budgeted, weighted by the hbar powers
+of each coefficient, but not the digits of a coefficient, so literals here
+have at most 40 digits or are past ``MAX_LITERAL_DIGITS`` (refused),
+exponents past 3 sit only on bases whose coefficients stay small, and no
+base mixes hbar powers under them."""
 
 import contextlib
 import io

@@ -122,6 +122,29 @@ class TestGrammar:
         assert time.perf_counter() - start < 2
         assert (err.value.line, err.value.col) == (2, src.index("*") + 1)
 
+    @pytest.mark.parametrize("base", ["x+1", "1+hbar"])
+    def test_power_of_two_terms_or_two_hbar_powers(self, ctx, base):
+        # one term with two hbar powers has the size of two terms, so both
+        # bases fit the budget at 400 and pass it at 1000, at the '^'
+        n = 400
+        value = parse_expression(f"({base})^{n}", ctx)
+        assert value == parse_expression(base, ctx) ** n
+        src = f"y + ({base})^1000"
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="power needs more than") as err:
+            parse_expression(src, ctx, line=3)
+        assert time.perf_counter() - start < 2
+        assert (err.value.line, err.value.col) == (3, src.index("^") + 1)
+
+    def test_hbar_product_chain_refused(self, ctx):
+        # each power spends 90,298 units and the first '*' would multiply
+        # two coefficients of 301 hbar powers each; counted by terms, the
+        # chain cost 1,199 units and parsed to one 1,201-power coefficient
+        src = "*".join(["(1+hbar)^300"] * 4)
+        with pytest.raises(ParseError, match="product needs more than") as err:
+            parse_expression(src, ctx)
+        assert err.value.col == src.index("*") + 1
+
     def test_product_chain_shares_the_budget(self, ctx):
         # the k-th '*' of (x+1)*(x+1)*... costs 2(k+1), at most 1,402 here,
         # but the running total passes the budget at k = 446

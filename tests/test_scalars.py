@@ -30,6 +30,8 @@ def test_laurent_powers_multiply():
     s = Scalar.hbar(-2) * Scalar.hbar(3)
     assert s == Scalar.hbar(1)
     assert Scalar.hbar(1, Fraction(1, 2)).hbar_powers() == [1]
+    assert len(s + Scalar.i() + Scalar.hbar(-1)) == 3
+    assert len(Scalar.zero()) == 0
 
 
 def test_split_hbar_strips_power():
@@ -112,6 +114,7 @@ def assert_matches_oracle(new, old):
     assert _as_fraction_outcome(new) == _as_fraction_outcome(old)
     assert hash(new) == hash(old)
     assert bool(new) == bool(old)
+    assert len(new) == len(old.hbar_powers())
 
 
 def assert_canonical(s):
