@@ -48,14 +48,14 @@ class BVSpace:
             self._pair_slots.append((ctx.slot(even)[1], 1 << ctx.slot(odd)[1]))
 
     @classmethod
-    def over_fields(cls, specs, antifield_suffix: str = "p") -> "BVSpace":
+    def over_fields(cls, specs) -> "BVSpace":
         """Build the paired context from (name, parity) field specs.
 
         Fields keep their declaration order; antifields follow in the same
-        order, named by suffixing, with flipped parity.
+        order, named by suffixing 'p', with flipped parity.
         """
         gens = [Generator(name, parity, FIELD) for name, parity in specs]
-        gens += [Generator(name + antifield_suffix, 1 - parity, ANTIFIELD, name)
+        gens += [Generator(name + "p", 1 - parity, ANTIFIELD, name)
                  for name, parity in specs]
         return cls(Context(gens))
 
@@ -92,18 +92,16 @@ class BVSpace:
         """
         if phi.ctx != self.ctx or psi.ctx != self.ctx:
             raise ValueError("context mismatch")
-        return _collect(self.ctx, self._bracket_into({}, phi, psi))
-
-    def _bracket_into(self, out: dict, phi: Poly, psi: Poly) -> dict:
         if phi.is_zero or psi.is_zero:
-            return out
+            return self.ctx.zero()
+        out = {}
         for (de_phi, do_phi), (de_psi, do_psi) in zip(
                 self._pair_derivs(phi.terms, True), self._pair_derivs(psi.terms, False)):
             if do_phi and de_psi:
                 _mul_into(out, 1, do_phi, de_psi)
             if de_phi and do_psi:
                 _mul_into(out, 1, de_phi, do_psi)
-        return out
+        return _collect(self.ctx, out)
 
     def _pair_derivs(self, terms: dict, right: bool) -> list:
         """Per pair, the terms of the even member's derivative and of the odd
@@ -199,27 +197,10 @@ class BVSpace:
         """Residuals R_k with S = sum hbar^k S_k:
 
         R_k = sum_{a+b=k} {S_a, S_b} - 2 i delta(S_{k-1}),
-        so that sum hbar^k R_k is exactly the quantum master residual.
+        the hbar^k coefficient of the quantum master residual; only the
+        nonzero rows, k ascending.
         """
-        s = self.check_action(s)
-        parts = dict(s.hbar_decompose())
-        if not parts:
-            return []
-        lo, hi = min(parts), max(parts)
-        two_i = self.ctx.scalar(Scalar.i() * 2).terms
-        out = []
-        for k in range(min(2 * lo, lo + 1), max(2 * hi, hi + 1) + 1):
-            r = {}
-            for a in range(lo, hi + 1):
-                b = k - a
-                if b in parts and a in parts:
-                    self._bracket_into(r, parts[a], parts[b])
-            if (k - 1) in parts:
-                _mul_into(r, -1, two_i, self.delta(parts[k - 1]).terms)
-            r = _collect(self.ctx, r)
-            if not r.is_zero:
-                out.append((k, r))
-        return out
+        return self.quantum_master_residual(s).hbar_decompose()
 
     def omega_apply(self, s: Poly, psi: Poly) -> Poly:
         """The quantum BRST operator: -i hbar delta(psi) + {S, psi}."""
@@ -270,10 +251,6 @@ class PointResult:
     is_critical: bool
     gradient_failures: dict
     onshell_residual: Poly | None
-
-    @property
-    def onshell_ok(self) -> bool:
-        return self.is_critical and self.onshell_residual.is_zero
 
 
 @dataclass

@@ -27,6 +27,10 @@ from .superalgebra import Poly
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
 _EXIT = {PASS: 0, FAIL: 1, REFUSED: 2}
 INTERNAL_ERROR = 3
+# Every linf row past degree 3 is zero, since the square of a Lie BRST
+# differential has degree at most 3; the bound caps the report at that many
+# rows.
+MAX_NMAX = 1000
 
 
 class Report:
@@ -67,6 +71,18 @@ def _checked(check, *args):
         raise Refusal(str(exc)) from None
 
 
+def _require_count(name: str, value: int, most: int | None = None) -> None:
+    if value < 1:
+        raise Refusal(f"{name} must be at least 1")
+    if most is not None and value > most:
+        raise Refusal(f"{name} must be at most {most}")
+
+
+def _label(kind: str, indices) -> str:
+    """'triple (1,2,3)': 1-based indices, as check-lie and check-rep number them."""
+    return f"{kind} (" + ",".join(str(i + 1) for i in indices) + ")"
+
+
 def _require_lie(model: Model) -> lie.LieModel:
     if model.lie is None:
         raise Refusal("this command needs a [lie] model")
@@ -74,7 +90,7 @@ def _require_lie(model: Model) -> lie.LieModel:
 
 
 def _brst_derivation(model: Model):
-    return lie.brst_rep(_require_lie(model), model.module_names, model.ghost_names)
+    return lie.brst_rep(_require_lie(model), model.module_names)
 
 
 def _action(model: Model, name: str | None) -> Poly:
@@ -112,9 +128,9 @@ def _parse_point(text: str) -> dict:
 def _cmd_check_lie(model: Model, args):
     violations = lie.jacobi_check(_require_lie(model))
     details = [("violations", len(violations))]
-    for (j, k, m), residual in violations:
+    for triple, residual in violations:
         vec = "[" + ", ".join(str(x) for x in residual) + "]"
-        details.append((f"triple ({j + 1},{k + 1},{m + 1})", vec))
+        details.append((_label("triple", triple), vec))
     return PASS if not violations else FAIL, details
 
 
@@ -124,10 +140,10 @@ def _cmd_check_rep(model: Model, args):
         raise Refusal("model has no module, nothing to check")
     violations = lie.rep_check(lm)
     details = [("violations", len(violations))]
-    for (j, k), residual in violations:
+    for pair, residual in violations:
         rows = "[" + "; ".join("[" + ", ".join(str(x) for x in row) + "]"
                                for row in residual.rows) + "]"
-        details.append((f"pair ({j + 1},{k + 1})", rows))
+        details.append((_label("pair", pair), rows))
     return PASS if not violations else FAIL, details
 
 
@@ -146,8 +162,8 @@ def _cmd_linf(model: Model, args):
         # always show the first three quadratic-relation rows
         n_max = max([3] + [p.max_degree() for p in square.values()
                            if not p.is_zero])
-    elif n_max < 1:
-        raise Refusal("n_max must be at least 1")
+    else:
+        _require_count("n_max", n_max, MAX_NMAX)
     rows = D.linf_relations(n_max)
     details = []
     for n, row in rows:
@@ -165,6 +181,13 @@ def _cmd_ce_cohomology(model: Model, args):
     lm = _require_lie(model)
     if args.p == 1 and not lm.module_dim:
         raise Refusal("p = 1 needs a module")
+    # the ranks give cohomology only when d squares to zero
+    for violations, what, kind, check in (
+            (lie.jacobi_check(lm), "Jacobi fails", "triple", "check-lie"),
+            (lie.rep_check(lm) if args.p else [], "not a representation", "pair", "check-rep")):
+        if violations:
+            raise Refusal(f"{what} at {_label(kind, violations[0][0])}, so d^2 != 0 "
+                          f"(see {check})")
     dims = lie.ce_cohomology_dims(lm, args.p)
     details = [("dims", "(" + ", ".join(str(d) for d in dims) + ")")]
     details += [(f"H^{q}", d) for q, d in enumerate(dims)]
@@ -172,6 +195,7 @@ def _cmd_ce_cohomology(model: Model, args):
 
 
 def _cmd_bv_identities(model: Model, args):
+    _require_count("count", args.count)
     fails = identities.bv_identity_suite(model.bvs, args.seed, args.count)
     details = [("seed", args.seed), ("triples", args.count)]
     ok = True
@@ -226,6 +250,7 @@ def _cmd_onshell(model: Model, args):
 
 
 def _cmd_omega_square(model: Model, args):
+    _require_count("count", args.count)
     s = _action(model, args.action)
     bvs = model.bvs
     residual = bvs.quantum_master_residual(s)
@@ -275,7 +300,7 @@ def _cmd_gauge_exp(model: Model, args):
 
 def _cmd_trace_cond(model: Model, args):
     lm = _require_lie(model)
-    trace = lie.trace_condition(lm, model.module_names, model.ghost_names)
+    trace = lie.trace_condition(lm, model.module_names)
     return (PASS if trace.is_zero else FAIL), [("trace", trace)]
 
 

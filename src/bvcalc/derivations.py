@@ -71,14 +71,6 @@ class Derivation:
         return {g.name: self.apply(self.image(g.name))
                 for g in self.ctx.generators}
 
-    def homogeneous_components(self):
-        """D = sum of D_n where D_n(v) is the total-degree-n part of D(v)."""
-        degrees = sorted({img.mono_degree(m)
-                          for img in self.images.values() for m in img.terms})
-        return [(n, Derivation(self.ctx, self.parity,
-                               {v: img.degree_part(n) for v, img in self.images.items()}))
-                for n in degrees]
-
     def linf_relations(self, n_max: int):
         """[(n, {generator: degree-n part of D(D(generator))})] for n = 0..n_max.
 

@@ -103,10 +103,6 @@ class ExpElement:
         return (isinstance(other, ExpElement) and self.bvs.ctx == other.bvs.ctx
                 and (self - other).is_zero)
 
-    def has_antifields(self) -> bool:
-        return any(p.mono_antifield_degree(m) for p, _ in self.pairs for m in p.terms) \
-            or any(t.mono_antifield_degree(m) for _, t in self.pairs for m in t.terms)
-
     def __str__(self):
         return " + ".join(f"({p})*exp({t})" for p, t in self.pairs) or "0"
 

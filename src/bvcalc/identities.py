@@ -23,16 +23,19 @@ IDENTITY_NAMES = (
     "seven_terms",
 )
 
+# size of each random input: total degree at most MAX_DEGREE, TERMS draws
+MAX_DEGREE = 4
+TERMS = 3
 
-def bv_identity_suite(bvs: BVSpace, seed: int, triples: int,
-                      max_degree: int = 4, terms: int = 3) -> dict:
+
+def bv_identity_suite(bvs: BVSpace, seed: int, triples: int) -> dict:
     """Failure counts per identity over the given number of random triples."""
     rng = random.Random(seed)
     fails = {name: 0 for name in IDENTITY_NAMES}
     for _ in range(triples):
-        pf, phi = random_homogeneous(rng, bvs.ctx, max_degree, terms)
-        ps, psi = random_homogeneous(rng, bvs.ctx, max_degree, terms)
-        pu, ups = random_homogeneous(rng, bvs.ctx, max_degree, terms)
+        pf, phi = random_homogeneous(rng, bvs.ctx, MAX_DEGREE, TERMS)
+        ps, psi = random_homogeneous(rng, bvs.ctx, MAX_DEGREE, TERMS)
+        pu, ups = random_homogeneous(rng, bvs.ctx, MAX_DEGREE, TERMS)
 
         if not bvs.delta(bvs.delta(phi)).is_zero:
             fails["delta_squared"] += 1

@@ -192,11 +192,10 @@ def ghost_context(m: int, names=None) -> Context:
 
 def rep_context(model: LieModel, module_names=None, ghost_names=None) -> Context:
     vs = list(module_names) if module_names else [f"v{i + 1}" for i in range(model.module_dim)]
-    cs = list(ghost_names) if ghost_names else [f"c{i + 1}" for i in range(model.dim)]
-    if len(vs) != model.module_dim or len(cs) != model.dim:
-        raise ValueError("coordinate name count mismatch")
+    if len(vs) != model.module_dim:
+        raise ValueError("module name count mismatch")
     gens = [Generator(n, EVEN, "field") for n in vs]
-    gens += [Generator(n, ODD, "field") for n in cs]
+    gens += ghost_context(model.dim, ghost_names).generators
     return Context(gens)
 
 
@@ -298,13 +297,13 @@ def ce_cohomology_dims(model: LieModel, p: int):
     return [size - rank - prev for size, rank, prev in zip(sizes, ranks, [0] + ranks)]
 
 
-def trace_condition(model: LieModel, module_names=None, ghost_names=None) -> Poly:
+def trace_condition(model: LieModel, module_names=None) -> Poly:
     """The divergence (rho^i_ik + f^i_ik) c^k as a Poly on the field context.
 
     Zero iff the action and the bracket are both traceless, which is exactly
     when the hbar-linear lift solves the quantum master equation.
     """
-    ctx = rep_context(model, module_names, ghost_names)
+    ctx = rep_context(model, module_names)
     cs = ctx.odd_names
     out = {}
     for k, total in enumerate(_ad_traces(model)):

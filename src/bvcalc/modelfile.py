@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bv import BVSpace
-from .lie import LieModel
+from .lie import LieModel, rep_context
 from .parser import ParseError, parse_expression
 from .superalgebra import ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, PLAIN, Poly
 
@@ -38,7 +38,6 @@ class Model:
     bvs: BVSpace
     lie: LieModel | None
     module_names: tuple
-    ghost_names: tuple
     exprs: dict
 
     @property
@@ -91,14 +90,14 @@ def parse_model(text: str, path: str = "<string>") -> Model:
         raise ModelError("a model needs exactly one of [lie] or [generators]")
 
     if "lie" in sections:
-        model, bvs, module_names, ghost_names = _build_lie(sections)
+        model, bvs, module_names = _build_lie(sections)
     else:
         for forbidden in ("brackets", "rep"):
             if forbidden in sections:
                 line = sections[forbidden][0][0] if sections[forbidden] else None
                 raise ModelError(f"[{forbidden}] requires a [lie] section", line)
         model = None
-        module_names, ghost_names = (), ()
+        module_names = ()
         bvs = _build_generators(sections["generators"])
 
     exprs = {}
@@ -113,7 +112,7 @@ def parse_model(text: str, path: str = "<string>") -> Model:
             raise ModelError(f"duplicate expression {name!r}", lineno)
         exprs[name] = _parse_rhs(line, lineno, bvs.ctx, f"expression {name!r}")
 
-    return Model(path, bvs, model, module_names, ghost_names, exprs)
+    return Model(path, bvs, model, module_names, exprs)
 
 
 def _parse_rhs(line: str, lineno: int, ctx: Context, what: str) -> Poly:
@@ -219,13 +218,12 @@ def _build_lie(sections):
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
 
-    ghost_names = tuple(f"c{i + 1}" for i in range(m))
-    fields = [(v, EVEN) for v in module] + [(c, ODD) for c in ghost_names]
     try:
-        bvs = BVSpace.over_fields(fields)
+        fields = rep_context(lie, module).generators
+        bvs = BVSpace.over_fields([(g.name, g.parity) for g in fields])
     except ValueError as exc:
         raise ModelError(str(exc)) from exc
-    return lie, bvs, tuple(module), ghost_names
+    return lie, bvs, tuple(module)
 
 
 def _build_generators(lines):

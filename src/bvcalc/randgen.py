@@ -12,9 +12,9 @@ from .scalars import Scalar
 from .superalgebra import Context, EVEN, ODD, Poly, _add_into, _collect
 
 
-def random_scalar(rng, hbar_max: int = 0, imag: bool = True) -> Scalar:
+def random_scalar(rng, hbar_max: int = 0) -> Scalar:
     re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    im = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if imag and rng.random() < 0.4 else 0
+    im = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.4 else 0
     power = rng.randint(0, hbar_max) if hbar_max else 0
     s = Scalar({power: (re, im)})
     if s.is_zero:
@@ -23,7 +23,7 @@ def random_scalar(rng, hbar_max: int = 0, imag: bool = True) -> Scalar:
 
 
 def random_poly(rng, ctx: Context, max_degree: int = 4, terms: int = 4,
-                parity=None, hbar_max: int = 0, imag: bool = True) -> Poly:
+                parity=None, hbar_max: int = 0) -> Poly:
     """Random sparse Poly; with parity set, every monomial matches it."""
     names = [g.name for g in ctx.generators]
     out = {}
@@ -39,12 +39,11 @@ def random_poly(rng, ctx: Context, max_degree: int = 4, terms: int = 4,
         for g in picks:
             if ctx.parity_of(g) == EVEN:
                 even[g] = even.get(g, 0) + 1
-        _add_into(out, ctx.monomial(random_scalar(rng, hbar_max, imag), even, odd).terms)
+        _add_into(out, ctx.monomial(random_scalar(rng, hbar_max), even, odd).terms)
     return _collect(ctx, out)
 
 
-def random_homogeneous(rng, ctx: Context, max_degree: int = 4, terms: int = 4,
-                       hbar_max: int = 0, imag: bool = True):
-    """A random parity plus a Poly homogeneous of that parity."""
+def random_homogeneous(rng, ctx: Context, max_degree: int = 4, terms: int = 4):
+    """A random parity plus an hbar-free Poly homogeneous of that parity."""
     parity = rng.randint(0, 1)
-    return parity, random_poly(rng, ctx, max_degree, terms, parity, hbar_max, imag)
+    return parity, random_poly(rng, ctx, max_degree, terms, parity)

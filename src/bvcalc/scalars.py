@@ -85,15 +85,6 @@ class Scalar:
         """The number of hbar powers with a nonzero coefficient."""
         return len(self._terms)
 
-    def hbar_powers(self):
-        return sorted(self._terms)
-
-    def component(self, k: int) -> "Scalar":
-        """The (a_k + b_k*i) piece, with the hbar power stripped off."""
-        if k in self._terms:
-            return _make({0: self._terms[k]})
-        return Scalar()
-
     def split_hbar(self):
         """[(k, hbar-free Scalar)] with k ascending; sums back to self*hbar^k."""
         return [(k, _make({0: self._terms[k]})) for k in sorted(self._terms)]

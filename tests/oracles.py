@@ -31,6 +31,11 @@ Chevalley-Eilenberg oracle ranks every differential of the complex; the
 library ranks only the lower half of it when every tr ad(e_k) is zero, by
 Poincare duality.
 
+The hbar ladder of the quantum master equation is built order by order:
+``hbar_equations_loop`` sums the brackets of each pair of hbar orders and
+the Laplacian of the order below.  The library reads the same rows off the
+residual {S,S} - 2 i hbar delta(S) split by hbar power.
+
 ``FractionScalar`` is the earlier ``Scalar``: a pair of ``Fraction`` parts
 per hbar power, re-normalized by ``Fraction`` on every operation.  The
 library's integer-triple ``Scalar`` must agree with it on every query.
@@ -387,6 +392,29 @@ def substitute_sum(poly: Poly, assignments) -> Poly:
         for name in factors:
             term = mul_pairwise(term, images[name] if name in images else ctx.gen(name))
         out = add_pairwise(out, term)
+    return out
+
+
+def hbar_equations_loop(bvs, s: Poly):
+    """The oracle for ``BVSpace.hbar_equations``: with S = sum hbar^k S_k,
+    R_k = sum_{a+b=k} {S_a, S_b} - 2 i delta(S_(k-1)) built pair of hbar
+    orders by pair of orders, for k from the lowest to the highest order the
+    residual can reach; the nonzero rows, k ascending."""
+    parts = dict(s.hbar_decompose())
+    if not parts:
+        return []
+    lo, hi = min(parts), max(parts)
+    two_i = Scalar.i() * 2
+    out = []
+    for k in range(min(2 * lo, lo + 1), max(2 * hi, hi + 1) + 1):
+        r = bvs.ctx.zero()
+        for a in range(lo, hi + 1):
+            if a in parts and k - a in parts:
+                r = r + bvs.bracket(parts[a], parts[k - a])
+        if k - 1 in parts:
+            r = r - two_i * bvs.delta(parts[k - 1])
+        if not r.is_zero:
+            out.append((k, r))
     return out
 
 

@@ -3,14 +3,14 @@ from fractions import Fraction
 import pytest
 
 from bvcalc import (BVSpace, Derivation, EVEN, ODD, Scalar, brst_lie,
-                    brst_rep, parse_expression, trace_condition)
+                    brst_rep, cli, load_model, parse_expression, trace_condition)
 from bvcalc.gauge import ExpElement, berezin_integrate, exp_delta
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import ANTIFIELD, FIELD, Context, Generator, Poly
 
-from conftest import sl2, sl2_rescaled, solvable2
+from conftest import MODELS, sl2, sl2_rescaled, solvable2
 from oracles import (berezin_loop, bracket_split, bracket_sum, delta_sum, exp_delta_split,
-                     right_deriv_split)
+                     hbar_equations_loop, right_deriv_split)
 
 
 def random_field_derivation(rng, bvs, max_degree=3):
@@ -140,17 +140,19 @@ class TestSignOracles:
             s = random_poly(rng, bvs.ctx, 3, 4, parity=EVEN, hbar_max=1)
             # the oracles take their derivatives as Polys, so run them first
             qme = bracket_sum(bvs, s, s) - two_i_hbar * delta_sum(bvs, s)
-            cases.append((a, b, bracket_split(bvs, a, b), s, qme))
+            cases.append((a, b, bracket_split(bvs, a, b), s, qme,
+                          hbar_equations_loop(bvs, s)))
 
         def refuse(poly, name):
             raise AssertionError("derivative Poly built")
 
         monkeypatch.setattr(Poly, "left_deriv", refuse)
         monkeypatch.setattr(Poly, "right_deriv", refuse)
-        for a, b, expected, s, qme in cases:
+        for a, b, expected, s, qme, rows in cases:
             assert bvs.bracket(a, b) == expected
+            assert bvs.hbar_equations(s) == rows
             total = bvs.ctx.zero()
-            for k, r in bvs.hbar_equations(s):
+            for k, r in rows:
                 total = total + Scalar.hbar(k) * r
             assert total == qme
             assert bvs.quantum_master_residual(s) == qme
@@ -300,15 +302,27 @@ class TestMasterEquations:
             bvs_1_1.quantum_master_residual(bvs_1_1.ctx.gen("th"))
 
 
+def assert_hbar_ladder(bvs, s):
+    """hbar_equations gives the rows of the order-by-order oracle, and those
+    rows sum back to the quantum master residual."""
+    rows = hbar_equations_loop(bvs, s)
+    assert bvs.hbar_equations(s) == rows
+    total = bvs.ctx.zero()
+    for k, r in rows:
+        total = total + Scalar.hbar(k) * r
+    assert total == bvs.quantum_master_residual(s)
+
+
 class TestHbarEquations:
     def test_reconstructs_qme_residual(self, bvs_2_2, rng):
         for _ in range(30):
             s = random_poly(rng, bvs_2_2.ctx, 3, 4, parity=EVEN, hbar_max=2)
-            rows = bvs_2_2.hbar_equations(s)
-            total = bvs_2_2.ctx.zero()
-            for k, r in rows:
-                total = total + Scalar.hbar(k) * r
-            assert total == bvs_2_2.quantum_master_residual(s)
+            assert_hbar_ladder(bvs_2_2, s)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in MODELS.glob("*.model")))
+    def test_fixture_default_action(self, name):
+        model = load_model(str(MODELS / name))
+        assert_hbar_ladder(model.bvs, cli._action(model, None))
 
     def test_antifield_free_action_all_zero(self, bvs_2_2, rng):
         s0 = random_poly(rng, bvs_2_2.field_ctx, 4, 3, parity=EVEN)
@@ -329,10 +343,7 @@ class TestHbarEquations:
             for k in range(-2, 3):
                 s = s + Scalar.hbar(k) * random_poly(rng, bvs_1_1.ctx, 3, 2,
                                                      parity=EVEN)
-            total = bvs_1_1.ctx.zero()
-            for k, r in bvs_1_1.hbar_equations(s):
-                total = total + Scalar.hbar(k) * r
-            assert total == bvs_1_1.quantum_master_residual(s)
+            assert_hbar_ladder(bvs_1_1, s)
 
     def test_qme_solution_has_no_rows(self):
         adj = sl2().adjoint()
@@ -432,7 +443,7 @@ class TestAntifieldReport:
         s = s0 + s1
         report = bvs_2_2.antifield_report(s, points=[{"x1": 0, "x2": 0}])
         assert report.points[0].is_critical
-        assert report.points[0].onshell_ok
+        assert report.points[0].onshell_residual.is_zero
 
         # a non-critical point is reported, not silently used
         report = bvs_2_2.antifield_report(s, points=[{"x1": 1, "x2": 0}])
@@ -451,4 +462,4 @@ class TestAntifieldReport:
         report = bvs_2_2.antifield_report(s, points=[{"x1": 0, "x2": 0}])
         assert not report.offshell_residual.is_zero
         assert report.points[0].is_critical
-        assert report.points[0].onshell_ok
+        assert report.points[0].onshell_residual.is_zero

@@ -23,7 +23,6 @@ class TestModelFiles:
     def test_lie_model_loads(self):
         model = load_model(str(MODELS / "sl2.model"))
         assert model.lie.dim == 3
-        assert model.ghost_names == ("c1", "c2", "c3")
         assert [g.name for g in model.ctx.generators] == \
             ["c1", "c2", "c3", "c1p", "c2p", "c3p"]
 
@@ -283,9 +282,41 @@ class TestPreconditions:
     @pytest.mark.parametrize("args, message", [
         (["linf", "models/sl2.model", "--nmax", "0"], "n_max must be at least 1"),
         (["ce-cohomology", "models/sl2.model", "--p", "1"], "p = 1 needs a module"),
+        (["bv-identities", "models/gauge11.model", "--count", "0"], "count must be at least 1"),
+        (["bv-identities", "models/gauge11.model", "--count", "-5"], "count must be at least 1"),
+        (["omega-square", "models/gauge11.model", "--count", "0"], "count must be at least 1"),
+        (["omega-square", "models/gauge11.model", "--count", "-5"], "count must be at least 1"),
     ])
     def test_refused_on_fixture(self, args, message, capsys):
         code, out = run(capsys, args[0], MODELS.parent / args[1], *args[2:])
+        assert code == 2
+        assert f"status: refused\nerror: {message}\n" in out
+
+    def test_nmax_bound(self, capsys):
+        code, out = run(capsys, "linf", MODELS / "sl2.model", "--nmax", "1000")
+        assert code == 0
+        assert "row 1000: 0" in out
+        for nmax in ("1001", str(10 ** 18)):
+            start = time.perf_counter()
+            code, out = run(capsys, "linf", MODELS / "sl2.model", "--nmax", nmax)
+            assert time.perf_counter() - start < 1
+            assert code == 2
+            assert "status: refused\nerror: n_max must be at most 1000\n" in out
+
+    @pytest.mark.parametrize("text, p, check, message", [
+        ("[lie]\nbasis = a b c\n[brackets]\n[a,b] = c\n[b,c] = a\n[a,c] = a\n", "0",
+         "check-lie", "Jacobi fails at triple (1,2,3), so d^2 != 0 (see check-lie)"),
+        ("[lie]\nbasis = a b\nmodule = u w\n[brackets]\n[a,b] = b\n[rep]\na.u = w\n"
+         "b.u = u\n", "1",
+         "check-rep", "not a representation at pair (1,2), so d^2 != 0 (see check-rep)"),
+    ])
+    def test_ce_cohomology_refuses_d_squared_nonzero(self, text, p, check, message,
+                                                      tmp_path, capsys):
+        model = tmp_path / "bad.model"
+        model.write_text(text)
+        code, out = run(capsys, check, model)
+        assert code == 1
+        code, out = run(capsys, "ce-cohomology", model, "--p", p)
         assert code == 2
         assert f"status: refused\nerror: {message}\n" in out
 

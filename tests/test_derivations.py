@@ -140,25 +140,6 @@ class TestCommutator:
             assert C.apply(phi) == D.apply(E.apply(phi)) + E.apply(D.apply(phi))
 
 
-class TestComponents:
-    def test_degree_split(self, homotopy_ctx):
-        mk = lambda src: parse_expression(src, homotopy_ctx)
-        D = Derivation(homotopy_ctx, ODD,
-                       {"c2": mk("b + c1*c2"), "b": mk("c1*c2*c3")})
-        comps = dict(D.homogeneous_components())
-        assert sorted(comps) == [1, 2, 3]
-        assert comps[1].image("c2") == mk("b")
-        assert comps[2].image("c2") == mk("c1*c2")
-        assert comps[3].image("b") == mk("c1*c2*c3")
-
-    def test_sl2_single_component(self):
-        comps = brst_lie(sl2()).homogeneous_components()
-        assert [n for n, _ in comps] == [2]
-
-    def test_zero_derivation(self, homotopy_ctx):
-        assert Derivation(homotopy_ctx, ODD, {}).homogeneous_components() == []
-
-
 class TestLinfRelations:
     def test_pure_differential(self, homotopy_ctx):
         mk = lambda src: parse_expression(src, homotopy_ctx)

@@ -1,7 +1,8 @@
 """Grammar fuzz tests.  Expression strings built from the parser's tokens
 must end in a Poly or a ParseError with a column inside the line, and model
 files built from the same pieces must give ``check-lie`` an exit code of 0,
-1 or 2 with no traceback.  Each case has a deadline, so an input that runs
+1 or 2 and ``ce-cohomology`` one of 0 or 2 (2 whenever ``check-lie`` gives
+1), with no traceback.  Each case has a deadline, so an input that runs
 away fails the test.
 
 The term products of '*' and '^' are budgeted, weighted by the hbar powers
@@ -136,18 +137,46 @@ def model_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "drawn.model"
 
 
+def run_cli(command, model_path, *flags):
+    """cli.main's exit code, after checking that the report is the command's
+    and that nothing printed a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("ignore", OddPowerWarning)
+        code = cli.main([command, str(model_path), *flags])
+    assert code != cli.INTERNAL_ERROR, err.getvalue()
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert out.getvalue().startswith(f"command: {command}\n")
+    return code
+
+
 @hypothesis.settings(max_examples=150, deadline=5000)
 @hypothesis.given(text=lie_model_files())
 @hypothesis.example(text="[lie]\nbasis = a b e\n[brackets]\n[a,b] = e + a\n[b,e] = a\n"
                          "[e,a] = b\n")
 def test_check_lie_exits_0_1_or_2_without_traceback(model_path, text):
     model_path.write_text(text, encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", OddPowerWarning)
-        code = cli.main(["check-lie", str(model_path)])
+    code = run_cli("check-lie", model_path)
     hypothesis.event(f"exit {code}")
-    assert code in (0, 1, 2), err.getvalue()
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    assert out.getvalue().startswith("command: check-lie\n")
+    assert code in (0, 1, 2)
+
+
+@hypothesis.settings(max_examples=150, deadline=5000)
+@hypothesis.given(text=lie_model_files())
+@hypothesis.example(text="[lie]\nbasis = a b e\n[brackets]\n[a,b] = e + a\n[b,e] = a\n"
+                         "[e,a] = b\n")
+@hypothesis.example(text="[lie]\nbasis = a b\nmodule = v w\n[brackets]\n[a,b] = b\n[rep]\n"
+                         "a.v = w\nb.v = v\n")
+def test_ce_cohomology_exits_0_or_2_without_traceback(model_path, text):
+    """ce-cohomology ranks only a complex: a table that fails check-lie is
+    refused, never reported as a failed or passed check."""
+    model_path.write_text(text, encoding="utf-8")
+    lie_code = run_cli("check-lie", model_path)
+    for p in ("0", "1") if "\nmodule = " in text else ("0",):
+        code = run_cli("ce-cohomology", model_path, "--p", p)
+        hypothesis.event(f"p = {p}: exit {code}")
+        assert code in (0, 2)
+        if lie_code == 1:
+            assert code == 2
+

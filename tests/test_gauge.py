@@ -228,7 +228,8 @@ class TestGaugeIndependence:
         base = element(bvs_1_1, ctx.gen("th"))
         xi = element(bvs_1_1, ctx.gen("th") * ctx.gen("xp") * ctx.gen("thp"))
         phi = base + exp_delta(xi)
-        assert phi.has_antifields()
+        assert any(q.mono_antifield_degree(m) for pair in phi.pairs for q in pair
+                   for m in q.terms)
         report = gauge_independence_experiment(phi, fermions)
         assert report.all_equal
         assert report.values[0][1] == Scalar.one()

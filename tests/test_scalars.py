@@ -29,7 +29,7 @@ def test_laurent_powers_multiply():
     # hbar^-2 is needed by the exponential-coefficient identities
     s = Scalar.hbar(-2) * Scalar.hbar(3)
     assert s == Scalar.hbar(1)
-    assert Scalar.hbar(1, Fraction(1, 2)).hbar_powers() == [1]
+    assert [k for k, _ in Scalar.hbar(1, Fraction(1, 2)).split_hbar()] == [1]
     assert len(s + Scalar.i() + Scalar.hbar(-1)) == 3
     assert len(Scalar.zero()) == 0
 
@@ -108,7 +108,7 @@ def assert_matches_oracle(new, old):
     assert new.key() == old.key()
     assert str(new) == str(old)
     assert new.atoms() == old.atoms()
-    assert new.hbar_powers() == old.hbar_powers()
+    assert [k for k, _ in new.split_hbar()] == old.hbar_powers()
     assert [(k, p.key()) for k, p in new.split_hbar()] == \
         [(k, p.key()) for k, p in old.split_hbar()]
     assert _as_fraction_outcome(new) == _as_fraction_outcome(old)
