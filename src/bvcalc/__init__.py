@@ -4,9 +4,9 @@ master-equation checks and desk-scale gauge-independence experiments."""
 from .scalars import Scalar
 from .superalgebra import ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, PLAIN, Poly
 from .derivations import Derivation
-from .lie import (LieModel, brst_lie, brst_rep, ce_cohomology_dims,
-                  ce_matrices, ghost_context, jacobi_check, rep_check,
-                  rep_context, trace_condition)
+from .lie import (LieModel, NotACochainComplex, brst_lie, brst_rep,
+                  ce_cohomology_dims, ce_matrices, ghost_context, jacobi_check,
+                  rep_check, rep_context, trace_condition)
 from .bv import AntifieldReport, BVSpace
 from .gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,
                     NonNormalizedDamping, NotDeltaClosed, berezin_integrate,
@@ -21,8 +21,8 @@ __all__ = [
     "ANTIFIELD", "AntifieldReport", "BVSpace", "Context", "Derivation",
     "EVEN", "ExpElement", "FIELD", "GaugeFermion", "Generator", "LieModel",
     "Model", "ModelError", "NonGaussianIntegrand", "NonNormalizedDamping",
-    "NotDeltaClosed", "ODD", "OddPowerWarning", "ParseError", "PLAIN", "Poly",
-    "Scalar",
+    "NotACochainComplex", "NotDeltaClosed", "ODD", "OddPowerWarning",
+    "ParseError", "PLAIN", "Poly", "Scalar",
     "berezin_integrate", "brst_lie", "brst_rep", "ce_cohomology_dims",
     "ce_matrices", "exact_boundary_integrals", "exp_delta",
     "gauge_independence_experiment", "gaussian_expectation", "ghost_context",

@@ -5,7 +5,8 @@ Exit codes: 0 when the requested check passes, 1 when it ran and failed,
 error (an exception no handler expects; one line on stderr, no traceback).
 Preconditions on the input are checked before the computation they guard,
 so a ValueError raised inside a computation is an internal error, not a
-refusal.
+refusal; a precondition the library checks itself, such as d^2 = 0 for
+ce-cohomology, is raised as its own exception type and refused.
 Reports are deterministic for a fixed (model, flags, seed) triple.
 """
 
@@ -164,7 +165,7 @@ def _cmd_linf(model: Model, args):
                            if not p.is_zero])
     else:
         _require_count("n_max", n_max, MAX_NMAX)
-    rows = D.linf_relations(n_max)
+    rows = D.linf_relations(n_max, square)
     details = []
     for n, row in rows:
         nonzero = {v: p for v, p in row.items() if not p.is_zero}
@@ -181,14 +182,13 @@ def _cmd_ce_cohomology(model: Model, args):
     lm = _require_lie(model)
     if args.p == 1 and not lm.module_dim:
         raise Refusal("p = 1 needs a module")
-    # the ranks give cohomology only when d squares to zero
-    for violations, what, kind, check in (
-            (lie.jacobi_check(lm), "Jacobi fails", "triple", "check-lie"),
-            (lie.rep_check(lm) if args.p else [], "not a representation", "pair", "check-rep")):
-        if violations:
-            raise Refusal(f"{what} at {_label(kind, violations[0][0])}, so d^2 != 0 "
-                          f"(see {check})")
-    dims = lie.ce_cohomology_dims(lm, args.p)
+    try:
+        dims = lie.ce_cohomology_dims(lm, args.p)
+    except lie.NotACochainComplex as exc:
+        what, kind, check = {"jacobi": ("Jacobi fails", "triple", "check-lie"),
+                             "rep": ("not a representation", "pair", "check-rep")}[exc.check]
+        raise Refusal(f"{what} at {_label(kind, exc.violation[0])}, so d^2 != 0 "
+                      f"(see {check})") from None
     details = [("dims", "(" + ", ".join(str(d) for d in dims) + ")")]
     details += [(f"H^{q}", d) for q, d in enumerate(dims)]
     return PASS, details

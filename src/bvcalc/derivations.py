@@ -71,15 +71,17 @@ class Derivation:
         return {g.name: self.apply(self.image(g.name))
                 for g in self.ctx.generators}
 
-    def linf_relations(self, n_max: int):
+    def linf_relations(self, n_max: int, square=None):
         """[(n, {generator: degree-n part of D(D(generator))})] for n = 0..n_max.
 
         The n = 1, 2, 3 rows are the first quadratic relations of the homotopy
-        ladder; all rows vanish iff the square does.
+        ladder; all rows vanish iff the square does.  ``square`` is this
+        derivation's ``square_residual()`` when the caller already has it.
         """
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        square = self.square_residual()
+        if square is None:
+            square = self.square_residual()
         return [(n, {v: p.degree_part(n) for v, p in square.items()})
                 for n in range(0, n_max + 1)]
 

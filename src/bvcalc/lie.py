@@ -27,11 +27,27 @@ a in Lambda^q and b in Lambda^(n-1-q) the Leibniz rule gives
 0 = d(a b) = (da) b + (-1)^q a (db), so d_(n-1-q) is +- the transpose of
 d_q in complementary-mask bases and the two have equal rank (Hazewinkel,
 "A duality theorem for cohomology of Lie algebras", Math. USSR-Sb. 12,
-1970).  Only the derivation property of d is used, not Jacobi, so
-``ce_cohomology_dims`` ranks d_0..d_((n-1)//2) alone at p = 0 for any
-traceless table.  At p = 1 the transpose of d is the differential with
-coefficients in the dual module, a different complex, so every degree is
-ranked.
+1970).  The duality itself uses only the derivation property of d, but
+the ranks are cohomology only when d squares to zero, which the guard below
+ensures; so ``ce_cohomology_dims`` ranks d_0..d_((n-1)//2) alone at p = 0
+for a traceless table.  At p = 1 the transpose of d is the differential with
+coefficients in the dual module, a different complex, so every degree up to
+n - 1 is ranked.
+
+Ranking on a complement of the incoming boundaries.  When d_q d_(q-1) = 0,
+d_q vanishes on im d_(q-1), so rank d_q is the rank of d_q restricted to any
+complement of im d_(q-1).  The echelon form that ranks d_(q-1) names one:
+its pivot rows have distinct lead monomials L in C^q and are zero on the
+columns before their leads, so the basis monomials of C^q outside L span a
+complement (``linalg.pivot_leads``).  ``ce_cohomology_dims`` therefore
+builds and ranks the images of those monomials only, s_q - r_(q-1) of them
+instead of s_q; the rows it skips are exactly the ones that would reduce to
+zero.  This is the simplest step of reduction-based homology (Kaczynski,
+Mrozek & Slusarek, "Homology computation by reduction of chain complexes",
+Comput. Math. Appl. 35, 1998).  The identity needs d^2 = 0, that is Jacobi
+and, at p = 1, the representation property, so ``ce_cohomology_dims``
+checks both first and raises ``NotACochainComplex`` with the first
+violation instead of ranking a table that is not a complex.
 """
 
 from __future__ import annotations
@@ -42,7 +58,7 @@ from itertools import combinations
 from math import comb
 
 from .derivations import Derivation, _apply_into
-from .linalg import ExactMatrix, sparse_rank
+from .linalg import ExactMatrix, pivot_leads
 from .scalars import Scalar
 from .superalgebra import (Context, EVEN, Generator, ODD, Poly, _add_into, _collect,
                            _mask_bits, _poly)
@@ -183,30 +199,28 @@ def rep_check(model: LieModel):
         [[sq.get((u, mask), 0) for u in units] for sq in squares], n))
 
 
-def ghost_context(m: int, names=None) -> Context:
-    names = list(names) if names else [f"c{i + 1}" for i in range(m)]
-    if len(names) != m:
-        raise ValueError("ghost name count mismatch")
-    return Context(Generator(n, ODD, "field") for n in names)
+def ghost_context(m: int) -> Context:
+    """The odd ghosts c1..cm."""
+    return Context(Generator(f"c{i + 1}", ODD, "field") for i in range(m))
 
 
-def rep_context(model: LieModel, module_names=None, ghost_names=None) -> Context:
+def rep_context(model: LieModel, module_names=None) -> Context:
     vs = list(module_names) if module_names else [f"v{i + 1}" for i in range(model.module_dim)]
     if len(vs) != model.module_dim:
         raise ValueError("module name count mismatch")
     gens = [Generator(n, EVEN, "field") for n in vs]
-    gens += ghost_context(model.dim, ghost_names).generators
+    gens += ghost_context(model.dim).generators
     return Context(gens)
 
 
-def brst_lie(model: LieModel, ghost_names=None) -> Derivation:
+def brst_lie(model: LieModel) -> Derivation:
     """Odd derivation with c^i -> (1/2) f^i_jk c^j c^k on the ghost algebra."""
-    return _brst(model, ghost_context(model.dim, ghost_names), False)
+    return _brst(model, ghost_context(model.dim), False)
 
 
-def brst_rep(model: LieModel, module_names=None, ghost_names=None) -> Derivation:
+def brst_rep(model: LieModel, module_names=None) -> Derivation:
     """Odd derivation with v^i -> rho^i_jk v^j c^k and the ghost images."""
-    return _brst(model, rep_context(model, module_names, ghost_names), True)
+    return _brst(model, rep_context(model, module_names), True)
 
 
 def _brst(model: LieModel, ctx: Context, module: bool) -> Derivation:
@@ -226,26 +240,27 @@ def _ce_basis(n_even: int, n_odd: int, p: int, q: int):
     return [(_unit(n_even, v), mask) for v in range(n_even) for mask in masks]
 
 
-def _ce_images(model: LieModel, p: int, top: int | None = None):
-    """[(basis of C^(p,q), images)] for q = 0..top, by default up to dim.
-
-    Each image is the sparse vector {monomial key: int or Fraction} of the
-    BRST differential of ``brst_rep(model)`` applied to one basis monomial.
-    """
+def _ce_differential(model: LieModel, p: int):
+    """key -> the sparse image {monomial key: int or Fraction} of the BRST
+    differential of ``brst_rep(model)`` on one basis monomial of C^(p,q);
+    cancelled coefficients may stay as zeros."""
     if p not in (0, 1):
         raise ValueError("only p = 0 and p = 1 are supported")
     if p == 1 and model.module_dim == 0:
         raise ValueError("p = 1 needs a module")
     even, odd = _brst_table(model, True)
     even_slots, odd_slots = _slots(even), _slots(odd)
+    return lambda key: _apply_into({}, even_slots, odd_slots, {key: 1})
+
+
+def _ce_images(model: LieModel, p: int):
+    """[(basis of C^(p,q), images)] for q = 0..dim, with the zeros dropped
+    from each image."""
+    image = _ce_differential(model, p)
     out = []
-    for q in range(model.dim + 1 if top is None else top + 1):
+    for q in range(model.dim + 1):
         basis = _ce_basis(model.module_dim, model.dim, p, q)
-        images = []
-        for key in basis:
-            image = _apply_into({}, even_slots, odd_slots, {key: 1})
-            images.append({m: c for m, c in image.items() if c})
-        out.append((basis, images))
+        out.append((basis, [{m: c for m, c in image(key).items() if c} for key in basis]))
     return out
 
 
@@ -278,21 +293,47 @@ def _ad_traces(model: LieModel):
     return traces
 
 
+class NotACochainComplex(Exception):
+    """Raised when the BRST differential of a table does not square to zero,
+    so it has no Chevalley-Eilenberg cohomology.
+
+    ``check`` is ``"jacobi"`` or ``"rep"``, and ``violation`` the first
+    (indices, residual) pair that ``jacobi_check`` or ``rep_check`` returns.
+    """
+
+    def __init__(self, check: str, violation):
+        what = "Jacobi fails" if check == "jacobi" else "not a representation"
+        super().__init__(f"{what} at {violation[0]}, so d^2 != 0")
+        self.check = check
+        self.violation = violation
+
+
 def ce_cohomology_dims(model: LieModel, p: int):
     """dim ker - incoming rank per ghost degree, by exact sparse elimination.
 
-    Here d_q maps ghost degree q to q + 1.  At p = 0 with every trace
-    tr ad(e_k) zero, only d_q for q <= (n-1)//2 is built and ranked, for
-    n = dim: rank d_q = rank d_(n-1-q) for the other q < n, and d_n = 0
-    (Poincare duality, see the module docstring; Jacobi is not needed).
-    Otherwise every d_q is ranked.
+    Raises ``NotACochainComplex`` when ``jacobi_check`` or, at p = 1,
+    ``rep_check`` finds a violation: the dims are defined only when d
+    squares to zero.  Here d_q maps ghost degree q to q + 1, and each d_q
+    is ranked on the basis monomials of C^q that are not pivot leads of
+    d_(q-1), a complement of its image (see the module docstring).  At
+    p = 0 with every trace tr ad(e_k) zero, only d_q for q <= (n-1)//2 is
+    built and ranked, for n = dim, and rank d_q = rank d_(n-1-q) for the
+    other q < n (Poincare duality).  Otherwise d_0..d_(n-1) are ranked.
+    d_n = 0 always.
     """
+    image = _ce_differential(model, p)
+    for check, violations in (("jacobi", jacobi_check(model)),
+                              ("rep", rep_check(model) if p else [])):
+        if violations:
+            raise NotACochainComplex(check, violations[0])
     n = model.dim
     dual = p == 0 and not any(_ad_traces(model))
-    pieces = _ce_images(model, p, (n - 1) // 2 if dual else None)
-    ranks = [sparse_rank(images) for _, images in pieces]
-    if dual:
-        ranks += [ranks[n - 1 - q] for q in range(len(ranks), n)] + [0]
+    ranks, leads = [], set()
+    for q in range((n - 1) // 2 + 1 if dual else n):
+        leads = set(pivot_leads([image(key) for key in _ce_basis(model.module_dim, n, p, q)
+                                 if key not in leads]))
+        ranks.append(len(leads))
+    ranks += [ranks[n - 1 - q] for q in range(len(ranks), n)] + [0]
     sizes = [comb(n, q) * (model.module_dim if p else 1) for q in range(n + 1)]
     return [size - rank - prev for size, rank, prev in zip(sizes, ranks, [0] + ranks)]
 

@@ -1,8 +1,9 @@
 """Exact rational matrices and their rank by sparse integer elimination.
 
-Rank has one route, ``sparse_rank``: each vector is a sparse map
+Rank has one route, ``pivot_leads``: each vector is a sparse map
 {column key: rational}, scaled to a primitive integer row, and the rows are
-reduced into an echelon form keyed by their lead column.  Every intermediate
+reduced into an echelon form keyed by their lead column; ``sparse_rank`` is
+the number of leads.  Every intermediate
 row is divided by the gcd of its entries, so no floating point and no
 fraction blow-up is involved.
 """
@@ -58,18 +59,24 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
-def sparse_rank(vectors) -> int:
-    """Rank over Q of sparse vectors {column key: int or Fraction}.
+def pivot_leads(vectors) -> list:
+    """Column keys of the pivot leads of an echelon form of sparse vectors
+    {column key: int or Fraction}, one per pivot, so as many as the rank.
 
     Column keys need only be hashable.  Columns are renumbered from the
     rarest to the most common and each row's lead is its rarest column,
     which keeps fill-in low.  Rows are reduced sparsest first; a row meets
     only the pivot rows whose lead it contains, and each reduction step
-    removes the row's lead without adding a rarer column.
+    removes the row's lead without adding a rarer column.  So every pivot
+    row is zero on the columns rarer than its lead, and the pivot rows
+    together with the unit vectors of the columns that are not leads form
+    a triangular basis: those unit vectors span a complement of the span of
+    the vectors.
     """
     vectors = [{k: x for k, x in vec.items() if x} for vec in vectors]
     counts = Counter(k for vec in vectors for k in vec)
-    column = {k: n for n, (k, _) in enumerate(sorted(counts.items(), key=itemgetter(1)))}
+    keys = [k for k, _ in sorted(counts.items(), key=itemgetter(1))]
+    column = {k: n for n, k in enumerate(keys)}
     rows = []
     for vec in vectors:
         if vec:
@@ -98,4 +105,10 @@ def sparse_rank(vectors) -> int:
                     del row[k]
             if row:
                 row = _primitive(row)
-    return len(pivots)
+    return [keys[lead] for lead in pivots]
+
+
+def sparse_rank(vectors) -> int:
+    """Rank over Q of sparse vectors {column key: int or Fraction}: the
+    number of ``pivot_leads``."""
+    return len(pivot_leads(vectors))

@@ -114,7 +114,7 @@ def test_criterion_05_lift_and_master_equation():
     # basis (t, e, f) with [t,e] = e, [t,f] = -f, [e,f] = 2t; in these
     # coordinates the adjoint-invariant quadratic is exactly vh^2 + 4 ve vf
     adj = sl2_rescaled().adjoint()
-    D = brst_rep(adj, ["vh", "ve", "vf"], ["c1", "c2", "c3"])
+    D = brst_rep(adj, ["vh", "ve", "vf"])
     bvs = BVSpace.over_fields([("vh", EVEN), ("ve", EVEN), ("vf", EVEN),
                                ("c1", ODD), ("c2", ODD), ("c3", ODD)])
     s0 = parse_expression("vh^2 + 4*ve*vf", bvs.ctx)

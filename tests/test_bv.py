@@ -177,13 +177,13 @@ class TestSignOracles:
 
 class TestQuadraticLift:
     def test_sl2_s1(self):
-        D = brst_lie(sl2(), ["ch", "ce", "cf"])
-        bvs = BVSpace.over_fields([("ch", ODD), ("ce", ODD), ("cf", ODD)])
+        D = brst_lie(sl2())
+        bvs = BVSpace.over_fields([("c1", ODD), ("c2", ODD), ("c3", ODD)])
         s1 = bvs.s1_of(D)
         ctx = bvs.ctx
-        expected = (ctx.gen("chp") * ctx.monomial(1, odd=["ce", "cf"])
-                    + ctx.gen("cep") * ctx.monomial(2, odd=["ch", "ce"])
-                    + ctx.gen("cfp") * ctx.monomial(-2, odd=["ch", "cf"]))
+        expected = (ctx.gen("c1p") * ctx.monomial(1, odd=["c2", "c3"])
+                    + ctx.gen("c2p") * ctx.monomial(2, odd=["c1", "c2"])
+                    + ctx.gen("c3p") * ctx.monomial(-2, odd=["c1", "c3"]))
         assert s1 == expected
         assert s1.parity() == EVEN
 
@@ -256,7 +256,7 @@ class TestMasterEquations:
     def test_sl2_rescaled_lift(self):
         # basis (t, e, f): the invariant of the adjoint action is vh^2 + 4 ve vf
         adj = sl2_rescaled().adjoint()
-        D = brst_rep(adj, ["vh", "ve", "vf"], ["c1", "c2", "c3"])
+        D = brst_rep(adj, ["vh", "ve", "vf"])
         bvs = BVSpace.over_fields([("vh", EVEN), ("ve", EVEN), ("vf", EVEN),
                                    ("c1", ODD), ("c2", ODD), ("c3", ODD)])
         ctx = bvs.ctx
@@ -273,7 +273,7 @@ class TestMasterEquations:
     def test_invariant_coefficient_tracks_basis_normalization(self):
         # under [h,e] = 2e, [h,f] = -2f, [e,f] = h the invariant is vh^2 + ve*vf
         adj = sl2().adjoint()
-        D = brst_rep(adj, ["vh", "ve", "vf"], ["c1", "c2", "c3"])
+        D = brst_rep(adj, ["vh", "ve", "vf"])
         ctx = D.ctx
         assert D.apply(parse_expression("vh^2 + ve*vf", ctx)).is_zero
         assert not D.apply(parse_expression("vh^2 + 4*ve*vf", ctx)).is_zero
@@ -410,7 +410,7 @@ class TestTraceCrossCheck:
 class TestAntifieldReport:
     def test_first_order_master_solution(self):
         adj = sl2_rescaled().adjoint()
-        D = brst_rep(adj, ["vh", "ve", "vf"], ["c1", "c2", "c3"])
+        D = brst_rep(adj, ["vh", "ve", "vf"])
         bvs = BVSpace.over_fields([("vh", EVEN), ("ve", EVEN), ("vf", EVEN),
                                    ("c1", ODD), ("c2", ODD), ("c3", ODD)])
         s0 = parse_expression("vh^2 + 4*ve*vf", bvs.ctx)

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bvcalc import ModelError, cli, parse_model
+from bvcalc import Derivation, ModelError, cli, parse_model
 from bvcalc.modelfile import load_model
 
 from conftest import MODELS
@@ -346,6 +346,23 @@ class TestCommands:
         code, out = run(capsys, "linf", MODELS / "sl2.model", "--nmax", "3")
         assert code == 0
         assert "row 3: 0" in out
+
+    @pytest.mark.parametrize("name", ["abelian", "sl2", "sl2_adjoint", "solvable2"])
+    @pytest.mark.parametrize("flags", [(), ("--nmax", "5")], ids=["default", "nmax5"])
+    def test_linf_squares_once(self, name, flags, capsys, monkeypatch):
+        # one Derivation.apply per generator image: the square is taken once
+        calls = []
+        real = Derivation.apply
+
+        def spy(self, poly):
+            calls.append(poly)
+            return real(self, poly)
+        monkeypatch.setattr(Derivation, "apply", spy)
+        path = MODELS / f"{name}.model"
+        code, out = run(capsys, "linf", path, *flags)
+        assert code == 0 and "square_zero: true" in out
+        lm = load_model(str(path)).lie
+        assert len(calls) == lm.dim + lm.module_dim
 
     def test_ce_cohomology(self, capsys):
         code, out = run(capsys, "ce-cohomology", MODELS / "sl2.model")

@@ -38,11 +38,11 @@ def homotopy_derivation(ctx, with_top=True):
 
 class TestApply:
     def test_sl2_image(self):
-        D = brst_lie(sl2(), ["ch", "ce", "cf"])
+        D = brst_lie(sl2())
         ctx = D.ctx
-        assert D.image("ch") == ctx.monomial(1, odd=["ce", "cf"])
-        assert D.image("ce") == ctx.monomial(2, odd=["ch", "ce"])
-        assert D.image("cf") == ctx.monomial(-2, odd=["ch", "cf"])
+        assert D.image("c1") == ctx.monomial(1, odd=["c2", "c3"])
+        assert D.image("c2") == ctx.monomial(2, odd=["c1", "c2"])
+        assert D.image("c3") == ctx.monomial(-2, odd=["c1", "c3"])
 
     def test_kills_constants(self):
         D = brst_lie(sl2())
@@ -50,10 +50,10 @@ class TestApply:
         assert D.apply(D.ctx.scalar(7)).is_zero
 
     def test_leibniz_cancellation(self):
-        # D(ch*ce) = (ce*cf)*ce - ch*(2*ch*ce) = 0
-        D = brst_lie(sl2(), ["ch", "ce", "cf"])
+        # D(c1*c2) = (c2*c3)*c2 - c1*(2*c1*c2) = 0
+        D = brst_lie(sl2())
         ctx = D.ctx
-        assert D.apply(ctx.gen("ch") * ctx.gen("ce")).is_zero
+        assert D.apply(ctx.gen("c1") * ctx.gen("c2")).is_zero
 
     def test_leibniz_random(self, rng, homotopy_ctx):
         D = random_derivation(rng, homotopy_ctx)

@@ -3,11 +3,12 @@ from math import comb
 
 import pytest
 
-from bvcalc import (LieModel, brst_lie, brst_rep, ce_cohomology_dims,
-                    ce_matrices, ghost_context, jacobi_check, rep_check,
-                    rep_context, trace_condition)
+from bvcalc import (LieModel, NotACochainComplex, brst_lie, brst_rep,
+                    ce_cohomology_dims, ce_matrices, ghost_context, jacobi_check,
+                    rep_check, rep_context, trace_condition)
 from bvcalc import lie
 from bvcalc.lie import _ad_traces, _ce_images
+from bvcalc.linalg import sparse_rank
 
 from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
 from oracles import (action_matrix, bareiss_rank, brst_half_sum, ce_cohomology_dims_full,
@@ -122,11 +123,11 @@ class TestRep:
 
 class TestBrst:
     def test_brst_lie_images(self):
-        D = brst_lie(sl2(), ["ch", "ce", "cf"])
+        D = brst_lie(sl2())
         ctx = D.ctx
-        assert D.image("ch") == ctx.monomial(1, odd=["ce", "cf"])
-        assert D.image("ce") == ctx.monomial(2, odd=["ch", "ce"])
-        assert D.image("cf") == ctx.monomial(-2, odd=["ch", "cf"])
+        assert D.image("c1") == ctx.monomial(1, odd=["c2", "c3"])
+        assert D.image("c2") == ctx.monomial(2, odd=["c1", "c2"])
+        assert D.image("c3") == ctx.monomial(-2, odd=["c1", "c3"])
 
     def test_abelian_zero(self):
         assert brst_lie(abelian(3)).is_zero
@@ -245,48 +246,101 @@ class TestChevalleyEilenberg:
 
 
 class TestDualityRoute:
-    """With every tr ad(e_k) zero, ce_cohomology_dims at p = 0 builds and
-    ranks d_0..d_((n-1)//2) only; otherwise it ranks all of d_0..d_n.  Both
+    """With every tr ad(e_k) zero, ce_cohomology_dims at p = 0 ranks
+    d_0..d_((n-1)//2) only; otherwise it ranks d_0..d_(n-1).  Each d_q is
+    ranked on the basis monomials that are not pivot leads of d_(q-1).  Both
     routes agree with the full-complex oracle."""
 
     @pytest.fixture
-    def built(self, monkeypatch):
-        """The number of differentials each library call builds."""
-        counts = []
-        real = lie._ce_images
+    def ranked(self, monkeypatch):
+        """The number of images each elimination of a library call takes."""
+        sizes = []
+        real = lie.pivot_leads
 
-        def spy(model, p, top=None):
-            pieces = real(model, p, top)
-            counts.append(len(pieces))
-            return pieces
-        monkeypatch.setattr(lie, "_ce_images", spy)
-        return counts
+        def spy(vectors):
+            vectors = list(vectors)
+            sizes.append(len(vectors))
+            return real(vectors)
+        monkeypatch.setattr(lie, "pivot_leads", spy)
+        return sizes
 
-    def test_solvable2_takes_full_route(self, built):
+    def test_solvable2_takes_full_route(self, ranked):
         assert _ad_traces(solvable2()) == [-1, 0]
         assert ce_cohomology_dims(solvable2(), 0) == ce_cohomology_dims_full(solvable2(), 0) \
             == [1, 1, 0]
-        assert built == [3]
+        assert ranked == [1, 2]
 
-    def test_dimensions_zero_and_one(self, built):
+    def test_dimensions_zero_and_one(self, ranked):
         assert ce_cohomology_dims(LieModel.build(0, {}), 0) == [1]
         assert ce_cohomology_dims(abelian(1), 0) == [1, 1]
-        assert built == [0, 1]
+        assert ranked == [1]
 
-    def test_p0_with_a_module(self, built):
+    def test_p0_with_a_module(self, ranked):
         adj = sl2().adjoint()
         assert ce_cohomology_dims(adj, 0) == ce_cohomology_dims_full(adj, 0) == [1, 0, 0, 1]
-        # p = 1 is another complex; it always takes the full route
+        assert ranked == [1, 3]
+        # p = 1 is another complex; it always takes the full route.  d_0 and
+        # d_1 have ranks 3 and 6, so d_1 and d_2 see 9 - 3 and 9 - 6 images
         assert ce_cohomology_dims(adj, 1) == ce_cohomology_dims_full(adj, 1) == [0, 0, 0, 0]
-        assert built == [2, 4]
+        assert ranked == [1, 3, 3, 6, 3]
 
-    def test_traceless_table_that_fails_jacobi(self, built):
+    def test_traceless_table_that_fails_jacobi(self, ranked):
         # so(3) with [e3, e4] = e1 added: every trace is zero, Jacobi fails
         model = LieModel.build(4, {(2, 0, 1): 1, (0, 1, 2): 1, (0, 2, 3): 1})
         assert not any(_ad_traces(model)) and jacobi_check(model)
-        assert ce_cohomology_dims(model, 0) == ce_cohomology_dims_full(model, 0) \
-            == [1, 2, 2, 2, 1]
-        assert built == [2]
+        with pytest.raises(NotACochainComplex):
+            ce_cohomology_dims(model, 0)
+        assert ranked == []
+
+    @pytest.mark.parametrize("build, p", [
+        (lambda: gl(3), 0), (lambda: sl(3), 0),
+        (lambda: change_basis(gl(3), [(0, 4, 1), (3, 1, -1), (8, 2, 1)]), 0),
+        (lambda: gl(2).adjoint(), 1), (lambda: sl2_half_f().adjoint(), 1)],
+        ids=["gl3", "sl3", "gl3-sheared", "gl2-adjoint", "sl2-half-f-adjoint"])
+    def test_ranks_only_a_complement(self, ranked, build, p):
+        model = build()
+        pieces = _ce_images(model, p)
+        full = [sparse_rank(images) for _, images in pieces]
+        assert ce_cohomology_dims(model, p) == ce_cohomology_dims_full(model, p)
+        assert ranked == [len(basis) - prev for (basis, _), prev
+                          in zip(pieces, [0] + full)][:len(ranked)]
+        assert sum(ranked) < sum(len(basis) for basis, _ in pieces[:len(ranked)])
+
+
+class TestNotACochainComplex:
+    """ce_cohomology_dims refuses a table whose differential does not square
+    to zero and names the first violation of the check that failed."""
+
+    def test_non_jacobi(self):
+        broken = LieModel.build(3, {(2, 0, 1): 1, (0, 0, 1): 1,
+                                    (0, 1, 2): 1, (1, 2, 0): 1})
+        for model, p in ((broken, 0), (broken.adjoint(), 0), (broken.adjoint(), 1)):
+            with pytest.raises(NotACochainComplex) as info:
+                ce_cohomology_dims(model, p)
+            assert info.value.check == "jacobi"
+            assert info.value.violation == jacobi_check(model)[0]
+            assert str(info.value) == "Jacobi fails at (0, 1, 2), so d^2 != 0"
+
+    def test_non_representation(self):
+        adj = sl2().adjoint()
+        rho = dict(adj.rho)
+        rho[(0, 0, 0)] = Fraction(1)
+        broken = LieModel(adj.dim, adj.module_dim, adj.f, rho)
+        with pytest.raises(NotACochainComplex) as info:
+            ce_cohomology_dims(broken, 1)
+        assert info.value.check == "rep"
+        assert info.value.violation == rep_check(broken)[0]
+        assert str(info.value).startswith("not a representation at (")
+        # at p = 0 the module does not enter the complex
+        assert ce_cohomology_dims(broken, 0) == [1, 0, 0, 1]
+
+    def test_p_is_validated_first(self):
+        broken = LieModel.build(3, {(2, 0, 1): 1, (0, 0, 1): 1,
+                                    (0, 1, 2): 1, (1, 2, 0): 1})
+        with pytest.raises(ValueError, match="p = 1 needs a module"):
+            ce_cohomology_dims(broken, 1)
+        with pytest.raises(ValueError, match="only p = 0 and p = 1"):
+            ce_cohomology_dims(sl2(), 2)
 
 
 def poincare(*degrees):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bvcalc.linalg import ExactMatrix, sparse_rank
+from bvcalc.linalg import ExactMatrix, pivot_leads, sparse_rank
 
 from oracles import bareiss_rank, fraction_rank
 
@@ -88,6 +88,18 @@ class TestRank:
     def test_integer_and_fraction_entries_agree(self):
         assert sparse_rank([{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}]) == 1
         assert sparse_rank([{0: 10**30, 1: 1}, {0: 1, 1: Fraction(1, 10**30)}]) == 1
+
+    def test_non_leads_span_a_complement(self, rng):
+        # the unit vectors of the columns that are not leads, added to the
+        # vectors, give full rank: they span a complement of the span
+        for _ in range(200):
+            ncols = rng.randint(1, 9)
+            rows = random_rows(rng, rng.randint(1, 9), ncols)
+            leads = pivot_leads(sparse(rows))
+            assert len(leads) == len(set(leads)) == bareiss_rank(rows)
+            units = [[Fraction(int(c == k)) for c in range(ncols)]
+                     for k in range(ncols) if k not in leads]
+            assert bareiss_rank(rows + units) == ncols
 
 
 class TestExactMatrix:
