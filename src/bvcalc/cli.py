@@ -19,6 +19,7 @@ import sys
 from fractions import Fraction
 
 from . import gauge, identities, lie
+from .derivations import linf_rows
 from .modelfile import Model, ModelError, load_model
 from .parser import ParseError
 from .randgen import random_poly
@@ -165,7 +166,7 @@ def _cmd_linf(model: Model, args):
                            if not p.is_zero])
     else:
         _require_count("n_max", n_max, MAX_NMAX)
-    rows = D.linf_relations(n_max, square)
+    rows = linf_rows(square, n_max)
     details = []
     for n, row in rows:
         nonzero = {v: p for v, p in row.items() if not p.is_zero}
@@ -185,10 +186,10 @@ def _cmd_ce_cohomology(model: Model, args):
     try:
         dims = lie.ce_cohomology_dims(lm, args.p)
     except lie.NotACochainComplex as exc:
-        what, kind, check = {"jacobi": ("Jacobi fails", "triple", "check-lie"),
-                             "rep": ("not a representation", "pair", "check-rep")}[exc.check]
-        raise Refusal(f"{what} at {_label(kind, exc.violation[0])}, so d^2 != 0 "
-                      f"(see {check})") from None
+        kind, command = {"jacobi": ("triple", "check-lie"),
+                         "rep": ("pair", "check-rep")}[exc.check]
+        raise Refusal(f"{exc.what} at {_label(kind, exc.violation[0])}, so d^2 != 0 "
+                      f"(see {command})") from None
     details = [("dims", "(" + ", ".join(str(d) for d in dims) + ")")]
     details += [(f"H^{q}", d) for q, d in enumerate(dims)]
     return PASS, details

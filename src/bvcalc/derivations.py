@@ -71,20 +71,6 @@ class Derivation:
         return {g.name: self.apply(self.image(g.name))
                 for g in self.ctx.generators}
 
-    def linf_relations(self, n_max: int, square=None):
-        """[(n, {generator: degree-n part of D(D(generator))})] for n = 0..n_max.
-
-        The n = 1, 2, 3 rows are the first quadratic relations of the homotopy
-        ladder; all rows vanish iff the square does.  ``square`` is this
-        derivation's ``square_residual()`` when the caller already has it.
-        """
-        if n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if square is None:
-            square = self.square_residual()
-        return [(n, {v: p.degree_part(n) for v, p in square.items()})
-                for n in range(0, n_max + 1)]
-
     def commutator(self, other: "Derivation") -> "Derivation":
         """Graded commutator [D,E] = DE - (-1)^(parity D * parity E) ED."""
         if other.ctx != self.ctx:
@@ -105,6 +91,19 @@ class Derivation:
     def __repr__(self):
         imgs = ", ".join(f"{v} -> {img}" for v, img in sorted(self.images.items()))
         return f"Derivation({'odd' if self.parity else 'even'}; {imgs})"
+
+
+def linf_rows(square, n_max: int):
+    """[(n, {generator: degree-n part of D(D(generator))})] for n = 0..n_max.
+
+    ``square`` is a derivation's ``square_residual()``.  The n = 1, 2, 3 rows
+    are the first quadratic relations of the homotopy ladder; all rows vanish
+    iff the square does.
+    """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    return [(n, {v: p.degree_part(n) for v, p in square.items()})
+            for n in range(0, n_max + 1)]
 
 
 def _apply_into(out: dict, even_images, odd_images, terms: dict) -> dict:

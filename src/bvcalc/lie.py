@@ -297,15 +297,17 @@ class NotACochainComplex(Exception):
     """Raised when the BRST differential of a table does not square to zero,
     so it has no Chevalley-Eilenberg cohomology.
 
-    ``check`` is ``"jacobi"`` or ``"rep"``, and ``violation`` the first
-    (indices, residual) pair that ``jacobi_check`` or ``rep_check`` returns.
+    ``check`` is ``"jacobi"`` or ``"rep"``, ``violation`` the first
+    (indices, residual) pair that ``jacobi_check`` or ``rep_check`` returns,
+    and ``what`` the wording of the failure ("Jacobi fails" or "not a
+    representation") that starts the message.
     """
 
     def __init__(self, check: str, violation):
-        what = "Jacobi fails" if check == "jacobi" else "not a representation"
-        super().__init__(f"{what} at {violation[0]}, so d^2 != 0")
         self.check = check
         self.violation = violation
+        self.what = "Jacobi fails" if check == "jacobi" else "not a representation"
+        super().__init__(f"{self.what} at {violation[0]}, so d^2 != 0")
 
 
 def ce_cohomology_dims(model: LieModel, p: int):

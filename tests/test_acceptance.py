@@ -14,6 +14,7 @@ import pytest
 from bvcalc import (BVSpace, Derivation, EVEN, LieModel, ODD, Scalar, brst_lie,
                     brst_rep, ce_cohomology_dims, cli, jacobi_check,
                     parse_expression, rep_check, trace_condition)
+from bvcalc.derivations import linf_rows
 from bvcalc.gauge import (ExpElement, GaugeFermion, NotDeltaClosed, exp_delta,
                           gauge_independence_experiment, lagrangian_integral,
                           standard_damping)
@@ -226,7 +227,7 @@ def test_criterion_09_homotopy_relations():
         D = Derivation(ctx, ODD, images)
         square = D.square_residual()
         n_max = max((p.max_degree() for p in square.values()), default=1) or 1
-        rows = D.linf_relations(n_max)
+        rows = linf_rows(square, n_max)
         for g in ctx.generators:
             total = ctx.zero()
             for _, row in rows:
@@ -238,13 +239,13 @@ def test_criterion_09_homotopy_relations():
     # verified by direct composition through apply)
     full = Derivation(ctx, ODD, {"c1": mk("c1*c3"), "c2": mk("b + c1*c2"),
                                  "b": mk("c1*b + c1*c2*c3")})
-    rows = dict(full.linf_relations(3))
+    rows = dict(linf_rows(full.square_residual(), 3))
     for n in (1, 2, 3):
         assert all(p.is_zero for p in rows[n].values()), n
 
     dropped = Derivation(ctx, ODD, {"c1": mk("c1*c3"), "c2": mk("b + c1*c2"),
                                     "b": mk("c1*b")})
-    rows = dict(dropped.linf_relations(3))
+    rows = dict(linf_rows(dropped.square_residual(), 3))
     assert all(p.is_zero for p in rows[1].values())
     assert all(p.is_zero for p in rows[2].values())
     assert any(not p.is_zero for p in rows[3].values())

@@ -318,6 +318,7 @@ class TestNotACochainComplex:
             with pytest.raises(NotACochainComplex) as info:
                 ce_cohomology_dims(model, p)
             assert info.value.check == "jacobi"
+            assert info.value.what == "Jacobi fails"
             assert info.value.violation == jacobi_check(model)[0]
             assert str(info.value) == "Jacobi fails at (0, 1, 2), so d^2 != 0"
 
@@ -329,6 +330,7 @@ class TestNotACochainComplex:
         with pytest.raises(NotACochainComplex) as info:
             ce_cohomology_dims(broken, 1)
         assert info.value.check == "rep"
+        assert info.value.what == "not a representation"
         assert info.value.violation == rep_check(broken)[0]
         assert str(info.value).startswith("not a representation at (")
         # at p = 0 the module does not enter the complex
