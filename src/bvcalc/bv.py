@@ -13,8 +13,9 @@ Sign conventions (chosen once; every identity test depends on them):
   odd member of pair i, whichever of them is the field, the pair's term is
       (<-d_o Phi)(d_e Psi) + (d_e Phi)(d_o Psi),
   since a right derivative by an even generator is the left one.  So the
-  bracket sweeps each argument once, taking d_e and d_o for every pair as
-  plain term dicts, and builds no derivative Poly.
+  bracket takes d_e and d_o for every pair from one ``_derivs`` sweep over
+  each argument (right derivatives on Phi, left ones on Psi), as plain
+  terms dicts, and builds no derivative Poly.
 """
 
 from __future__ import annotations
@@ -25,13 +26,13 @@ from fractions import Fraction
 from .derivations import Derivation
 from .scalars import Scalar
 from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, Poly,
-                           _collect, _mul_into)
+                           _derivs, _mul_into)
 
 
 class BVSpace:
     """A Context in which every field generator has a paired antifield."""
 
-    __slots__ = ("ctx", "field_ctx", "pairs", "_pair_slots")
+    __slots__ = ("ctx", "field_ctx", "pairs", "_pair_slots", "_even_slots", "_odd_bits")
 
     def __init__(self, ctx: Context):
         fields = [g for g in ctx.generators if g.role == FIELD]
@@ -41,11 +42,14 @@ class BVSpace:
         self.ctx = ctx
         self.pairs = ctx.pairs
         self.field_ctx = Context(Generator(g.name, g.parity, FIELD) for g in fields)
-        # per pair: the even member's slot and the odd member's bit
+        # per pair: the even member's slot and the odd member's bit, for
+        # delta as pairs and for the bracket's sweeps as two lists
         self._pair_slots = []
         for f, a in self.pairs:
             even, odd = (f, a) if ctx.parity_of(f) == EVEN else (a, f)
             self._pair_slots.append((ctx.slot(even)[1], 1 << ctx.slot(odd)[1]))
+        self._even_slots = [s for s, _ in self._pair_slots]
+        self._odd_bits = [bit for _, bit in self._pair_slots]
 
     @classmethod
     def over_fields(cls, specs) -> "BVSpace":
@@ -82,7 +86,7 @@ class BVSpace:
                     mono = (exps[:s] + (k - 1,) + exps[s + 1:], mask ^ bit)
                     prev = get(mono)
                     out[mono] = dc if prev is None else prev + dc
-        return _collect(self.ctx, out)
+        return Poly(self.ctx, out)
 
     def bracket(self, phi: Poly, psi: Poly) -> Poly:
         """sum over pairs of <-dPhi/dx+ dPsi/dx + <-dPhi/dx dPsi/dx+.
@@ -94,33 +98,17 @@ class BVSpace:
             raise ValueError("context mismatch")
         if phi.is_zero or psi.is_zero:
             return self.ctx.zero()
+        n = len(self.pairs)
+        d_phi = _derivs(phi.terms, self._even_slots, self._odd_bits, right=True)
+        d_psi = _derivs(psi.terms, self._even_slots, self._odd_bits)
         out = {}
-        for (de_phi, do_phi), (de_psi, do_psi) in zip(
-                self._pair_derivs(phi.terms, True), self._pair_derivs(psi.terms, False)):
-            if do_phi and de_psi:
-                _mul_into(out, 1, do_phi, de_psi)
-            if de_phi and do_psi:
-                _mul_into(out, 1, de_phi, do_psi)
-        return _collect(self.ctx, out)
-
-    def _pair_derivs(self, terms: dict, right: bool) -> list:
-        """Per pair, the terms of the even member's derivative and of the odd
-        member's, from one sweep over ``terms``.  The odd derivative is a
-        right derivative when ``right``, else a left one; each lowers one
-        exponent or clears one bit, so neither needs merging."""
-        out = [({}, {}) for _ in self._pair_slots]
-        for (exps, mask), c in terms.items():
-            # the right sign (-1)^(1 + odd generators after v) is the left
-            # sign (-1)^(odd generators before v) times (-1)^p(monomial)
-            flip = mask.bit_count() & 1 if right else 0
-            for (s, bit), (de, do) in zip(self._pair_slots, out):
-                k = exps[s]
-                if k:
-                    de[exps[:s] + (k - 1,) + exps[s + 1:], mask] = c * k
-                if mask & bit:
-                    neg = ((mask & (bit - 1)).bit_count() + flip) & 1
-                    do[exps, mask ^ bit] = -c if neg else c
-        return out
+        # pair e's even member is derivative e and its odd member o = n + e
+        for e in range(n):
+            o = n + e
+            for a, b in ((o, e), (e, o)):
+                if a in d_phi and b in d_psi:
+                    _mul_into(out, d_phi[a], d_psi[b])
+        return Poly(self.ctx, out)
 
     def bracket_via_defect(self, phi: Poly, psi: Poly) -> Poly:
         """The bracket recovered from delta and the product alone:
@@ -155,11 +143,11 @@ class BVSpace:
             img = D.image(f)
             if any(img.mono_antifield_degree(m) for m in img.terms):
                 raise ValueError("derivation touches antifields")
-            _mul_into(out, 1, self.ctx.gen(a).terms, img.terms)
+            _mul_into(out, self.ctx.gen(a).terms, img.terms)
         for g in self.ctx.generators:
             if g.role == ANTIFIELD and not D.image(g.name).is_zero:
                 raise ValueError("derivation touches antifields")
-        return _collect(self.ctx, out)
+        return Poly(self.ctx, out)
 
     def extract_derivation(self, s1: Poly) -> Derivation:
         """Field-space derivation with image bracket(s1, field); inverse of s1_of."""
@@ -242,7 +230,7 @@ class BVSpace:
                 continue
             onshell = self.evaluate_even_fields(res_b, point)
             point_results.append(PointResult(dict(point), True, {}, onshell))
-        return AntifieldReport(parts, res_a, res_b, point_results)
+        return AntifieldReport(res_a, res_b, point_results)
 
 
 @dataclass
@@ -255,7 +243,6 @@ class PointResult:
 
 @dataclass
 class AntifieldReport:
-    components: dict
     bracket_s0_s1: Poly
     offshell_residual: Poly          # {S1,S1} + 2{S0,S2}
     points: list

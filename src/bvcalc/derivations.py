@@ -9,13 +9,13 @@ of a strong homotopy structure.
 
 from __future__ import annotations
 
-from .superalgebra import Context, EVEN, ODD, Poly, _collect, _mul_into
+from .superalgebra import Context, EVEN, ODD, Poly, _derivs, _mul_into
 
 
 class Derivation:
     """Derivation of fixed parity, stored as generator -> image Poly."""
 
-    __slots__ = ("ctx", "parity", "images", "_even_images", "_odd_images")
+    __slots__ = ("ctx", "parity", "images", "_table")
 
     def __init__(self, ctx: Context, parity: int, images):
         if parity not in (EVEN, ODD):
@@ -37,12 +37,11 @@ class Derivation:
         self.ctx = ctx
         self.parity = parity
         self.images = clean
-        # (slot, image terms) per generator with an image, for ``apply``
-        self._even_images = []
-        self._odd_images = []
+        slots = ([], [])  # (slot, image terms) of the even and odd generators
         for name, img in clean.items():
             gen_parity, s = ctx.slot(name)
-            (self._odd_images if gen_parity else self._even_images).append((s, img.terms))
+            slots[gen_parity].append((s, img.terms))
+        self._table = _slot_table(*slots)
 
     def image(self, name: str) -> Poly:
         self.ctx.slot(name)
@@ -63,8 +62,7 @@ class Derivation:
         """
         if poly.ctx != self.ctx:
             raise ValueError("context mismatch")
-        return _collect(self.ctx, _apply_into({}, self._even_images, self._odd_images,
-                                              poly.terms))
+        return Poly(self.ctx, _apply_into({}, self._table, poly.terms))
 
     def square_residual(self):
         """{generator: D(D(generator))}; all zero iff D squares to zero."""
@@ -106,29 +104,28 @@ def linf_rows(square, n_max: int):
             for n in range(0, n_max + 1)]
 
 
-def _apply_into(out: dict, even_images, odd_images, terms: dict) -> dict:
+def _slot_table(even, odd):
+    """The (even slots, odd bits, images) table ``_apply_into`` takes, from
+    (slot, image terms) pairs of the even and of the odd generators.  Empty
+    images are left out, and the images are listed evens first, so image i
+    goes with the derivative ``_derivs`` returns under index i."""
+    even = [(s, img) for s, img in even if img]
+    odd = [(s, img) for s, img in odd if img]
+    return [s for s, _ in even], [1 << s for s, _ in odd], [img for _, img in even + odd]
+
+
+def _apply_into(out: dict, table, terms: dict) -> dict:
     """Add sum_v D(v) * d/dv of ``terms`` into ``out`` and return it.
 
-    ``even_images`` and ``odd_images`` list (slot, image terms) for each
-    generator with an image.  Each monomial is differentiated in place by
-    every generator it contains that has an image, and every D(v) * dm/dv
-    lands in ``out`` through ``_mul_into``; cancelled coefficients stay as
-    zeros.  Coefficients may be of any type with ``*``, ``+`` and unary
+    ``table`` is ``_slot_table``'s (even slots, odd bits, image terms), built
+    once per derivation.  One ``_derivs`` sweep takes the left derivative of
+    ``terms`` by every generator with an image, and each nonzero D(v) *
+    d/dv lands in ``out`` through ``_mul_into``; cancelled coefficients stay
+    as zeros.  Coefficients may be of any type with ``*``, ``+`` and unary
     ``-``: ``Scalar`` for ``Derivation.apply``, ``int`` or ``Fraction`` for
     the rational BRST table in ``lie``.
     """
-    for (exps, mask), c in terms.items():
-        for s, img in even_images:
-            k = exps[s]
-            if k:
-                mono = (exps[:s] + (k - 1,) + exps[s + 1:], mask)
-                _mul_into(out, 1, img, {mono: c * k})
-        if not mask:
-            continue
-        for s, img in odd_images:
-            bit = 1 << s
-            if mask & bit:
-                # d/dv of an odd v passes the odd generators before it
-                dc = -c if (mask & (bit - 1)).bit_count() & 1 else c
-                _mul_into(out, 1, img, {(exps, mask ^ bit): dc})
+    even_slots, odd_bits, images = table
+    for i, d in _derivs(terms, even_slots, odd_bits).items():
+        _mul_into(out, images[i], d)
     return out

@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .bv import BVSpace
 from .scalars import Scalar
-from .superalgebra import EVEN, FIELD, ODD, Poly, _add_into, _collect, _mul_into
+from .superalgebra import EVEN, FIELD, ODD, Poly, _add_into, _mul_into
 
 
 class NotDeltaClosed(Exception):
@@ -188,7 +188,7 @@ def standard_damping(bvs: BVSpace) -> Poly:
     for f, _ in bvs.pairs:
         if ctx.parity_of(f) == EVEN:
             _add_into(out, ctx.monomial(half, even={f: 2}).terms)
-    return _collect(ctx, out)
+    return Poly(ctx, out)
 
 
 def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:
@@ -225,8 +225,8 @@ def _exp_nilpotent(nil: Poly) -> Poly:
     while True:
         power = power * nil
         if power.is_zero:
-            return _collect(ctx, out)
-        _mul_into(out, 1, ctx.scalar(Fraction(1, math.factorial(k))).terms, power.terms)
+            return Poly(ctx, out)
+        _mul_into(out, ctx.scalar(Fraction(1, math.factorial(k))).terms, power.terms)
         k += 1
 
 

@@ -15,7 +15,9 @@ monomial, with ``int`` coefficients where the denominator is 1 and
 ``Fraction`` ones otherwise.  The Jacobi and representation residuals are
 read off the square of that differential, and the Chevalley-Eilenberg
 images are the differential applied to each cochain monomial, both through
-``derivations._apply_into``, the Leibniz loop of ``Derivation.apply``.
+``derivations._apply_into``, the Leibniz loop of ``Derivation.apply``: for
+each generator, its image times the derivative by it, with the slot table
+of that loop built once per BRST table.
 None of this can produce an i or an hbar, so no ``Scalar`` is involved;
 only ``brst_lie`` and ``brst_rep`` wrap the same table as Polys.
 
@@ -57,11 +59,10 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .derivations import Derivation, _apply_into
+from .derivations import Derivation, _apply_into, _slot_table
 from .linalg import ExactMatrix, pivot_leads
 from .scalars import Scalar
-from .superalgebra import (Context, EVEN, Generator, ODD, Poly, _add_into, _collect,
-                           _mask_bits, _poly)
+from .superalgebra import Context, EVEN, Generator, ODD, Poly, _add_into, _mask_bits, _poly
 
 
 @dataclass(frozen=True)
@@ -157,11 +158,6 @@ def _brst_table(model: LieModel, module: bool):
     return even, odd
 
 
-def _slots(images):
-    """The (slot, image terms) pairs ``_apply_into`` takes."""
-    return [(s, img) for s, img in enumerate(images) if img]
-
-
 def _violations(squares, read):
     """[(indices, read(mask))] for each odd mask with a nonzero coefficient in
     some square, in ``combinations`` order of the odd indices."""
@@ -178,8 +174,8 @@ def jacobi_check(model: LieModel):
     sum_l (f^l_jk f^i_lm + f^l_km f^i_lj + f^l_mj f^i_lk).
     """
     _, odd = _brst_table(model, False)
-    odd_slots = _slots(odd)
-    squares = [_apply_into({}, (), odd_slots, img) for img in odd]
+    table = _slot_table((), enumerate(odd))
+    squares = [_apply_into({}, table, img) for img in odd]
     return _violations(squares, lambda mask: [Fraction(sq.get(((), mask), 0))
                                               for sq in squares])
 
@@ -191,8 +187,8 @@ def rep_check(model: LieModel):
     coefficient of D^2(v^a) for D = brst_rep(model).
     """
     even, odd = _brst_table(model, True)
-    even_slots, odd_slots = _slots(even), _slots(odd)
-    squares = [_apply_into({}, even_slots, odd_slots, img) for img in even]
+    table = _slot_table(enumerate(even), enumerate(odd))
+    squares = [_apply_into({}, table, img) for img in even]
     n = model.module_dim
     units = [_unit(n, b) for b in range(n)]
     return _violations(squares, lambda mask: ExactMatrix(
@@ -249,8 +245,8 @@ def _ce_differential(model: LieModel, p: int):
     if p == 1 and model.module_dim == 0:
         raise ValueError("p = 1 needs a module")
     even, odd = _brst_table(model, True)
-    even_slots, odd_slots = _slots(even), _slots(odd)
-    return lambda key: _apply_into({}, even_slots, odd_slots, {key: 1})
+    table = _slot_table(enumerate(even), enumerate(odd))
+    return lambda key: _apply_into({}, table, {key: 1})
 
 
 def _ce_images(model: LieModel, p: int):
@@ -354,4 +350,4 @@ def trace_condition(model: LieModel, module_names=None) -> Poly:
             total += model.rho_at(i, i, k)
         if total:
             _add_into(out, ctx.monomial(total, odd=[cs[k]]).terms)
-    return _collect(ctx, out)
+    return Poly(ctx, out)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .scalars import Scalar
-from .superalgebra import Context, EVEN, ODD, Poly, _add_into, _collect
+from .superalgebra import Context, EVEN, ODD, Poly, _add_into
 
 
 def random_scalar(rng, hbar_max: int = 0) -> Scalar:
@@ -40,7 +40,7 @@ def random_poly(rng, ctx: Context, max_degree: int = 4, terms: int = 4,
             if ctx.parity_of(g) == EVEN:
                 even[g] = even.get(g, 0) + 1
         _add_into(out, ctx.monomial(random_scalar(rng, hbar_max), even, odd).terms)
-    return _collect(ctx, out)
+    return Poly(ctx, out)
 
 
 def random_homogeneous(rng, ctx: Context, max_degree: int = 4, terms: int = 4):

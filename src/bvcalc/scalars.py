@@ -10,7 +10,9 @@ and ``(re, im) != (0, 0)``.  This form is canonical, so equal scalars have
 equal dicts.  Arithmetic works on the integers directly (gcd-normalized
 rational arithmetic, Knuth TAOCP vol. 2, 4.5.1); ``Fraction`` appears only
 at the edges: the public constructor, ``key()``, ``as_fraction()`` and
-rendering.
+rendering.  The constructor takes int or Fraction parts and int hbar powers
+only; anything else (a float, a string, a fractional power) is a TypeError,
+never a silent conversion.
 """
 
 from __future__ import annotations
@@ -28,10 +30,12 @@ class Scalar:
         clean = {}
         if terms:
             for k, (re, im) in terms.items():
-                if not isinstance(re, (int, Fraction)):
-                    re = Fraction(re)
-                if not isinstance(im, (int, Fraction)):
-                    im = Fraction(im)
+                if not isinstance(k, int):
+                    raise TypeError(f"an hbar power must be an int, not {k!r}")
+                for part in (re, im):
+                    if not isinstance(part, (int, Fraction)):
+                        raise TypeError(f"a scalar part must be an int or Fraction, "
+                                        f"not {part!r}")
                 if re or im:
                     # Both parts are reduced, so over their lcm the triple
                     # already has gcd 1: a prime dividing den divides the
@@ -39,8 +43,8 @@ class Scalar:
                     # numerator is prime to it.
                     d1, d2 = re.denominator, im.denominator
                     den = d1 if d1 == d2 else lcm(d1, d2)
-                    clean[int(k)] = (re.numerator * (den // d1),
-                                     im.numerator * (den // d2), den)
+                    clean[k] = (re.numerator * (den // d1),
+                                im.numerator * (den // d2), den)
         self._terms = clean
 
     # -- constructors -------------------------------------------------
@@ -122,19 +126,7 @@ class Scalar:
                 else:
                     del terms[k]
             return _make(terms)
-        if isinstance(other, int):
-            if not other:
-                return self
-            terms = dict(self._terms)
-            # re + other*den is re modulo den, so the gcd stays 1.
-            re, im, den = terms.get(0, (0, 0, 1))
-            re += other * den
-            if re or im:
-                terms[0] = (re, im, den)
-            else:
-                del terms[0]
-            return _make(terms)
-        if isinstance(other, Fraction):
+        if isinstance(other, (int, Fraction)):
             return self + Scalar.of(other)
         return NotImplemented
 

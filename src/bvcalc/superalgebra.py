@@ -7,13 +7,19 @@ even generators and a strictly increasing set of odd generators (as a bitmask);
 odd squares vanish, and every product sign is the parity of the number of
 transpositions needed to merge the odd factor lists.
 
-Every product goes through one private kernel, ``_mul_into(terms, sign, a,
-b)``: it adds ``sign * a * b`` into a plain dict of terms, merging equal
-monomials as it goes and leaving any coefficient that cancels to zero in
-place.  A sum of products (a derivation applied to a polynomial, the
-antibracket, a substitution) therefore accumulates into one dict, and the
-zero coefficients are dropped once, when ``_collect`` turns the dict into a
-Poly.  ``Poly.__mul__`` is the kernel applied to an empty dict.
+Every product goes through one private kernel, ``_mul_into(terms, a, b)``:
+it adds ``a * b`` into a plain dict of terms, merging equal monomials as it
+goes and leaving any coefficient that cancels to zero in place.  A sum of
+products (a derivation applied to a polynomial, the antibracket, a
+substitution) therefore accumulates into one dict, and the zero
+coefficients are dropped once, when the ``Poly`` constructor takes the
+dict.  ``Poly.__mul__`` is the kernel applied to an empty dict.
+
+Every first derivative comes from one private sweep, ``_derivs(terms,
+even_slots, odd_bits, right)``: one pass over the terms yields the left (or
+right) derivative by each listed generator, and it is the only code that
+knows their Koszul signs.  ``Poly.left_deriv``, ``Poly.right_deriv``, the
+antibracket and ``Derivation.apply`` all take their derivatives from it.
 
 ``Poly.substitute`` touches only the assigned generators: it groups the terms
 by their assigned part, passes the terms with none through unchanged, and
@@ -174,7 +180,11 @@ class Context:
             parity, s = self.slot(name)
             if parity != EVEN:
                 raise ValueError(f"{name} is odd; pass it in the odd sequence")
-            exps[s] += int(k)
+            if not isinstance(k, int):
+                raise TypeError(f"exponent of {name} must be an int, not {k!r}")
+            if k < 0:
+                raise ValueError(f"exponent of {name} must be non-negative, not {k}")
+            exps[s] += k
         c = Scalar.of(coeff)
         mask = 0
         for name in odd:
@@ -266,19 +276,17 @@ def _merge_sign(a: int, b: int):
     return -1 if inv & 1 else 1
 
 
-def _mul_into(terms: dict, sign: int, a: dict, b: dict) -> dict:
-    """Add sign * a * b into ``terms``, with a, b and terms monomial ->
-    coefficient (a Scalar, or an int or Fraction in ``lie``).
+def _mul_into(terms: dict, a: dict, b: dict) -> dict:
+    """Add a * b into ``terms``, with a, b and terms monomial -> coefficient
+    (a Scalar, or an int or Fraction in ``lie``).
 
     Each term pair follows the ``_merge_sign`` rule: overlapping odd masks
     are skipped, and the Koszul sign of merging a's odd factors with b's
     flips the product.  Coefficients that cancel stay in ``terms`` as zeros;
-    ``_collect`` drops them once the sum is complete.
+    the ``Poly`` constructor drops them once the sum is complete.
     """
     get = terms.get
     for (e1, m1), c1 in a.items():
-        if sign < 0:
-            c1 = -c1
         neg = None
         # bit j of above1 is the parity of the odd factors of a above slot
         # j: the transpositions that an odd factor j of b makes merging in
@@ -304,12 +312,50 @@ def _mul_into(terms: dict, sign: int, a: dict, b: dict) -> dict:
 
 
 def _add_into(terms: dict, a: dict) -> dict:
-    """Add the terms of a into ``terms``; zeros are left for ``_collect``."""
+    """Add the terms of a into ``terms``; zeros are left for ``Poly``."""
     get = terms.get
     for mono, c in a.items():
         prev = get(mono)
         terms[mono] = c if prev is None else prev + c
     return terms
+
+
+def _derivs(terms: dict, even_slots, odd_bits, right: bool = False) -> dict:
+    """{i: the first derivative of ``terms`` by generator i} for each listed
+    generator whose derivative is nonzero, from one sweep over the terms.
+
+    The generators are the even ones at ``even_slots`` and then the odd ones
+    at ``odd_bits`` (``1 << slot``), and i indexes that joint list.  The
+    derivatives are left ones, or right ones when ``right``; by an even
+    generator the two agree.  Coefficients may be of any type with ``*`` by
+    an int and unary ``-``.  Each derivative lowers one exponent or clears
+    one bit, which is injective on the monomials it applies to, and c*k with
+    k > 0 never vanishes, so no derivative needs merging or a zero filter.
+    """
+    out = {}
+    get = out.get
+    evens = list(enumerate(even_slots))
+    odds = list(enumerate(odd_bits, len(even_slots)))
+    for (exps, mask), c in terms.items():
+        for i, s in evens:
+            k = exps[s]
+            if k:
+                d = get(i)
+                if d is None:
+                    d = out[i] = {}
+                d[exps[:s] + (k - 1,) + exps[s + 1:], mask] = c * k
+        if mask:
+            # the left sign is (-1)^(odd generators before v); the right
+            # sign (-1)^(1 + odd generators after v) is that times
+            # (-1)^p(monomial)
+            flip = mask.bit_count() & 1 if right else 0
+            for i, bit in odds:
+                if mask & bit:
+                    d = get(i)
+                    if d is None:
+                        d = out[i] = {}
+                    d[exps, mask ^ bit] = -c if ((mask & (bit - 1)).bit_count() + flip) & 1 else c
+    return out
 
 
 class Poly:
@@ -332,7 +378,7 @@ class Poly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        return _collect(self.ctx, _add_into(dict(self.terms), other.terms))
+        return Poly(self.ctx, _add_into(dict(self.terms), other.terms))
 
     __radd__ = __add__
 
@@ -347,7 +393,7 @@ class Poly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return _collect(self.ctx, _mul_into({}, 1, self.terms, other.terms))
+        return Poly(self.ctx, _mul_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -389,32 +435,16 @@ class Poly:
     # -- derivatives -------------------------------------------------------
 
     def left_deriv(self, name: str) -> "Poly":
-        # Lowering one exponent (or clearing one odd bit) is injective on the
-        # monomials it applies to, and c*k with k > 0 never vanishes, so the
-        # result needs neither merging nor a zero filter.
-        parity, s = self.ctx.slot(name)
-        if parity == EVEN:
-            terms = {(exps[:s] + (exps[s] - 1,) + exps[s + 1:], mask): c * exps[s]
-                     for (exps, mask), c in self.terms.items() if exps[s]}
-        else:
-            bit = 1 << s
-            below = bit - 1
-            # sign: odd generators preceding this one inside the monomial
-            terms = {(exps, mask ^ bit): -c if (mask & below).bit_count() & 1 else c
-                     for (exps, mask), c in self.terms.items() if mask & bit}
-        return _poly(self.ctx, terms)
+        return self._deriv(name, False)
 
     def right_deriv(self, name: str) -> "Poly":
         """(-1)^(parity(v)*parity(F)) * left derivative, sign taken per monomial."""
+        return self._deriv(name, True)
+
+    def _deriv(self, name: str, right: bool) -> "Poly":
         parity, s = self.ctx.slot(name)
-        if parity == EVEN:
-            return self.left_deriv(name)
-        bit = 1 << s
-        # the left sign (odd generators before v) times (-1)^p(monomial)
-        # leaves (-1)^(1 + odd generators after v)
-        terms = {(exps, mask ^ bit): c if (mask >> s + 1).bit_count() & 1 else -c
-                 for (exps, mask), c in self.terms.items() if mask & bit}
-        return _poly(self.ctx, terms)
+        even_slots, odd_bits = ((s,), ()) if parity == EVEN else ((), (1 << s,))
+        return _poly(self.ctx, _derivs(self.terms, even_slots, odd_bits, right).get(0, {}))
 
     # -- substitution ------------------------------------------------------
 
@@ -474,14 +504,14 @@ class Poly:
                 if k:
                     cache = powers[s]
                     while len(cache) <= k:
-                        cache.append(_collect(ctx, _mul_into({}, 1, cache[-1], cache[1])).terms)
+                        cache.append(Poly(ctx, _mul_into({}, cache[-1], cache[1])).terms)
                     factors.append(cache[k])
             factors += [odd_images[s] for s in _mask_bits(a_mask)]
             product = factors[0]
             for f in factors[1:]:
-                product = _mul_into({}, 1, product, f)
-            _mul_into(out, 1, part, product)
-        return _collect(ctx, out)
+                product = _mul_into({}, product, f)
+            _mul_into(out, part, product)
+        return Poly(ctx, out)
 
     # -- gradings -----------------------------------------------------------
 
@@ -515,18 +545,6 @@ class Poly:
         for m, c in self.terms.items():
             buckets.setdefault(self.mono_antifield_degree(m), {})[m] = c
         return [(k, Poly(self.ctx, buckets[k])) for k in sorted(buckets)]
-
-    def coefficient(self, even=None, odd=()) -> Scalar:
-        """Coefficient of the canonical monomial with the given factors."""
-        exps = [0] * self.ctx.n_even
-        for name, k in (even or {}).items():
-            _, s = self.ctx.slot(name)
-            exps[s] = int(k)
-        mask = 0
-        for name in odd:
-            _, s = self.ctx.slot(name)
-            mask |= 1 << s
-        return self.terms.get((tuple(exps), mask), Scalar.zero())
 
     # -- rendering -----------------------------------------------------------
 
@@ -589,8 +607,3 @@ def _poly(ctx: Context, terms) -> Poly:
     p.ctx = ctx
     p.terms = terms
     return p
-
-
-def _collect(ctx: Context, terms: dict) -> Poly:
-    """The Poly of an accumulated terms dict: the one zero filter of a sum."""
-    return _poly(ctx, {m: c for m, c in terms.items() if c})

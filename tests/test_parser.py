@@ -92,7 +92,8 @@ class TestGrammar:
         assert parse_expression("(x+1)^200", ctx) == (x + 1) ** 200
         wide = parse_expression("(x+1)^400", ctx)
         assert len(wide.terms) == 401
-        assert wide.coefficient({"x": 200}) == Scalar.of(comb(400, 200))
+        # the monomial x^200: exponents of (x, y), no odd factor
+        assert wide.terms[(200, 0), 0] == Scalar.of(comb(400, 200))
         assert parse_expression("(x+y+1)^16", ctx) == (x + y + 1) ** 16
         assert parse_expression("(x-y)^10*x", ctx) == (x - y) ** 10 * x
         assert parse_expression("(2*x*c1 + y)^1000", ctx) == \

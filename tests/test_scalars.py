@@ -34,6 +34,35 @@ def test_laurent_powers_multiply():
     assert len(Scalar.zero()) == 0
 
 
+def test_fractional_hbar_power_is_refused():
+    # once truncated to hbar^2
+    with pytest.raises(TypeError, match="hbar power must be an int"):
+        Scalar.hbar(2.5)
+
+
+def test_float_hbar_power_key_is_refused():
+    # once truncated to hbar^1
+    with pytest.raises(TypeError, match="hbar power must be an int"):
+        Scalar({1.7: (1, 0)})
+
+
+def test_float_part_is_refused():
+    # once the binary value 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Scalar({0: (0.1, 0)})
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Scalar({0: (1, 0.5)})
+
+
+def test_string_part_is_refused():
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Scalar({0: ("1/3", 0)})
+
+
+def test_negative_hbar_powers_stay_allowed():
+    assert Scalar({-1: (Fraction(1, 2), 0)}) * Scalar.hbar(1) == Scalar.of(Fraction(1, 2))
+
+
 def test_split_hbar_strips_power():
     s = Scalar.of(2) + Scalar.hbar(1, 3) + Scalar.hbar(1) * Scalar.i()
     parts = dict(s.split_hbar())

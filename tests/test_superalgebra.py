@@ -2,9 +2,9 @@ import pytest
 
 from bvcalc import EVEN, ODD, Scalar
 from bvcalc.randgen import random_homogeneous, random_poly
-from bvcalc.superalgebra import Context, _collect, _mul_into
+from bvcalc.superalgebra import Context, Poly, _derivs, _mul_into
 
-from oracles import add_pairwise, mul_pairwise, substitute_sum
+from oracles import add_pairwise, mul_pairwise, right_deriv_split, substitute_sum
 
 
 def brute_merge_sign(left, right):
@@ -74,6 +74,16 @@ class TestProducts:
             c = random_poly(rng, ctx_mixed, 3, 3)
             assert (a * b) * c == a * (b * c)
 
+    def test_monomial_refuses_a_fractional_exponent(self, ctx_mixed):
+        # once truncated to x
+        with pytest.raises(TypeError, match="exponent of x must be an int"):
+            ctx_mixed.monomial(1, {"x": 1.5})
+
+    def test_monomial_refuses_a_negative_exponent(self, ctx_mixed):
+        # once printed as 1, unequal to 1, and equal to 1 times x^2
+        with pytest.raises(ValueError, match="exponent of x must be non-negative"):
+            ctx_mixed.monomial(1, {"x": -2})
+
     def test_context_mismatch_rejected(self, ctx_mixed):
         other = Context.plain([("x", EVEN)])
         with pytest.raises(ValueError, match="context"):
@@ -97,6 +107,28 @@ class TestDerivatives:
         assert t1t2.right_deriv("t1") == ctx_mixed.gen("t2")
         x = ctx_mixed.gen("x")
         assert (x * x).right_deriv("x") == 2 * x
+
+    def test_one_sweep_gives_every_derivative(self, ctx_mixed, rng):
+        ctx = ctx_mixed
+        names = ctx.even_names + ctx.odd_names
+        even_slots = [ctx.slot(v)[1] for v in ctx.even_names]
+        odd_bits = [1 << ctx.slot(v)[1] for v in ctx.odd_names]
+
+        def sweep(p, right=False):
+            derivs = _derivs(p.terms, even_slots, odd_bits, right)
+            assert all(derivs.values())  # only the nonzero derivatives
+            return [Poly(ctx, derivs.get(i, {})) for i in range(len(names))]
+
+        # left: the expected values of test_left_deriv_examples, by x, y, t1, t2
+        x, t1, t2 = ctx.gen("x"), ctx.gen("t1"), ctx.gen("t2")
+        zero = ctx.zero()
+        assert sweep(t1 * t2) == [zero, zero, t2, -t1]
+        assert sweep(ctx.monomial(1, {"x": 2}, ["t1"])) == [
+            ctx.monomial(2, {"x": 1}, ["t1"]), zero, x * x, zero]
+        for _ in range(100):
+            p = random_poly(rng, ctx, 4, 5, hbar_max=1)
+            assert sweep(p) == [p.left_deriv(v) for v in names]
+            assert sweep(p, right=True) == [right_deriv_split(p, v) for v in names]
 
     def test_leibniz_random(self, ctx_mixed, rng):
         for _ in range(100):
@@ -223,12 +255,15 @@ class TestKernelOracles:
         for a, b in self.polys(rng, ctx_mixed, 150):
             c = random_poly(rng, ctx_mixed, 4, 4, hbar_max=1)
             for sign in (1, -1):
-                out = _collect(ctx_mixed, _mul_into(dict(c.terms), sign, a.terms, b.terms))
+                # a with each coefficient times sign adds sign * a * b
+                signed = {m: sign * v for m, v in a.terms.items()}
+                out = Poly(ctx_mixed, _mul_into(dict(c.terms), signed, b.terms))
                 assert out == add_pairwise(c, mul_pairwise(ctx_mixed.scalar(sign),
                                                            mul_pairwise(a, b)))
             # c - c*1 leaves every coefficient at zero until the filter
-            assert _collect(ctx_mixed, _mul_into(dict(c.terms), -1, c.terms,
-                                                 ctx_mixed.one().terms)).is_zero
+            negated = {m: -v for m, v in c.terms.items()}
+            assert Poly(ctx_mixed, _mul_into(dict(c.terms), negated,
+                                             ctx_mixed.one().terms)).is_zero
 
     def test_substitute(self, ctx_mixed, rng):
         for p, _ in self.polys(rng, ctx_mixed, 150):
