@@ -178,7 +178,7 @@ class BVSpace:
     def quantum_master_residual(self, s: Poly) -> Poly:
         """{S, S} - 2 i hbar delta(S); zero iff exp(iS/hbar) is delta-closed."""
         s = self.check_action(s)
-        two_i_hbar = Scalar.hbar(1, 1) * Scalar.i() * 2
+        two_i_hbar = Scalar.hbar() * Scalar.i() * 2
         return self.bracket(s, s) - two_i_hbar * self.delta(s)
 
     def hbar_equations(self, s: Poly):
@@ -193,7 +193,7 @@ class BVSpace:
     def omega_apply(self, s: Poly, psi: Poly) -> Poly:
         """The quantum BRST operator: -i hbar delta(psi) + {S, psi}."""
         s = self.check_action(s)
-        i_hbar = Scalar.hbar(1, 1) * Scalar.i()
+        i_hbar = Scalar.hbar() * Scalar.i()
         return -(i_hbar * self.delta(psi)) + self.bracket(s, psi)
 
     # -- antifield-degree analysis -------------------------------------------

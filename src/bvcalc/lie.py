@@ -10,16 +10,16 @@ Conventions, fixed once here and used everywhere:
   is present, v^i to rho^i_jk v^j c^k.
 
 Every quantity here is computed over Q from one BRST table,
-``_brst_table``: the images of the generators as terms dicts keyed by
-monomial, with ``int`` coefficients where the denominator is 1 and
-``Fraction`` ones otherwise.  The Jacobi and representation residuals are
-read off the square of that differential, and the Chevalley-Eilenberg
-images are the differential applied to each cochain monomial, both through
-``derivations._apply_into``, the Leibniz loop of ``Derivation.apply``: for
-each generator, its image times the derivative by it, with the slot table
-of that loop built once per BRST table.
-None of this can produce an i or an hbar, so no ``Scalar`` is involved;
-only ``brst_lie`` and ``brst_rep`` wrap the same table as Polys.
+``_brst_table``, built once per call on ``rep_context``'s slots: the
+images of the generators as terms dicts keyed by monomial, with ``int``
+coefficients where the denominator is 1 and ``Fraction`` ones otherwise,
+and the slot table of ``derivations._apply_into``, the Leibniz loop of
+``Derivation.apply`` (each generator's image times the derivative by it).
+One reader, ``_violations``, takes the Jacobi or the representation
+residual off the square D^2 of the images; the Chevalley-Eilenberg images
+are the same loop applied to each cochain monomial.
+No i or hbar can arise, so no ``Scalar`` is involved; only ``brst_rep``
+wraps the table as Polys (``brst_lie`` is that of the module-free model).
 
 Poincare duality of the ghost complex.  The traces tr ad(e_k) = f^i_ik
 (``_ad_traces``) are the bracket half of ``trace_condition``.  On the top
@@ -30,7 +30,7 @@ a in Lambda^q and b in Lambda^(n-1-q) the Leibniz rule gives
 d_q in complementary-mask bases and the two have equal rank (Hazewinkel,
 "A duality theorem for cohomology of Lie algebras", Math. USSR-Sb. 12,
 1970).  The duality itself uses only the derivation property of d, but
-the ranks are cohomology only when d squares to zero, which the guard below
+the ranks are cohomology only when d squares to zero, which the guard
 ensures; so ``ce_cohomology_dims`` ranks d_0..d_((n-1)//2) alone at p = 0
 for a traceless table.  At p = 1 the transpose of d is the differential with
 coefficients in the dual module, a different complex, so every degree up to
@@ -54,7 +54,7 @@ violation instead of ranking a table that is not a complex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -121,9 +121,7 @@ class LieModel:
 
     def adjoint(self) -> "LieModel":
         """Same algebra acting on itself: rho[i, j, k] = f[i, k, j]."""
-        rho = {(i, j, k): self.f_at(i, k, j)
-               for i in range(self.dim) for j in range(self.dim)
-               for k in range(self.dim) if self.f_at(i, k, j)}
+        rho = {(i, j, k): val for (i, k, j), val in self.f.items() if val}
         return LieModel(self.dim, self.dim, dict(self.f), rho)
 
 
@@ -136,34 +134,45 @@ def _unit(n: int, j: int) -> tuple:
     return tuple(int(s == j) for s in range(n))
 
 
-def _brst_table(model: LieModel, module: bool):
-    """(even images, odd images) of the BRST differential, one terms dict
-    per generator slot, with int or Fraction coefficients.
+def _brst_table(model: LieModel):
+    """(even images, odd images, slot table) of the BRST differential on
+    ``rep_context``'s slots: one terms dict per generator, with int or
+    Fraction coefficients, and the ``_slot_table`` that applies them.
 
     The ghost image of c^i sums (1/2) f^i_jk c^j c^k over both orders of
-    (j, k), which is f^i_jk c^j c^k over j < k.  With ``module`` the context
-    is ``rep_context``'s and v^i maps to rho^i_jk v^j c^k; without it the
-    context is ``ghost_context``'s and there are no even images.
+    (j, k), which is f^i_jk c^j c^k over j < k, and v^i maps to
+    rho^i_jk v^j c^k.  With no module this is the ghost table.
     """
-    n = model.module_dim if module else 0
+    n = model.module_dim
     zero = (0,) * n
     odd = [{} for _ in range(model.dim)]
     for (i, j, k), val in model.f.items():
         if j < k and val:
             odd[i][(zero, 1 << j | 1 << k)] = _rational(val)
     even = [{} for _ in range(n)]
-    for (i, j, k), val in (model.rho.items() if module else ()):
+    for (i, j, k), val in model.rho.items():
         if val:
             even[i][(_unit(n, j), 1 << k)] = _rational(val)
-    return even, odd
+    return even, odd, _slot_table(enumerate(even), enumerate(odd))
 
 
-def _violations(squares, read):
-    """[(indices, read(mask))] for each odd mask with a nonzero coefficient in
-    some square, in ``combinations`` order of the odd indices."""
+def _violations(table, check: str):
+    """[(odd indices, residual)] where the square of ``_brst_table``'s
+    differential fails to vanish, in ``combinations`` order.  For
+    ``check == "jacobi"`` residual entry i is the c^j c^k c^m coefficient of
+    D^2(c^i); for ``"rep"`` entry (a, b) is the v^b c^j c^k one of D^2(v^a).
+    """
+    even, odd, slots = table
+    n = len(even)
+    jacobi = check == "jacobi"
+    keys = [(0,) * n] if jacobi else [_unit(n, b) for b in range(n)]
+    squares = [_apply_into({}, slots, img) for img in (odd if jacobi else even)]
     masks = {mask for sq in squares for (_, mask), c in sq.items() if c}
-    return [(tuple(bits), read(mask)) for bits, mask in
-            sorted((_mask_bits(mask), mask) for mask in masks)]
+    out = []
+    for bits, mask in sorted((_mask_bits(mask), mask) for mask in masks):
+        rows = [[sq.get((key, mask), 0) for key in keys] for sq in squares]
+        out.append((tuple(bits), [Fraction(c) for c, in rows] if jacobi else ExactMatrix(rows, n)))
+    return out
 
 
 def jacobi_check(model: LieModel):
@@ -173,11 +182,7 @@ def jacobi_check(model: LieModel):
     D = brst_lie(model), which is the Jacobiator
     sum_l (f^l_jk f^i_lm + f^l_km f^i_lj + f^l_mj f^i_lk).
     """
-    _, odd = _brst_table(model, False)
-    table = _slot_table((), enumerate(odd))
-    squares = [_apply_into({}, table, img) for img in odd]
-    return _violations(squares, lambda mask: [Fraction(sq.get(((), mask), 0))
-                                              for sq in squares])
+    return _violations(_brst_table(model), "jacobi")
 
 
 def rep_check(model: LieModel):
@@ -186,13 +191,7 @@ def rep_check(model: LieModel):
     Entry (a, b) of the residual for the pair (j, k) is the v^b c^j c^k
     coefficient of D^2(v^a) for D = brst_rep(model).
     """
-    even, odd = _brst_table(model, True)
-    table = _slot_table(enumerate(even), enumerate(odd))
-    squares = [_apply_into({}, table, img) for img in even]
-    n = model.module_dim
-    units = [_unit(n, b) for b in range(n)]
-    return _violations(squares, lambda mask: ExactMatrix(
-        [[sq.get((u, mask), 0) for u in units] for sq in squares], n))
+    return _violations(_brst_table(model), "rep")
 
 
 def ghost_context(m: int) -> Context:
@@ -211,21 +210,17 @@ def rep_context(model: LieModel, module_names=None) -> Context:
 
 def brst_lie(model: LieModel) -> Derivation:
     """Odd derivation with c^i -> (1/2) f^i_jk c^j c^k on the ghost algebra."""
-    return _brst(model, ghost_context(model.dim), False)
+    return brst_rep(replace(model, module_dim=0, rho={}))
 
 
 def brst_rep(model: LieModel, module_names=None) -> Derivation:
-    """Odd derivation with v^i -> rho^i_jk v^j c^k and the ghost images."""
-    return _brst(model, rep_context(model, module_names), True)
-
-
-def _brst(model: LieModel, ctx: Context, module: bool) -> Derivation:
-    """The BRST table as a Derivation with Scalar coefficients on ctx."""
-    even, odd = _brst_table(model, module)
-    names = ctx.even_names + ctx.odd_names
+    """Odd derivation with v^i -> rho^i_jk v^j c^k and the ghost images, as
+    the BRST table with Scalar coefficients."""
+    ctx = rep_context(model, module_names)
+    even, odd, _ = _brst_table(model)
     return Derivation(ctx, ODD, {
         name: _poly(ctx, {m: Scalar.of(c) for m, c in img.items()})
-        for name, img in zip(names, even + odd)})
+        for name, img in zip(ctx.even_names + ctx.odd_names, even + odd)})
 
 
 def _ce_basis(n_even: int, n_odd: int, p: int, q: int):
@@ -236,27 +231,25 @@ def _ce_basis(n_even: int, n_odd: int, p: int, q: int):
     return [(_unit(n_even, v), mask) for v in range(n_even) for mask in masks]
 
 
-def _ce_differential(model: LieModel, p: int):
-    """key -> the sparse image {monomial key: int or Fraction} of the BRST
-    differential of ``brst_rep(model)`` on one basis monomial of C^(p,q);
-    cancelled coefficients may stay as zeros."""
+def _ce_table(model: LieModel, p: int):
+    """``_brst_table(model)`` for the complex C^(p, *), which exists for
+    p = 0 and, given a module, p = 1."""
     if p not in (0, 1):
         raise ValueError("only p = 0 and p = 1 are supported")
     if p == 1 and model.module_dim == 0:
         raise ValueError("p = 1 needs a module")
-    even, odd = _brst_table(model, True)
-    table = _slot_table(enumerate(even), enumerate(odd))
-    return lambda key: _apply_into({}, table, {key: 1})
+    return _brst_table(model)
 
 
 def _ce_images(model: LieModel, p: int):
     """[(basis of C^(p,q), images)] for q = 0..dim, with the zeros dropped
     from each image."""
-    image = _ce_differential(model, p)
+    slots = _ce_table(model, p)[2]
     out = []
     for q in range(model.dim + 1):
         basis = _ce_basis(model.module_dim, model.dim, p, q)
-        out.append((basis, [{m: c for m, c in image(key).items() if c} for key in basis]))
+        out.append((basis, [{m: c for m, c in _apply_into({}, slots, {key: 1}).items() if c}
+                            for key in basis]))
     return out
 
 
@@ -309,26 +302,29 @@ class NotACochainComplex(Exception):
 def ce_cohomology_dims(model: LieModel, p: int):
     """dim ker - incoming rank per ghost degree, by exact sparse elimination.
 
-    Raises ``NotACochainComplex`` when ``jacobi_check`` or, at p = 1,
-    ``rep_check`` finds a violation: the dims are defined only when d
-    squares to zero.  Here d_q maps ghost degree q to q + 1, and each d_q
-    is ranked on the basis monomials of C^q that are not pivot leads of
-    d_(q-1), a complement of its image (see the module docstring).  At
-    p = 0 with every trace tr ad(e_k) zero, only d_q for q <= (n-1)//2 is
+    Raises ``NotACochainComplex`` with the first violation that
+    ``jacobi_check`` or, at p = 1, ``rep_check`` would return: the dims are
+    defined only when d squares to zero.  The guard and every image come
+    from one ``_brst_table``.  Here d_q maps ghost degree q to q + 1, and
+    each d_q is ranked on the basis monomials of C^q that are not pivot
+    leads of d_(q-1), a complement of its image (see the module docstring).
+    At p = 0 with every trace tr ad(e_k) zero, only d_q for q <= (n-1)//2 is
     built and ranked, for n = dim, and rank d_q = rank d_(n-1-q) for the
     other q < n (Poincare duality).  Otherwise d_0..d_(n-1) are ranked.
     d_n = 0 always.
     """
-    image = _ce_differential(model, p)
-    for check, violations in (("jacobi", jacobi_check(model)),
-                              ("rep", rep_check(model) if p else [])):
+    table = _ce_table(model, p)
+    slots = table[2]
+    for check in ("jacobi", "rep")[:p + 1]:
+        violations = _violations(table, check)
         if violations:
             raise NotACochainComplex(check, violations[0])
     n = model.dim
     dual = p == 0 and not any(_ad_traces(model))
     ranks, leads = [], set()
     for q in range((n - 1) // 2 + 1 if dual else n):
-        leads = set(pivot_leads([image(key) for key in _ce_basis(model.module_dim, n, p, q)
+        leads = set(pivot_leads([_apply_into({}, slots, {key: 1})
+                                 for key in _ce_basis(model.module_dim, n, p, q)
                                  if key not in leads]))
         ranks.append(len(leads))
     ranks += [ranks[n - 1 - q] for q in range(len(ranks), n)] + [0]

@@ -11,8 +11,8 @@ equal dicts.  Arithmetic works on the integers directly (gcd-normalized
 rational arithmetic, Knuth TAOCP vol. 2, 4.5.1); ``Fraction`` appears only
 at the edges: the public constructor, ``key()``, ``as_fraction()`` and
 rendering.  The constructor takes int or Fraction parts and int hbar powers
-only; anything else (a float, a string, a fractional power) is a TypeError,
-never a silent conversion.
+only; anything else (a bool, a float, a string, a fractional power) is a
+TypeError, never a silent conversion.
 """
 
 from __future__ import annotations
@@ -30,10 +30,10 @@ class Scalar:
         clean = {}
         if terms:
             for k, (re, im) in terms.items():
-                if not isinstance(k, int):
+                if not isinstance(k, int) or isinstance(k, bool):
                     raise TypeError(f"an hbar power must be an int, not {k!r}")
                 for part in (re, im):
-                    if not isinstance(part, (int, Fraction)):
+                    if not isinstance(part, (int, Fraction)) or isinstance(part, bool):
                         raise TypeError(f"a scalar part must be an int or Fraction, "
                                         f"not {part!r}")
                 if re or im:
@@ -54,7 +54,7 @@ class Scalar:
         """Coerce an int, Fraction or Scalar into a Scalar."""
         if isinstance(value, Scalar):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return _make({0: (value, 0, 1)} if value else {})
         if isinstance(value, Fraction):
             return _make({0: (value.numerator, 0, value.denominator)} if value else {})
@@ -73,8 +73,8 @@ class Scalar:
         return _make({0: (0, 1, 1)})
 
     @classmethod
-    def hbar(cls, power: int = 1, coeff=1) -> "Scalar":
-        return cls({power: (coeff, 0)})
+    def hbar(cls, power: int = 1) -> "Scalar":
+        return cls({power: (1, 0)})
 
     # -- queries ------------------------------------------------------
 
@@ -194,7 +194,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Scalar.of(other)
         if not isinstance(other, Scalar):
             return NotImplemented

@@ -180,7 +180,7 @@ class Context:
             parity, s = self.slot(name)
             if parity != EVEN:
                 raise ValueError(f"{name} is odd; pass it in the odd sequence")
-            if not isinstance(k, int):
+            if not isinstance(k, int) or isinstance(k, bool):
                 raise TypeError(f"exponent of {name} must be an int, not {k!r}")
             if k < 0:
                 raise ValueError(f"exponent of {name} must be non-negative, not {k}")

@@ -25,8 +25,9 @@ factors, with the Koszul sign of splitting them off.
 The BRST routes build the Lie-algebra differential the textbook way, with
 c^i -> (1/2) f^i_jk c^j c^k summed over both orders of (j, k) as Scalar
 Polys, and the Chevalley-Eilenberg images by applying that Derivation to
-each cochain monomial.  The library builds one rational table of the
-images, with each pair j < k entered once, and applies it over Q.  The
+each cochain monomial, and the adjoint action by a lookup per index
+triple.  The library builds one rational table of the images, with each
+pair j < k entered once, and applies it over Q.  The
 Chevalley-Eilenberg oracle ranks every differential of the complex; the
 library ranks only the lower half of it when every tr ad(e_k) is zero, by
 Poincare duality.
@@ -116,6 +117,14 @@ def action_matrix(model, k: int) -> ExactMatrix:
     n = model.module_dim
     return ExactMatrix([[model.rho_at(i, j, k) for j in range(n)]
                         for i in range(n)], n)
+
+
+def adjoint_loop(model) -> dict:
+    """rho of the adjoint action, rho[i, j, k] = f[i, k, j], by a lookup
+    per index triple."""
+    rng = range(model.dim)
+    return {(i, j, k): model.f_at(i, k, j)
+            for i in rng for j in rng for k in rng if model.f_at(i, k, j)}
 
 
 def jacobi_triple_loop(model):

@@ -134,7 +134,7 @@ class TestSignOracles:
 
     def test_bracket_builds_no_derivative_poly(self, spec, rng, monkeypatch):
         bvs = space(spec)
-        two_i_hbar = Scalar.hbar(1, 2) * Scalar.i()
+        two_i_hbar = 2 * Scalar.hbar(1) * Scalar.i()
         cases = []
         for a, b in self.pairs(rng, bvs.ctx, 30):
             s = random_poly(rng, bvs.ctx, 3, 4, parity=EVEN, hbar_max=1)

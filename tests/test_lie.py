@@ -11,8 +11,9 @@ from bvcalc.lie import _ad_traces, _ce_images
 from bvcalc.linalg import sparse_rank
 
 from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
-from oracles import (action_matrix, bareiss_rank, brst_half_sum, ce_cohomology_dims_full,
-                     ce_images_scalar, jacobi_triple_loop, matmul, rep_commutator_check)
+from oracles import (action_matrix, adjoint_loop, bareiss_rank, brst_half_sum,
+                     ce_cohomology_dims_full, ce_images_scalar, jacobi_triple_loop, matmul,
+                     rep_commutator_check)
 
 
 def adjoint_oracle_jacobi(model):
@@ -69,6 +70,16 @@ class TestBuild:
     def test_self_bracket_rejected(self):
         with pytest.raises(ValueError, match="itself"):
             LieModel.build(2, {(0, 1, 1): 1})
+
+    @pytest.mark.parametrize("build", [lambda: gl(3), lambda: sl(3),
+                                       lambda: change_basis(gl(3), [(0, 4, 1), (3, 1, -1)]),
+                                       solvable2, lambda: abelian(3)],
+                             ids=["gl3", "sl3", "gl3-sheared", "solvable2", "abelian3"])
+    def test_adjoint_matches_lookup_loop(self, build):
+        model = build()
+        adj = model.adjoint()
+        assert adj.rho == adjoint_loop(model)
+        assert (adj.dim, adj.module_dim, adj.f) == (model.dim, model.dim, model.f)
 
 
 class TestJacobi:
@@ -163,6 +174,36 @@ class TestBrst:
             square_zero = all(p.is_zero
                               for p in brst_rep(model).square_residual().values())
             assert good == square_zero
+
+
+class TestOneTablePerCall:
+    """Each public Lie check and each cohomology call builds the BRST table
+    once, and the d^2 = 0 guard reads it with the images."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = lie._brst_table
+
+        def spy(model):
+            calls.append(model)
+            return real(model)
+        monkeypatch.setattr(lie, "_brst_table", spy)
+        return calls
+
+    def test_cohomology_builds_one_table(self, builds):
+        adj = sl2().adjoint()
+        for model, p, dims in ((sl2(), 0, [1, 0, 0, 1]), (adj, 1, [0, 0, 0, 0])):
+            builds.clear()
+            assert ce_cohomology_dims(model, p) == dims
+            assert builds == [model]
+
+    def test_checks_build_one_table(self, builds):
+        adj = sl2().adjoint()
+        assert jacobi_check(adj) == []
+        assert builds == [adj]
+        assert rep_check(adj) == []
+        assert builds == [adj, adj]
 
 
 class TestRationalTable:

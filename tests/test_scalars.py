@@ -29,7 +29,7 @@ def test_laurent_powers_multiply():
     # hbar^-2 is needed by the exponential-coefficient identities
     s = Scalar.hbar(-2) * Scalar.hbar(3)
     assert s == Scalar.hbar(1)
-    assert [k for k, _ in Scalar.hbar(1, Fraction(1, 2)).split_hbar()] == [1]
+    assert [k for k, _ in (Scalar.hbar(1) * Fraction(1, 2)).split_hbar()] == [1]
     assert len(s + Scalar.i() + Scalar.hbar(-1)) == 3
     assert len(Scalar.zero()) == 0
 
@@ -59,12 +59,23 @@ def test_string_part_is_refused():
         Scalar({0: ("1/3", 0)})
 
 
+def test_bool_is_refused():
+    # bool subclasses int; each of these once gave hbar, 1 or 1 silently
+    with pytest.raises(TypeError, match="hbar power must be an int"):
+        Scalar.hbar(True)
+    with pytest.raises(TypeError, match="int or Fraction"):
+        Scalar({0: (True, False)})
+    with pytest.raises(TypeError, match="cannot make a Scalar"):
+        Scalar.of(True)
+    assert Scalar.one() != True
+
+
 def test_negative_hbar_powers_stay_allowed():
     assert Scalar({-1: (Fraction(1, 2), 0)}) * Scalar.hbar(1) == Scalar.of(Fraction(1, 2))
 
 
 def test_split_hbar_strips_power():
-    s = Scalar.of(2) + Scalar.hbar(1, 3) + Scalar.hbar(1) * Scalar.i()
+    s = Scalar.of(2) + 3 * Scalar.hbar(1) + Scalar.hbar(1) * Scalar.i()
     parts = dict(s.split_hbar())
     assert parts[0] == Scalar.of(2)
     assert parts[1] == Scalar.of(3) + Scalar.i()
@@ -83,7 +94,7 @@ def test_as_fraction_guards():
     (Scalar.of(-2), "-2"),
     (Scalar.i() * 2, "2*i"),
     (-Scalar.i(), "-1*i"),
-    (Scalar.hbar(2, 3), "3*hbar^2"),
+    (3 * Scalar.hbar(2), "3*hbar^2"),
     (Scalar.hbar(), "hbar"),
     (Scalar.of(1) + Scalar.i() * 2, "1 + 2*i"),
     (Scalar.i() * 2 * Scalar.hbar(2), "2*i*hbar^2"),
@@ -198,8 +209,8 @@ def test_two_routes_to_one_value_share_storage():
     product = Scalar.of(Fraction(1, 2)) * (1 + Scalar.i())
     assert direct._terms == product._terms == {0: (1, 1, 2)}
     assert hash(direct) == hash(product)
-    summed = Scalar.hbar(-1, Fraction(1, 6)) + Scalar.hbar(-1, Fraction(1, 3))
-    scaled = Scalar.hbar(-1, Fraction(3, 2)) * Fraction(1, 3)
+    summed = Scalar.hbar(-1) * Fraction(1, 6) + Scalar.hbar(-1) * Fraction(1, 3)
+    scaled = Scalar.hbar(-1) * Fraction(3, 2) * Fraction(1, 3)
     assert summed._terms == scaled._terms == {-1: (1, 0, 2)}
     assert hash(summed) == hash(scaled)
 
@@ -207,7 +218,7 @@ def test_two_routes_to_one_value_share_storage():
 def test_arithmetic_builds_no_fraction(monkeypatch):
     a = Scalar({0: (Fraction(1, 2), 3), 2: (Fraction(-4, 9), Fraction(1, 6))})
     b = Scalar({-1: (Fraction(5, 3), 0), 2: (Fraction(2, 3), Fraction(-1, 4))})
-    one_term = Scalar.hbar(1, Fraction(3, 4))
+    one_term = Scalar.hbar(1) * Fraction(3, 4)
     made = []
     original = Fraction.__new__
 

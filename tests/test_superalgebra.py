@@ -79,6 +79,11 @@ class TestProducts:
         with pytest.raises(TypeError, match="exponent of x must be an int"):
             ctx_mixed.monomial(1, {"x": 1.5})
 
+    def test_monomial_refuses_a_bool_exponent(self, ctx_mixed):
+        # once printed as x
+        with pytest.raises(TypeError, match="exponent of x must be an int"):
+            ctx_mixed.monomial(1, {"x": True})
+
     def test_monomial_refuses_a_negative_exponent(self, ctx_mixed):
         # once printed as 1, unequal to 1, and equal to 1 times x^2
         with pytest.raises(ValueError, match="exponent of x must be non-negative"):
