@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .bv import BVSpace
 from .scalars import Scalar
-from .superalgebra import EVEN, FIELD, ODD, Poly, _add_into, _mul_into
+from .superalgebra import EVEN, FIELD, ODD, Poly, _add_into, _derivs, _mul_into, _poly
 
 
 class NotDeltaClosed(Exception):
@@ -57,8 +57,16 @@ class GaugeFermion:
 
         The right derivative (an extra sign on odd fields) is what makes the
         exact Stokes property of the integral hold; see the gauge tests.
+        Every field's derivative comes from one ``_derivs`` sweep over F.
         """
-        return {a: self.poly.right_deriv(f) for f, a in self.bvs.pairs}
+        ctx = self.poly.ctx
+        even, odd = [], []
+        for f, a in self.bvs.pairs:
+            parity, s = ctx.slot(f)
+            (odd if parity == ODD else even).append((s, a))
+        derivs = _derivs(self.poly.terms, [s for s, _ in even], [1 << s for s, _ in odd],
+                         right=True)
+        return {a: _poly(ctx, derivs.get(i, {})) for i, (_, a) in enumerate(even + odd)}
 
     def __repr__(self):
         return f"GaugeFermion({self.poly})"

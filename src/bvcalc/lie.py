@@ -17,7 +17,11 @@ and the slot table of ``derivations._apply_into``, the Leibniz loop of
 ``Derivation.apply`` (each generator's image times the derivative by it).
 One reader, ``_violations``, takes the Jacobi or the representation
 residual off the square D^2 of the images; the Chevalley-Eilenberg images
-are the same loop applied to each cochain monomial.
+are the same loop applied to each cochain monomial.  By linearity the
+square is D^2(g) = sum c D(m) over the terms c m of D(g), so it is read off
+per-monomial images, each built once per call (``_image``): the D(c^j c^k)
+of the Jacobi square are the ghost-degree-2 images at p = 0, and the
+D(v^b c^k) of the representation square the degree-1 images at p = 1.
 No i or hbar can arise, so no ``Scalar`` is involved; only ``brst_rep``
 wraps the table as Polys (``brst_lie`` is that of the module-free model).
 
@@ -113,9 +117,6 @@ class LieModel:
                 full_rho[(i, j, k)] = val
         return cls(dim, module_dim, full_f, full_rho)
 
-    def f_at(self, i, j, k) -> Fraction:
-        return self.f.get((i, j, k), Fraction(0))
-
     def rho_at(self, i, j, k) -> Fraction:
         return self.rho.get((i, j, k), Fraction(0))
 
@@ -156,17 +157,45 @@ def _brst_table(model: LieModel):
     return even, odd, _slot_table(enumerate(even), enumerate(odd))
 
 
-def _violations(table, check: str):
+def _image(images: dict, slots, key):
+    """D(key) for one monomial, from ``images`` or built into it."""
+    image = images.get(key)
+    if image is None:
+        image = images[key] = _apply_into({}, slots, {key: 1})
+    return image
+
+
+def _take(images: dict, slots, key):
+    """``_image``, which ``images`` no longer holds afterwards: the ranking
+    is the last use of an image, and it keeps only its own rows."""
+    image = _image(images, slots, key)
+    del images[key]
+    return image
+
+
+def _violations(table, check: str, images: dict):
     """[(odd indices, residual)] where the square of ``_brst_table``'s
     differential fails to vanish, in ``combinations`` order.  For
     ``check == "jacobi"`` residual entry i is the c^j c^k c^m coefficient of
     D^2(c^i); for ``"rep"`` entry (a, b) is the v^b c^j c^k one of D^2(v^a).
+
+    D^2(g) is the sum of c D(m) over the terms c m of D(g), each D(m) taken
+    by ``_image`` from ``images``, a monomial -> image dict that the caller
+    may share with the cochain images it ranks.
     """
     even, odd, slots = table
     n = len(even)
     jacobi = check == "jacobi"
     keys = [(0,) * n] if jacobi else [_unit(n, b) for b in range(n)]
-    squares = [_apply_into({}, slots, img) for img in (odd if jacobi else even)]
+    squares = []
+    for img in odd if jacobi else even:
+        square = {}
+        get = square.get
+        for m, c in img.items():
+            for mono, x in _image(images, slots, m).items():
+                prev = get(mono)
+                square[mono] = c * x if prev is None else prev + c * x
+        squares.append(square)
     masks = {mask for sq in squares for (_, mask), c in sq.items() if c}
     out = []
     for bits, mask in sorted((_mask_bits(mask), mask) for mask in masks):
@@ -182,7 +211,7 @@ def jacobi_check(model: LieModel):
     D = brst_lie(model), which is the Jacobiator
     sum_l (f^l_jk f^i_lm + f^l_km f^i_lj + f^l_mj f^i_lk).
     """
-    return _violations(_brst_table(model), "jacobi")
+    return _violations(_brst_table(model), "jacobi", {})
 
 
 def rep_check(model: LieModel):
@@ -191,7 +220,7 @@ def rep_check(model: LieModel):
     Entry (a, b) of the residual for the pair (j, k) is the v^b c^j c^k
     coefficient of D^2(v^a) for D = brst_rep(model).
     """
-    return _violations(_brst_table(model), "rep")
+    return _violations(_brst_table(model), "rep", {})
 
 
 def ghost_context(m: int) -> Context:
@@ -305,25 +334,27 @@ def ce_cohomology_dims(model: LieModel, p: int):
     Raises ``NotACochainComplex`` with the first violation that
     ``jacobi_check`` or, at p = 1, ``rep_check`` would return: the dims are
     defined only when d squares to zero.  The guard and every image come
-    from one ``_brst_table``.  Here d_q maps ghost degree q to q + 1, and
-    each d_q is ranked on the basis monomials of C^q that are not pivot
-    leads of d_(q-1), a complement of its image (see the module docstring).
+    from one ``_brst_table``, and the guard reads D^2 off per-monomial
+    images that the ranking then takes instead of building them again.
+    Here d_q maps ghost degree q to q + 1, and each d_q is ranked on the
+    basis monomials of C^q that are not pivot leads of d_(q-1), a
+    complement of its image (see the module docstring).
     At p = 0 with every trace tr ad(e_k) zero, only d_q for q <= (n-1)//2 is
     built and ranked, for n = dim, and rank d_q = rank d_(n-1-q) for the
     other q < n (Poincare duality).  Otherwise d_0..d_(n-1) are ranked.
     d_n = 0 always.
     """
     table = _ce_table(model, p)
-    slots = table[2]
+    slots, images = table[2], {}
     for check in ("jacobi", "rep")[:p + 1]:
-        violations = _violations(table, check)
+        violations = _violations(table, check, images)
         if violations:
             raise NotACochainComplex(check, violations[0])
     n = model.dim
     dual = p == 0 and not any(_ad_traces(model))
     ranks, leads = [], set()
     for q in range((n - 1) // 2 + 1 if dual else n):
-        leads = set(pivot_leads([_apply_into({}, slots, {key: 1})
+        leads = set(pivot_leads([_take(images, slots, key)
                                  for key in _ce_basis(model.module_dim, n, p, q)
                                  if key not in leads]))
         ranks.append(len(leads))

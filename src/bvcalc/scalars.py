@@ -144,7 +144,8 @@ class Scalar:
         return Scalar.of(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        # ``type is``, not ``isinstance``: a bool is refused, as by ``+``
+        if type(other) is int:
             if not other:
                 return _make({})
             if other == 1:

@@ -9,11 +9,13 @@ transpositions needed to merge the odd factor lists.
 
 Every product goes through one private kernel, ``_mul_into(terms, a, b)``:
 it adds ``a * b`` into a plain dict of terms, merging equal monomials as it
-goes and leaving any coefficient that cancels to zero in place.  A sum of
-products (a derivation applied to a polynomial, the antibracket, a
-substitution) therefore accumulates into one dict, and the zero
-coefficients are dropped once, when the ``Poly`` constructor takes the
-dict.  ``Poly.__mul__`` is the kernel applied to an empty dict.
+goes and leaving any coefficient that cancels to zero in place.  Its outer
+loop runs over the factor with fewer terms, and the Koszul sign mask comes
+from whichever side that is; coefficients commute, so the products are the
+same either way.  A sum of products (a derivation applied to a polynomial,
+the antibracket, a substitution) therefore accumulates into one dict, and
+the zero coefficients are dropped once, when the ``Poly`` constructor takes
+the dict.  ``Poly.__mul__`` is the kernel applied to an empty dict.
 
 Every first derivative comes from one private sweep, ``_derivs(terms,
 even_slots, odd_bits, right)``: one pass over the terms yields the left (or
@@ -282,30 +284,39 @@ def _mul_into(terms: dict, a: dict, b: dict) -> dict:
 
     Each term pair follows the ``_merge_sign`` rule: overlapping odd masks
     are skipped, and the Koszul sign of merging a's odd factors with b's
-    flips the product.  Coefficients that cancel stay in ``terms`` as zeros;
-    the ``Poly`` constructor drops them once the sum is complete.
+    flips the product.  The outer loop runs over the factor with fewer
+    terms (a on a tie), so its sign mask is built once per outer term and
+    the inner loop is the long one.  The mask's bit j is the parity of the
+    outer term's odd factors that an odd factor j of the inner term must
+    cross: those above j when a is outer, those below j when b is.  The
+    coefficient is ``c_outer * c_inner`` either way, which is the same
+    value since Scalar, int and Fraction products commute.  Coefficients
+    that cancel stay in ``terms`` as zeros; the ``Poly`` constructor drops
+    them once the sum is complete.
     """
     get = terms.get
-    for (e1, m1), c1 in a.items():
+    left = len(a) <= len(b)
+    outer, inner = (a, b) if left else (b, a)
+    for (e1, m1), c1 in outer.items():
         neg = None
-        # bit j of above1 is the parity of the odd factors of a above slot
-        # j: the transpositions that an odd factor j of b makes merging in
-        above1 = 0
+        mask = 0
         m = m1
         while m:
             low = m & -m
-            above1 ^= low - 1
+            # the bits below the factor, or (b outer) the bits above it
+            mask ^= low - 1 if left else -(low << 1)
             m ^= low
-        for (e2, m2), c2 in b.items():
+        for (e2, m2), c2 in inner.items():
             if m1 & m2:
                 continue
-            if (above1 & m2).bit_count() & 1:
+            if (mask & m2).bit_count() & 1:
                 if neg is None:
                     neg = -c1
                 c = neg * c2
             else:
                 c = c1 * c2
-            mono = (tuple(map(add, e1, e2)), m1 | m2)
+            # with no even generators every exponent tuple is ()
+            mono = (tuple(map(add, e1, e2)) if e1 else e1, m1 | m2)
             prev = get(mono)
             terms[mono] = c if prev is None else prev + c
     return terms

@@ -13,6 +13,13 @@ the right derivative as two signed left derivatives, Berezin integration as
 a hand-written coefficient loop, and the Laplacian of P*exp(T) per parity
 of P.  The library takes every sign per monomial instead.
 
+``mul_into_left_outer`` is the earlier multiply-accumulate kernel, whose
+outer loop always runs over the left factor; the library's kernel loops
+over the shorter factor.  ``violations_square`` is the earlier reader of
+the Jacobi and representation residuals, which applies the BRST table to
+each generator's whole image; the library sums per-monomial images that
+it builds once per call.
+
 The sum-loop routes build every step of a sum as a new Poly: the product
 term pair by term pair through the filtering constructor, a derivation as
 the sum over generators of image times left derivative, delta and the
@@ -47,10 +54,11 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import add
 
-from bvcalc.derivations import Derivation
+from bvcalc.derivations import Derivation, _apply_into
 from bvcalc.gauge import ExpElement
-from bvcalc.lie import _ce_images, rep_context
+from bvcalc.lie import _ce_images, _unit, rep_context
 from bvcalc.linalg import ExactMatrix, sparse_rank
 from bvcalc.scalars import Scalar, _atom, _guard, _signed
 from bvcalc.superalgebra import EVEN, ODD, Poly, _mask_bits, _merge_sign
@@ -112,6 +120,11 @@ def fraction_rank(rows) -> int:
     return rank
 
 
+def f_at(model, i, j, k) -> Fraction:
+    """The structure constant f^i_jk of a ``LieModel``, zero when absent."""
+    return model.f.get((i, j, k), Fraction(0))
+
+
 def action_matrix(model, k: int) -> ExactMatrix:
     """Matrix of basis vector k acting on the module."""
     n = model.module_dim
@@ -123,8 +136,8 @@ def adjoint_loop(model) -> dict:
     """rho of the adjoint action, rho[i, j, k] = f[i, k, j], by a lookup
     per index triple."""
     rng = range(model.dim)
-    return {(i, j, k): model.f_at(i, k, j)
-            for i in rng for j in rng for k in rng if model.f_at(i, k, j)}
+    return {(i, j, k): f_at(model, i, k, j)
+            for i in rng for j in rng for k in rng if f_at(model, i, k, j)}
 
 
 def jacobi_triple_loop(model):
@@ -139,9 +152,9 @@ def jacobi_triple_loop(model):
         for i in rng:
             total = Fraction(0)
             for l in rng:
-                total += (model.f_at(l, j, k) * model.f_at(i, l, m)
-                          + model.f_at(l, k, m) * model.f_at(i, l, j)
-                          + model.f_at(l, m, j) * model.f_at(i, l, k))
+                total += (f_at(model, l, j, k) * f_at(model, i, l, m)
+                          + f_at(model, l, k, m) * f_at(model, i, l, j)
+                          + f_at(model, l, m, j) * f_at(model, i, l, k))
             residual.append(total)
         if any(residual):
             out.append(((j, k, m), residual))
@@ -154,7 +167,7 @@ def rep_commutator_check(model):
     n, m = model.module_dim, model.dim
     mats = [action_matrix(model, k) for k in range(m)]
     for j, k in combinations(range(m), 2):
-        lhs = [[sum((model.f_at(l, j, k) * mats[l].rows[a][b] for l in range(m)),
+        lhs = [[sum((f_at(model, l, j, k) * mats[l].rows[a][b] for l in range(m)),
                     Fraction(0)) for b in range(n)] for a in range(n)]
         comm_jk = matmul(mats[j], mats[k])
         comm_kj = matmul(mats[k], mats[j])
@@ -162,6 +175,23 @@ def rep_commutator_check(model):
                      for b in range(n)] for a in range(n)]
         if any(any(row) for row in residual):
             out.append(((j, k), ExactMatrix(residual, n)))
+    return out
+
+
+def violations_square(table, check: str):
+    """The earlier ``lie._violations``: D^2 of each generator by applying
+    the table to its whole image, so D(c^j c^k) is built once per generator
+    whose image holds c^j c^k.  Same output as the library's reader."""
+    even, odd, slots = table
+    n = len(even)
+    jacobi = check == "jacobi"
+    keys = [(0,) * n] if jacobi else [_unit(n, b) for b in range(n)]
+    squares = [_apply_into({}, slots, img) for img in (odd if jacobi else even)]
+    masks = {mask for sq in squares for (_, mask), c in sq.items() if c}
+    out = []
+    for bits, mask in sorted((_mask_bits(mask), mask) for mask in masks):
+        rows = [[sq.get((key, mask), 0) for key in keys] for sq in squares]
+        out.append((tuple(bits), [Fraction(c) for c, in rows] if jacobi else ExactMatrix(rows, n)))
     return out
 
 
@@ -358,6 +388,34 @@ def mul_pairwise(p: Poly, q: Poly) -> Poly:
                 c = -c
             terms[mono] = terms[mono] + c if mono in terms else c
     return Poly(p.ctx, terms)
+
+
+def mul_into_left_outer(terms: dict, a: dict, b: dict) -> dict:
+    """The earlier ``superalgebra._mul_into``: a * b added into ``terms``
+    with the outer loop always over a, the left factor, and zeros kept."""
+    get = terms.get
+    for (e1, m1), c1 in a.items():
+        neg = None
+        # bit j of above1 is the parity of the odd factors of a above slot j
+        above1 = 0
+        m = m1
+        while m:
+            low = m & -m
+            above1 ^= low - 1
+            m ^= low
+        for (e2, m2), c2 in b.items():
+            if m1 & m2:
+                continue
+            if (above1 & m2).bit_count() & 1:
+                if neg is None:
+                    neg = -c1
+                c = neg * c2
+            else:
+                c = c1 * c2
+            mono = (tuple(map(add, e1, e2)), m1 | m2)
+            prev = get(mono)
+            terms[mono] = c if prev is None else prev + c
+    return terms
 
 
 def apply_sum(D, poly: Poly) -> Poly:

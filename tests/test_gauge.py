@@ -105,6 +105,20 @@ class TestRestriction:
                                             restrict_to_lagrangian(t, F))])
             assert restricted == rebuilt
 
+    def test_antifield_images_equal_per_field_right_derivatives(self, bvs_2_2, rng):
+        # one sweep over F against one right_deriv per field, on odd
+        # field-only fermions over two even and two odd fields, zero included
+        fields = bvs_2_2.field_ctx
+        seen_zero = False
+        for n in range(40):
+            drawn = random_poly(rng, fields, 4, 5, parity=1, hbar_max=1)
+            poly = fields.transport(drawn, bvs_2_2.ctx) if n % 8 else bvs_2_2.ctx.zero()
+            seen_zero |= poly.is_zero
+            images = GaugeFermion(bvs_2_2, poly).antifield_images()
+            assert images == {a: poly.right_deriv(f) for f, a in bvs_2_2.pairs}
+            assert all(not c.is_zero for img in images.values() for c in img.terms.values())
+        assert seen_zero
+
     def test_result_antifield_free(self, bvs_1_1, fermions, rng):
         for _ in range(20):
             p = random_poly(rng, bvs_1_1.ctx, 4, 4)

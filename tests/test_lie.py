@@ -12,7 +12,7 @@ from bvcalc.linalg import sparse_rank
 
 from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
 from oracles import (action_matrix, adjoint_loop, bareiss_rank, brst_half_sum,
-                     ce_cohomology_dims_full, ce_images_scalar, jacobi_triple_loop, matmul,
+                     ce_cohomology_dims_full, ce_images_scalar, f_at, jacobi_triple_loop, matmul,
                      rep_commutator_check)
 
 
@@ -23,7 +23,7 @@ def adjoint_oracle_jacobi(model):
     ad = [action_matrix(model.adjoint(), k) for k in range(m)]
     for j in range(m):
         for k in range(m):
-            bracket_action = [[sum((model.f_at(l, j, k) * ad[l].rows[a][b]
+            bracket_action = [[sum((f_at(model, l, j, k) * ad[l].rows[a][b]
                                     for l in range(m)), Fraction(0))
                                for b in range(m)] for a in range(m)]
             comm = [[matmul(ad[j], ad[k]).rows[a][b] - matmul(ad[k], ad[j]).rows[a][b]
@@ -56,8 +56,8 @@ def random_shears(rng, n, count=9):
 class TestBuild:
     def test_antisymmetry_enforced(self):
         model = LieModel.build(2, {(1, 0, 1): 1})
-        assert model.f_at(1, 0, 1) == 1
-        assert model.f_at(1, 1, 0) == -1
+        assert f_at(model, 1, 0, 1) == 1
+        assert f_at(model, 1, 1, 0) == -1
 
     def test_inconsistent_orders_rejected(self):
         with pytest.raises(ValueError, match="inconsistent"):
@@ -65,7 +65,7 @@ class TestBuild:
 
     def test_consistent_redundant_orders_accepted(self):
         model = LieModel.build(2, {(1, 0, 1): 1, (1, 1, 0): -1})
-        assert model.f_at(1, 0, 1) == 1
+        assert f_at(model, 1, 0, 1) == 1
 
     def test_self_bracket_rejected(self):
         with pytest.raises(ValueError, match="itself"):
@@ -204,6 +204,35 @@ class TestOneTablePerCall:
         assert builds == [adj]
         assert rep_check(adj) == []
         assert builds == [adj, adj]
+
+
+class TestSharedImages:
+    """``ce_cohomology_dims`` ranks the images its d^2 = 0 guard built
+    instead of building them again."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The monomial of every image a library call builds."""
+        keys = []
+        real = lie._apply_into
+
+        def spy(out, slots, terms):
+            keys.extend(terms)
+            return real(out, slots, terms)
+        monkeypatch.setattr(lie, "_apply_into", spy)
+        return keys
+
+    @pytest.mark.parametrize("build, p, dims", [
+        (lambda: gl(3), 0, [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]),
+        (lambda: change_basis(gl(3), [(0, 4, 1), (3, 1, -1), (8, 2, 1)]), 0,
+         [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]),
+        (lambda: sl2().adjoint(), 1, [0, 0, 0, 0]),
+        (lambda: gl(2).adjoint(), 1, [1, 1, 0, 1, 1])],
+        ids=["gl3", "gl3-sheared", "sl2-adjoint", "gl2-adjoint"])
+    def test_cohomology_builds_no_image_twice(self, built, build, p, dims):
+        model = build()
+        assert ce_cohomology_dims(model, p) == dims
+        assert built and len(built) == len(set(built))
 
 
 class TestRationalTable:

@@ -1,8 +1,10 @@
 """Property tests against the oracles in oracles.py: the multiply-accumulate
 product equals the pairwise product on small drawn polynomials over 2 even +
-2 odd generators, substitution equals the term-by-term substitution over
-2 even + 3 odd generators, the rational Lie routes equal the Scalar ones
-on drawn antisymmetric tables, and the Chevalley-Eilenberg dims equal the
+2 odd generators, and its kernel fills the same terms dict as the left-outer
+kernel, zeros included; substitution equals the term-by-term substitution
+over 2 even + 3 odd generators, the rational Lie routes and the squares read
+off per-monomial images equal the Scalar and the whole-image routes on drawn
+antisymmetric tables, and the Chevalley-Eilenberg dims equal the
 full-complex ranks on drawn Lie algebras, traceless or not, at p = 0 and with
 the adjoint module at p = 1."""
 
@@ -14,13 +16,13 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bvcalc import EVEN, ODD, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
-from bvcalc.lie import _ad_traces, _ce_images, ce_cohomology_dims  # noqa: E402
-from bvcalc.superalgebra import Context, Poly  # noqa: E402
+from bvcalc.lie import _ad_traces, _brst_table, _ce_images, ce_cohomology_dims  # noqa: E402
+from bvcalc.superalgebra import Context, Poly, _mul_into  # noqa: E402
 
 from conftest import _matrix_algebra, change_basis, gl, sl2, solvable2  # noqa: E402
 from oracles import (ce_cohomology_dims_full, ce_images_scalar,  # noqa: E402
-                     jacobi_triple_loop, mul_pairwise, rep_commutator_check,
-                     substitute_sum)
+                     jacobi_triple_loop, mul_into_left_outer, mul_pairwise,
+                     rep_commutator_check, substitute_sum, violations_square)
 
 CTX = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD), ("t2", ODD)])
 
@@ -37,6 +39,35 @@ polys = st.dictionaries(monomials, scalars, max_size=5).map(lambda terms: Poly(C
 def test_kernel_product_equals_pairwise_product(a, b):
     assert a * b == mul_pairwise(a, b)
     assert all(not c.is_zero for c in (a * b).terms.values())
+
+
+rationals = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def terms_dicts(draw):
+    """Three mixed-parity terms dicts over 0 or 2 even and 4 odd generators,
+    all with Scalar (i, hbar) coefficients or all with int/Fraction ones."""
+    n_even = draw(st.sampled_from((0, 2)))
+    monos = st.tuples(st.tuples(*[st.integers(0, 2)] * n_even), st.integers(0, 15))
+    coeffs = draw(st.sampled_from((scalars, rationals)))
+    return [draw(st.dictionaries(monos, coeffs, max_size=6)) for _ in range(3)]
+
+
+def _typed(terms):
+    return {m: (type(c), c) for m, c in terms.items()}
+
+
+@hypothesis.settings(max_examples=300, deadline=1000)
+@hypothesis.given(terms_dicts())
+def test_kernel_fills_the_same_dict_as_the_left_outer_kernel(dicts):
+    a, b, c = dicts
+    # a and b in both orders cover |a| < |b| and |a| > |b|, a with itself
+    # |a| = |b|; c is a sum already under way, so cancellations reach zero
+    for x, y in ((a, b), (b, a), (a, a)):
+        hypothesis.event("<" if len(x) < len(y) else ">" if len(x) > len(y) else "=")
+        assert _typed(_mul_into(dict(c), x, y)) == _typed(mul_into_left_outer(dict(c), x, y))
 
 
 # three odd generators, so that unassigned odd factors sit on both sides of
@@ -85,10 +116,6 @@ def test_grouped_substitution_equals_term_by_term(p, assignments):
     assert all(not c.is_zero for c in out.terms.values())
 
 
-rationals = st.one_of(st.integers(-3, 3),
-                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
-
-
 def _table(draw, keys, max_size):
     return draw(st.dictionaries(st.sampled_from(keys), rationals, max_size=max_size)) \
         if keys else {}
@@ -113,6 +140,23 @@ def test_rational_lie_routes_equal_scalar_oracles(model):
         assert _ce_images(model, p) == ce_images_scalar(model, p)
     assert jacobi_check(model) == jacobi_triple_loop(model)
     assert rep_check(model) == rep_commutator_check(model)
+
+
+NON_JACOBI = LieModel.build(3, {(2, 0, 1): 1, (0, 0, 1): 1, (0, 1, 2): 1, (1, 2, 0): 1})
+NON_REP = LieModel.build(3, {(1, 0, 1): 2, (2, 0, 2): -2, (0, 1, 2): 1}, 2,
+                         {(0, 0, 0): 1, (1, 0, 1): 1})
+
+
+@hypothesis.settings(max_examples=150, deadline=2000)
+@hypothesis.given(lie_tables())
+@hypothesis.example(NON_JACOBI)
+@hypothesis.example(NON_REP)
+def test_checks_equal_the_squaring_oracle(model):
+    table = _brst_table(model)
+    for check, public in (("jacobi", jacobi_check), ("rep", rep_check)):
+        expected = violations_square(table, check)
+        hypothesis.event(f"{check} {'fails' if expected else 'holds'}")
+        assert public(model) == expected
 
 
 def direct_sum(models) -> LieModel:

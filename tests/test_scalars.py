@@ -70,6 +70,15 @@ def test_bool_is_refused():
     assert Scalar.one() != True
 
 
+@pytest.mark.parametrize("product", [lambda: Scalar.hbar() * True, lambda: True * Scalar.hbar(),
+                                     lambda: Scalar.hbar() * False, lambda: False * Scalar.hbar()],
+                         ids=["times-true", "true-times", "times-false", "false-times"])
+def test_product_with_a_bool_is_refused(product):
+    # as with +, a bool is not taken for the int 1 or 0
+    with pytest.raises(TypeError):
+        product()
+
+
 def test_negative_hbar_powers_stay_allowed():
     assert Scalar({-1: (Fraction(1, 2), 0)}) * Scalar.hbar(1) == Scalar.of(Fraction(1, 2))
 
