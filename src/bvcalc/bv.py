@@ -15,7 +15,9 @@ Sign conventions (chosen once; every identity test depends on them):
   since a right derivative by an even generator is the left one.  So the
   bracket takes d_e and d_o for every pair from one ``_derivs`` sweep over
   each argument (right derivatives on Phi, left ones on Psi), as plain
-  terms dicts, and builds no derivative Poly.
+  terms dicts, and builds no derivative Poly.  The sweep lists pair k's
+  even member at 2k and its odd member at 2k + 1, so each term is the
+  derivative of Phi at index j times that of Psi at j ^ 1.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from fractions import Fraction
 from .derivations import Derivation
 from .scalars import Scalar
 from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, Poly,
-                           _derivs, _mul_into)
+                           _derivs, _mul_into, _sweep)
 
 
 class BVSpace:
     """A Context in which every field generator has a paired antifield."""
 
-    __slots__ = ("ctx", "field_ctx", "pairs", "_pair_slots", "_even_slots", "_odd_bits")
+    __slots__ = ("ctx", "field_ctx", "pairs", "_pair_slots", "_sweep")
 
     def __init__(self, ctx: Context):
         fields = [g for g in ctx.generators if g.role == FIELD]
@@ -42,14 +44,14 @@ class BVSpace:
         self.ctx = ctx
         self.pairs = ctx.pairs
         self.field_ctx = Context(Generator(g.name, g.parity, FIELD) for g in fields)
-        # per pair: the even member's slot and the odd member's bit, for
-        # delta as pairs and for the bracket's sweeps as two lists
-        self._pair_slots = []
+        # per pair: the even member's slot and the odd member's bit for
+        # delta, and both members, even first, in the bracket's sweep
+        slots, self._pair_slots = [], []
         for f, a in self.pairs:
-            even, odd = (f, a) if ctx.parity_of(f) == EVEN else (a, f)
-            self._pair_slots.append((ctx.slot(even)[1], 1 << ctx.slot(odd)[1]))
-        self._even_slots = [s for s, _ in self._pair_slots]
-        self._odd_bits = [bit for _, bit in self._pair_slots]
+            even, odd = sorted((ctx.slot(f), ctx.slot(a)))  # EVEN < ODD
+            slots += [even, odd]
+            self._pair_slots.append((even[1], 1 << odd[1]))
+        self._sweep = _sweep(slots)
 
     @classmethod
     def over_fields(cls, specs) -> "BVSpace":
@@ -98,16 +100,13 @@ class BVSpace:
             raise ValueError("context mismatch")
         if phi.is_zero or psi.is_zero:
             return self.ctx.zero()
-        n = len(self.pairs)
-        d_phi = _derivs(phi.terms, self._even_slots, self._odd_bits, right=True)
-        d_psi = _derivs(psi.terms, self._even_slots, self._odd_bits)
+        d_psi = _derivs(psi.terms, self._sweep)
         out = {}
-        # pair e's even member is derivative e and its odd member o = n + e
-        for e in range(n):
-            o = n + e
-            for a, b in ((o, e), (e, o)):
-                if a in d_phi and b in d_psi:
-                    _mul_into(out, d_phi[a], d_psi[b])
+        # j ^ 1 is the other member of j's pair
+        for j, d in _derivs(phi.terms, self._sweep, right=True).items():
+            other = d_psi.get(j ^ 1)
+            if other:
+                _mul_into(out, d, other)
         return Poly(self.ctx, out)
 
     def bracket_via_defect(self, phi: Poly, psi: Poly) -> Poly:

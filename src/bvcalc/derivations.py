@@ -9,7 +9,7 @@ of a strong homotopy structure.
 
 from __future__ import annotations
 
-from .superalgebra import Context, EVEN, ODD, Poly, _derivs, _mul_into
+from .superalgebra import Context, EVEN, ODD, Poly, _derivs, _mul_into, _sweep
 
 
 class Derivation:
@@ -37,11 +37,7 @@ class Derivation:
         self.ctx = ctx
         self.parity = parity
         self.images = clean
-        slots = ([], [])  # (slot, image terms) of the even and odd generators
-        for name, img in clean.items():
-            gen_parity, s = ctx.slot(name)
-            slots[gen_parity].append((s, img.terms))
-        self._table = _slot_table(*slots)
+        self._table = _slot_table((ctx.slot(name), img.terms) for name, img in clean.items())
 
     def image(self, name: str) -> Poly:
         self.ctx.slot(name)
@@ -104,28 +100,28 @@ def linf_rows(square, n_max: int):
             for n in range(0, n_max + 1)]
 
 
-def _slot_table(even, odd):
-    """The (even slots, odd bits, images) table ``_apply_into`` takes, from
-    (slot, image terms) pairs of the even and of the odd generators.  Empty
-    images are left out, and the images are listed evens first, so image i
-    goes with the derivative ``_derivs`` returns under index i."""
-    even = [(s, img) for s, img in even if img]
-    odd = [(s, img) for s, img in odd if img]
-    return [s for s, _ in even], [1 << s for s, _ in odd], [img for _, img in even + odd]
+def _slot_table(entries):
+    """The (sweep, images) table ``_apply_into`` takes, from
+    ((parity, slot), image terms) pairs in any order.  Empty images are left
+    out, and image i goes with the derivative ``_derivs`` returns under
+    index i: the one by the generator of the i-th pair kept."""
+    entries = [(slot, img) for slot, img in entries if img]
+    return _sweep([slot for slot, _ in entries]), [img for _, img in entries]
 
 
 def _apply_into(out: dict, table, terms: dict) -> dict:
     """Add sum_v D(v) * d/dv of ``terms`` into ``out`` and return it.
 
-    ``table`` is ``_slot_table``'s (even slots, odd bits, image terms), built
-    once per derivation.  One ``_derivs`` sweep takes the left derivative of
-    ``terms`` by every generator with an image, and each nonzero D(v) *
-    d/dv lands in ``out`` through ``_mul_into``; cancelled coefficients stay
-    as zeros.  Coefficients may be of any type with ``*``, ``+`` and unary
-    ``-``: ``Scalar`` for ``Derivation.apply``, ``int`` or ``Fraction`` for
-    the rational BRST table in ``lie``.
+    ``table`` is ``_slot_table``'s (sweep, image terms), built once per
+    derivation, so a call does no setup beyond unpacking it.  One
+    ``_derivs`` sweep takes the left derivative of ``terms`` by every
+    generator with an image, and each nonzero D(v) * d/dv lands in ``out``
+    through ``_mul_into``; cancelled coefficients stay as zeros.
+    Coefficients may be of any type with ``*``, ``+`` and unary ``-``:
+    ``Scalar`` for ``Derivation.apply``, ``int`` or ``Fraction`` for the
+    rational BRST table in ``lie``.
     """
-    even_slots, odd_bits, images = table
-    for i, d in _derivs(terms, even_slots, odd_bits).items():
+    sweep, images = table
+    for i, d in _derivs(terms, sweep).items():
         _mul_into(out, images[i], d)
     return out

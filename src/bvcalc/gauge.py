@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .bv import BVSpace
 from .scalars import Scalar
-from .superalgebra import EVEN, FIELD, ODD, Poly, _add_into, _derivs, _mul_into, _poly
+from .superalgebra import EVEN, FIELD, ODD, Poly, _add_into, _derivs, _mul_into, _poly, _sweep
 
 
 class NotDeltaClosed(Exception):
@@ -59,14 +59,9 @@ class GaugeFermion:
         exact Stokes property of the integral hold; see the gauge tests.
         Every field's derivative comes from one ``_derivs`` sweep over F.
         """
-        ctx = self.poly.ctx
-        even, odd = [], []
-        for f, a in self.bvs.pairs:
-            parity, s = ctx.slot(f)
-            (odd if parity == ODD else even).append((s, a))
-        derivs = _derivs(self.poly.terms, [s for s, _ in even], [1 << s for s, _ in odd],
-                         right=True)
-        return {a: _poly(ctx, derivs.get(i, {})) for i, (_, a) in enumerate(even + odd)}
+        ctx, pairs = self.poly.ctx, self.bvs.pairs
+        derivs = _derivs(self.poly.terms, _sweep([ctx.slot(f) for f, _ in pairs]), right=True)
+        return {a: _poly(ctx, derivs.get(i, {})) for i, (_, a) in enumerate(pairs)}
 
     def __repr__(self):
         return f"GaugeFermion({self.poly})"

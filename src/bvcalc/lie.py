@@ -14,14 +14,16 @@ Every quantity here is computed over Q from one BRST table,
 images of the generators as terms dicts keyed by monomial, with ``int``
 coefficients where the denominator is 1 and ``Fraction`` ones otherwise,
 and the slot table of ``derivations._apply_into``, the Leibniz loop of
-``Derivation.apply`` (each generator's image times the derivative by it).
-One reader, ``_violations``, takes the Jacobi or the representation
-residual off the square D^2 of the images; the Chevalley-Eilenberg images
-are the same loop applied to each cochain monomial.  By linearity the
-square is D^2(g) = sum c D(m) over the terms c m of D(g), so it is read off
-per-monomial images, each built once per call (``_image``): the D(c^j c^k)
-of the Jacobi square are the ghost-degree-2 images at p = 0, and the
-D(v^b c^k) of the representation square the degree-1 images at p = 1.
+``Derivation.apply`` (each generator's image times the derivative by it),
+listed in ``rep_context``'s generator order.  One reader, ``_violations``,
+takes the Jacobi or the representation residual off the square D^2 of the
+images; the Chevalley-Eilenberg images are the same loop applied to each
+cochain monomial, and ``ce_cohomology_dims`` and ``ce_matrices`` both
+take them from ``_image``.  By linearity the square is D^2(g) = sum c D(m)
+over the terms c m of D(g), so it is read off per-monomial images, each
+built once per call (``_image``): the D(c^j c^k) of the Jacobi square are
+the ghost-degree-2 images at p = 0, and the D(v^b c^k) of the
+representation square the degree-1 images at p = 1.
 No i or hbar can arise, so no ``Scalar`` is involved; only ``brst_rep``
 wraps the table as Polys (``brst_lie`` is that of the module-free model).
 
@@ -154,7 +156,9 @@ def _brst_table(model: LieModel):
     for (i, j, k), val in model.rho.items():
         if val:
             even[i][(_unit(n, j), 1 << k)] = _rational(val)
-    return even, odd, _slot_table(enumerate(even), enumerate(odd))
+    # rep_context's generator order: the module coordinates, then the ghosts
+    slots = [(EVEN, j) for j in range(n)] + [(ODD, i) for i in range(model.dim)]
+    return even, odd, _slot_table(zip(slots, even + odd))
 
 
 def _image(images: dict, slots, key):
@@ -270,34 +274,23 @@ def _ce_table(model: LieModel, p: int):
     return _brst_table(model)
 
 
-def _ce_images(model: LieModel, p: int):
-    """[(basis of C^(p,q), images)] for q = 0..dim, with the zeros dropped
-    from each image."""
-    slots = _ce_table(model, p)[2]
-    out = []
-    for q in range(model.dim + 1):
-        basis = _ce_basis(model.module_dim, model.dim, p, q)
-        out.append((basis, [{m: c for m, c in _apply_into({}, slots, {key: 1}).items() if c}
-                            for key in basis]))
-    return out
-
-
 def ce_matrices(model: LieModel, p: int):
     """Exact matrices of the ghost-degree-raising differential, q = 0..dim.
 
     Entry (row, col) is the coefficient of the row basis monomial in the image
     of the col basis monomial; consecutive matrices compose to zero whenever
-    the structure checks pass.
+    the structure checks pass.  Each column is read off ``_image``, the
+    per-monomial image that ``ce_cohomology_dims`` ranks.
     """
-    pieces = _ce_images(model, p)
-    targets = [basis for basis, _ in pieces[1:]] + [[]]
+    slots = _ce_table(model, p)[2]
+    bases = [_ce_basis(model.module_dim, model.dim, p, q) for q in range(model.dim + 1)]
     mats = []
-    for (basis, images), dst in zip(pieces, targets):
+    for basis, dst in zip(bases, bases[1:] + [[]]):
         row_of = {key: row for row, key in enumerate(dst)}
         rows = [[0] * len(basis) for _ in dst]
-        for col, image in enumerate(images):
-            for key, value in image.items():
-                rows[row_of[key]][col] = value
+        for col, key in enumerate(basis):
+            for mono, value in _image({}, slots, key).items():
+                rows[row_of[mono]][col] = value
         mats.append(ExactMatrix(rows, len(basis)))
     return mats
 

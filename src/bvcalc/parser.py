@@ -8,8 +8,9 @@ Grammar (juxtaposition is not multiplication):
     rational := int ('/' uint)?
 
 Identifiers must be declared generators.  An odd generator raised to a power
-of two or more warns and yields zero.  Parentheses nest at most
-``MAX_NESTING`` deep; deeper input is a ParseError at the offending '('.
+of two or more yields zero, with an ``OddPowerWarning`` that names the line
+and column of its '^'.  Parentheses nest at most ``MAX_NESTING`` deep;
+deeper input is a ParseError at the offending '('.
 Exponents are at most ``MAX_EXPONENT``; a larger one is a ParseError at the
 exponent's column.  A power is expanded one multiplication at a time.
 Every multiplication of one expression draws on one budget of
@@ -162,13 +163,11 @@ class _Parser:
     def _power(self, base: Poly, n: int, caret) -> Poly:
         if n == 0:
             return self.ctx.one()
-        if n >= 2:
-            odd_square = any(mask and all(k == 0 for k in exps)
-                             for (exps, mask) in base.terms
-                             if base.mono_degree((exps, mask)) == 1)
-            if odd_square and len(base.terms) == 1:
-                warnings.warn("odd generator raised to a power >= 2 is zero",
-                              OddPowerWarning, stacklevel=4)
+        if n >= 2 and len(base.terms) == 1:
+            (exps, mask), = base.terms
+            if mask.bit_count() == 1 and not any(exps):
+                warnings.warn("odd generator raised to a power >= 2 is zero "
+                              f"(line {self.line}, column {caret[2]})", OddPowerWarning)
                 return self.ctx.zero()
         out = base
         base_size = _size(base)

@@ -227,16 +227,7 @@ class Scalar:
         return out
 
     def __str__(self):
-        atoms = self.atoms()
-        if not atoms:
-            return "0"
-        parts = []
-        for n, (sign, text) in enumerate(atoms):
-            if n == 0:
-                parts.append(_signed(sign, text) if sign < 0 else text)
-            else:
-                parts.append(" - " + _guard(text) if sign < 0 else " + " + text)
-        return "".join(parts)
+        return _signed_sum(self.atoms())
 
     def __repr__(self):
         return f"Scalar({self})"
@@ -271,5 +262,14 @@ def _guard(text: str) -> str:
     return text if text[0].isdigit() else "1*" + text
 
 
-def _signed(sign: int, text: str) -> str:
-    return "-" + _guard(text) if sign < 0 else text
+def _signed_sum(pieces) -> str:
+    """The sum of (sign, text) pieces as the expression grammar reads it,
+    "0" when there are none: a leading "-" or a " - " / " + " joint before
+    each piece, and a negative piece that starts with no digit guarded."""
+    parts = []
+    for n, (sign, text) in enumerate(pieces):
+        if sign < 0:
+            parts.append(("-" if n == 0 else " - ") + _guard(text))
+        else:
+            parts.append(text if n == 0 else " + " + text)
+    return "".join(parts) or "0"

@@ -18,10 +18,15 @@ the zero coefficients are dropped once, when the ``Poly`` constructor takes
 the dict.  ``Poly.__mul__`` is the kernel applied to an empty dict.
 
 Every first derivative comes from one private sweep, ``_derivs(terms,
-even_slots, odd_bits, right)``: one pass over the terms yields the left (or
-right) derivative by each listed generator, and it is the only code that
-knows their Koszul signs.  ``Poly.left_deriv``, ``Poly.right_deriv``, the
-antibracket and ``Derivation.apply`` all take their derivatives from it.
+sweep, right)``: one pass over the terms yields the left (or right)
+derivative by each generator of ``sweep = _sweep(slots)``, which a caller
+builds once from its generators' ``Context.slot`` pairs in its own order;
+derivative i is the one by ``slots[i]``.  The split into even and odd
+generators stays inside this module.  ``Poly.left_deriv``,
+``Poly.right_deriv``, the antibracket, ``Derivation.apply`` and the gauge
+fermion's antifield images all take their derivatives from it; only
+``BVSpace.delta`` repeats the odd left sign, fused into its double
+derivative.
 
 ``Poly.substitute`` touches only the assigned generators: it groups the terms
 by their assigned part, passes the terms with none through unchanged, and
@@ -37,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .scalars import Scalar
+from .scalars import Scalar, _signed_sum
 
 EVEN = 0
 ODD = 1
@@ -331,13 +336,27 @@ def _add_into(terms: dict, a: dict) -> dict:
     return terms
 
 
-def _derivs(terms: dict, even_slots, odd_bits, right: bool = False) -> dict:
-    """{i: the first derivative of ``terms`` by generator i} for each listed
-    generator whose derivative is nonzero, from one sweep over the terms.
+def _sweep(slots) -> tuple:
+    """The sweep ``_derivs`` takes for the generators at ``slots``, a list of
+    ``Context.slot`` pairs (parity, slot) in the caller's order: the
+    (index, slot) pairs of the even generators and the (index, 1 << slot)
+    pairs of the odd ones, index i being the position in ``slots``.  Build
+    it once per generator list; ``_derivs`` does no setup of its own."""
+    evens, odds = [], []
+    for i, (parity, s) in enumerate(slots):
+        if parity == EVEN:
+            evens.append((i, s))
+        else:
+            odds.append((i, 1 << s))
+    return tuple(evens), tuple(odds)
 
-    The generators are the even ones at ``even_slots`` and then the odd ones
-    at ``odd_bits`` (``1 << slot``), and i indexes that joint list.  The
-    derivatives are left ones, or right ones when ``right``; by an even
+
+def _derivs(terms: dict, sweep, right: bool = False) -> dict:
+    """{i: the first derivative of ``terms`` by ``slots[i]``} for each
+    generator of ``sweep = _sweep(slots)`` whose derivative is nonzero, from
+    one pass over the terms.
+
+    The derivatives are left ones, or right ones when ``right``; by an even
     generator the two agree.  Coefficients may be of any type with ``*`` by
     an int and unary ``-``.  Each derivative lowers one exponent or clears
     one bit, which is injective on the monomials it applies to, and c*k with
@@ -345,8 +364,7 @@ def _derivs(terms: dict, even_slots, odd_bits, right: bool = False) -> dict:
     """
     out = {}
     get = out.get
-    evens = list(enumerate(even_slots))
-    odds = list(enumerate(odd_bits, len(even_slots)))
+    evens, odds = sweep
     for (exps, mask), c in terms.items():
         for i, s in evens:
             k = exps[s]
@@ -454,8 +472,8 @@ class Poly:
 
     def _deriv(self, name: str, right: bool) -> "Poly":
         parity, s = self.ctx.slot(name)
-        even_slots, odd_bits = ((s,), ()) if parity == EVEN else ((), (1 << s,))
-        return _poly(self.ctx, _derivs(self.terms, even_slots, odd_bits, right).get(0, {}))
+        sweep = (((0, s),), ()) if parity == EVEN else ((), ((0, 1 << s),))
+        return _poly(self.ctx, _derivs(self.terms, sweep, right).get(0, {}))
 
     # -- substitution ------------------------------------------------------
 
@@ -578,8 +596,6 @@ class Poly:
         return sorted(self.terms, key=lambda m: (self.mono_degree(m), m[0], m[1]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         rendered = []
         for mono in self.sorted_monos():
             coeff = self.terms[mono]
@@ -594,15 +610,7 @@ class Poly:
             else:
                 full = text
             rendered.append((sign, full))
-        parts = []
-        for n, (sign, full) in enumerate(rendered):
-            if sign < 0 and not full[0].isdigit():
-                full = "1*" + full
-            if n == 0:
-                parts.append("-" + full if sign < 0 else full)
-            else:
-                parts.append((" - " if sign < 0 else " + ") + full)
-        return "".join(parts)
+        return _signed_sum(rendered)
 
     def __repr__(self):
         return f"Poly({self})"

@@ -58,9 +58,9 @@ from operator import add
 
 from bvcalc.derivations import Derivation, _apply_into
 from bvcalc.gauge import ExpElement
-from bvcalc.lie import _ce_images, _unit, rep_context
+from bvcalc.lie import _ce_basis, _ce_table, _image, _unit, rep_context
 from bvcalc.linalg import ExactMatrix, sparse_rank
-from bvcalc.scalars import Scalar, _atom, _guard, _signed
+from bvcalc.scalars import Scalar, _atom, _guard
 from bvcalc.superalgebra import EVEN, ODD, Poly, _mask_bits, _merge_sign
 
 
@@ -235,12 +235,27 @@ def ce_images_scalar(model, p: int):
     return out
 
 
+def ce_images(model, p: int):
+    """[(basis of C^(p,q), images)] for q = 0..dim: not an oracle but a
+    reader of the library's rational image of each cochain monomial, taken
+    through ``lie._image`` as the ranking and ``ce_matrices`` take it, with
+    the cancelled zeros dropped and each coefficient's int or Fraction type
+    kept."""
+    slots = _ce_table(model, p)[2]
+    out = []
+    for q in range(model.dim + 1):
+        basis = _ce_basis(model.module_dim, model.dim, p, q)
+        out.append((basis, [{m: c for m, c in _image({}, slots, key).items() if c}
+                            for key in basis]))
+    return out
+
+
 def ce_cohomology_dims_full(model, p: int):
     """Oracle for the duality route of ``ce_cohomology_dims``: every
     differential d_0..d_dim is built and ranked, traceless or not."""
     dims = []
     prev_rank = 0
-    for basis, images in _ce_images(model, p):
+    for basis, images in ce_images(model, p):
         rank = sparse_rank(images)
         dims.append(len(basis) - rank - prev_rank)
         prev_rank = rank
@@ -636,7 +651,7 @@ class FractionScalar:
         parts = []
         for n, (sign, text) in enumerate(atoms):
             if n == 0:
-                parts.append(_signed(sign, text) if sign < 0 else text)
+                parts.append("-" + _guard(text) if sign < 0 else text)
             else:
                 parts.append(" - " + _guard(text) if sign < 0 else " + " + text)
         return "".join(parts)

@@ -75,6 +75,10 @@ FIELD_SPECS = {
     "2|2": [("x1", EVEN), ("x2", EVEN), ("t1", ODD), ("t2", ODD)],
     "1|1": [("x", EVEN), ("th", ODD)],
     "0|3": [("t1", ODD), ("t2", ODD), ("t3", ODD)],
+    # odd fields before even ones, alternating, so that a pair's position
+    # among the pairs differs from its position among the even or the odd
+    # fields
+    "odd-first": [("t1", ODD), ("x", EVEN), ("t2", ODD), ("y", EVEN)],
 }
 
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from bvcalc import Derivation, ModelError, cli, parse_model
+from bvcalc import Derivation, ModelError, OddPowerWarning, cli, parse_model
 from bvcalc.modelfile import load_model
 
 from conftest import MODELS
@@ -122,6 +122,19 @@ class TestExitCodes:
         code, out = run(capsys, "check-lie", bad)
         assert code == 2
         assert "status: refused" in out
+
+    def test_odd_square_warns_at_its_position(self, capsys, tmp_path):
+        # the odd square is zero, so S = x^2 passes; stdout is the same as
+        # for the model without it
+        odd = tmp_path / "odd.model"
+        odd.write_text("[generators]\nx even field\nxp odd antifield x\n"
+                       "[exprs]\nS = xp^2 + x^2\n")
+        with pytest.warns(OddPowerWarning, match=r"\(line 5, column 7\)$"):
+            code, out = run(capsys, "master", odd)
+        plain = tmp_path / "plain.model"
+        plain.write_text(odd.read_text().replace("xp^2 + ", ""))
+        assert code == 0 and "status: pass" in out
+        assert out.replace(str(odd), "") == run(capsys, "master", plain)[1].replace(str(plain), "")
 
 
 class TestHostileInput:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bvcalc import (EVEN, Scalar, berezin_integrate,
+from bvcalc import (EVEN, ODD, BVSpace, Scalar, berezin_integrate,
                     exact_boundary_integrals, exp_delta,
                     gauge_independence_experiment, gaussian_expectation,
                     lagrangian_integral, restrict_to_lagrangian,
@@ -107,17 +107,21 @@ class TestRestriction:
 
     def test_antifield_images_equal_per_field_right_derivatives(self, bvs_2_2, rng):
         # one sweep over F against one right_deriv per field, on odd
-        # field-only fermions over two even and two odd fields, zero included
-        fields = bvs_2_2.field_ctx
-        seen_zero = False
-        for n in range(40):
-            drawn = random_poly(rng, fields, 4, 5, parity=1, hbar_max=1)
-            poly = fields.transport(drawn, bvs_2_2.ctx) if n % 8 else bvs_2_2.ctx.zero()
-            seen_zero |= poly.is_zero
-            images = GaugeFermion(bvs_2_2, poly).antifield_images()
-            assert images == {a: poly.right_deriv(f) for f, a in bvs_2_2.pairs}
-            assert all(not c.is_zero for img in images.values() for c in img.terms.values())
-        assert seen_zero
+        # field-only fermions over two even and two odd fields, zero
+        # included: the evens first, and then alternating from an odd one
+        odd_first = BVSpace.over_fields([("t1", ODD), ("x", EVEN), ("t2", ODD), ("y", EVEN)])
+        for bvs in (bvs_2_2, odd_first):
+            fields = bvs.field_ctx
+            seen_zero = False
+            for n in range(40):
+                drawn = random_poly(rng, fields, 4, 5, parity=1, hbar_max=1)
+                poly = fields.transport(drawn, bvs.ctx) if n % 8 else bvs.ctx.zero()
+                seen_zero |= poly.is_zero
+                images = GaugeFermion(bvs, poly).antifield_images()
+                assert list(images) == [a for _, a in bvs.pairs]
+                assert images == {a: poly.right_deriv(f) for f, a in bvs.pairs}
+                assert all(not c.is_zero for img in images.values() for c in img.terms.values())
+            assert seen_zero
 
     def test_result_antifield_free(self, bvs_1_1, fermions, rng):
         for _ in range(20):

@@ -7,13 +7,13 @@ from bvcalc import (LieModel, NotACochainComplex, brst_lie, brst_rep,
                     ce_cohomology_dims, ce_matrices, ghost_context, jacobi_check,
                     rep_check, rep_context, trace_condition)
 from bvcalc import lie
-from bvcalc.lie import _ad_traces, _ce_images
-from bvcalc.linalg import sparse_rank
+from bvcalc.lie import _ad_traces
+from bvcalc.linalg import ExactMatrix, sparse_rank
 
 from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
 from oracles import (action_matrix, adjoint_loop, bareiss_rank, brst_half_sum,
-                     ce_cohomology_dims_full, ce_images_scalar, f_at, jacobi_triple_loop, matmul,
-                     rep_commutator_check)
+                     ce_cohomology_dims_full, ce_images, ce_images_scalar, f_at,
+                     jacobi_triple_loop, matmul, rep_commutator_check)
 
 
 def adjoint_oracle_jacobi(model):
@@ -46,6 +46,13 @@ def random_structure_constants(rng, m=3):
 def sl2_half_f() -> LieModel:
     """Basis (h, e, f/2): [h,e] = 2e, [h,f/2] = -f, [e,f/2] = h/2."""
     return LieModel.build(3, {(1, 0, 1): 2, (2, 0, 2): -2, (0, 1, 2): Fraction(1, 2)})
+
+
+def matrices_of(pieces):
+    """The ``ce_matrices`` layout of [(basis of C^q, images)] for q = 0..dim."""
+    targets = [basis for basis, _ in pieces[1:]] + [[]]
+    return [ExactMatrix([[image.get(key, 0) for image in images] for key in dst], len(basis))
+            for (basis, images), dst in zip(pieces, targets)]
 
 
 def random_shears(rng, n, count=9):
@@ -251,7 +258,8 @@ class TestRationalTable:
             model = change_basis(model, random_shears(rng, model.dim))
         if p:
             model = model.adjoint()
-        assert _ce_images(model, p) == ce_images_scalar(model, p)
+        assert ce_images(model, p) == ce_images_scalar(model, p)
+        assert ce_matrices(model, p) == matrices_of(ce_images_scalar(model, p))
         assert jacobi_check(model) == jacobi_triple_loop(model) == []
         assert rep_check(model) == rep_commutator_check(model) == []
         assert brst_lie(model).images == brst_half_sum(model, ghost_context(model.dim)).images
@@ -259,7 +267,7 @@ class TestRationalTable:
 
     def test_int_and_fraction_coefficients_mix(self):
         for model, p in ((sl2_half_f(), 0), (sl2_half_f().adjoint(), 1)):
-            kinds = {type(c) for _, images in _ce_images(model, p)
+            kinds = {type(c) for _, images in ce_images(model, p)
                      for image in images for c in image.values()}
             assert kinds == {int, Fraction}
         assert ce_cohomology_dims(sl2_half_f(), 0) == [1, 0, 0, 1]
@@ -369,7 +377,7 @@ class TestDualityRoute:
         ids=["gl3", "sl3", "gl3-sheared", "gl2-adjoint", "sl2-half-f-adjoint"])
     def test_ranks_only_a_complement(self, ranked, build, p):
         model = build()
-        pieces = _ce_images(model, p)
+        pieces = ce_images(model, p)
         full = [sparse_rank(images) for _, images in pieces]
         assert ce_cohomology_dims(model, p) == ce_cohomology_dims_full(model, p)
         assert ranked == [len(basis) - prev for (basis, _), prev

@@ -34,11 +34,19 @@ class TestGrammar:
         assert parse_expression("-1*x", ctx) == -ctx.gen("x")
 
     def test_odd_square_warns_and_vanishes(self, ctx):
-        with pytest.warns(OddPowerWarning):
+        with pytest.warns(OddPowerWarning, match=r"\(line 1, column 3\)$"):
             assert parse_expression("c1^2", ctx).is_zero
+        # the position is the '^' within the given line, as for a ParseError
+        with pytest.warns(OddPowerWarning, match=r"\(line 4, column 14\)$"):
+            assert parse_expression("x + (-2/3*c2)^3", ctx, line=4) == ctx.gen("x")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert parse_expression("c1^1", ctx) == ctx.gen("c1")
+            # no warning unless the base is a single odd generator term
+            assert parse_expression("(c1*c2)^2", ctx).is_zero
+            assert parse_expression("(c1 + x)^2", ctx) == ctx.monomial(1, {"x": 2}) + \
+                2 * ctx.monomial(1, {"x": 1}, ["c1"])
+            assert parse_expression("(x*c1)^2", ctx).is_zero
 
     def test_parenthesized(self, ctx):
         p = parse_expression("(x + c1)*(x - c1)", ctx)

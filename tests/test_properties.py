@@ -16,11 +16,11 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bvcalc import EVEN, ODD, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
-from bvcalc.lie import _ad_traces, _brst_table, _ce_images, ce_cohomology_dims  # noqa: E402
+from bvcalc.lie import _ad_traces, _brst_table, ce_cohomology_dims  # noqa: E402
 from bvcalc.superalgebra import Context, Poly, _mul_into  # noqa: E402
 
 from conftest import _matrix_algebra, change_basis, gl, sl2, solvable2  # noqa: E402
-from oracles import (ce_cohomology_dims_full, ce_images_scalar,  # noqa: E402
+from oracles import (ce_cohomology_dims_full, ce_images, ce_images_scalar,  # noqa: E402
                      jacobi_triple_loop, mul_into_left_outer, mul_pairwise,
                      rep_commutator_check, substitute_sum, violations_square)
 
@@ -137,7 +137,7 @@ def lie_tables(draw):
 @hypothesis.given(lie_tables())
 def test_rational_lie_routes_equal_scalar_oracles(model):
     for p in range(1 + bool(model.module_dim)):
-        assert _ce_images(model, p) == ce_images_scalar(model, p)
+        assert ce_images(model, p) == ce_images_scalar(model, p)
     assert jacobi_check(model) == jacobi_triple_loop(model)
     assert rep_check(model) == rep_commutator_check(model)
 

@@ -2,7 +2,7 @@ import pytest
 
 from bvcalc import EVEN, ODD, Scalar
 from bvcalc.randgen import random_homogeneous, random_poly
-from bvcalc.superalgebra import Context, Poly, _derivs, _mul_into
+from bvcalc.superalgebra import Context, Poly, _derivs, _mul_into, _sweep
 
 from oracles import add_pairwise, mul_pairwise, right_deriv_split, substitute_sum
 
@@ -115,25 +115,32 @@ class TestDerivatives:
 
     def test_one_sweep_gives_every_derivative(self, ctx_mixed, rng):
         ctx = ctx_mixed
-        names = ctx.even_names + ctx.odd_names
-        even_slots = [ctx.slot(v)[1] for v in ctx.even_names]
-        odd_bits = [1 << ctx.slot(v)[1] for v in ctx.odd_names]
 
-        def sweep(p, right=False):
-            derivs = _derivs(p.terms, even_slots, odd_bits, right)
+        def sweep(p, names, right=False):
+            derivs = _derivs(p.terms, _sweep([ctx.slot(v) for v in names]), right)
             assert all(derivs.values())  # only the nonzero derivatives
+            assert set(derivs) <= set(range(len(names)))
             return [Poly(ctx, derivs.get(i, {})) for i in range(len(names))]
 
         # left: the expected values of test_left_deriv_examples, by x, y, t1, t2
+        # and then in an order with an odd generator first
         x, t1, t2 = ctx.gen("x"), ctx.gen("t1"), ctx.gen("t2")
         zero = ctx.zero()
-        assert sweep(t1 * t2) == [zero, zero, t2, -t1]
-        assert sweep(ctx.monomial(1, {"x": 2}, ["t1"])) == [
+        assert sweep(t1 * t2, ["x", "y", "t1", "t2"]) == [zero, zero, t2, -t1]
+        assert sweep(t1 * t2, ["t2", "x", "t1"]) == [-t1, zero, t2]
+        x2t1 = ctx.monomial(1, {"x": 2}, ["t1"])
+        assert sweep(x2t1, ["x", "y", "t1", "t2"]) == [
             ctx.monomial(2, {"x": 1}, ["t1"]), zero, x * x, zero]
-        for _ in range(100):
+        assert sweep(x2t1, ["t1", "y", "x"]) == [x * x, zero, ctx.monomial(2, {"x": 1}, ["t1"])]
+        # every generator in shuffled orders (odd before even included), and
+        # subsets of them, against one derivative at a time
+        names = [g.name for g in ctx.generators]
+        orders = [["t2", "x", "t1", "y"], ["t1", "t2", "y", "x"], ["y", "t2"], ["t1"]]
+        for n in range(100):
+            order = orders[n] if n < len(orders) else rng.sample(names, rng.randint(1, 4))
             p = random_poly(rng, ctx, 4, 5, hbar_max=1)
-            assert sweep(p) == [p.left_deriv(v) for v in names]
-            assert sweep(p, right=True) == [right_deriv_split(p, v) for v in names]
+            assert sweep(p, order) == [p.left_deriv(v) for v in order]
+            assert sweep(p, order, right=True) == [right_deriv_split(p, v) for v in order]
 
     def test_leibniz_random(self, ctx_mixed, rng):
         for _ in range(100):
