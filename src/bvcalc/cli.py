@@ -3,6 +3,7 @@
 Exit codes: 0 when the requested check passes, 1 when it ran and failed,
 2 on refusals (bad model, parse error, unmet precondition), 3 on an internal
 error (an exception no handler expects; one line on stderr, no traceback).
+A warning, such as an odd generator squared, is one "warning:" line on stderr.
 Preconditions on the input are checked before the computation they guard,
 so a ValueError raised inside a computation is an internal error, not a
 refusal; a precondition the library checks itself, such as d^2 = 0 for
@@ -16,6 +17,7 @@ import argparse
 import json
 import random
 import sys
+import warnings
 from fractions import Fraction
 
 from . import gauge, identities, lie
@@ -372,15 +374,18 @@ def main(argv=None) -> int:
     if lift:
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
-    try:
-        return _run(args)
-    except Exception as exc:  # a crash must never read as "check ran and failed"
-        message = " ".join(f"{type(exc).__name__}: {exc}".split())
-        sys.stderr.write(f"internal error: {message}\n")
-        return INTERNAL_ERROR
-    finally:
-        if lift:
-            sys.set_int_max_str_digits(saved)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _run(args)
+        except Exception as exc:  # a crash must never read as "check ran and failed"
+            message = " ".join(f"{type(exc).__name__}: {exc}".split())
+            sys.stderr.write(f"internal error: {message}\n")
+            return INTERNAL_ERROR
+        finally:
+            if lift:
+                sys.set_int_max_str_digits(saved)
+            sys.stderr.writelines(f"warning: {' '.join(str(w.message).split())}\n" for w in caught)
 
 
 def _run(args) -> int:

@@ -3,8 +3,8 @@
 An ExpElement is a finite sum of pairs P * exp(T) with T even.  Restriction
 to the Lagrangian of a gauge fermion F substitutes every antifield by the
 right derivative of F with respect to its field; integration is Berezin over
-the odd field directions followed by normalized Gaussian moments over the
-even ones.  Everything stays in exact scalars, so gauge comparisons are
+the odd field directions, in one pass, then normalized Gaussian moments over
+the even ones.  Everything stays in exact scalars, so gauge comparisons are
 equality checks rather than tolerance checks.
 """
 
@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 from .bv import BVSpace
 from .scalars import Scalar
-from .superalgebra import EVEN, FIELD, ODD, Poly, _add_into, _derivs, _mul_into, _poly, _sweep
+from .superalgebra import EVEN, FIELD, ODD, Poly, _derivs, _mul_into, _poly, _sweep
 
 
 class NotDeltaClosed(Exception):
@@ -68,24 +67,32 @@ class GaugeFermion:
 
 
 class ExpElement:
-    """Finite sum of P * exp(T) pairs over a BVSpace, with each T even."""
+    """Finite sum of P * exp(T) pairs over a BVSpace, with each T even; pairs
+    with equal T merge, zero sums drop out, and the rest sort by T.key()."""
 
     __slots__ = ("bvs", "pairs")
 
     def __init__(self, bvs: BVSpace, pairs):
-        # T.key() -> [sum of the P that share T, T]; the key is hashed once
-        # per pair and is also the sort key, so pair order is canonical
-        merged = {}
+        # a bucket per monomial set; equal terms dicts are equal exponents,
+        # since Poly terms and Scalar triples are canonical
+        buckets = {}
         for p, t in pairs:
             if p.ctx != bvs.ctx or t.ctx != bvs.ctx:
                 raise ValueError("context mismatch")
             if not t.is_zero and t.parity() != EVEN:
                 raise ValueError("exponent must be even")
-            entry = merged.setdefault(t.key(), [None, t])
-            entry[0] = p if entry[0] is None else entry[0] + p
+            bucket = buckets.setdefault(frozenset(t.terms), [])
+            for entry in bucket:
+                if entry[1].terms == t.terms:
+                    entry[0] = entry[0] + p
+                    break
+            else:
+                bucket.append([p, t])
+        merged = [(p, t) for bucket in buckets.values() for p, t in bucket if not p.is_zero]
+        if len(merged) > 1:
+            merged.sort(key=lambda pair: pair[1].key())
         self.bvs = bvs
-        self.pairs = tuple((p, t) for _, (p, t) in sorted(merged.items(), key=itemgetter(0))
-                           if not p.is_zero)
+        self.pairs = tuple(merged)
 
     @property
     def is_zero(self) -> bool:
@@ -146,14 +153,30 @@ def berezin_integrate(poly: Poly, odd_names) -> Poly:
     A single integral extracts the coefficient with the variable moved to the
     rightmost position of the odd part, which is minus the right derivative,
     so integrating in declaration order picks out the top monomial
-    coefficient with sign +1.
+    coefficient with sign +1.  One pass keeps the terms holding every variable
+    and clears the variables innermost first, each flipping the sign once per
+    odd generator still set above it.  Names must be odd; a repeat gives 0.
     """
-    out = poly
+    shifts = []
     for name in reversed(list(odd_names)):
-        if poly.ctx.parity_of(name) != ODD:
+        parity, s = poly.ctx.slot(name)
+        if parity != ODD:
             raise ValueError(f"{name} is not odd")
-        out = -out.right_deriv(name)
-    return out
+        shifts.append(s)
+    need = sum({1 << s for s in shifts})
+    if need.bit_count() < len(shifts):
+        return poly.ctx.zero()
+    out = {}
+    for (exps, mask), c in poly.terms.items():
+        if mask & need != need:
+            continue
+        flips = 0
+        for s in shifts:
+            mask ^= 1 << s
+            flips += (mask >> s).bit_count()
+        # clearing a fixed set of bits is injective: no merge, no zero
+        out[exps, mask] = -c if flips & 1 else c
+    return _poly(poly.ctx, out)
 
 
 def gaussian_expectation(poly: Poly) -> Scalar:
@@ -184,14 +207,16 @@ def gaussian_expectation(poly: Poly) -> Scalar:
 
 
 def standard_damping(bvs: BVSpace) -> Poly:
-    """-1/2 sum over even fields of the squared coordinate."""
+    """-1/2 sum over even fields of the squared coordinate, built from slots."""
     ctx = bvs.ctx
-    out = {}
-    half = Fraction(-1, 2)
+    half = Scalar.of(Fraction(-1, 2))
+    zero = (0,) * ctx.n_even
+    terms = {}
     for f, _ in bvs.pairs:
-        if ctx.parity_of(f) == EVEN:
-            _add_into(out, ctx.monomial(half, even={f: 2}).terms)
-    return Poly(ctx, out)
+        parity, s = ctx.slot(f)
+        if parity == EVEN:
+            terms[zero[:s] + (2,) + zero[s + 1:], 0] = half
+    return _poly(ctx, terms)
 
 
 def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:

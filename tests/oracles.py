@@ -10,8 +10,12 @@ and applies derivations as vector fields; tests require exact equality.
 The Koszul-sign routes below split their arguments by parity and apply a
 sign table per homogeneous component: the antibracket as four sub-brackets,
 the right derivative as two signed left derivatives, Berezin integration as
-a hand-written coefficient loop, and the Laplacian of P*exp(T) per parity
-of P.  The library takes every sign per monomial instead.
+a hand-written coefficient loop per variable and as minus the right
+derivative per variable, and the Laplacian of P*exp(T) per parity of P.
+The library takes every sign per monomial instead, and integrates over all
+the variables in one pass.  ``exp_pairs_by_key`` merges the pairs of an
+ExpElement under each exponent's canonical key and sorts on it; the library
+compares exponents as terms dicts and takes the key only to sort.
 
 ``mul_into_left_outer`` is the earlier multiply-accumulate kernel, whose
 outer loop always runs over the left factor; the library's kernel loops
@@ -362,6 +366,28 @@ def berezin_loop(poly: Poly, odd_names) -> Poly:
             terms[mono] = terms[mono] + c2 if mono in terms else c2
         out = Poly(out.ctx, terms)
     return out
+
+
+def berezin_right_deriv(poly: Poly, odd_names) -> Poly:
+    """Iterated Berezin integrals, innermost = last listed, each one minus
+    the right derivative by its variable."""
+    out = poly
+    for name in reversed(list(odd_names)):
+        if poly.ctx.parity_of(name) != ODD:
+            raise ValueError(f"{name} is not odd")
+        out = -out.right_deriv(name)
+    return out
+
+
+def exp_pairs_by_key(pairs) -> tuple:
+    """The pairs an ExpElement holds: the P of each T summed under T.key(),
+    zero sums dropped, sorted by that key."""
+    merged = {}
+    for p, t in pairs:
+        entry = merged.setdefault(t.key(), [None, t])
+        entry[0] = p if entry[0] is None else entry[0] + p
+    return tuple((p, t) for _, (p, t) in sorted(merged.items(), key=lambda kv: kv[0])
+                 if not p.is_zero)
 
 
 def exp_delta_split(element):

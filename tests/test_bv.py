@@ -4,13 +4,13 @@ import pytest
 
 from bvcalc import (BVSpace, Derivation, EVEN, ODD, Scalar, brst_lie,
                     brst_rep, cli, load_model, parse_expression, trace_condition)
-from bvcalc.gauge import ExpElement, berezin_integrate, exp_delta
+from bvcalc.gauge import ExpElement, berezin_integrate, exp_delta, standard_damping
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import ANTIFIELD, FIELD, Context, Generator, Poly
 
 from conftest import MODELS, sl2, sl2_rescaled, solvable2
-from oracles import (berezin_loop, bracket_split, bracket_sum, delta_sum, exp_delta_split,
-                     hbar_equations_loop, right_deriv_split)
+from oracles import (berezin_loop, berezin_right_deriv, bracket_split, bracket_sum, delta_sum,
+                     exp_delta_split, hbar_equations_loop, right_deriv_split)
 
 
 def random_field_derivation(rng, bvs, max_degree=3):
@@ -105,6 +105,18 @@ def test_interleaved_layout():
 
 
 @pytest.mark.parametrize("spec", sorted(FIELD_SPECS) + ["interleaved"])
+def test_standard_damping_is_the_monomial_sum(spec):
+    bvs = space(spec)
+    ctx = bvs.ctx
+    expected = ctx.zero()
+    for f, _ in bvs.pairs:
+        if ctx.parity_of(f) == EVEN:
+            expected = expected + ctx.monomial(Fraction(-1, 2), even={f: 2})
+    damping = standard_damping(bvs)
+    assert damping == expected and damping.parity() == EVEN
+
+
+@pytest.mark.parametrize("spec", sorted(FIELD_SPECS) + ["interleaved"])
 class TestSignOracles:
     """Per-monomial signs against the parity-split routes in tests/oracles.py,
     on mixed-parity inputs with i and hbar; every tenth argument is zero."""
@@ -162,12 +174,29 @@ class TestSignOracles:
             assert bvs.quantum_master_residual(s) == qme
 
     def test_berezin(self, spec, rng):
+        # the one-pass integral against the coefficient loop and minus the
+        # right derivative per variable, on shuffled and repeated names; an
+        # even or unknown name is refused even after a repeated one
         bvs = space(spec)
         ctx = bvs.ctx
         odd_fields = [f for f, _ in bvs.pairs if ctx.parity_of(f) == ODD]
+        first = ctx.odd_names[0]
+        bad = [[first, first, ctx.even_names[0]], [first, first, "zz"]]
         for a, _ in self.pairs(rng, ctx, 120):
-            for names in [odd_fields, ctx.odd_names] + [[n] for n in ctx.odd_names]:
-                assert berezin_integrate(a, names) == berezin_loop(a, names)
+            shuffled = list(ctx.odd_names)
+            rng.shuffle(shuffled)
+            repeated = shuffled + [rng.choice(shuffled)]
+            rng.shuffle(repeated)
+            for names in ([odd_fields, ctx.odd_names, shuffled, repeated, [first, first]]
+                          + [[n] for n in ctx.odd_names]):
+                out = berezin_integrate(a, names)
+                assert out == berezin_loop(a, names) == berezin_right_deriv(a, names)
+                assert all(not c.is_zero for c in out.terms.values())
+            assert berezin_integrate(a, repeated).is_zero
+            for names in bad:
+                for route in (berezin_integrate, berezin_loop, berezin_right_deriv):
+                    with pytest.raises(ValueError):
+                        route(a, names)
 
     def test_exp_delta(self, spec, rng):
         bvs = space(spec)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -129,12 +130,30 @@ class TestExitCodes:
         odd = tmp_path / "odd.model"
         odd.write_text("[generators]\nx even field\nxp odd antifield x\n"
                        "[exprs]\nS = xp^2 + x^2\n")
-        with pytest.warns(OddPowerWarning, match=r"\(line 5, column 7\)$"):
-            code, out = run(capsys, "master", odd)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", OddPowerWarning)
+            code = cli.main(["master", str(odd)])
+        captured = capsys.readouterr()
+        out = captured.out
+        # one line per warning, with no source path or source line
+        assert captured.err.splitlines() == [
+            "warning: odd generator raised to a power >= 2 is zero (line 5, column 7)"]
         plain = tmp_path / "plain.model"
         plain.write_text(odd.read_text().replace("xp^2 + ", ""))
         assert code == 0 and "status: pass" in out
         assert out.replace(str(odd), "") == run(capsys, "master", plain)[1].replace(str(plain), "")
+
+    def test_odd_square_warning_in_a_child_process(self, tmp_path):
+        # under the interpreter's own warning filters and format, too
+        odd = tmp_path / "odd.model"
+        odd.write_text("[generators]\nx even field\nxp odd antifield x\n"
+                       "[exprs]\nS = xp^2 + x^2\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-m", "bvcalc.cli", "master", str(odd)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0 and "status: pass" in proc.stdout
+        assert proc.stderr == ("warning: odd generator raised to a power >= 2 is zero "
+                               "(line 5, column 7)\n")
 
 
 class TestHostileInput:

@@ -229,6 +229,19 @@ class TestLagrangianIntegral:
         with pytest.raises(NonNormalizedDamping):
             lagrangian_integral(bad, fermions[0])
 
+    def test_pairs_merged_by_restriction_cancel(self, bvs_1_1, fermions):
+        # two exponents that differ by xp*th, which every gauge here sends
+        # to 0: the restricted pairs merge, their prefactors cancel, and the
+        # non-standard body -x^2 is never integrated
+        ctx = bvs_1_1.ctx
+        body = ctx.monomial(-1, {"x": 2})
+        phi = ExpElement(bvs_1_1, [(ctx.gen("th"), body),
+                                   (-ctx.gen("th"), body + ctx.gen("xp") * ctx.gen("th"))])
+        assert len(phi.pairs) == 2
+        for F in fermions:
+            assert restrict_to_lagrangian(phi, F).is_zero
+            assert lagrangian_integral(phi, F).is_zero
+
     def test_nilpotent_exponent_expansion(self, bvs_2_2):
         # exp(N) with N = t1 t2 g(x) truncates after the linear term
         ctx = bvs_2_2.ctx

@@ -2,8 +2,10 @@
 product equals the pairwise product on small drawn polynomials over 2 even +
 2 odd generators, and its kernel fills the same terms dict as the left-outer
 kernel, zeros included; substitution equals the term-by-term substitution
-over 2 even + 3 odd generators, the rational Lie routes and the squares read
-off per-monomial images equal the Scalar and the whole-image routes on drawn
+over 2 even + 3 odd generators, the ExpElement pairs equal the key merge
+and sort on shuffled pair lists whose exponents share monomial sets and
+whose prefactors cancel, the rational Lie routes and the squares read off
+per-monomial images equal the Scalar and the whole-image routes on drawn
 antisymmetric tables, and the Chevalley-Eilenberg dims equal the
 full-complex ranks on drawn Lie algebras, traceless or not, at p = 0 and with
 the adjoint module at p = 1."""
@@ -15,13 +17,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from bvcalc import EVEN, ODD, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
+from bvcalc import EVEN, ODD, BVSpace, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
+from bvcalc.gauge import ExpElement  # noqa: E402
 from bvcalc.lie import _ad_traces, _brst_table, ce_cohomology_dims  # noqa: E402
 from bvcalc.superalgebra import Context, Poly, _mul_into  # noqa: E402
 
 from conftest import _matrix_algebra, change_basis, gl, sl2, solvable2  # noqa: E402
 from oracles import (ce_cohomology_dims_full, ce_images, ce_images_scalar,  # noqa: E402
-                     jacobi_triple_loop, mul_into_left_outer, mul_pairwise,
+                     exp_pairs_by_key, jacobi_triple_loop, mul_into_left_outer, mul_pairwise,
                      rep_commutator_check, substitute_sum, violations_square)
 
 CTX = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD), ("t2", ODD)])
@@ -114,6 +117,53 @@ def test_grouped_substitution_equals_term_by_term(p, assignments):
     out = p.substitute(assignments)
     assert out == substitute_sum(p, assignments)
     assert all(not c.is_zero for c in out.terms.values())
+
+
+# the paired space on x even and t odd: x, tp even and t, xp odd, so its
+# monomials have the same shape as CTX's
+BVS = BVSpace.over_fields([("x", EVEN), ("t", ODD)])
+EVEN_MONOS = [((0, 0), 0), ((2, 0), 0), ((1, 1), 0), ((0, 0), 3), ((1, 0), 3)]
+COEFFS = [Scalar.of(1), Scalar.of(-1), Scalar.of(2), Scalar.i() * Scalar.hbar(-1)]
+prefactors = st.dictionaries(monomials, scalars, min_size=1, max_size=3).map(
+    lambda terms: Poly(BVS.ctx, terms))
+
+
+def _exponents(monos):
+    """Even exponents with the monomial set ``monos``."""
+    monos = sorted(monos)
+    return st.lists(st.sampled_from(COEFFS), min_size=len(monos), max_size=len(monos)).map(
+        lambda cs: Poly(BVS.ctx, dict(zip(monos, cs))))
+
+
+@st.composite
+def exp_pair_lists(draw):
+    """Pairs over three to five distinct exponents on two monomial sets, so
+    that two of them always share a set, and sometimes the zero exponent;
+    each has one to three prefactors and, one time in three, a last one
+    that cancels their sum.  The list is shuffled."""
+    sets = draw(st.lists(st.frozensets(st.sampled_from(EVEN_MONOS), min_size=1, max_size=3),
+                         min_size=2, max_size=2, unique=True))
+    exponent = st.sampled_from(sets).flatmap(_exponents)
+    ts = draw(st.lists(exponent, min_size=3, max_size=5, unique_by=Poly.key))
+    if draw(st.booleans()):
+        ts.append(BVS.ctx.zero())
+    pairs = []
+    for t in ts:
+        ps = draw(st.lists(prefactors, min_size=1, max_size=3))
+        if draw(st.integers(0, 2)) == 0:
+            ps.append(-sum(ps, BVS.ctx.zero()))
+        pairs += [(p, t) for p in ps]
+    return draw(st.permutations(pairs))
+
+
+@hypothesis.settings(max_examples=200, deadline=1000)
+@hypothesis.given(exp_pair_lists())
+def test_exp_element_merges_like_the_key_merge(pairs):
+    element = ExpElement(BVS, pairs)
+    hypothesis.event(f"{len(element.pairs)} pairs left")
+    expected = exp_pairs_by_key(pairs)
+    assert element.pairs == expected
+    assert str(element) == (" + ".join(f"({p})*exp({t})" for p, t in expected) or "0")
 
 
 def _table(draw, keys, max_size):
