@@ -28,22 +28,42 @@ from fractions import Fraction
 from .derivations import Derivation
 from .scalars import Scalar
 from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, Poly,
-                           _derivs, _mul_into, _sweep)
+                           _derivs, _mul_into, _poly, _sweep)
 
 
 class BVSpace:
-    """A Context in which every field generator has a paired antifield."""
+    """A Context in which every field generator has a paired antifield.
 
-    __slots__ = ("ctx", "field_ctx", "pairs", "_pair_slots", "_sweep")
+    The one home of the pairing: it checks it, grades by antifield degree,
+    and builds the field, antifield and pair sweeps once.
+    """
+
+    __slots__ = ("ctx", "field_ctx", "pairs", "_pair_slots", "_pair_sweep",
+                 "_field_sweep", "_antifield_sweep")
 
     def __init__(self, ctx: Context):
+        by_name = {g.name: g for g in ctx.generators}
+        claimed = {}
+        for g in ctx.generators:
+            if g.role == ANTIFIELD:
+                f = by_name.get(g.partner)
+                if f is None or f.role != FIELD:
+                    raise ValueError(f"antifield {g.name} is not paired with a field")
+                if f.parity == g.parity:
+                    raise ValueError(f"antifield {g.name} must have opposite parity to {f.name}")
+                if f.name in claimed:
+                    raise ValueError(f"field {f.name} has two antifields")
+                claimed[f.name] = g.name
         fields = [g for g in ctx.generators if g.role == FIELD]
-        antifields = [g for g in ctx.generators if g.role == ANTIFIELD]
-        if not fields or len(ctx.pairs) != len(fields) or len(antifields) != len(fields):
+        # the claimed names are distinct fields, so equal counts pair them all
+        if not fields or len(claimed) != len(fields):
             raise ValueError("context lacks a perfect field/antifield pairing")
         self.ctx = ctx
-        self.pairs = ctx.pairs
+        self.pairs = tuple((g.name, claimed[g.name]) for g in fields)
         self.field_ctx = Context(Generator(g.name, g.parity, FIELD) for g in fields)
+        # derivative i of a field or antifield sweep is by the member of pair i
+        self._field_sweep = _sweep([ctx.slot(f) for f, _ in self.pairs])
+        self._antifield_sweep = _sweep([ctx.slot(a) for _, a in self.pairs])
         # per pair: the even member's slot and the odd member's bit for
         # delta, and both members, even first, in the bracket's sweep
         slots, self._pair_slots = [], []
@@ -51,7 +71,7 @@ class BVSpace:
             even, odd = sorted((ctx.slot(f), ctx.slot(a)))  # EVEN < ODD
             slots += [even, odd]
             self._pair_slots.append((even[1], 1 << odd[1]))
-        self._sweep = _sweep(slots)
+        self._pair_sweep = _sweep(slots)
 
     @classmethod
     def over_fields(cls, specs) -> "BVSpace":
@@ -100,10 +120,10 @@ class BVSpace:
             raise ValueError("context mismatch")
         if phi.is_zero or psi.is_zero:
             return self.ctx.zero()
-        d_psi = _derivs(psi.terms, self._sweep)
+        d_psi = _derivs(psi.terms, self._pair_sweep)
         out = {}
         # j ^ 1 is the other member of j's pair
-        for j, d in _derivs(phi.terms, self._sweep, right=True).items():
+        for j, d in _derivs(phi.terms, self._pair_sweep, right=True).items():
             other = d_psi.get(j ^ 1)
             if other:
                 _mul_into(out, d, other)
@@ -140,24 +160,23 @@ class BVSpace:
         out = {}
         for f, a in self.pairs:
             img = D.image(f)
-            if any(img.mono_antifield_degree(m) for m in img.terms):
+            if not D.image(a).is_zero or any(self.antifield_degree(m) for m in img.terms):
                 raise ValueError("derivation touches antifields")
             _mul_into(out, self.ctx.gen(a).terms, img.terms)
-        for g in self.ctx.generators:
-            if g.role == ANTIFIELD and not D.image(g.name).is_zero:
-                raise ValueError("derivation touches antifields")
         return Poly(self.ctx, out)
 
     def extract_derivation(self, s1: Poly) -> Derivation:
-        """Field-space derivation with image bracket(s1, field); inverse of s1_of."""
-        if any(s1.mono_antifield_degree(m) != 1 for m in s1.terms):
+        """Field-space derivation with image bracket(s1, field); inverse of s1_of.
+
+        The bracket of any S1 with a field x is the right derivative of S1
+        by x's antifield, so every image comes from one sweep over S1.
+        """
+        if any(self.antifield_degree(m) != 1 for m in s1.terms):
             raise ValueError("antifield degree must be exactly 1")
         parity = (s1.parity() + 1) % 2
-        images = {}
-        for f, _ in self.pairs:
-            img = self.bracket(s1, self.ctx.gen(f))
-            if not img.is_zero:
-                images[f] = self.ctx.transport(img, self.field_ctx)
+        derivs = _derivs(s1.terms, self._antifield_sweep, right=True)
+        images = {f: self.ctx.transport(_poly(self.ctx, derivs[i]), self.field_ctx)
+                  for i, (f, _) in enumerate(self.pairs) if i in derivs}
         return Derivation(self.field_ctx, parity, images)
 
     # -- master equations ---------------------------------------------------
@@ -197,6 +216,19 @@ class BVSpace:
 
     # -- antifield-degree analysis -------------------------------------------
 
+    def antifield_degree(self, mono) -> int:
+        """The number of antifield factors in a monomial of ``ctx``."""
+        exps, mask = mono
+        evens, odds = self._antifield_sweep
+        return sum(exps[s] for _, s in evens) + sum(1 for _, bit in odds if mask & bit)
+
+    def antifield_decompose(self, poly: Poly):
+        """[(k, Poly)]: the parts of antifield degree k, k ascending."""
+        buckets: dict[int, dict] = {}
+        for m, c in poly.terms.items():
+            buckets.setdefault(self.antifield_degree(m), {})[m] = c
+        return [(k, _poly(poly.ctx, buckets[k])) for k in sorted(buckets)]
+
     def evaluate_even_fields(self, poly: Poly, point) -> Poly:
         """Substitute rational values for even fields; odd coordinates and
         antifields stay symbolic.  The result is zero iff every odd-monomial
@@ -213,13 +245,14 @@ class BVSpace:
 
     def antifield_report(self, s: Poly, points=()) -> "AntifieldReport":
         s = self.check_action(s)
-        parts = {k: p for k, p in s.antifield_decompose()}
+        parts = dict(self.antifield_decompose(s))
         s0 = parts.get(0, self.ctx.zero())
         s1 = parts.get(1, self.ctx.zero())
         s2 = parts.get(2, self.ctx.zero())
         res_a = self.bracket(s0, s1)
         res_b = self.bracket(s1, s1) + 2 * self.bracket(s0, s2)
-        gradient = {f: s0.left_deriv(f) for f, _ in self.pairs}
+        derivs = _derivs(s0.terms, self._field_sweep)
+        gradient = {f: _poly(self.ctx, derivs.get(i, {})) for i, (f, _) in enumerate(self.pairs)}
         point_results = []
         for point in points:
             bad = {f: value for f, g in gradient.items()

@@ -120,6 +120,8 @@ def _parse_point(text: str) -> dict:
         name, value = name.strip(), value.strip()
         if not name or not value:
             raise Refusal(f"bad point syntax {text!r}; use 'x=0,y=1/2'")
+        if name in point:
+            raise Refusal(f"coordinate {name} is given twice in the point")
         try:
             point[name] = Fraction(value)
         except (ValueError, ZeroDivisionError):
@@ -163,9 +165,9 @@ def _cmd_linf(model: Model, args):
     square_zero = all(p.is_zero for p in square.values())
     n_max = args.nmax
     if n_max is None:
-        # always show the first three quadratic-relation rows
-        n_max = max([3] + [p.max_degree() for p in square.values()
-                           if not p.is_zero])
+        # D raises every degree by one, so each D^2(g) is cubic and the rows
+        # past 3 are zero
+        n_max = 3
     else:
         _require_count("n_max", n_max, MAX_NMAX)
     rows = linf_rows(square, n_max)

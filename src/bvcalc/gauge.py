@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .bv import BVSpace
 from .scalars import Scalar
-from .superalgebra import EVEN, FIELD, ODD, Poly, _derivs, _mul_into, _poly, _sweep
+from .superalgebra import EVEN, FIELD, ODD, Poly, _derivs, _mul_into, _poly
 
 
 class NotDeltaClosed(Exception):
@@ -44,7 +44,7 @@ class GaugeFermion:
     def __init__(self, bvs: BVSpace, poly: Poly):
         if poly.ctx != bvs.ctx:
             raise ValueError("context mismatch")
-        if any(poly.mono_antifield_degree(m) for m in poly.terms):
+        if any(bvs.antifield_degree(m) for m in poly.terms):
             raise ValueError("gauge fermion depends on antifields")
         if not poly.is_zero and poly.parity() != ODD:
             raise ValueError("gauge fermion must be odd")
@@ -56,11 +56,11 @@ class GaugeFermion:
 
         The right derivative (an extra sign on odd fields) is what makes the
         exact Stokes property of the integral hold; see the gauge tests.
-        Every field's derivative comes from one ``_derivs`` sweep over F.
+        Every field's derivative comes from one pass of the field sweep.
         """
-        ctx, pairs = self.poly.ctx, self.bvs.pairs
-        derivs = _derivs(self.poly.terms, _sweep([ctx.slot(f) for f, _ in pairs]), right=True)
-        return {a: _poly(ctx, derivs.get(i, {})) for i, (_, a) in enumerate(pairs)}
+        bvs = self.bvs
+        derivs = _derivs(self.poly.terms, bvs._field_sweep, right=True)
+        return {a: _poly(bvs.ctx, derivs.get(i, {})) for i, (_, a) in enumerate(bvs.pairs)}
 
     def __repr__(self):
         return f"GaugeFermion({self.poly})"
@@ -212,10 +212,8 @@ def standard_damping(bvs: BVSpace) -> Poly:
     half = Scalar.of(Fraction(-1, 2))
     zero = (0,) * ctx.n_even
     terms = {}
-    for f, _ in bvs.pairs:
-        parity, s = ctx.slot(f)
-        if parity == EVEN:
-            terms[zero[:s] + (2,) + zero[s + 1:], 0] = half
+    for _, s in bvs._field_sweep[0]:  # the even fields' slots
+        terms[zero[:s] + (2,) + zero[s + 1:], 0] = half
     return _poly(ctx, terms)
 
 

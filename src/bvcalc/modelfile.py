@@ -13,7 +13,10 @@ A model file has sections introduced by bracketed headers:
 
 Exactly one of [lie] / [generators] must be present.  Ghost coordinates of a
 Lie model are named c1..cm and every field gets an antifield named by
-suffixing 'p'.  All diagnostics carry the offending line number.
+suffixing 'p', so a module coordinate may take neither form.  An entry given
+twice (a bracket pair in either order, a rep entry, a generator name) is
+refused at its second line.  All diagnostics carry the offending line
+number, except the pairing errors that BVSpace raises for [generators].
 """
 
 from __future__ import annotations
@@ -137,6 +140,14 @@ def _keyvalue(lines, key):
     return None, None
 
 
+def _claim(seen: dict, key, what: str, lineno: int):
+    """Record the entry ``what`` under ``key``; refuse a key given before."""
+    first, first_what = seen.setdefault(key, (lineno, what))
+    if first != lineno:
+        as_first = "" if first_what == what else f" as {first_what}"
+        raise ModelError(f"{what} is given twice, first{as_first} at line {first}", lineno)
+
+
 def _rational(coeff, what: str, lineno: int):
     """A structure constant, which must be a plain rational."""
     try:
@@ -168,13 +179,20 @@ def _build_lie(sections):
         for name in names:
             if name in ("i", "hbar"):
                 raise ModelError(f"{name!r} is reserved in expressions", lineno)
+    # the BV context adds ghosts c1..cm and an antifield <name>p per field
+    generated = {f"c{k + 1}": f"ghost c{k + 1}" for k in range(m)}
+    generated |= {f"{x}p": f"the antifield of {x}" for x in module + list(generated)}
+    for name in module:
+        if name in generated:
+            raise ModelError(f"module coordinate {name} clashes with {generated[name]}",
+                             module_line)
 
     basis_index = {b: i for i, b in enumerate(basis)}
     module_index = {v: i for i, v in enumerate(module)}
     basis_ctx = Context.plain((b, EVEN) for b in basis)
     module_ctx = Context.plain((v, EVEN) for v in module) if module else None
 
-    brackets = {}
+    brackets, seen = {}, {}
     for lineno, line in sections.get("brackets", []):
         lhs = line.partition("=")[0].strip()
         if not (lhs.startswith("[") and lhs.endswith("]") and "," in lhs):
@@ -184,15 +202,19 @@ def _build_lie(sections):
         for name in (a, b):
             if name not in basis_index:
                 raise ModelError(f"unknown basis vector {name!r}", lineno)
+        _claim(seen, frozenset((a, b)), f"bracket [{a},{b}]", lineno)
         j, k = basis_index[a], basis_index[b]
         value = _parse_rhs(line, lineno, basis_ctx, f"bracket [{a},{b}]")
+        if j == k and not value.is_zero:
+            raise ModelError(f"bracket [{a},{a}] of a basis vector with itself "
+                             "must be zero", lineno)
         for (exps, mask), coeff in value.terms.items():
             if mask or sum(exps) != 1:
                 raise ModelError(f"bracket [{a},{b}] must be linear in the basis", lineno)
             i = exps.index(1)
             brackets[(i, j, k)] = _rational(coeff, f"bracket [{a},{b}]", lineno)
 
-    rho = {}
+    rho, seen = {}, {}
     for lineno, line in sections.get("rep", []):
         lhs = line.partition("=")[0].strip()
         g, _, v = lhs.partition(".")
@@ -201,15 +223,14 @@ def _build_lie(sections):
             raise ModelError(f"unknown basis vector {g!r}", lineno)
         if v not in module_index:
             raise ModelError(f"unknown module coordinate {v!r}", lineno)
+        _claim(seen, (g, v), f"rep entry {g}.{v}", lineno)
         k, j = basis_index[g], module_index[v]
         value = _parse_rhs(line, lineno, module_ctx, f"rep entry {g}.{v}")
         for (exps, mask), coeff in value.terms.items():
             if mask or sum(exps) > 1:
                 raise ModelError(f"rep entry {g}.{v} must be linear", lineno)
-            if sum(exps) == 0:
-                if not coeff.is_zero:
-                    raise ModelError(f"rep entry {g}.{v} has a constant part", lineno)
-                continue
+            if not any(exps):
+                raise ModelError(f"rep entry {g}.{v} has a constant part", lineno)
             i = exps.index(1)
             rho[(i, j, k)] = _rational(coeff, f"rep entry {g}.{v}", lineno)
 
@@ -227,7 +248,7 @@ def _build_lie(sections):
 
 
 def _build_generators(lines):
-    gens = []
+    gens, seen = [], {}
     for lineno, line in lines:
         parts = line.split()
         if len(parts) not in (3, 4):
@@ -236,6 +257,7 @@ def _build_generators(lines):
         name, parity_text, role = parts[:3]
         if not name.isidentifier() or name in ("i", "hbar"):
             raise ModelError(f"bad generator name {name!r}", lineno)
+        _claim(seen, name, f"generator {name}", lineno)
         if parity_text not in ("even", "odd"):
             raise ModelError(f"parity must be 'even' or 'odd', not {parity_text!r}",
                              lineno)

@@ -202,6 +202,12 @@ class Scalar:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a real, hbar-free scalar equals its Fraction, so it hashes as one
+        terms = self._terms
+        if terms.keys() <= {0}:
+            re, im, den = terms.get(0, (0, 0, 1))
+            if not im:
+                return hash(Fraction(re, den))
         return hash(self.key())
 
     def key(self):

@@ -1,7 +1,8 @@
 """Exact arithmetic in the free graded-commutative algebra on declared generators.
 
 A Context fixes an ordered list of named generators, each even or odd, with
-optional field/antifield roles.  Polynomials are sparse maps from canonical
+optional field/antifield role labels (the pairing and the antifield grading
+live in ``bv.BVSpace``).  Polynomials are sparse maps from canonical
 monomials to exact Scalars.  A monomial stores a vector of exponents over the
 even generators and a strictly increasing set of odd generators (as a bitmask);
 odd squares vanish, and every product sign is the parity of the number of
@@ -23,8 +24,8 @@ derivative by each generator of ``sweep = _sweep(slots)``, which a caller
 builds once from its generators' ``Context.slot`` pairs in its own order;
 derivative i is the one by ``slots[i]``.  The split into even and odd
 generators stays inside this module.  ``Poly.left_deriv``,
-``Poly.right_deriv``, the antibracket, ``Derivation.apply`` and the gauge
-fermion's antifield images all take their derivatives from it; only
+``Poly.right_deriv``, the antibracket, ``Derivation.apply`` and the per-field
+derivative lists of ``BVSpace`` all take their derivatives from it; only
 ``BVSpace.delta`` repeats the odd left sign, fused into its double
 derivative.
 
@@ -63,8 +64,7 @@ class Generator:
 class Context:
     """Ordered generator table; declaration order is the canonical odd order."""
 
-    __slots__ = ("generators", "_slot", "_role", "even_names", "odd_names",
-                 "antifield_even_slots", "antifield_odd_mask", "pairs")
+    __slots__ = ("generators", "_slot", "_role", "even_names", "odd_names")
 
     def __init__(self, generators):
         generators = tuple(generators)
@@ -89,35 +89,6 @@ class Context:
         self._role = {g.name: g.role for g in generators}
         self.even_names = tuple(even_names)
         self.odd_names = tuple(odd_names)
-
-        by_name = {g.name: g for g in generators}
-        pairs = []
-        claimed = {}
-        for g in generators:
-            if g.role == ANTIFIELD:
-                f = by_name.get(g.partner)
-                if f is None or f.role != FIELD:
-                    raise ValueError(f"antifield {g.name} is not paired with a field")
-                if f.parity == g.parity:
-                    raise ValueError(f"antifield {g.name} must have opposite parity to {f.name}")
-                if f.name in claimed:
-                    raise ValueError(f"field {f.name} has two antifields")
-                claimed[f.name] = g.name
-        for g in generators:
-            if g.role == FIELD and g.name in claimed:
-                pairs.append((g.name, claimed[g.name]))
-        self.pairs = tuple(pairs)
-
-        af_even, af_mask = set(), 0
-        for g in generators:
-            if g.role == ANTIFIELD:
-                p, s = slot[g.name]
-                if p == EVEN:
-                    af_even.add(s)
-                else:
-                    af_mask |= 1 << s
-        self.antifield_even_slots = frozenset(af_even)
-        self.antifield_odd_mask = af_mask
 
     # -- construction helpers ------------------------------------------
 
@@ -548,12 +519,6 @@ class Poly:
         exps, mask = mono
         return sum(exps) + mask.bit_count()
 
-    def mono_antifield_degree(self, mono) -> int:
-        exps, mask = mono
-        deg = sum(exps[s] for s in self.ctx.antifield_even_slots)
-        deg += (mask & self.ctx.antifield_odd_mask).bit_count()
-        return deg
-
     def max_degree(self) -> int:
         return max((self.mono_degree(m) for m in self.terms), default=0)
 
@@ -567,12 +532,6 @@ class Poly:
         for m, c in self.terms.items():
             for k, piece in c.split_hbar():
                 buckets.setdefault(k, {})[m] = piece
-        return [(k, Poly(self.ctx, buckets[k])) for k in sorted(buckets)]
-
-    def antifield_decompose(self):
-        buckets: dict[int, dict] = {}
-        for m, c in self.terms.items():
-            buckets.setdefault(self.mono_antifield_degree(m), {})[m] = c
         return [(k, Poly(self.ctx, buckets[k])) for k in sorted(buckets)]
 
     # -- rendering -----------------------------------------------------------

@@ -47,6 +47,9 @@ The hbar ladder of the quantum master equation is built order by order:
 ``hbar_equations_loop`` sums the brackets of each pair of hbar orders and
 the Laplacian of the order below.  The library reads the same rows off the
 residual {S,S} - 2 i hbar delta(S) split by hbar power.
+``extract_by_bracket`` takes each image of the derivation behind an
+antifield-linear S1 as the antibracket {S1, x} with the field x; the
+library reads every image off one right-derivative sweep by the antifields.
 
 ``FractionScalar`` is the earlier ``Scalar``: a pair of ``Fraction`` parts
 per hbar power, re-normalized by ``Fraction`` on every operation.  The
@@ -503,6 +506,20 @@ def substitute_sum(poly: Poly, assignments) -> Poly:
     return out
 
 
+def extract_by_bracket(bvs, s1: Poly) -> Derivation:
+    """The oracle for ``BVSpace.extract_derivation``: the field-space
+    derivation whose image of each field x is the antibracket {S1, x},
+    one full bracket per field."""
+    if any(bvs.antifield_degree(m) != 1 for m in s1.terms):
+        raise ValueError("antifield degree must be exactly 1")
+    images = {}
+    for f, _ in bvs.pairs:
+        img = bvs.bracket(s1, bvs.ctx.gen(f))
+        if not img.is_zero:
+            images[f] = bvs.ctx.transport(img, bvs.field_ctx)
+    return Derivation(bvs.field_ctx, (s1.parity() + 1) % 2, images)
+
+
 def hbar_equations_loop(bvs, s: Poly):
     """The oracle for ``BVSpace.hbar_equations``: with S = sum hbar^k S_k,
     R_k = sum_{a+b=k} {S_a, S_b} - 2 i delta(S_(k-1)) built pair of hbar
@@ -647,6 +664,10 @@ class FractionScalar:
         return self._terms == other._terms
 
     def __hash__(self):
+        # a real, hbar-free scalar equals its Fraction, so it hashes as one
+        re, im = self._terms.get(0, (Fraction(0), Fraction(0)))
+        if self._terms.keys() <= {0} and not im:
+            return hash(re)
         return hash(self.key())
 
     def key(self):

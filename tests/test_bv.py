@@ -483,6 +483,21 @@ class TestAntifieldReport:
         assert not report.points[0].is_critical
         assert "x1" in report.points[0].gradient_failures
 
+    def test_gradient_is_the_per_field_left_derivative(self, bvs_2_2):
+        # every field's derivative of S0, in pair order, at a point where
+        # each of them is nonzero
+        ctx = bvs_2_2.ctx
+        g = ctx.gen
+        s0 = g("x1") * g("x1") * g("x2") + g("x1") * g("t1") * g("t2") + 3 * g("x2")
+        s1 = g("x1p") * g("x2") * g("t1")
+        point = {"x1": 1, "x2": Fraction(1, 2)}
+        report = bvs_2_2.antifield_report(s0 + s1, points=[point])
+        failures = report.points[0].gradient_failures
+        expected = {f: bvs_2_2.evaluate_even_fields(s0.left_deriv(f), point)
+                    for f, _ in bvs_2_2.pairs}
+        assert list(failures.items()) == list(expected.items())
+        assert not any(v.is_zero for v in failures.values())
+
     def test_offshell_nonzero_onshell_zero(self, bvs_2_2):
         # S0 = x1^2 has critical locus x1 = 0; the second-order piece makes
         # the off-shell residual proportional to the gradient, so it dies at

@@ -89,9 +89,61 @@ class TestModelFiles:
         assert f"error: {message}" in out.splitlines()
 
     def test_bracket_consistency_error(self):
+        # a pair in both orders is refused at its second line, whether or
+        # not the two values agree; LieModel.build keeps its own check
         text = "[lie]\nbasis = a b\n[brackets]\n[a,b] = b\n[b,a] = b\n"
-        with pytest.raises(ModelError, match="inconsistent"):
+        with pytest.raises(ModelError) as err:
             parse_model(text)
+        assert str(err.value) == ("bracket [b,a] is given twice, first as bracket [a,b] "
+                                  "at line 4 (line 5)")
+
+    LIE = "[lie]\nbasis = h e f\nmodule = va vb\n"
+
+    @pytest.mark.parametrize("text, message", [
+        (LIE + "[brackets]\n[h,e] = e\n[h,e] = f\n",
+         "bracket [h,e] is given twice, first at line 5 (line 6)"),
+        (LIE + "[brackets]\n[h,e] = 2*e\n[h,e] = 3*e\n",
+         "bracket [h,e] is given twice, first at line 5 (line 6)"),
+        (LIE + "[brackets]\n[h,e] = e\n[e,h] = e\n",
+         "bracket [e,h] is given twice, first as bracket [h,e] at line 5 (line 6)"),
+        (LIE + "[brackets]\n[h,h] = e\n",
+         "bracket [h,h] of a basis vector with itself must be zero (line 5)"),
+        (LIE + "[rep]\nh.va = va\nh.va = vb\n",
+         "rep entry h.va is given twice, first at line 5 (line 6)"),
+        (LIE + "[rep]\nh.va = va + 1\n", "rep entry h.va has a constant part (line 5)"),
+        (LIE + "[rep]\nh.va = va*vb\n", "rep entry h.va must be linear (line 5)"),
+        ("[lie]\nbasis = h e\nmodule = va c2\n",
+         "module coordinate c2 clashes with ghost c2 (line 3)"),
+        ("[lie]\nbasis = h e\nmodule = va vap\n",
+         "module coordinate vap clashes with the antifield of va (line 3)"),
+        ("[lie]\nmodule = c1p\nbasis = h\n",
+         "module coordinate c1p clashes with the antifield of c1 (line 2)"),
+        ("[generators]\nx even field\nxp odd antifield x\nx odd plain\n",
+         "generator x is given twice, first at line 2 (line 4)"),
+    ])
+    @pytest.mark.parametrize("command", ["brst", "check-lie"])
+    def test_repeated_and_clashing_entries_refused_at_their_line(self, command, text,
+                                                                 message, capsys, tmp_path):
+        model = tmp_path / "bad.model"
+        model.write_text(text)
+        code, out = run(capsys, command, model)
+        assert code == 2
+        assert f"status: refused\nerror: {message}\n" in out
+
+    @pytest.mark.parametrize("generators, message", [
+        ("x even field\nxp odd antifield y\n", "antifield xp is not paired with a field"),
+        ("x even field\nxp even antifield x\n", "antifield xp must have opposite parity to x"),
+        ("x even field\na odd antifield x\nb odd antifield x\n", "field x has two antifields"),
+        ("x even field\nt odd field\ntp even antifield t\n",
+         "context lacks a perfect field/antifield pairing"),
+    ])
+    def test_pairing_refusals(self, generators, message, capsys, tmp_path):
+        # BVSpace checks the pairing; the message names no line
+        model = tmp_path / "bad.model"
+        model.write_text("[generators]\n" + generators)
+        code, out = run(capsys, "master", model)
+        assert code == 2
+        assert f"status: refused\nerror: {message}\n" in out
 
 
 class TestExitCodes:
@@ -303,6 +355,7 @@ class TestPreconditions:
         (["gauge-exp", "--p", "PZ", "--gauge", "F1"],
          "odd generator present in a Gaussian moment"),
         (["gauge-exp", "--p", "PW", "--gauge", "F1"], "w is not an even field"),
+        (["onshell", "--point", "x=1,x=2"], "coordinate x is given twice in the point"),
     ])
     def test_refused(self, args, message, tmp_path, capsys):
         model = tmp_path / "plain.model"

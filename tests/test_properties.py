@@ -8,7 +8,9 @@ whose prefactors cancel, the rational Lie routes and the squares read off
 per-monomial images equal the Scalar and the whole-image routes on drawn
 antisymmetric tables, and the Chevalley-Eilenberg dims equal the
 full-complex ranks on drawn Lie algebras, traceless or not, at p = 0 and with
-the adjoint module at p = 1."""
+the adjoint module at p = 1, and the derivation read off an antifield-linear
+S1 by one sweep equals the one built from an antibracket per field on every
+field layout of tests/test_bv.py."""
 
 from fractions import Fraction
 
@@ -24,8 +26,10 @@ from bvcalc.superalgebra import Context, Poly, _mul_into  # noqa: E402
 
 from conftest import _matrix_algebra, change_basis, gl, sl2, solvable2  # noqa: E402
 from oracles import (ce_cohomology_dims_full, ce_images, ce_images_scalar,  # noqa: E402
-                     exp_pairs_by_key, jacobi_triple_loop, mul_into_left_outer, mul_pairwise,
-                     rep_commutator_check, substitute_sum, violations_square)
+                     exp_pairs_by_key, extract_by_bracket, jacobi_triple_loop,
+                     mul_into_left_outer, mul_pairwise, rep_commutator_check, substitute_sum,
+                     violations_square)
+from test_bv import FIELD_SPECS  # noqa: E402
 
 CTX = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD), ("t2", ODD)])
 
@@ -71,6 +75,38 @@ def test_kernel_fills_the_same_dict_as_the_left_outer_kernel(dicts):
     for x, y in ((a, b), (b, a), (a, a)):
         hypothesis.event("<" if len(x) < len(y) else ">" if len(x) > len(y) else "=")
         assert _typed(_mul_into(dict(c), x, y)) == _typed(mul_into_left_outer(dict(c), x, y))
+
+
+BV_SPACES = {spec: BVSpace.over_fields(fields) for spec, fields in FIELD_SPECS.items()}
+
+
+@st.composite
+def antifield_linear(draw, bvs):
+    """A parity-homogeneous sum of antifield times field monomial, with
+    Scalar (i, hbar) coefficients and the odd fields in drawn order; zero
+    included."""
+    ctx = bvs.ctx
+    evens = [f for f, _ in bvs.pairs if ctx.parity_of(f) == EVEN]
+    odds = [f for f, _ in bvs.pairs if ctx.parity_of(f) == ODD]
+    s1 = ctx.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        _, a = draw(st.sampled_from(bvs.pairs))
+        even = {x: draw(st.integers(0, 2)) for x in evens}
+        odd = draw(st.permutations(odds))[:draw(st.integers(0, len(odds)))]
+        s1 = s1 + ctx.gen(a) * ctx.monomial(draw(scalars), even, odd)
+    return s1.parity_split()[draw(st.integers(0, 1))]
+
+
+@pytest.mark.parametrize("spec", sorted(FIELD_SPECS))
+@hypothesis.settings(max_examples=100, deadline=2000)
+@hypothesis.given(data=st.data())
+def test_extract_derivation_equals_bracket_oracle(spec, data):
+    bvs = BV_SPACES[spec]
+    s1 = data.draw(antifield_linear(bvs))
+    hypothesis.event(f"{len(s1.terms)} terms, parity {s1.parity()}")
+    swept, oracle = bvs.extract_derivation(s1), extract_by_bracket(bvs, s1)
+    assert swept.parity == oracle.parity and swept.ctx == oracle.ctx
+    assert list(swept.images.items()) == list(oracle.images.items())
 
 
 # three odd generators, so that unassigned odd factors sit on both sides of

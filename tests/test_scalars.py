@@ -224,6 +224,17 @@ def test_two_routes_to_one_value_share_storage():
     assert hash(summed) == hash(scaled)
 
 
+@pytest.mark.parametrize("value", [0, 1, Fraction(1, 2)])
+def test_real_scalar_hashes_as_its_fraction(value):
+    s = Scalar.of(value)
+    assert s == value and hash(s) == hash(value) == hash(Fraction(value))
+    assert len({s, value}) == 1
+    assert {value: "v"}[s] == "v" and {s: "s"}[value] == "s"
+    assert {s} == {Fraction(value)}
+    # i and hbar keep their own hashes, and stay apart from the rationals
+    assert len({s, s * Scalar.i(), s * Scalar.hbar(), s + Scalar.i()}) == (2 if value == 0 else 4)
+
+
 def test_arithmetic_builds_no_fraction(monkeypatch):
     a = Scalar({0: (Fraction(1, 2), 3), 2: (Fraction(-4, 9), Fraction(1, 6))})
     b = Scalar({-1: (Fraction(5, 3), 0), 2: (Fraction(2, 3), Fraction(-1, 4))})

@@ -1,6 +1,6 @@
 import pytest
 
-from bvcalc import EVEN, ODD, Scalar
+from bvcalc import EVEN, ODD, BVSpace, Scalar
 from bvcalc.randgen import random_homogeneous, random_poly
 from bvcalc.superalgebra import Context, Poly, _derivs, _mul_into, _sweep
 
@@ -220,12 +220,12 @@ class TestGrading:
     def test_antifield_split(self, bvs_1_1):
         ctx = bvs_1_1.ctx
         phi = ctx.gen("x") + ctx.gen("xp") * ctx.gen("x")
-        parts = phi.antifield_decompose()
+        parts = bvs_1_1.antifield_decompose(phi)
         assert parts == [(0, ctx.gen("x")), (1, ctx.gen("xp") * ctx.gen("x"))]
 
     def test_zero_decomposes_empty(self, bvs_1_1):
         assert bvs_1_1.ctx.zero().hbar_decompose() == []
-        assert bvs_1_1.ctx.zero().antifield_decompose() == []
+        assert bvs_1_1.antifield_decompose(bvs_1_1.ctx.zero()) == []
 
     def test_mixed_scalar_splits_across_components(self, bvs_1_1):
         ctx = bvs_1_1.ctx
@@ -323,10 +323,12 @@ def test_context_validation():
     from bvcalc.superalgebra import Generator
     with pytest.raises(ValueError, match="unique"):
         Context.plain([("x", EVEN), ("x", ODD)])
+    # the pairing is checked by BVSpace, not by the Context under it
+    same_parity = Context([Generator("x", EVEN, "field"),
+                           Generator("xp", EVEN, "antifield", "x")])
     with pytest.raises(ValueError, match="opposite parity"):
-        Context([Generator("x", EVEN, "field"),
-                 Generator("xp", EVEN, "antifield", "x")])
+        BVSpace(same_parity)
     with pytest.raises(ValueError, match="two antifields"):
-        Context([Generator("x", EVEN, "field"),
-                 Generator("a", ODD, "antifield", "x"),
-                 Generator("b", ODD, "antifield", "x")])
+        BVSpace(Context([Generator("x", EVEN, "field"),
+                         Generator("a", ODD, "antifield", "x"),
+                         Generator("b", ODD, "antifield", "x")]))
