@@ -163,14 +163,8 @@ def _cmd_linf(model: Model, args):
     D = _brst_derivation(model)
     square = D.square_residual()
     square_zero = all(p.is_zero for p in square.values())
-    n_max = args.nmax
-    if n_max is None:
-        # D raises every degree by one, so each D^2(g) is cubic and the rows
-        # past 3 are zero
-        n_max = 3
-    else:
-        _require_count("n_max", n_max, MAX_NMAX)
-    rows = linf_rows(square, n_max)
+    _require_count("n_max", args.nmax, MAX_NMAX)
+    rows = linf_rows(square, args.nmax)
     details = []
     for n, row in rows:
         nonzero = {v: p for v, p in row.items() if not p.is_zero}
@@ -309,62 +303,49 @@ def _cmd_trace_cond(model: Model, args):
     return (PASS if trace.is_zero else FAIL), [("trace", trace)]
 
 
-_COMMANDS = {
-    "check-lie": _cmd_check_lie,
-    "check-rep": _cmd_check_rep,
-    "brst": _cmd_brst,
-    "linf": _cmd_linf,
-    "ce-cohomology": _cmd_ce_cohomology,
-    "bv-identities": _cmd_bv_identities,
-    "master": _cmd_master,
-    "qme": _cmd_qme,
-    "hbar-seq": _cmd_hbar_seq,
-    "onshell": _cmd_onshell,
-    "omega-square": _cmd_omega_square,
-    "gauge-exp": _cmd_gauge_exp,
-    "trace-cond": _cmd_trace_cond,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bvcalc",
                                      description="exact checks on model files")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name):
+    def add(name, handler):
         p = sub.add_parser(name)
         p.add_argument("model", help="path to the model file")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
+        p.set_defaults(handler=handler)
         return p
 
-    add("check-lie")
-    add("check-rep")
-    add("brst")
-    p = add("linf")
-    p.add_argument("--nmax", type=int, default=None)
-    p = add("ce-cohomology")
+    add("check-lie", _cmd_check_lie)
+    add("check-rep", _cmd_check_rep)
+    add("brst", _cmd_brst)
+    p = add("linf", _cmd_linf)
+    # D raises every degree by one, so each D^2(g) is cubic and the rows past
+    # 3 are zero
+    p.add_argument("--nmax", type=int, default=3)
+    p = add("ce-cohomology", _cmd_ce_cohomology)
     p.add_argument("--p", type=int, choices=(0, 1), default=0)
-    p = add("bv-identities")
+    p = add("bv-identities", _cmd_bv_identities)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=60)
-    for name in ("master", "qme", "hbar-seq"):
-        p = add(name)
+    for name, handler in (("master", _cmd_master), ("qme", _cmd_qme),
+                          ("hbar-seq", _cmd_hbar_seq)):
+        p = add(name, handler)
         p.add_argument("--action", default=None)
-    p = add("onshell")
+    p = add("onshell", _cmd_onshell)
     p.add_argument("--action", default=None)
     p.add_argument("--point", action="append", default=[])
-    p = add("omega-square")
+    p = add("omega-square", _cmd_omega_square)
     p.add_argument("--action", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=40)
-    p = add("gauge-exp")
+    p = add("gauge-exp", _cmd_gauge_exp)
     p.add_argument("--p", required=True, help="expression name for the prefactor")
     p.add_argument("--t", default=None, help="expression name for the exponent")
     p.add_argument("--gauge", action="append", default=[],
                    help="gauge fermion expression name (repeatable)")
     p.add_argument("--boundary", action="store_true",
                    help="integrate delta of the element and expect zeros")
-    add("trace-cond")
+    add("trace-cond", _cmd_trace_cond)
     return parser
 
 
@@ -391,28 +372,21 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    command = args.command
     try:
         model = load_model(args.model)
     except (ModelError, ParseError, OSError) as exc:
-        report = Report(command, args.model, REFUSED, [("error", exc)])
-        _emit(report, getattr(args, "json", False))
-        return report.exit_code
-    try:
-        status, details = _COMMANDS[command](model, args)
-        report = Report(command, args.model, status, details)
-    except Refusal as exc:
-        report = Report(command, args.model, REFUSED,
-                        [("error", exc)] + exc.details)
-    except (ModelError, ParseError, gauge.NonNormalizedDamping,
-            gauge.NonGaussianIntegrand) as exc:
-        report = Report(command, args.model, REFUSED, [("error", exc)])
-    _emit(report, args.json)
+        status, details = REFUSED, [("error", exc)]
+    else:
+        try:
+            status, details = args.handler(model, args)
+        except Refusal as exc:
+            status, details = REFUSED, [("error", exc)] + exc.details
+        except (ModelError, ParseError, gauge.NonNormalizedDamping,
+                gauge.NonGaussianIntegrand) as exc:
+            status, details = REFUSED, [("error", exc)]
+    report = Report(args.command, args.model, status, details)
+    sys.stdout.write(report.to_json() if args.json else report.to_text())
     return report.exit_code
-
-
-def _emit(report: Report, as_json: bool):
-    sys.stdout.write(report.to_json() if as_json else report.to_text())
 
 
 def entry() -> None:

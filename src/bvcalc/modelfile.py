@@ -14,9 +14,10 @@ A model file has sections introduced by bracketed headers:
 Exactly one of [lie] / [generators] must be present.  Ghost coordinates of a
 Lie model are named c1..cm and every field gets an antifield named by
 suffixing 'p', so a module coordinate may take neither form.  An entry given
-twice (a bracket pair in either order, a rep entry, a generator name) is
-refused at its second line.  All diagnostics carry the offending line
-number, except the pairing errors that BVSpace raises for [generators].
+twice (a [lie] basis or module line, a bracket pair in either order, a rep
+entry, a generator name) is refused at its second line.  All diagnostics
+carry the offending line number, except the pairing errors that BVSpace
+raises for [generators].
 """
 
 from __future__ import annotations
@@ -132,14 +133,6 @@ def _parse_rhs(line: str, lineno: int, ctx: Context, what: str) -> Poly:
         raise ModelError(f"in {what}: {exc}") from exc
 
 
-def _keyvalue(lines, key):
-    for lineno, line in lines:
-        k, _, v = line.partition("=")
-        if k.strip() == key:
-            return lineno, v.strip()
-    return None, None
-
-
 def _claim(seen: dict, key, what: str, lineno: int):
     """Record the entry ``what`` under ``key``; refuse a key given before."""
     first, first_what = seen.setdefault(key, (lineno, what))
@@ -157,20 +150,21 @@ def _rational(coeff, what: str, lineno: int):
 
 
 def _build_lie(sections):
-    lie_lines = sections["lie"]
+    lie_lines, entries, seen = sections["lie"], {}, {}
     for lineno, line in lie_lines:
-        key = line.partition("=")[0].strip()
+        key, _, value = line.partition("=")
+        key = key.strip()
         if key not in ("basis", "module"):
             raise ModelError(f"unknown [lie] entry {key!r}", lineno)
-    basis_line, basis_text = _keyvalue(lie_lines, "basis")
-    if basis_text is None:
+        _claim(seen, key, f"[lie] entry {key!r}", lineno)
+        entries[key] = (lineno, value.split())
+    if "basis" not in entries:
         raise ModelError("[lie] needs a 'basis = name...' line",
                          lie_lines[0][0] if lie_lines else None)
-    basis = basis_text.split()
+    basis_line, basis = entries["basis"]
     if not basis:
         raise ModelError("[lie] basis names no vector", basis_line)
-    module_line, module_text = _keyvalue(lie_lines, "module")
-    module = module_text.split() if module_text else []
+    module_line, module = entries.get("module", (None, []))
     m, n = len(basis), len(module)
     for what, names, lineno in (("basis", basis, basis_line),
                                 ("module", module, module_line)):

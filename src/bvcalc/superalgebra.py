@@ -68,12 +68,11 @@ class Context:
 
     def __init__(self, generators):
         generators = tuple(generators)
-        names = [g.name for g in generators]
-        if len(set(names)) != len(names):
-            raise ValueError("generator names must be unique")
         slot = {}
         even_names, odd_names = [], []
         for g in generators:
+            if g.name in slot:
+                raise ValueError(f"generator names must be unique: {g.name} is repeated")
             if g.parity not in (EVEN, ODD):
                 raise ValueError(f"bad parity for generator {g.name}")
             if g.role not in (FIELD, ANTIFIELD, PLAIN):
@@ -406,7 +405,7 @@ class Poly:
         return out
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, Scalar)):
+        if isinstance(other, (int, Fraction, Scalar)) and not isinstance(other, bool):
             other = self.ctx.scalar(other)
         if not isinstance(other, Poly):
             return NotImplemented

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -120,6 +122,10 @@ class TestModelFiles:
          "module coordinate c1p clashes with the antifield of c1 (line 2)"),
         ("[generators]\nx even field\nxp odd antifield x\nx odd plain\n",
          "generator x is given twice, first at line 2 (line 4)"),
+        ("[lie]\nbasis = a b\nbasis = c\n",
+         "[lie] entry 'basis' is given twice, first at line 2 (line 3)"),
+        ("[lie]\nbasis = h e\nmodule = va\n\nmodule = vb\n",
+         "[lie] entry 'module' is given twice, first at line 3 (line 5)"),
     ])
     @pytest.mark.parametrize("command", ["brst", "check-lie"])
     def test_repeated_and_clashing_entries_refused_at_their_line(self, command, text,
@@ -298,6 +304,29 @@ class TestHostileInput:
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
 
 
+def subcommands() -> dict:
+    """Each command name of ``build_parser()`` with its subparser."""
+    parser = cli.build_parser()
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+def test_each_command_is_declared_with_its_handler():
+    commands = subcommands()
+    for name, parser in commands.items():
+        assert parser.get_default("handler") is getattr(cli, "_cmd_" + name.replace("-", "_"))
+    handlers = {n for n in vars(cli) if n.startswith("_cmd_")}
+    assert handlers == {"_cmd_" + name.replace("-", "_") for name in commands}
+
+
+def test_readme_cli_table_lists_every_command():
+    readme = (MODELS.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    table = section.split("| command |", 1)[1].split("\n\n", 1)[0]
+    listed = re.findall(r"^\| `([a-z-]+)` \|", table, re.M)
+    assert sorted(listed) == sorted(subcommands()) and len(set(listed)) == len(listed)
+
+
 class TestInternalError:
     """An exception no handler expects exits 3 with one stderr line."""
 
@@ -305,7 +334,7 @@ class TestInternalError:
         script = ("import sys; from bvcalc import cli\n"
                   "def crash(model, args):\n"
                   "    raise KeyError('no such entry')\n"
-                  "cli._COMMANDS['brst'] = crash\n"
+                  "cli._cmd_brst = crash\n"
                   f"sys.exit(cli.main(['brst', {str(MODELS / 'sl2.model')!r}]))\n")
         env = dict(os.environ, PYTHONPATH=str(SRC))
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,

@@ -168,6 +168,12 @@ class TestBrst:
             D, lie_only = brst_rep(model), brst_lie(model)
             assert D.ctx == lie_only.ctx and D.images == lie_only.images
 
+    def test_module_name_clashing_with_a_ghost_is_named(self):
+        model = LieModel.build(2, {(1, 0, 1): 1}, 1, {(0, 0, 0): 1})
+        with pytest.raises(ValueError) as err:
+            rep_context(model, ["c1"])
+        assert str(err.value) == "generator names must be unique: c1 is repeated"
+
     def test_square_iff_checks(self, rng):
         # nilpotence of the full differential = Jacobi plus representation
         adj = sl2().adjoint()

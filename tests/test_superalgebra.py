@@ -319,10 +319,21 @@ def test_canonical_form_idempotent(ctx_mixed, rng):
         assert Poly(ctx_mixed, dict(p.terms)) == p
 
 
+def test_equality_with_a_bool_is_false_but_arithmetic_refuses_it(ctx_mixed):
+    # as for Scalar: a bool is not a scalar, so == falls back to identity
+    one = ctx_mixed.one()
+    assert (one == True) is False and (True == one) is False
+    assert one != True and True not in [one]
+    assert one == 1 and one == Scalar.of(1) and (one == 1.5) is False
+    with pytest.raises(TypeError, match="True"):
+        one + True
+
+
 def test_context_validation():
     from bvcalc.superalgebra import Generator
-    with pytest.raises(ValueError, match="unique"):
-        Context.plain([("x", EVEN), ("x", ODD)])
+    with pytest.raises(ValueError) as err:
+        Context.plain([("x", EVEN), ("y", ODD), ("y", EVEN), ("x", ODD)])
+    assert str(err.value) == "generator names must be unique: y is repeated"
     # the pairing is checked by BVSpace, not by the Context under it
     same_parity = Context([Generator("x", EVEN, "field"),
                            Generator("xp", EVEN, "antifield", "x")])
