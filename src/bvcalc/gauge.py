@@ -2,10 +2,12 @@
 
 An ExpElement is a finite sum of pairs P * exp(T) with T even.  Restriction
 to the Lagrangian of a gauge fermion F substitutes every antifield by the
-right derivative of F with respect to its field; integration is Berezin over
-the odd field directions, in one pass, then normalized Gaussian moments over
-the even ones.  Everything stays in exact scalars, so gauge comparisons are
-equality checks rather than tolerance checks.
+right derivative of F with respect to its field, through one substitution
+map for every P and T.  Integration forms only the part of P * exp(N) that
+holds every odd field, Berezin-integrates it over the odd field directions
+in one pass, then takes normalized Gaussian moments over the even ones.
+Everything stays in exact scalars, so gauge comparisons are equality checks
+rather than tolerance checks.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from fractions import Fraction
 
 from .bv import BVSpace
 from .scalars import Scalar
-from .superalgebra import EVEN, FIELD, ODD, Poly, _derivs, _mul_into, _poly
+from .superalgebra import (EVEN, FIELD, ODD, Poly, _derivs, _mul_into, _poly,
+                           _substitution)
 
 
 class NotDeltaClosed(Exception):
@@ -125,26 +128,37 @@ def exp_delta(element: ExpElement) -> ExpElement:
 
     delta(P) + {sP, T} + sP (delta(T) + 1/2 {T, T}),
 
-    where sP is the even part of P minus its odd part.
+    where sP is P with its odd monomials negated.  T is even, so one sweep
+    of T gives its left and right derivatives, and 1/2 {T, T} is the sum
+    over pairs of (d_o T)(d_e T), d_e T being even.  The three parts add
+    into one terms dict.
     """
     bvs = element.bvs
-    half = Fraction(1, 2)
+    sweep = bvs._pair_sweep
     out = []
     for p, t in element.pairs:
-        even, odd = p.parity_split()
-        signed = even - odd
-        curvature = bvs.delta(t) + half * bvs.bracket(t, t)
-        out.append((bvs.delta(p) + bvs.bracket(signed, t) + signed * curvature, t))
+        # index 2k is pair k's even member and 2k + 1 its odd one
+        d_t = _derivs(t.terms, sweep)
+        curvature = dict(bvs.delta(t).terms)
+        for j, d in d_t.items():
+            if j & 1 and j ^ 1 in d_t:
+                _mul_into(curvature, d, d_t[j ^ 1])
+        signed = {m: -c if m[1].bit_count() & 1 else c for m, c in p.terms.items()}
+        terms = dict(bvs.delta(p).terms)
+        for j, d in _derivs(signed, sweep, right=True).items():
+            if j ^ 1 in d_t:
+                _mul_into(terms, d, d_t[j ^ 1])
+        _mul_into(terms, signed, Poly(bvs.ctx, curvature).terms)
+        out.append((Poly(bvs.ctx, terms), t))
     return ExpElement(bvs, out)
 
 
 def restrict_to_lagrangian(obj, fermion: GaugeFermion):
     """Substitute every antifield by the gauge-fermion derivative of its field."""
-    images = fermion.antifield_images()
+    substitute = _substitution(fermion.bvs.ctx, fermion.antifield_images())
     if isinstance(obj, Poly):
-        return obj.substitute(images)
-    return ExpElement(obj.bvs, [(p.substitute(images), t.substitute(images))
-                                for p, t in obj.pairs])
+        return substitute(obj)
+    return ExpElement(obj.bvs, [(substitute(p), substitute(t)) for p, t in obj.pairs])
 
 
 def berezin_integrate(poly: Poly, odd_names) -> Poly:
@@ -224,21 +238,32 @@ def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:
     nilpotent part N whose monomials all contain an odd generator; exp(N) is
     then a finite sum, the odd field directions are Berezin-integrated in
     declaration order and the even ones averaged against the normalized
-    Gaussian weight.
+    Gaussian weight.  Of P * exp(N) only the term pairs whose odd masks are
+    disjoint and cover every odd field are formed: the Berezin part.
     """
     bvs = element.bvs
-    ctx = bvs.ctx
     restricted = restrict_to_lagrangian(element, fermion)
     damping = standard_damping(bvs)
-    odd_fields = [f for f, _ in bvs.pairs if ctx.parity_of(f) == ODD]
+    odds = bvs._field_sweep[1]  # the odd fields' (index, bit) pairs
+    odd_fields = [bvs.pairs[i][0] for i, _ in odds]
+    need = sum(bit for _, bit in odds)
     total = Scalar.zero()
     for p, t in restricted.pairs:
-        nil = t - damping
-        if any(not mask for (_, mask) in nil.terms):
+        nil = dict(t.terms)
+        # N = T - damping has an odd-free monomial unless T holds every
+        # damping term with its coefficient and no other odd-free one
+        if any(nil.pop(mono, None) != c for mono, c in damping.terms.items()) \
+                or any(not mask for (_, mask) in nil):
             raise NonNormalizedDamping(
                 f"exponent body {t} is not the standard damping")
-        integrand = p * _exp_nilpotent(nil)
-        body = berezin_integrate(integrand, odd_fields)
+        groups = {}  # the terms of exp(N) by odd mask
+        for mono, c in _exp_nilpotent(_poly(bvs.ctx, nil)).terms.items():
+            groups.setdefault(mono[1], {})[mono] = c
+        top = {}
+        for mask, b in groups.items():
+            _mul_into(top, {m: c for m, c in p.terms.items()
+                            if not m[1] & mask and (m[1] | mask) & need == need}, b)
+        body = berezin_integrate(Poly(bvs.ctx, top), odd_fields)
         total = total + gaussian_expectation(body)
     return total
 

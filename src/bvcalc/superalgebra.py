@@ -29,9 +29,12 @@ derivative lists of ``BVSpace`` all take their derivatives from it; only
 ``BVSpace.delta`` repeats the odd left sign, fused into its double
 derivative.
 
-``Poly.substitute`` touches only the assigned generators: it groups the terms
-by their assigned part, passes the terms with none through unchanged, and
-multiplies each group by the product of its images once.
+Substitution touches only the assigned generators: it groups the terms by
+their assigned part, passes the terms with none through unchanged, and
+multiplies each group by the product of its images once.  The private
+``_substitution(ctx, assignments)`` checks the images once and returns the
+map, and every Poly the map is applied to shares its cache of image powers;
+``Poly.substitute`` is that map applied once.
 
 All values here are immutable after construction and every operation is
 pure, so they can be shared freely between threads or processes.
@@ -452,65 +455,9 @@ class Poly:
 
         Every image must be parity-homogeneous of the generator's own parity
         (zero always qualifies); unassigned generators map to themselves.
-
-        The terms are grouped by their assigned part, P = sum_a A_a * g^a,
-        where g^a is a monomial in the assigned generators and A_a a terms
-        dict in the unassigned ones only.  Splitting an odd set into its
-        unassigned part u and assigned part a gives
-        theta = _merge_sign(u, a) * theta_u * theta_a; since each image has
-        its generator's parity, the morphism maps this to
-        _merge_sign(u, a) * theta_u * (the images of theta_a, in order).
-        So A_0 passes through unchanged, and each other group costs one
-        product of cached image powers and odd images, multiplied by A_a
-        into the output.
+        This is ``_substitution(ctx, assignments)`` applied once.
         """
-        ctx = self.ctx
-        even_images, odd_images = {}, {}
-        for name, img in assignments.items():
-            parity, s = ctx.slot(name)
-            img = img if isinstance(img, Poly) else ctx.scalar(img)
-            if img.ctx != ctx:
-                raise ValueError("context mismatch in substitution")
-            if not img.is_zero and img.parity() != parity:
-                raise ValueError(f"substitution for {name} changes parity")
-            (even_images if parity == EVEN else odd_images)[s] = img.terms
-        even_slots = sorted(even_images)
-        odd_mask = sum(1 << s for s in odd_images)
-        take = tuple(int(s in even_images) for s in range(ctx.n_even))
-        keep = tuple(1 - k for k in take)
-
-        out, groups = {}, {}
-        for mono, c in self.terms.items():
-            exps, mask = mono
-            a_exps = tuple(map(mul, exps, take))
-            a_mask = mask & odd_mask
-            if not a_mask and not any(a_exps):
-                out[mono] = c
-                continue
-            u_mask = mask ^ a_mask
-            if _merge_sign(u_mask, a_mask) < 0:
-                c = -c
-            # the split is injective, so no two terms meet in one group
-            groups.setdefault((a_exps, a_mask), {})[(tuple(map(mul, exps, keep)), u_mask)] = c
-
-        powers = {s: [None, img] for s, img in even_images.items()}
-        for (a_exps, a_mask), part in groups.items():
-            # even factors first, then odd ones in canonical order, as in
-            # the assigned part of the monomial itself
-            factors = []
-            for s in even_slots:
-                k = a_exps[s]
-                if k:
-                    cache = powers[s]
-                    while len(cache) <= k:
-                        cache.append(Poly(ctx, _mul_into({}, cache[-1], cache[1])).terms)
-                    factors.append(cache[k])
-            factors += [odd_images[s] for s in _mask_bits(a_mask)]
-            product = factors[0]
-            for f in factors[1:]:
-                product = _mul_into({}, product, f)
-            _mul_into(out, part, product)
-        return Poly(ctx, out)
+        return _substitution(self.ctx, assignments)(self)
 
     # -- gradings -----------------------------------------------------------
 
@@ -584,3 +531,70 @@ def _poly(ctx: Context, terms) -> Poly:
     p.ctx = ctx
     p.terms = terms
     return p
+
+
+def _substitution(ctx: Context, assignments):
+    """``Poly.substitute`` as a map, Poly -> Poly, that checks the images
+    once; every Poly of ctx it is applied to shares its image-power cache.
+
+    The terms are grouped by their assigned part, P = sum_a A_a * g^a,
+    where g^a is a monomial in the assigned generators and A_a a terms dict
+    in the unassigned ones only.  Splitting an odd set into its unassigned
+    part u and assigned part a gives
+    theta = _merge_sign(u, a) * theta_u * theta_a; since each image has its
+    generator's parity, the morphism maps this to
+    _merge_sign(u, a) * theta_u * (the images of theta_a, in order).  So
+    A_0 passes through unchanged, and each other group costs one product of
+    image powers and odd images, multiplied by A_a into the output.
+    """
+    even_images, odd_images = {}, {}
+    for name, img in assignments.items():
+        parity, s = ctx.slot(name)
+        img = img if isinstance(img, Poly) else ctx.scalar(img)
+        if img.ctx != ctx:
+            raise ValueError("context mismatch in substitution")
+        if not img.is_zero and img.parity() != parity:
+            raise ValueError(f"substitution for {name} changes parity")
+        (even_images if parity == EVEN else odd_images)[s] = img.terms
+    even_slots = sorted(even_images)
+    odd_mask = sum(1 << s for s in odd_images)
+    take = tuple(int(s in even_images) for s in range(ctx.n_even))
+    keep = tuple(1 - k for k in take)
+    powers = {s: [None, img] for s, img in even_images.items()}
+
+    def apply(poly: Poly) -> Poly:
+        if poly.ctx != ctx:
+            raise ValueError("context mismatch in substitution")
+        out, groups = {}, {}
+        for mono, c in poly.terms.items():
+            exps, mask = mono
+            a_exps = tuple(map(mul, exps, take))
+            a_mask = mask & odd_mask
+            if not a_mask and not any(a_exps):
+                out[mono] = c
+                continue
+            u_mask = mask ^ a_mask
+            if _merge_sign(u_mask, a_mask) < 0:
+                c = -c
+            # the split is injective, so no two terms meet in one group
+            groups.setdefault((a_exps, a_mask), {})[(tuple(map(mul, exps, keep)), u_mask)] = c
+
+        for (a_exps, a_mask), part in groups.items():
+            # even factors first, then odd ones in canonical order, as in
+            # the assigned part of the monomial itself
+            factors = []
+            for s in even_slots:
+                k = a_exps[s]
+                if k:
+                    cache = powers[s]
+                    while len(cache) <= k:
+                        cache.append(Poly(ctx, _mul_into({}, cache[-1], cache[1])).terms)
+                    factors.append(cache[k])
+            factors += [odd_images[s] for s in _mask_bits(a_mask)]
+            product = factors[0]
+            for f in factors[1:]:
+                product = _mul_into({}, product, f)
+            _mul_into(out, part, product)
+        return Poly(ctx, out)
+
+    return apply

@@ -12,10 +12,15 @@ sign table per homogeneous component: the antibracket as four sub-brackets,
 the right derivative as two signed left derivatives, Berezin integration as
 a hand-written coefficient loop per variable and as minus the right
 derivative per variable, and the Laplacian of P*exp(T) per parity of P.
-The library takes every sign per monomial instead, and integrates over all
-the variables in one pass.  ``exp_pairs_by_key`` merges the pairs of an
-ExpElement under each exponent's canonical key and sorts on it; the library
-compares exponents as terms dicts and takes the key only to sort.
+The library takes every sign per monomial instead, integrates over all the
+variables in one pass, and takes the Laplacian of P*exp(T) from one
+derivative sweep of T, with 1/2 {T, T} as a sum over pairs and the sign of
+P per monomial.  ``lagrangian_integral_full`` is the earlier gauge integral:
+it subtracts the damping as a Poly and forms the whole product P * exp(N)
+before the Berezin integral; the library forms only the term pairs whose
+odd parts cover every odd field.  ``exp_pairs_by_key`` merges the pairs of
+an ExpElement under each exponent's canonical key and sorts on it; the
+library compares exponents as terms dicts and takes the key only to sort.
 
 ``mul_into_left_outer`` is the earlier multiply-accumulate kernel, whose
 outer loop always runs over the left factor; the library's kernel loops
@@ -31,7 +36,8 @@ antibracket as sums over pairs, and substitution as a sum over terms of
 factor-by-factor products.  The library accumulates each of these into one
 terms dict through its multiply-accumulate kernel; its substitution also
 groups the terms by their assigned part and multiplies only the assigned
-factors, with the Koszul sign of splitting them off.
+factors, with the Koszul sign of splitting them off, and one substitution
+map checks the images once and shares their powers between Polys.
 
 The BRST routes build the Lie-algebra differential the textbook way, with
 c^i -> (1/2) f^i_jk c^j c^k summed over both orders of (j, k) as Scalar
@@ -60,11 +66,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import factorial, lcm
 from operator import add
 
 from bvcalc.derivations import Derivation, _apply_into
-from bvcalc.gauge import ExpElement
+from bvcalc.gauge import (ExpElement, NonNormalizedDamping, berezin_integrate,
+                          gaussian_expectation, restrict_to_lagrangian, standard_damping)
 from bvcalc.lie import _ce_basis, _ce_table, _image, _unit, rep_context
 from bvcalc.linalg import ExactMatrix, sparse_rank
 from bvcalc.scalars import Scalar, _atom, _guard
@@ -408,6 +415,36 @@ def exp_delta_split(element):
                 coeff = -coeff
             out.append((bvs.delta(p_h) + coeff, t))
     return ExpElement(bvs, out)
+
+
+def lagrangian_integral_full(element, fermion) -> Scalar:
+    """The earlier ``gauge.lagrangian_integral``: per restricted pair, the
+    nilpotent part N = T - damping as a Poly, the whole product P * exp(N),
+    Berezin integration over the odd fields and the Gaussian moments."""
+    bvs = element.bvs
+    ctx = bvs.ctx
+    restricted = restrict_to_lagrangian(element, fermion)
+    damping = standard_damping(bvs)
+    odd_fields = [f for f, _ in bvs.pairs if ctx.parity_of(f) == ODD]
+    total = Scalar.zero()
+    for p, t in restricted.pairs:
+        nil = t - damping
+        if any(not mask for (_, mask) in nil.terms):
+            raise NonNormalizedDamping(f"exponent body {t} is not the standard damping")
+        body = berezin_integrate(p * exp_nilpotent(nil), odd_fields)
+        total = total + gaussian_expectation(body)
+    return total
+
+
+def exp_nilpotent(nil: Poly) -> Poly:
+    """exp(N) as the sum of N^k / k! up to the first vanishing power."""
+    ctx = nil.ctx
+    out = power = ctx.one()
+    k = 1
+    while not (power := power * nil).is_zero:
+        out = out + Fraction(1, factorial(k)) * power
+        k += 1
+    return out
 
 
 def add_pairwise(p: Poly, q: Poly) -> Poly:

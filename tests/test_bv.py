@@ -202,10 +202,12 @@ class TestSignOracles:
         bvs = space(spec)
         ctx = bvs.ctx
         for _ in range(30):
-            p = random_poly(rng, ctx, 4, 4, hbar_max=1)
-            t = random_poly(rng, ctx, 3, 3, parity=EVEN, hbar_max=1)
-            element = ExpElement(bvs, [(p, t)])
-            assert exp_delta(element) == exp_delta_split(element)
+            # one to three pairs, with exponents of any antifield degree
+            pairs = [(random_poly(rng, ctx, 4, 4, hbar_max=1),
+                      random_poly(rng, ctx, 3, 3, parity=EVEN, hbar_max=1))
+                     for _ in range(rng.randint(1, 3))]
+            element = ExpElement(bvs, pairs)
+            assert exp_delta(element).pairs == exp_delta_split(element).pairs
 
 
 class TestQuadraticLift:

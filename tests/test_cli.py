@@ -171,6 +171,15 @@ class TestExitCodes:
         assert code == 2
         assert "status: refused" in out
 
+    def test_nonstandard_damping_is_two(self, capsys, tmp_path):
+        # a closed integrand whose exponent is not -1/2 x^2 plus a nilpotent part
+        model = tmp_path / "damping.model"
+        model.write_text((MODELS / "gauge11.model").read_text() + "T = x^2\n")
+        code, out = run(capsys, "gauge-exp", model, "--p", "P0", "--t", "T", "--gauge", "F1")
+        assert code == 2
+        assert out.splitlines()[-2:] == [
+            "status: refused", "error: exponent body x^2 is not the standard damping"]
+
     def test_missing_model_is_two(self, capsys):
         code, out = run(capsys, "qme", MODELS / "nope.model")
         assert code == 2

@@ -7,13 +7,23 @@ from bvcalc import (EVEN, ODD, BVSpace, Scalar, berezin_integrate,
                     gauge_independence_experiment, gaussian_expectation,
                     lagrangian_integral, restrict_to_lagrangian,
                     standard_damping)
-from bvcalc.gauge import (ExpElement, GaugeFermion, NonNormalizedDamping,
-                          NotDeltaClosed)
+from bvcalc.gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,
+                          NonNormalizedDamping, NotDeltaClosed)
 from bvcalc.modelfile import load_model
 from bvcalc.randgen import random_poly
+from bvcalc.superalgebra import ANTIFIELD, FIELD, Context, Generator, Poly
 
 from conftest import MODELS
-from oracles import substitute_sum
+from oracles import lagrangian_integral_full, substitute_sum
+
+# a 2|2 space, and a 1|1 space with an even plain generator w that no
+# restriction removes and no Gaussian moment accepts
+SPACES = {
+    "2|2": lambda: BVSpace.over_fields([("x1", EVEN), ("x2", EVEN), ("t1", ODD), ("t2", ODD)]),
+    "plain-w": lambda: BVSpace(Context([
+        Generator("x", EVEN, FIELD), Generator("th", ODD, FIELD), Generator("w", EVEN),
+        Generator("xp", ODD, ANTIFIELD, "x"), Generator("thp", EVEN, ANTIFIELD, "th")])),
+}
 
 
 @pytest.fixture
@@ -26,6 +36,14 @@ def fermions(bvs_1_1):
 def element(bvs, poly, exponent=None):
     return ExpElement(bvs, [(poly, standard_damping(bvs) if exponent is None
                              else exponent)])
+
+
+def integral_outcome(route, element, fermion):
+    """The value of an integral route, or the type of its refusal."""
+    try:
+        return route(element, fermion)
+    except (NonNormalizedDamping, NonGaussianIntegrand) as exc:
+        return type(exc)
 
 
 class TestExpDelta:
@@ -251,6 +269,36 @@ class TestLagrangianIntegral:
         F0 = GaugeFermion(bvs_2_2, ctx.zero())
         # integrand becomes x1 * (1 + t1 t2 x1): Berezin picks x1^2 -> 1
         assert lagrangian_integral(phi, F0) == Scalar.one()
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_equals_full_product_oracle(self, space, rng):
+        # the top-only integrand against the whole product P * exp(N): the
+        # same value, or a refusal of the same type, on every gauge
+        bvs = SPACES[space]()
+        ctx = bvs.ctx
+        damping = standard_damping(bvs)
+        fermions = [GaugeFermion(bvs, ctx.zero())]
+        if space == "plain-w":
+            fermions.append(GaugeFermion(bvs, ctx.gen("w") * ctx.gen("th")))
+        while len(fermions) < 4:
+            drawn = random_poly(rng, bvs.field_ctx, 3, 3, parity=ODD)
+            fermions.append(GaugeFermion(bvs, bvs.field_ctx.transport(drawn, ctx)))
+        seen = set()
+        for n in range(40):
+            nil = random_poly(rng, ctx, 4, 4, parity=EVEN, hbar_max=1)
+            if n % 5:   # keep only the monomials that hold an odd generator
+                nil = Poly(ctx, {m: c for m, c in nil.terms.items() if m[1]})
+            pairs = [(random_poly(rng, ctx, 5, 5, hbar_max=1), damping + nil),
+                     (random_poly(rng, ctx, 4, 3), damping)]
+            if n % 7 == 0:
+                pairs.append((ctx.gen(ctx.odd_names[0]), 2 * damping))
+            element = ExpElement(bvs, pairs)
+            for fermion in fermions:
+                got = integral_outcome(lagrangian_integral, element, fermion)
+                assert got == integral_outcome(lagrangian_integral_full, element, fermion)
+                seen.add(got if isinstance(got, type) else got.is_zero)
+        assert {NonNormalizedDamping, False, True} <= seen
+        assert (NonGaussianIntegrand in seen) == (space == "plain-w")
 
 
 class TestGaugeIndependence:

@@ -2,7 +2,7 @@ import pytest
 
 from bvcalc import EVEN, ODD, BVSpace, Scalar
 from bvcalc.randgen import random_homogeneous, random_poly
-from bvcalc.superalgebra import Context, Poly, _derivs, _mul_into, _sweep
+from bvcalc.superalgebra import Context, Poly, _derivs, _mul_into, _substitution, _sweep
 
 from oracles import add_pairwise, mul_pairwise, right_deriv_split, substitute_sum
 
@@ -198,6 +198,29 @@ class TestSubstitution:
     def test_parity_mismatch_rejected(self, ctx_mixed):
         with pytest.raises(ValueError, match="parity"):
             ctx_mixed.gen("x").substitute({"x": ctx_mixed.gen("t1")})
+
+    def test_context_mismatch_rejected(self, ctx_mixed):
+        other = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD)])
+        with pytest.raises(ValueError, match="context mismatch"):
+            ctx_mixed.gen("x").substitute({"x": other.gen("y")})
+        with pytest.raises(ValueError, match="context mismatch"):
+            _substitution(ctx_mixed, {"x": ctx_mixed.gen("y")})(other.gen("x"))
+
+    def test_one_map_for_many_polys(self, ctx_mixed, rng):
+        # one map applied to several Polys, in two orders: the image powers
+        # it caches for the first must not leak into the others' results
+        for _ in range(10):
+            images = {"x": random_poly(rng, ctx_mixed, 2, 3, EVEN, hbar_max=1),
+                      "t1": random_poly(rng, ctx_mixed, 3, 3, ODD),
+                      "y": ctx_mixed.gen("x") + ctx_mixed.gen("t1") * ctx_mixed.gen("t2")}
+            polys = [random_poly(rng, ctx_mixed, 6, 5, hbar_max=1) for _ in range(5)]
+            polys.append(ctx_mixed.monomial(2, {"x": 4, "y": 3}, ["t2", "t1"]))
+            expected = [substitute_sum(p, images) for p in polys]
+            for order in (range(len(polys)), reversed(range(len(polys)))):
+                substitute = _substitution(ctx_mixed, images)
+                for i in order:
+                    assert substitute(polys[i]) == expected[i] == polys[i].substitute(images)
+                assert substitute(polys[0]) == expected[0]
 
     def test_morphism_random(self, ctx_mixed, rng):
         images = {"x": ctx_mixed.gen("y") * ctx_mixed.gen("y"),
