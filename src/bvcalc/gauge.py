@@ -3,9 +3,10 @@
 An ExpElement is a finite sum of pairs P * exp(T) with T even.  Restriction
 to the Lagrangian of a gauge fermion F substitutes every antifield by the
 right derivative of F with respect to its field, through one substitution
-map for every P and T.  Integration forms only the part of P * exp(N) that
-holds every odd field, Berezin-integrates it over the odd field directions
-in one pass, then takes normalized Gaussian moments over the even ones.
+map for every P and T, built per call from one derivative sweep of F and
+cached nowhere.  Integration forms only the part of P * exp(N) that holds
+every odd field, Berezin-integrates it over the odd field directions in one
+pass, then takes normalized Gaussian moments over the even ones.
 Everything stays in exact scalars, so gauge comparisons are equality checks
 rather than tolerance checks.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from .bv import BVSpace
 from .scalars import Scalar
 from .superalgebra import (EVEN, FIELD, ODD, Poly, _derivs, _mul_into, _poly,
-                           _substitution)
+                           _substitution_map)
 
 
 class NotDeltaClosed(Exception):
@@ -55,15 +56,21 @@ class GaugeFermion:
         self.poly = poly
 
     def antifield_images(self):
-        """{antifield: right derivative of F by its field}.
+        """{antifield: right derivative of F by its field}, as Polys over _slot_images.
 
         The right derivative (an extra sign on odd fields) is what makes the
         exact Stokes property of the integral hold; see the gauge tests.
-        Every field's derivative comes from one pass of the field sweep.
         """
-        bvs = self.bvs
-        derivs = _derivs(self.poly.terms, bvs._field_sweep, right=True)
-        return {a: _poly(bvs.ctx, derivs.get(i, {})) for i, (_, a) in enumerate(bvs.pairs)}
+        ctx, images = self.bvs.ctx, self._slot_images()
+        return {a: _poly(ctx, images[p][s]) for _, a in self.bvs.pairs for p, s in [ctx.slot(a)]}
+
+    def _slot_images(self):
+        """(even, odd) {antifield slot: terms}, from one sweep of F's right
+        derivatives by the fields; F is odd, so each has its antifield's parity."""
+        derivs = _derivs(self.poly.terms, self.bvs._field_sweep, right=True)
+        evens, odds = self.bvs._antifield_sweep
+        return ({s: derivs.get(i, {}) for i, s in evens},
+                {bit.bit_length() - 1: derivs.get(i, {}) for i, bit in odds})
 
     def __repr__(self):
         return f"GaugeFermion({self.poly})"
@@ -76,26 +83,14 @@ class ExpElement:
     __slots__ = ("bvs", "pairs")
 
     def __init__(self, bvs: BVSpace, pairs):
-        # a bucket per monomial set; equal terms dicts are equal exponents,
-        # since Poly terms and Scalar triples are canonical
-        buckets = {}
+        pairs = list(pairs)
         for p, t in pairs:
             if p.ctx != bvs.ctx or t.ctx != bvs.ctx:
                 raise ValueError("context mismatch")
             if not t.is_zero and t.parity() != EVEN:
                 raise ValueError("exponent must be even")
-            bucket = buckets.setdefault(frozenset(t.terms), [])
-            for entry in bucket:
-                if entry[1].terms == t.terms:
-                    entry[0] = entry[0] + p
-                    break
-            else:
-                bucket.append([p, t])
-        merged = [(p, t) for bucket in buckets.values() for p, t in bucket if not p.is_zero]
-        if len(merged) > 1:
-            merged.sort(key=lambda pair: pair[1].key())
         self.bvs = bvs
-        self.pairs = tuple(merged)
+        self.pairs = _merge_pairs(pairs)
 
     @property
     def is_zero(self) -> bool:
@@ -121,6 +116,24 @@ class ExpElement:
 
     def __repr__(self):
         return f"ExpElement({self})"
+
+
+def _merge_pairs(pairs) -> tuple:
+    """``ExpElement.pairs`` of checked pairs: a bucket per monomial set merges
+    equal T (terms are canonical), zero sums drop, the rest sort by T.key()."""
+    buckets = {}
+    for p, t in pairs:
+        bucket = buckets.setdefault(frozenset(t.terms), [])
+        for entry in bucket:
+            if entry[1].terms == t.terms:
+                entry[0] = entry[0] + p
+                break
+        else:
+            bucket.append([p, t])
+    merged = [(p, t) for bucket in buckets.values() for p, t in bucket if not p.is_zero]
+    if len(merged) > 1:
+        merged.sort(key=lambda pair: pair[1].key())
+    return tuple(merged)
 
 
 def exp_delta(element: ExpElement) -> ExpElement:
@@ -155,10 +168,13 @@ def exp_delta(element: ExpElement) -> ExpElement:
 
 def restrict_to_lagrangian(obj, fermion: GaugeFermion):
     """Substitute every antifield by the gauge-fermion derivative of its field."""
-    substitute = _substitution(fermion.bvs.ctx, fermion.antifield_images())
+    substitute = _substitution_map(fermion.bvs.ctx, *fermion._slot_images())
     if isinstance(obj, Poly):
         return substitute(obj)
-    return ExpElement(obj.bvs, [(substitute(p), substitute(t)) for p, t in obj.pairs])
+    restricted = object.__new__(ExpElement)  # substitution keeps context and parity
+    restricted.bvs, restricted.pairs = obj.bvs, _merge_pairs(
+        [(substitute(p), substitute(t)) for p, t in obj.pairs])
+    return restricted
 
 
 def berezin_integrate(poly: Poly, odd_names) -> Poly:
@@ -257,7 +273,7 @@ def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:
             raise NonNormalizedDamping(
                 f"exponent body {t} is not the standard damping")
         groups = {}  # the terms of exp(N) by odd mask
-        for mono, c in _exp_nilpotent(_poly(bvs.ctx, nil)).terms.items():
+        for mono, c in _exp_nilpotent(bvs.ctx, nil).items():
             groups.setdefault(mono[1], {})[mono] = c
         top = {}
         for mask, b in groups.items():
@@ -268,17 +284,15 @@ def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:
     return total
 
 
-def _exp_nilpotent(nil: Poly) -> Poly:
-    ctx = nil.ctx
-    out = dict(ctx.one().terms)
-    power = ctx.one()
-    k = 1
-    while True:
-        power = power * nil
-        if power.is_zero:
-            return Poly(ctx, out)
-        _mul_into(out, ctx.scalar(Fraction(1, math.factorial(k))).terms, power.terms)
+def _exp_nilpotent(ctx, nil: dict) -> dict:
+    """exp(N) = sum of N^k / k! on terms dicts, to the first zero power; zeros may stay."""
+    unit = ctx.zero_mono()
+    out = {unit: Scalar.one()}
+    power, k = {unit: Scalar.one()}, 1
+    while power := {m: c for m, c in _mul_into({}, power, nil).items() if not c.is_zero}:
+        _mul_into(out, {unit: Scalar.of(Fraction(1, math.factorial(k)))}, power)
         k += 1
+    return out
 
 
 def gauge_independence_experiment(element: ExpElement, fermions):

@@ -32,9 +32,9 @@ derivative.
 Substitution touches only the assigned generators: it groups the terms by
 their assigned part, passes the terms with none through unchanged, and
 multiplies each group by the product of its images once.  The private
-``_substitution(ctx, assignments)`` checks the images once and returns the
-map, and every Poly the map is applied to shares its cache of image powers;
-``Poly.substitute`` is that map applied once.
+``_substitution_map`` builds that map from trusted image terms, with a cache
+of image powers that every Poly it maps shares; ``_substitution`` checks the
+images first, and ``Poly.substitute`` is that applied once.
 
 All values here are immutable after construction and every operation is
 pure, so they can be shared freely between threads or processes.
@@ -535,7 +535,23 @@ def _poly(ctx: Context, terms) -> Poly:
 
 def _substitution(ctx: Context, assignments):
     """``Poly.substitute`` as a map, Poly -> Poly, that checks the images
-    once; every Poly of ctx it is applied to shares its image-power cache.
+    once; the map is ``_substitution_map`` of their terms."""
+    even_images, odd_images = {}, {}
+    for name, img in assignments.items():
+        parity, s = ctx.slot(name)
+        img = img if isinstance(img, Poly) else ctx.scalar(img)
+        if img.ctx != ctx:
+            raise ValueError("context mismatch in substitution")
+        if not img.is_zero and img.parity() != parity:
+            raise ValueError(f"substitution for {name} changes parity")
+        (even_images if parity == EVEN else odd_images)[s] = img.terms
+    return _substitution_map(ctx, even_images, odd_images)
+
+
+def _substitution_map(ctx: Context, even_images: dict, odd_images: dict):
+    """The substitution of the generator at even (odd) slot s by the terms
+    ``even_images[s]`` (``odd_images[s]``), unchecked, as a map Poly -> Poly
+    whose cache of image powers every Poly of ctx shares; {} sends to 0.
 
     The terms are grouped by their assigned part, P = sum_a A_a * g^a,
     where g^a is a monomial in the assigned generators and A_a a terms dict
@@ -547,15 +563,6 @@ def _substitution(ctx: Context, assignments):
     A_0 passes through unchanged, and each other group costs one product of
     image powers and odd images, multiplied by A_a into the output.
     """
-    even_images, odd_images = {}, {}
-    for name, img in assignments.items():
-        parity, s = ctx.slot(name)
-        img = img if isinstance(img, Poly) else ctx.scalar(img)
-        if img.ctx != ctx:
-            raise ValueError("context mismatch in substitution")
-        if not img.is_zero and img.parity() != parity:
-            raise ValueError(f"substitution for {name} changes parity")
-        (even_images if parity == EVEN else odd_images)[s] = img.terms
     even_slots = sorted(even_images)
     odd_mask = sum(1 << s for s in odd_images)
     take = tuple(int(s in even_images) for s in range(ctx.n_even))
@@ -568,11 +575,15 @@ def _substitution(ctx: Context, assignments):
         out, groups = {}, {}
         for mono, c in poly.terms.items():
             exps, mask = mono
-            a_exps = tuple(map(mul, exps, take))
             a_mask = mask & odd_mask
-            if not a_mask and not any(a_exps):
-                out[mono] = c
-                continue
+            if not a_mask:
+                for s in even_slots:
+                    if exps[s]:
+                        break
+                else:  # no assigned generator: the term passes through
+                    out[mono] = c
+                    continue
+            a_exps = tuple(map(mul, exps, take))
             u_mask = mask ^ a_mask
             if _merge_sign(u_mask, a_mask) < 0:
                 c = -c

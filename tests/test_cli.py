@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -15,6 +16,10 @@ from bvcalc.modelfile import load_model
 from conftest import MODELS
 
 SRC = MODELS.parent / "src"
+# the exit code and stdout sha256 of every fixture run, recorded for the
+# cli-models benchmark; read here, never rewritten
+with open(MODELS.parent / "bench" / "golden_cli.json", encoding="utf-8") as fh:
+    GOLDEN = json.load(fh)
 
 
 def run(capsys, *args):
@@ -639,6 +644,14 @@ class TestDeterminism:
         second = capsys.readouterr().out
         assert first == second
         assert first  # sanity: something was printed
+
+    @pytest.mark.parametrize("entry", GOLDEN, ids=lambda entry: " ".join(entry["argv"]))
+    def test_recorded_fixture_run(self, capsys, monkeypatch, entry):
+        # the argv paths are relative to the repository root
+        monkeypatch.chdir(MODELS.parent)
+        code, out = run(capsys, *entry["argv"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == \
+            (entry["exit"], entry["sha256"])
 
     def test_json_mode(self, capsys):
         code, out = run(capsys, "qme", MODELS / "solvable2.model", "--json")

@@ -8,13 +8,14 @@ from bvcalc import (EVEN, ODD, BVSpace, Scalar, berezin_integrate,
                     lagrangian_integral, restrict_to_lagrangian,
                     standard_damping)
 from bvcalc.gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,
-                          NonNormalizedDamping, NotDeltaClosed)
+                          NonNormalizedDamping, NotDeltaClosed, _exp_nilpotent)
 from bvcalc.modelfile import load_model
 from bvcalc.randgen import random_poly
-from bvcalc.superalgebra import ANTIFIELD, FIELD, Context, Generator, Poly
+from bvcalc.superalgebra import (ANTIFIELD, FIELD, Context, Generator, Poly, _mul_into,
+                                 _substitution, _substitution_map)
 
 from conftest import MODELS
-from oracles import lagrangian_integral_full, substitute_sum
+from oracles import exp_nilpotent, exp_pairs_by_key, lagrangian_integral_full, substitute_sum
 
 # a 2|2 space, and a 1|1 space with an even plain generator w that no
 # restriction removes and no Gaussian moment accepts
@@ -36,6 +37,18 @@ def fermions(bvs_1_1):
 def element(bvs, poly, exponent=None):
     return ExpElement(bvs, [(poly, standard_damping(bvs) if exponent is None
                              else exponent)])
+
+
+def drawn_fermions(rng, bvs, count):
+    """The zero fermion, one linear in an odd field (so its derivative by
+    every other field vanishes), and random odd field-only fermions."""
+    ctx = bvs.ctx
+    odd_field = next(f for f, _ in bvs.pairs if ctx.parity_of(f) == ODD)
+    fermions = [GaugeFermion(bvs, ctx.zero()), GaugeFermion(bvs, ctx.gen(odd_field))]
+    while len(fermions) < count:
+        drawn = random_poly(rng, bvs.field_ctx, 3, 3, parity=ODD)
+        fermions.append(GaugeFermion(bvs, bvs.field_ctx.transport(drawn, ctx)))
+    return fermions
 
 
 def integral_outcome(route, element, fermion):
@@ -140,6 +153,48 @@ class TestRestriction:
                 assert images == {a: poly.right_deriv(f) for f, a in bvs.pairs}
                 assert all(not c.is_zero for img in images.values() for c in img.terms.values())
             assert seen_zero
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_sweep_fed_map_equals_checked_map(self, space, rng):
+        # the map restriction builds from the fermion's slot images against
+        # the checked map of its antifield images and the term-by-term sum
+        bvs = SPACES[space]()
+        ctx = bvs.ctx
+        fermions = drawn_fermions(rng, bvs, 6)
+        assert any(not img.terms for img in fermions[1].antifield_images().values())
+        for fermion in fermions:
+            images = fermion.antifield_images()
+            sweep_fed = _substitution_map(ctx, *fermion._slot_images())
+            checked = _substitution(ctx, images)
+            for _ in range(10):
+                p = random_poly(rng, ctx, 5, 5, hbar_max=1)
+                assert sweep_fed(p) == checked(p) == substitute_sum(p, images)
+                assert restrict_to_lagrangian(p, fermion) == sweep_fed(p)
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_restricted_pairs_equal_checked_constructor(self, space, rng):
+        # restriction merges its pairs without the constructor's checks:
+        # the same pairs in the same order as the checked constructor, and
+        # as the merge under each exponent's key
+        bvs = SPACES[space]()
+        ctx = bvs.ctx
+        damping = standard_damping(bvs)
+        fermions = drawn_fermions(rng, bvs, 4)
+        merged = sorted_pairs = 0
+        for _ in range(15):
+            pairs = [(random_poly(rng, ctx, 4, 3), damping + random_poly(rng, ctx, 3, 2, parity=EVEN))
+                     for _ in range(3)]
+            pairs.append((random_poly(rng, ctx, 4, 3), damping))
+            element = ExpElement(bvs, pairs)
+            for fermion in fermions:
+                sub = _substitution(ctx, fermion.antifield_images())
+                subbed = [(sub(p), sub(t)) for p, t in element.pairs]
+                got = restrict_to_lagrangian(element, fermion)
+                assert type(got) is ExpElement and got.bvs is bvs
+                assert got.pairs == ExpElement(bvs, subbed).pairs == exp_pairs_by_key(subbed)
+                merged += len(got.pairs) < len(element.pairs)
+                sorted_pairs += len(got.pairs) > 1
+        assert merged and sorted_pairs
 
     def test_result_antifield_free(self, bvs_1_1, fermions, rng):
         for _ in range(20):
@@ -269,6 +324,27 @@ class TestLagrangianIntegral:
         F0 = GaugeFermion(bvs_2_2, ctx.zero())
         # integrand becomes x1 * (1 + t1 t2 x1): Berezin picks x1^2 -> 1
         assert lagrangian_integral(phi, F0) == Scalar.one()
+
+    @pytest.mark.parametrize("space", sorted(SPACES))
+    def test_exp_nilpotent_equals_oracle(self, space, rng):
+        # exp(N) on terms dicts against the Poly sum of N^k / k!, with N = 0
+        # (the unit alone) and, on 2|2, an N = theta*eta whose square
+        # cancels term pair against term pair
+        bvs = SPACES[space]()
+        ctx = bvs.ctx
+        nils = [ctx.zero()]
+        if space == "2|2":
+            g = ctx.gen
+            n = (g("t1") + g("t2")) * (g("x1p") + g("x2p")) * g("x1")
+            assert (n * n).is_zero
+            assert any(c.is_zero for c in _mul_into({}, n.terms, n.terms).values())
+            nils.append(n)
+        for _ in range(30):
+            drawn = random_poly(rng, ctx, 5, 5, parity=EVEN, hbar_max=1)
+            nils.append(Poly(ctx, {m: c for m, c in drawn.terms.items() if m[1]}))
+        for nil in nils:
+            assert Poly(ctx, _exp_nilpotent(ctx, nil.terms)) == exp_nilpotent(nil)
+        assert Poly(ctx, _exp_nilpotent(ctx, {})) == ctx.one()
 
     @pytest.mark.parametrize("space", sorted(SPACES))
     def test_equals_full_product_oracle(self, space, rng):
