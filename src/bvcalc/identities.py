@@ -4,6 +4,12 @@ Each identity is verified as stated, term by term, on parity-homogeneous
 random inputs; a failure count of zero means every sampled instance held
 exactly.  The seven-terms relation is checked from delta and the product
 alone, independently of the bracket.
+
+Per triple, the values several identities read are formed once: delta of
+phi, psi and ups, the brackets {phi, psi} and {phi, ups}, and the products
+phi*psi, psi*ups and phi*ups.  Each identity still forms its two sides
+separately from them, with Koszul signs as negations or subtractions.
+``bracket_via_defect``, the bracket's cross-check, forms its own Laplacians.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import random
 
 from .bv import BVSpace
 from .randgen import random_homogeneous
+from .superalgebra import Poly
 
 IDENTITY_NAMES = (
     "delta_squared",
@@ -28,6 +35,11 @@ MAX_DEGREE = 4
 TERMS = 3
 
 
+def _plus(a: Poly, b: Poly, odd: int) -> Poly:
+    """a + (-1)^odd b."""
+    return a - b if odd & 1 else a + b
+
+
 def bv_identity_suite(bvs: BVSpace, seed: int, triples: int) -> dict:
     """Failure counts per identity over the given number of random triples."""
     rng = random.Random(seed)
@@ -35,45 +47,40 @@ def bv_identity_suite(bvs: BVSpace, seed: int, triples: int) -> dict:
     for _ in range(triples):
         pf, phi = random_homogeneous(rng, bvs.ctx, MAX_DEGREE, TERMS)
         ps, psi = random_homogeneous(rng, bvs.ctx, MAX_DEGREE, TERMS)
-        pu, ups = random_homogeneous(rng, bvs.ctx, MAX_DEGREE, TERMS)
+        _, ups = random_homogeneous(rng, bvs.ctx, MAX_DEGREE, TERMS)
+        d_phi, d_psi, d_ups = bvs.delta(phi), bvs.delta(psi), bvs.delta(ups)
+        b_fs, b_fu = bvs.bracket(phi, psi), bvs.bracket(phi, ups)
+        fs, su, fu = phi * psi, psi * ups, phi * ups
 
-        if not bvs.delta(bvs.delta(phi)).is_zero:
+        if not bvs.delta(d_phi).is_zero:
             fails["delta_squared"] += 1
 
-        if bvs.bracket(phi, psi) != bvs.bracket_via_defect(phi, psi):
+        if b_fs != bvs.bracket_via_defect(phi, psi):
             fails["bracket_matches_defect"] += 1
 
-        sign = -1 if ((pf + 1) * (ps + 1)) % 2 else 1
-        if bvs.bracket(psi, phi) != -sign * bvs.bracket(phi, psi):
+        # {psi, phi} = -(-1)^((pf+1)(ps+1)) {phi, psi}
+        if bvs.bracket(psi, phi) != (b_fs if (pf + 1) * (ps + 1) & 1 else -b_fs):
             fails["odd_anticommutativity"] += 1
 
-        sign = -1 if ((pf + 1) * ps) % 2 else 1
-        lhs = bvs.bracket(phi, psi * ups)
-        rhs = bvs.bracket(phi, psi) * ups + sign * psi * bvs.bracket(phi, ups)
+        lhs = bvs.bracket(phi, su)
+        rhs = _plus(b_fs * ups, psi * b_fu, (pf + 1) * ps)
         if lhs != rhs:
             fails["odd_poisson"] += 1
 
-        sign = -1 if ((pf + 1) * (ps + 1)) % 2 else 1
         lhs = bvs.bracket(phi, bvs.bracket(psi, ups))
-        rhs = bvs.bracket(bvs.bracket(phi, psi), ups) \
-            + sign * bvs.bracket(psi, bvs.bracket(phi, ups))
+        rhs = _plus(bvs.bracket(b_fs, ups), bvs.bracket(psi, b_fu), (pf + 1) * (ps + 1))
         if lhs != rhs:
             fails["odd_jacobi"] += 1
 
-        sign = -1 if (pf + 1) % 2 else 1
-        lhs = bvs.delta(bvs.bracket(phi, psi))
-        rhs = bvs.bracket(bvs.delta(phi), psi) + sign * bvs.bracket(phi, bvs.delta(psi))
+        lhs = bvs.delta(b_fs)
+        rhs = _plus(bvs.bracket(d_phi, psi), bvs.bracket(phi, d_psi), pf + 1)
         if lhs != rhs:
             fails["delta_derives_bracket"] += 1
 
-        s_f = -1 if pf % 2 else 1
-        s_fs = -1 if (pf + ps) % 2 else 1
-        s_f1s = -1 if ((pf + 1) * ps) % 2 else 1
-        lhs = (bvs.delta(phi * psi * ups) + bvs.delta(phi) * psi * ups
-               + s_f * phi * bvs.delta(psi) * ups
-               + s_fs * phi * psi * bvs.delta(ups))
-        rhs = (bvs.delta(phi * psi) * ups + s_f * phi * bvs.delta(psi * ups)
-               + s_f1s * psi * bvs.delta(phi * ups))
+        lhs = _plus(_plus(bvs.delta(fs * ups) + d_phi * su, phi * d_psi * ups, pf),
+                    fs * d_ups, pf + ps)
+        rhs = _plus(_plus(bvs.delta(fs) * ups, phi * bvs.delta(su), pf),
+                    psi * bvs.delta(fu), (pf + 1) * ps)
         if lhs != rhs:
             fails["seven_terms"] += 1
     return fails

@@ -2,44 +2,59 @@
 
 Everything draws from a caller-supplied random.Random so that a fixed seed
 reproduces the exact same polynomials, reports and verdicts.
+
+Draw order, on which every ``--seed`` report of the CLI depends: per term,
+``random_poly`` draws the degree d by ``randint(0, max_degree)``, then d
+``choice`` calls over the generators in declaration order.  A term with a
+repeated odd generator, or of the wrong parity, draws nothing more; the
+others draw ``randint(-4, 4)``, ``randint(1, 3)`` and ``random()``, then
+``randint(-3, 3)`` and ``randint(1, 2)`` only if that was below 0.4, then
+``randint(0, hbar_max)`` only if ``hbar_max`` is nonzero.  A zero
+coefficient becomes 1.  ``random_homogeneous`` first draws ``randint(0, 1)``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
-from .scalars import Scalar
+from .scalars import _make
 from .superalgebra import Context, EVEN, ODD, Poly, _add_into
 
 
-def random_scalar(rng, hbar_max: int = 0) -> Scalar:
-    re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    im = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.4 else 0
+def _coefficient(rng, hbar_max: int) -> tuple:
+    """The hbar power and the canonical Scalar triple of a/b + (c/e) i, or 1."""
+    a, b = rng.randint(-4, 4), rng.randint(1, 3)
+    c, e = (rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.4 else (0, 1)
     power = rng.randint(0, hbar_max) if hbar_max else 0
-    s = Scalar({power: (re, im)})
-    if s.is_zero:
-        return Scalar.of(1)
-    return s
+    if not (a or c):
+        return 0, (1, 0, 1)
+    re, im, den = a * e, c * b, b * e
+    g = gcd(re, im, den)
+    return power, (re // g, im // g, den // g)
 
 
 def random_poly(rng, ctx: Context, max_degree: int = 4, terms: int = 4,
                 parity=None, hbar_max: int = 0) -> Poly:
     """Random sparse Poly; with parity set, every monomial matches it."""
-    names = [g.name for g in ctx.generators]
+    slots = [ctx.slot(g.name) for g in ctx.generators]
     out = {}
     for _ in range(terms):
-        d = rng.randint(0, max_degree)
-        picks = [rng.choice(names) for _ in range(d)]
-        odd = [g for g in picks if ctx.parity_of(g) == ODD]
-        if len(set(odd)) != len(odd):
+        picks = [rng.choice(slots) for _ in range(rng.randint(0, max_degree))]
+        odd = [s for p, s in picks if p == ODD]
+        if len(set(odd)) != len(odd) or (parity is not None and len(odd) % 2 != parity):
             continue
-        if parity is not None and len(odd) % 2 != parity:
-            continue
-        even: dict[str, int] = {}
-        for g in picks:
-            if ctx.parity_of(g) == EVEN:
-                even[g] = even.get(g, 0) + 1
-        _add_into(out, ctx.monomial(random_scalar(rng, hbar_max), even, odd).terms)
+        exps = [0] * ctx.n_even
+        for p, s in picks:
+            if p == EVEN:
+                exps[s] += 1
+        # sorting the odd factors: each one moves left past those above it
+        mask = flips = 0
+        for s in odd:
+            flips += (mask >> s).bit_count()
+            mask |= 1 << s
+        power, (re, im, den) = _coefficient(rng, hbar_max)
+        c = _make({power: (-re, -im, den) if flips & 1 else (re, im, den)})
+        _add_into(out, {(tuple(exps), mask): c})
     return Poly(ctx, out)
 
 

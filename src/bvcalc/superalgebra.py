@@ -16,7 +16,8 @@ from whichever side that is; coefficients commute, so the products are the
 same either way.  A sum of products (a derivation applied to a polynomial,
 the antibracket, a substitution) therefore accumulates into one dict, and
 the zero coefficients are dropped once, when the ``Poly`` constructor takes
-the dict.  ``Poly.__mul__`` is the kernel applied to an empty dict.
+the dict.  ``Poly.__mul__`` is the kernel applied to an empty dict; by a
+scalar it scales each coefficient in one pass instead.
 
 Every first derivative comes from one private sweep, ``_derivs(terms,
 sweep, right)``: one pass over the terms yields the left (or right)
@@ -394,6 +395,10 @@ class Poly:
         return self._coerce(other) - self
 
     def __mul__(self, other):
+        if not isinstance(other, Poly):
+            s = other if type(other) is int else Scalar.of(other)
+            # Q(i)[hbar, hbar^-1] has no zero divisors: no coefficient vanishes
+            return _poly(self.ctx, {m: c * s for m, c in self.terms.items()} if s else {})
         other = self._coerce(other)
         return Poly(self.ctx, _mul_into({}, self.terms, other.terms))
 

@@ -57,6 +57,14 @@ residual {S,S} - 2 i hbar delta(S) split by hbar power.
 antifield-linear S1 as the antibracket {S1, x} with the field x; the
 library reads every image off one right-derivative sweep by the antifields.
 
+``bv_identity_suite_unshared`` is the earlier identity suite: every
+identity forms its own brackets, Laplacians and products, and takes each
+Koszul sign as a product with +-1.  The library forms the values that
+several identities read once per triple.  ``random_poly_monomials`` is the
+earlier draw, which builds each term through ``Context.monomial`` with a
+``Fraction``-built Scalar; the library builds the monomial and the integer
+Scalar triple itself, and must make the same rng calls in the same order.
+
 ``FractionScalar`` is the earlier ``Scalar``: a pair of ``Fraction`` parts
 per hbar power, re-normalized by ``Fraction`` on every operation.  The
 library's integer-triple ``Scalar`` must agree with it on every query.
@@ -64,6 +72,7 @@ library's integer-triple ``Scalar`` must agree with it on every query.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import factorial, lcm
@@ -72,10 +81,11 @@ from operator import add
 from bvcalc.derivations import Derivation, _apply_into
 from bvcalc.gauge import (ExpElement, NonNormalizedDamping, berezin_integrate,
                           gaussian_expectation, restrict_to_lagrangian, standard_damping)
+from bvcalc.identities import IDENTITY_NAMES, MAX_DEGREE, TERMS
 from bvcalc.lie import _ce_basis, _ce_table, _image, _unit, rep_context
 from bvcalc.linalg import ExactMatrix, sparse_rank
 from bvcalc.scalars import Scalar, _atom, _guard
-from bvcalc.superalgebra import EVEN, ODD, Poly, _mask_bits, _merge_sign
+from bvcalc.superalgebra import EVEN, ODD, Poly, _add_into, _mask_bits, _merge_sign
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -578,6 +588,95 @@ def hbar_equations_loop(bvs, s: Poly):
         if not r.is_zero:
             out.append((k, r))
     return out
+
+
+def random_scalar_fraction(rng, hbar_max: int = 0) -> Scalar:
+    re = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    im = Fraction(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < 0.4 else 0
+    power = rng.randint(0, hbar_max) if hbar_max else 0
+    s = Scalar({power: (re, im)})
+    if s.is_zero:
+        return Scalar.of(1)
+    return s
+
+
+def random_poly_monomials(rng, ctx, max_degree: int = 4, terms: int = 4,
+                          parity=None, hbar_max: int = 0) -> Poly:
+    """The oracle for ``randgen.random_poly``: each term built by
+    ``Context.monomial`` from generator names and a Fraction-built Scalar."""
+    names = [g.name for g in ctx.generators]
+    out = {}
+    for _ in range(terms):
+        d = rng.randint(0, max_degree)
+        picks = [rng.choice(names) for _ in range(d)]
+        odd = [g for g in picks if ctx.parity_of(g) == ODD]
+        if len(set(odd)) != len(odd):
+            continue
+        if parity is not None and len(odd) % 2 != parity:
+            continue
+        even: dict[str, int] = {}
+        for g in picks:
+            if ctx.parity_of(g) == EVEN:
+                even[g] = even.get(g, 0) + 1
+        _add_into(out, ctx.monomial(random_scalar_fraction(rng, hbar_max), even, odd).terms)
+    return Poly(ctx, out)
+
+
+def random_homogeneous_monomials(rng, ctx, max_degree: int = 4, terms: int = 4):
+    parity = rng.randint(0, 1)
+    return parity, random_poly_monomials(rng, ctx, max_degree, terms, parity)
+
+
+def bv_identity_suite_unshared(bvs, seed: int, triples: int) -> dict:
+    """The oracle for ``identities.bv_identity_suite``: each identity forms
+    every value it reads afresh."""
+    rng = random.Random(seed)
+    fails = {name: 0 for name in IDENTITY_NAMES}
+    for _ in range(triples):
+        pf, phi = random_homogeneous_monomials(rng, bvs.ctx, MAX_DEGREE, TERMS)
+        ps, psi = random_homogeneous_monomials(rng, bvs.ctx, MAX_DEGREE, TERMS)
+        pu, ups = random_homogeneous_monomials(rng, bvs.ctx, MAX_DEGREE, TERMS)
+
+        if not bvs.delta(bvs.delta(phi)).is_zero:
+            fails["delta_squared"] += 1
+
+        if bvs.bracket(phi, psi) != bvs.bracket_via_defect(phi, psi):
+            fails["bracket_matches_defect"] += 1
+
+        sign = -1 if ((pf + 1) * (ps + 1)) % 2 else 1
+        if bvs.bracket(psi, phi) != -sign * bvs.bracket(phi, psi):
+            fails["odd_anticommutativity"] += 1
+
+        sign = -1 if ((pf + 1) * ps) % 2 else 1
+        lhs = bvs.bracket(phi, psi * ups)
+        rhs = bvs.bracket(phi, psi) * ups + sign * psi * bvs.bracket(phi, ups)
+        if lhs != rhs:
+            fails["odd_poisson"] += 1
+
+        sign = -1 if ((pf + 1) * (ps + 1)) % 2 else 1
+        lhs = bvs.bracket(phi, bvs.bracket(psi, ups))
+        rhs = bvs.bracket(bvs.bracket(phi, psi), ups) \
+            + sign * bvs.bracket(psi, bvs.bracket(phi, ups))
+        if lhs != rhs:
+            fails["odd_jacobi"] += 1
+
+        sign = -1 if (pf + 1) % 2 else 1
+        lhs = bvs.delta(bvs.bracket(phi, psi))
+        rhs = bvs.bracket(bvs.delta(phi), psi) + sign * bvs.bracket(phi, bvs.delta(psi))
+        if lhs != rhs:
+            fails["delta_derives_bracket"] += 1
+
+        s_f = -1 if pf % 2 else 1
+        s_fs = -1 if (pf + ps) % 2 else 1
+        s_f1s = -1 if ((pf + 1) * ps) % 2 else 1
+        lhs = (bvs.delta(phi * psi * ups) + bvs.delta(phi) * psi * ups
+               + s_f * phi * bvs.delta(psi) * ups
+               + s_fs * phi * psi * bvs.delta(ups))
+        rhs = (bvs.delta(phi * psi) * ups + s_f * phi * bvs.delta(psi * ups)
+               + s_f1s * psi * bvs.delta(phi * ups))
+        if lhs != rhs:
+            fails["seven_terms"] += 1
+    return fails
 
 
 class FractionScalar:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from bvcalc import EVEN, ODD, BVSpace, Scalar
@@ -271,6 +273,17 @@ class TestKernelOracles:
             assert a * b == mul_pairwise(a, b)
             assert 3 * a == mul_pairwise(ctx_mixed.scalar(3), a)
 
+    def test_scalar_products(self, ctx_mixed, rng):
+        # by a scalar each coefficient is scaled in one pass; times the
+        # constant Poly of that scalar the product goes through the kernel
+        i = Scalar.i()
+        scalars = (0, 1, -1, Fraction(-3, 7), i, i * Scalar.hbar(-1))
+        for a, _ in self.polys(rng, ctx_mixed, 100):
+            for s in scalars:
+                expected = a * ctx_mixed.scalar(s)
+                assert a * s == expected and s * a == expected
+                assert all(not c.is_zero for c in (a * s).terms.values())
+
     def test_products_that_cancel(self, ctx_mixed, rng):
         # an odd element squares to zero, term pair by term pair; with an
         # even part x added, only the cross terms 2*x*psi survive
@@ -350,6 +363,10 @@ def test_equality_with_a_bool_is_false_but_arithmetic_refuses_it(ctx_mixed):
     assert one == 1 and one == Scalar.of(1) and (one == 1.5) is False
     with pytest.raises(TypeError, match="True"):
         one + True
+    with pytest.raises(TypeError, match="True"):
+        one * True
+    with pytest.raises(TypeError, match="False"):
+        False * one
 
 
 def test_context_validation():
