@@ -56,6 +56,20 @@ Comput. Math. Appl. 35, 1998).  The identity needs d^2 = 0, that is Jacobi
 and, at p = 1, the representation property, so ``ce_cohomology_dims``
 checks both first and raises ``NotACochainComplex`` with the first
 violation instead of ranking a table that is not a complex.
+
+The weight-zero subcomplex.  Let h be a basis element whose ad is diagonal
+on the basis (f^i_hk = 0 for i != k) and, at p = 1, whose module action is
+diagonal too.  Contraction with h, the odd derivation i_h with c^h -> 1 and
+every other generator -> 0, gives the even derivation L_h = D i_h + i_h D
+(Cartan's formula), which multiplies c^k by f^k_hk and v^a by rho^a_ah, so
+each monomial by the sum of its factors' weights.  With D^2 = 0, L_h
+commutes with D, each weight space is a subcomplex, and a closed x of weight
+w != 0 is D(i_h x / w): only weight zero carries cohomology (Hochschild &
+Serre, "Cohomology of Lie algebras", Ann. Math. 57, 1953).  So, behind the
+same guard, ``ce_cohomology_dims`` ranks only the monomials of weight zero
+under every such h (``_weight_zero_bases``).  The complement of a weight-zero
+mask weighs tr ad h, zero whenever duality is used, so both routes above
+run unchanged inside the subcomplex.
 """
 
 from __future__ import annotations
@@ -63,7 +77,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 from .derivations import Derivation, _apply_into, _slot_table
 from .linalg import ExactMatrix, pivot_leads
@@ -264,6 +278,50 @@ def _ce_basis(n_even: int, n_odd: int, p: int, q: int):
     return [(_unit(n_even, v), mask) for v in range(n_even) for mask in masks]
 
 
+def _weight_zero_bases(model: LieModel, p: int):
+    """The keys of C^(p, q) of weight zero under every basis element h acting
+    diagonally with a nonzero weight, one list per q; None if no h does.  Each
+    h's weights, scaled to ints, are a digit of a mixed radix too wide for any
+    sum of them to carry; the ghost subsets of each half are joined on
+    opposite packed weights (meet in the middle)."""
+    n, m = model.dim, model.module_dim if p else 0
+    weights = [{} for _ in range(n)]      # [h]{k for c^k, n + a for v^a: weight}
+    diagonal = [True] * n
+    for (i, h, k), val in model.f.items():
+        weights[h][k] = val               # read only if ad h is diagonal
+        diagonal[h] &= i == k
+    for (a, b, h), val in model.rho.items() if p else ():
+        weights[h][n + a] = val
+        diagonal[h] &= a == b
+    packed, base = [0] * (n + m), 1
+    for row, ok in zip(weights, diagonal):
+        if ok and row:
+            scale = lcm(*(w.denominator for w in row.values()))
+            row = {g: w.numerator * (scale // w.denominator) for g, w in row.items()}
+            packed = [x + base * row.get(g, 0) for g, x in enumerate(packed)]
+            base *= 2 * sum(map(abs, row.values())) + 1
+    if base == 1:
+        return None
+    halves = []
+    for part in (range(n // 2), range(n // 2, n)):
+        subsets = [(0, 0, 0)]
+        for k in part:
+            subsets += [(mask | 1 << k, size + 1, w + packed[k]) for mask, size, w in subsets]
+        halves.append(subsets)
+    right = {}
+    for mask, size, w in halves[1]:
+        right.setdefault(w, []).append((mask, size))
+    # the ghosts of v^a c^mask must weigh -rho^a_ah, those of c^mask zero
+    targets = ([(_unit(m, a), -packed[n + a]) for a in range(m)] if p
+               else [((0,) * model.module_dim, 0)])
+    bases = [[] for _ in range(n + 1)]
+    for exps, target in targets:
+        for low, size, w in halves[0]:
+            for high, more in right.get(target - w, ()):
+                bases[size + more].append((exps, low | high))
+    return bases
+
+
 def _ce_table(model: LieModel, p: int):
     """``_brst_table(model)`` for the complex C^(p, *), which exists for
     p = 0 and, given a module, p = 1."""
@@ -331,7 +389,8 @@ def ce_cohomology_dims(model: LieModel, p: int):
     images that the ranking then takes instead of building them again.
     Here d_q maps ghost degree q to q + 1, and each d_q is ranked on the
     basis monomials of C^q that are not pivot leads of d_(q-1), a
-    complement of its image (see the module docstring).
+    complement of its image, and that have weight zero under every basis
+    element acting diagonally, if any does (see the module docstring).
     At p = 0 with every trace tr ad(e_k) zero, only d_q for q <= (n-1)//2 is
     built and ranked, for n = dim, and rank d_q = rank d_(n-1-q) for the
     other q < n (Poincare duality).  Otherwise d_0..d_(n-1) are ranked.
@@ -345,14 +404,15 @@ def ce_cohomology_dims(model: LieModel, p: int):
             raise NotACochainComplex(check, violations[0])
     n = model.dim
     dual = p == 0 and not any(_ad_traces(model))
+    bases = _weight_zero_bases(model, p)
     ranks, leads = [], set()
     for q in range((n - 1) // 2 + 1 if dual else n):
-        leads = set(pivot_leads([_take(images, slots, key)
-                                 for key in _ce_basis(model.module_dim, n, p, q)
-                                 if key not in leads]))
+        basis = bases[q] if bases else _ce_basis(model.module_dim, n, p, q)
+        leads = set(pivot_leads([_take(images, slots, key) for key in basis if key not in leads]))
         ranks.append(len(leads))
     ranks += [ranks[n - 1 - q] for q in range(len(ranks), n)] + [0]
-    sizes = [comb(n, q) * (model.module_dim if p else 1) for q in range(n + 1)]
+    sizes = ([len(basis) for basis in bases] if bases
+             else [comb(n, q) * (model.module_dim if p else 1) for q in range(n + 1)])
     return [size - rank - prev for size, rank, prev in zip(sizes, ranks, [0] + ranks)]
 
 

@@ -389,7 +389,12 @@ class Poly:
         return _poly(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        terms = dict(self.terms)
+        get = terms.get
+        for mono, c in self._coerce(other).terms.items():
+            prev = get(mono)
+            terms[mono] = -c if prev is None else prev + -c
+        return Poly(self.ctx, terms)
 
     def __rsub__(self, other):
         return self._coerce(other) - self

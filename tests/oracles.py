@@ -47,7 +47,10 @@ triple.  The library builds one rational table of the images, with each
 pair j < k entered once, and applies it over Q.  The
 Chevalley-Eilenberg oracle ranks every differential of the complex; the
 library ranks only the lower half of it when every tr ad(e_k) is zero, by
-Poincare duality.
+Poincare duality, and only its weight-zero subcomplex when a basis element
+acts diagonally.  ``ce_weight_zero_keys`` names that subcomplex by testing
+the weight of every basis monomial; the library joins two half-size tables
+of ghost subsets instead.
 
 The hbar ladder of the quantum master equation is built order by order:
 ``hbar_equations_loop`` sums the brackets of each pair of hbar orders and
@@ -272,6 +275,27 @@ def ce_images(model, p: int):
         out.append((basis, [{m: c for m, c in _image({}, slots, key).items() if c}
                             for key in basis]))
     return out
+
+
+def ce_weight_zero_keys(model, p: int, q: int):
+    """Brute force for the weight-zero route of ``ce_cohomology_dims``: the
+    keys of ``_ce_basis`` whose weight vanishes under every basis element h
+    whose ad is diagonal (f^i_hk = 0 for i != k) and, at p = 1, whose module
+    action is diagonal too.  The weight of c^k is f^k_hk, that of v^a is
+    rho^a_ah, and a monomial weighs the sum over its factors.  With no such
+    h every key is kept."""
+    n, m = model.dim, model.module_dim
+    rng = range(n)
+    hs = [h for h in rng
+          if not any(f_at(model, i, h, k) for i in rng for k in rng if i != k)
+          and not (p and any(model.rho_at(a, b, h)
+                             for a in range(m) for b in range(m) if a != b))]
+
+    def weight(key, h):
+        exps, mask = key
+        return (sum(f_at(model, k, h, k) for k in rng if mask >> k & 1)
+                + sum(e * model.rho_at(a, a, h) for a, e in enumerate(exps)))
+    return [key for key in _ce_basis(m, n, p, q) if all(weight(key, h) == 0 for h in hs)]
 
 
 def ce_cohomology_dims_full(model, p: int):

@@ -7,13 +7,14 @@ from bvcalc import (LieModel, NotACochainComplex, brst_lie, brst_rep,
                     ce_cohomology_dims, ce_matrices, ghost_context, jacobi_check,
                     rep_check, rep_context, trace_condition)
 from bvcalc import lie
-from bvcalc.lie import _ad_traces
+from bvcalc.lie import _ad_traces, _ce_basis, _weight_zero_bases
 from bvcalc.linalg import ExactMatrix, sparse_rank
 
 from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
 from oracles import (action_matrix, adjoint_loop, bareiss_rank, brst_half_sum,
-                     ce_cohomology_dims_full, ce_images, ce_images_scalar, f_at,
-                     jacobi_triple_loop, matmul, rep_commutator_check)
+                     ce_cohomology_dims_full, ce_images, ce_images_scalar,
+                     ce_weight_zero_keys, f_at, jacobi_triple_loop, matmul,
+                     rep_commutator_check)
 
 
 def adjoint_oracle_jacobi(model):
@@ -58,6 +59,40 @@ def matrices_of(pieces):
 def random_shears(rng, n, count=9):
     """Elementary shears (a, b, +-1) with a != b, for ``change_basis``."""
     return [(*rng.sample(range(n), 2), rng.choice((-1, 1))) for _ in range(count)]
+
+
+def ray(n: int) -> LieModel:
+    """[g1, gk] = gk for k = 2..n: g1 acts on the abelian ideal as the identity."""
+    return LieModel.build(n, {(k, 0, k): 1 for k in range(1, n)})
+
+
+def weight_zero_ranked(model, p):
+    """The images each elimination of the weight-zero route takes, by the
+    oracle: the weight-zero keys of C^q less the rank of d_(q-1) on the
+    weight-zero keys of C^(q-1), for q = 0..dim.  With no diagonal basis
+    element every key has weight zero and these are the full-route counts."""
+    images = {key: image for basis, imgs in ce_images(model, p)
+              for key, image in zip(basis, imgs)}
+    counts, prev = [], 0
+    for q in range(model.dim + 1):
+        keys = ce_weight_zero_keys(model, p, q)
+        counts.append(len(keys) - prev)
+        prev = sparse_rank(images[key] for key in keys)
+    return counts
+
+
+@pytest.fixture
+def ranked(monkeypatch):
+    """The number of images each elimination of a library call takes."""
+    sizes = []
+    real = lie.pivot_leads
+
+    def spy(vectors):
+        vectors = list(vectors)
+        sizes.append(len(vectors))
+        return real(vectors)
+    monkeypatch.setattr(lie, "pivot_leads", spy)
+    return sizes
 
 
 class TestBuild:
@@ -332,26 +367,21 @@ class TestChevalleyEilenberg:
 class TestDualityRoute:
     """With every tr ad(e_k) zero, ce_cohomology_dims at p = 0 ranks
     d_0..d_((n-1)//2) only; otherwise it ranks d_0..d_(n-1).  Each d_q is
-    ranked on the basis monomials that are not pivot leads of d_(q-1).  Both
-    routes agree with the full-complex oracle."""
-
-    @pytest.fixture
-    def ranked(self, monkeypatch):
-        """The number of images each elimination of a library call takes."""
-        sizes = []
-        real = lie.pivot_leads
-
-        def spy(vectors):
-            vectors = list(vectors)
-            sizes.append(len(vectors))
-            return real(vectors)
-        monkeypatch.setattr(lie, "pivot_leads", spy)
-        return sizes
+    ranked on the basis monomials that are not pivot leads of d_(q-1), and
+    only on those of weight zero when a basis element acts diagonally; a
+    sheared copy, where none does, ranks every other basis monomial.  Every
+    route agrees with the full-complex oracle."""
 
     def test_solvable2_takes_full_route(self, ranked):
         assert _ad_traces(solvable2()) == [-1, 0]
         assert ce_cohomology_dims(solvable2(), 0) == ce_cohomology_dims_full(solvable2(), 0) \
             == [1, 1, 0]
+        # e1 acts diagonally with weights (0, 1): C^1 is cut to c1
+        assert ranked == weight_zero_ranked(solvable2(), 0)[:2] == [1, 1]
+        ranked.clear()
+        sheared = change_basis(solvable2(), [(0, 1, 1)])    # basis e1, e1 + e2
+        assert _ad_traces(sheared) == [-1, -1] and _weight_zero_bases(sheared, 0) is None
+        assert ce_cohomology_dims(sheared, 0) == [1, 1, 0]
         assert ranked == [1, 2]
 
     def test_dimensions_zero_and_one(self, ranked):
@@ -362,10 +392,19 @@ class TestDualityRoute:
     def test_p0_with_a_module(self, ranked):
         adj = sl2().adjoint()
         assert ce_cohomology_dims(adj, 0) == ce_cohomology_dims_full(adj, 0) == [1, 0, 0, 1]
-        assert ranked == [1, 3]
-        # p = 1 is another complex; it always takes the full route.  d_0 and
-        # d_1 have ranks 3 and 6, so d_1 and d_2 see 9 - 3 and 9 - 6 images
+        assert ranked == weight_zero_ranked(adj, 0)[:2] == [1, 1]
+        # p = 1 is another complex, ranked up to d_(n-1) with no duality; its
+        # weight-zero part under h is v_h in C^0 and v_h c^h, v_e c^f, v_f c^e
+        # in C^1 ...
         assert ce_cohomology_dims(adj, 1) == ce_cohomology_dims_full(adj, 1) == [0, 0, 0, 0]
+        assert ranked == [1, 1] + weight_zero_ranked(adj, 1)[:3] == [1, 1, 1, 2, 1]
+        # ... while a sheared copy has no diagonal element.  There d_0 and d_1
+        # have ranks 3 and 6, so d_1 and d_2 see 9 - 3 and 9 - 6 images
+        ranked.clear()
+        sheared = change_basis(sl2(), [(0, 1, 1)]).adjoint()
+        assert _weight_zero_bases(sheared, 0) is _weight_zero_bases(sheared, 1) is None
+        assert ce_cohomology_dims(sheared, 0) == [1, 0, 0, 1]
+        assert ce_cohomology_dims(sheared, 1) == [0, 0, 0, 0]
         assert ranked == [1, 3, 3, 6, 3]
 
     def test_traceless_table_that_fails_jacobi(self, ranked):
@@ -376,19 +415,94 @@ class TestDualityRoute:
             ce_cohomology_dims(model, 0)
         assert ranked == []
 
-    @pytest.mark.parametrize("build, p", [
-        (lambda: gl(3), 0), (lambda: sl(3), 0),
-        (lambda: change_basis(gl(3), [(0, 4, 1), (3, 1, -1), (8, 2, 1)]), 0),
-        (lambda: gl(2).adjoint(), 1), (lambda: sl2_half_f().adjoint(), 1)],
-        ids=["gl3", "sl3", "gl3-sheared", "gl2-adjoint", "sl2-half-f-adjoint"])
-    def test_ranks_only_a_complement(self, ranked, build, p):
+    @pytest.mark.parametrize("build, p, sheared", [
+        (build, p, sheared) for build, p in ((lambda: gl(3), 0), (lambda: sl(3), 0),
+                                             (lambda: gl(2), 1), (sl2_half_f, 1))
+        for sheared in (False, True)],
+        ids=[name + suffix for name in ("gl3", "sl3", "gl2-adjoint", "sl2-half-f-adjoint")
+             for suffix in ("", "-sheared")])
+    def test_ranks_only_a_complement(self, ranked, rng, build, p, sheared):
         model = build()
+        if sheared:
+            model = change_basis(model, random_shears(rng, model.dim))
+        if p:
+            model = model.adjoint()
         pieces = ce_images(model, p)
         full = [sparse_rank(images) for _, images in pieces]
         assert ce_cohomology_dims(model, p) == ce_cohomology_dims_full(model, p)
-        assert ranked == [len(basis) - prev for (basis, _), prev
-                          in zip(pieces, [0] + full)][:len(ranked)]
+        if sheared:
+            # no diagonal element: every basis monomial but the leads
+            assert _weight_zero_bases(model, p) is None
+            assert ranked == [len(basis) - prev for (basis, _), prev
+                              in zip(pieces, [0] + full)][:len(ranked)]
+        else:
+            assert ranked == weight_zero_ranked(model, p)[:len(ranked)]
         assert sum(ranked) < sum(len(basis) for basis, _ in pieces[:len(ranked)])
+
+    def test_ray_model_ranks_two_images(self, ranked):
+        # tr ad(g1) = 19, so d_0..d_19 are ranked, but only 1 and c1 have
+        # weight zero under g1: 2 of the 2^20 cochains
+        assert ce_cohomology_dims(ray(20), 0) == [1, 1] + [0] * 19
+        assert ranked == [1, 1] + [0] * 18
+
+
+class TestWeightZeroRoute:
+    """The monomials ``ce_cohomology_dims`` ranks when a basis element acts
+    diagonally: those of joint weight zero, as the brute-force oracle
+    ``ce_weight_zero_keys`` names them, each once."""
+
+    @pytest.mark.parametrize("build, p", [
+        (lambda: gl(3), 0), (lambda: sl(3), 0), (solvable2, 0),
+        (lambda: sl2().adjoint(), 0), (lambda: sl2().adjoint(), 1),
+        (lambda: gl(2).adjoint(), 1), (lambda: sl2_half_f().adjoint(), 1),
+        (lambda: LieModel.build(3, {(1, 0, 1): Fraction(2, 3), (2, 0, 2): Fraction(-1, 2),
+                                    (0, 1, 2): 1}), 0),
+        (lambda: ray(9), 0)],
+        ids=["gl3", "sl3", "solvable2", "sl2-adjoint-p0", "sl2-adjoint",
+             "gl2-adjoint", "sl2-half-f-adjoint", "fraction-weights", "ray9"])
+    def test_bases_equal_brute_force_oracle(self, build, p):
+        model = build()
+        bases = _weight_zero_bases(model, p)
+        assert len(bases) == model.dim + 1
+        for q, basis in enumerate(bases):
+            assert len(set(basis)) == len(basis)
+            assert sorted(basis) == sorted(ce_weight_zero_keys(model, p, q))
+        assert sum(map(len, bases)) < sum(len(_ce_basis(model.module_dim, model.dim, p, q))
+                                          for q in range(model.dim + 1))
+
+    def test_gl4_and_sl4_sizes(self):
+        # the weight-zero cochains per degree, 2,432 of 65,536 and 1,216 of 32,768
+        gl4 = [len(basis) for basis in _weight_zero_bases(gl(4), 0)]
+        assert gl4[:9] == [1, 4, 12, 36, 90, 180, 292, 388, 426] and gl4 == gl4[::-1]
+        assert sum(gl4) == 2432
+        assert sum(map(len, _weight_zero_bases(sl(4), 0))) == 1216
+
+    def test_no_diagonal_element_keeps_every_key(self):
+        for model, p in ((abelian(3), 0), (LieModel.build(0, {}), 0),
+                         (change_basis(gl(2), [(0, 3, 1), (2, 1, -1)]), 0),
+                         (change_basis(sl2(), [(0, 1, 1)]).adjoint(), 1)):
+            assert _weight_zero_bases(model, p) is None
+            for q in range(model.dim + 1):
+                assert ce_weight_zero_keys(model, p, q) == _ce_basis(model.module_dim,
+                                                                     model.dim, p, q)
+
+    def test_diagonal_on_the_algebra_but_not_the_module(self):
+        # e1 acts on the module by [[0, 1], [0, 0]]: at p = 1 nothing is cut
+        model = LieModel.build(2, {(1, 0, 1): 1}, 2, {(0, 1, 0): 1})
+        assert rep_check(model) == []
+        assert _weight_zero_bases(model, 0) is not None
+        assert _weight_zero_bases(model, 1) is None
+        assert ce_cohomology_dims(model, 1) == ce_cohomology_dims_full(model, 1)
+
+    @pytest.mark.parametrize("a", [1, -1, 2, Fraction(1, 2)])
+    def test_one_dimensional_modules_of_solvable2(self, a):
+        # e1 v = a v, e2 v = 0: v c^mask has weight a + [c2 in mask], so only
+        # a = -1 leaves the cochains v c2 and v c1 c2, both closed
+        model = LieModel.build(2, {(1, 0, 1): 1}, 1, {(0, 0, 0): a})
+        assert rep_check(model) == []
+        dims = ce_cohomology_dims(model, 1)
+        assert dims == ce_cohomology_dims_full(model, 1)
+        assert dims == ([0, 1, 1] if a == -1 else [0, 0, 0])
 
 
 class TestNotACochainComplex:
@@ -456,6 +570,11 @@ class TestClosedFormCohomology:
 
     def test_gl4(self):
         assert ce_cohomology_dims(gl(4), 0) == poincare(1, 3, 5, 7)
+
+    def test_ray_model(self):
+        # g1 acts on the abelian ideal with weight k on Lambda^k, and
+        # H*(g) = H*(<g1>) (x) (weight-zero part of H*(ideal)) (Hochschild-Serre)
+        assert ce_cohomology_dims(ray(20), 0) == [1, 1] + [0] * 19
 
     def test_gl3_after_unimodular_change_of_basis(self):
         shears = [(0, 4, 1), (3, 1, -1), (8, 2, 1), (5, 0, -1), (2, 7, 1),

@@ -1,14 +1,16 @@
 """Property tests against the oracles in oracles.py: the multiply-accumulate
 product equals the pairwise product on small drawn polynomials over 2 even +
 2 odd generators, and its kernel fills the same terms dict as the left-outer
-kernel, zeros included; substitution equals the term-by-term substitution
+kernel, zeros included; subtracting a Poly or a scalar equals adding its
+negation and leaves the left operand as it was; substitution equals the term-by-term substitution
 over 2 even + 3 odd generators, the ExpElement pairs equal the key merge
 and sort on shuffled pair lists whose exponents share monomial sets and
 whose prefactors cancel, the rational Lie routes and the squares read off
 per-monomial images equal the Scalar and the whole-image routes on drawn
 antisymmetric tables, and the Chevalley-Eilenberg dims equal the
 full-complex ranks on drawn Lie algebras, traceless or not, at p = 0 and with
-the adjoint module at p = 1, and the derivation read off an antifield-linear
+the adjoint module at p = 1, with the weight-zero monomials the brute-force
+filter names, and the derivation read off an antifield-linear
 S1 by one sweep equals the one built from an antibracket per field on every
 field layout of tests/test_bv.py."""
 
@@ -21,12 +23,13 @@ st = hypothesis.strategies
 
 from bvcalc import EVEN, ODD, BVSpace, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
 from bvcalc.gauge import ExpElement  # noqa: E402
-from bvcalc.lie import _ad_traces, _brst_table, ce_cohomology_dims  # noqa: E402
+from bvcalc.lie import (_ad_traces, _brst_table, _ce_basis, _weight_zero_bases,  # noqa: E402
+                        ce_cohomology_dims)
 from bvcalc.superalgebra import Context, Poly, _mul_into  # noqa: E402
 
 from conftest import _matrix_algebra, change_basis, gl, sl2, solvable2  # noqa: E402
 from oracles import (ce_cohomology_dims_full, ce_images, ce_images_scalar,  # noqa: E402
-                     exp_pairs_by_key, extract_by_bracket, jacobi_triple_loop,
+                     ce_weight_zero_keys, exp_pairs_by_key, extract_by_bracket, jacobi_triple_loop,
                      mul_into_left_outer, mul_pairwise, rep_commutator_check, substitute_sum,
                      violations_square)
 from test_bv import FIELD_SPECS  # noqa: E402
@@ -50,6 +53,18 @@ def test_kernel_product_equals_pairwise_product(a, b):
 
 rationals = st.one_of(st.integers(-3, 3),
                       st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@hypothesis.settings(max_examples=200, deadline=1000)
+@hypothesis.given(polys, st.one_of(polys, scalars, rationals))
+def test_subtraction_equals_adding_the_negation(a, b):
+    hypothesis.event("poly" if isinstance(b, Poly) else type(b).__name__)
+    before = dict(a.terms)
+    assert a - b == a + (-b)
+    assert b - a == b + (-a)
+    assert all(not c.is_zero for c in (a - b).terms.values())
+    assert (a - a).terms == {}
+    assert a.terms == before
 
 
 @st.composite
@@ -324,6 +339,12 @@ def lie_algebras(draw):
 @hypothesis.example(rescale(sl2(), [Fraction(1), Fraction(1), Fraction(1, 2)]))
 def test_ce_dims_equal_full_complex_oracle(model):
     hypothesis.event("traceless" if not any(_ad_traces(model)) else "not traceless")
+    bases = _weight_zero_bases(model, 0)
+    hypothesis.event("weight-filtered" if bases else "unfiltered")
+    for q in range(model.dim + 1):
+        keys = ce_weight_zero_keys(model, 0, q)
+        assert (sorted(bases[q]) == sorted(keys) if bases
+                else keys == _ce_basis(model.module_dim, model.dim, 0, q))
     assert jacobi_check(model) == []
     assert ce_cohomology_dims(model, 0) == ce_cohomology_dims_full(model, 0)
     if model.dim <= 4:
