@@ -18,6 +18,10 @@ Sign conventions (chosen once; every identity test depends on them):
   terms dicts, and builds no derivative Poly.  The sweep lists pair k's
   even member at 2k and its odd member at 2k + 1, so each term is the
   derivative of Phi at index j times that of Psi at j ^ 1.
+* for an even S the right derivatives are the left ones and d_e S is even,
+  so {S, S} = 2 sum over pairs of (d_o S)(d_e S), from one left sweep.  The
+  master residuals, ``antifield_report``'s {S1, S1} and ``exp_delta``'s
+  1/2 {T, T} all take it from ``_half_self_bracket_into``.
 """
 
 from __future__ import annotations
@@ -120,14 +124,8 @@ class BVSpace:
             raise ValueError("context mismatch")
         if phi.is_zero or psi.is_zero:
             return self.ctx.zero()
-        d_psi = _derivs(psi.terms, self._pair_sweep)
-        out = {}
-        # j ^ 1 is the other member of j's pair
-        for j, d in _derivs(phi.terms, self._pair_sweep, right=True).items():
-            other = d_psi.get(j ^ 1)
-            if other:
-                _mul_into(out, d, other)
-        return Poly(self.ctx, out)
+        return Poly(self.ctx, _bracket_into({}, _derivs(phi.terms, self._pair_sweep, right=True),
+                                            _derivs(psi.terms, self._pair_sweep)))
 
     def bracket_via_defect(self, phi: Poly, psi: Poly) -> Poly:
         """The bracket recovered from delta and the product alone:
@@ -191,13 +189,12 @@ class BVSpace:
     def classical_master_residual(self, s: Poly) -> Poly:
         """{S, S}; zero iff S solves the classical master equation."""
         s = self.check_action(s)
-        return self.bracket(s, s)
+        return 2 * Poly(self.ctx, _half_self_bracket_into({}, _derivs(s.terms, self._pair_sweep)))
 
     def quantum_master_residual(self, s: Poly) -> Poly:
         """{S, S} - 2 i hbar delta(S); zero iff exp(iS/hbar) is delta-closed."""
-        s = self.check_action(s)
         two_i_hbar = Scalar.hbar() * Scalar.i() * 2
-        return self.bracket(s, s) - two_i_hbar * self.delta(s)
+        return self.classical_master_residual(s) - two_i_hbar * self.delta(s)
 
     def hbar_equations(self, s: Poly):
         """Residuals R_k with S = sum hbar^k S_k:
@@ -250,7 +247,7 @@ class BVSpace:
         s1 = parts.get(1, self.ctx.zero())
         s2 = parts.get(2, self.ctx.zero())
         res_a = self.bracket(s0, s1)
-        res_b = self.bracket(s1, s1) + 2 * self.bracket(s0, s2)
+        res_b = self.classical_master_residual(s1) + 2 * self.bracket(s0, s2)
         derivs = _derivs(s0.terms, self._field_sweep)
         gradient = {f: _poly(self.ctx, derivs.get(i, {})) for i, (f, _) in enumerate(self.pairs)}
         point_results = []
@@ -263,6 +260,20 @@ class BVSpace:
             onshell = self.evaluate_even_fields(res_b, point)
             point_results.append(PointResult(dict(point), True, {}, onshell))
         return AntifieldReport(res_a, res_b, point_results)
+
+
+def _bracket_into(out: dict, d_phi: dict, d_psi: dict) -> dict:
+    """Add {Phi, Psi} into ``out`` from Phi's right pair sweep and Psi's left one."""
+    for j, d in d_phi.items():
+        other = d_psi.get(j ^ 1)  # the other member of j's pair
+        if other:
+            _mul_into(out, d, other)
+    return out
+
+
+def _half_self_bracket_into(out: dict, d_s: dict) -> dict:
+    """Add 1/2 {S, S} of an even S, the sum of (d_o S)(d_e S), from its left pair sweep."""
+    return _bracket_into(out, {j: d for j, d in d_s.items() if j & 1}, d_s)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bv import BVSpace
+from .bv import BVSpace, _bracket_into, _half_self_bracket_into
 from .scalars import Scalar
 from .superalgebra import (EVEN, FIELD, ODD, Poly, _derivs, _mul_into, _poly,
                            _substitution_map)
@@ -141,26 +141,18 @@ def exp_delta(element: ExpElement) -> ExpElement:
 
     delta(P) + {sP, T} + sP (delta(T) + 1/2 {T, T}),
 
-    where sP is P with its odd monomials negated.  T is even, so one sweep
-    of T gives its left and right derivatives, and 1/2 {T, T} is the sum
-    over pairs of (d_o T)(d_e T), d_e T being even.  The three parts add
-    into one terms dict.
+    where sP is P with its odd monomials negated.  One pair sweep of T
+    feeds both brackets, through the kernels of ``bv`` (see its module
+    docstring for 1/2 {T, T}).  The three parts add into one terms dict.
     """
     bvs = element.bvs
     sweep = bvs._pair_sweep
     out = []
     for p, t in element.pairs:
-        # index 2k is pair k's even member and 2k + 1 its odd one
         d_t = _derivs(t.terms, sweep)
-        curvature = dict(bvs.delta(t).terms)
-        for j, d in d_t.items():
-            if j & 1 and j ^ 1 in d_t:
-                _mul_into(curvature, d, d_t[j ^ 1])
+        curvature = _half_self_bracket_into(dict(bvs.delta(t).terms), d_t)
         signed = {m: -c if m[1].bit_count() & 1 else c for m, c in p.terms.items()}
-        terms = dict(bvs.delta(p).terms)
-        for j, d in _derivs(signed, sweep, right=True).items():
-            if j ^ 1 in d_t:
-                _mul_into(terms, d, d_t[j ^ 1])
+        terms = _bracket_into(dict(bvs.delta(p).terms), _derivs(signed, sweep, right=True), d_t)
         _mul_into(terms, signed, Poly(bvs.ctx, curvature).terms)
         out.append((Poly(bvs.ctx, terms), t))
     return ExpElement(bvs, out)

@@ -1,3 +1,4 @@
+import contextlib
 import random
 from pathlib import Path
 
@@ -7,6 +8,25 @@ from bvcalc import BVSpace, EVEN, LieModel, ODD
 from bvcalc.superalgebra import Context
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+@contextlib.contextmanager
+def refusing_self_brackets():
+    """``BVSpace.bracket`` fails while inside when handed the same Poly twice,
+    or two equal nonzero ones: a self-bracket must take the half-sum route.
+    Two zero parts stay allowed (``onshell`` takes {S0, S2} with both zero)."""
+    original = BVSpace.bracket
+
+    def bracket(self, phi, psi):
+        if phi is psi or (phi == psi and not phi.is_zero):
+            raise AssertionError(f"self-bracket of {phi} through BVSpace.bracket")
+        return original(self, phi, psi)
+
+    BVSpace.bracket = bracket
+    try:
+        yield
+    finally:
+        BVSpace.bracket = original
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import pytest
 from bvcalc import Derivation, ModelError, OddPowerWarning, cli, parse_model
 from bvcalc.modelfile import load_model
 
-from conftest import MODELS
+from conftest import MODELS, refusing_self_brackets
 
 SRC = MODELS.parent / "src"
 # the exit code and stdout sha256 of every fixture run, recorded for the
@@ -360,7 +360,7 @@ class TestInternalError:
 
     @pytest.mark.parametrize("command, target", [
         ("check-lie", "bvcalc.lie.jacobi_check"),
-        ("qme", "bvcalc.bv.BVSpace.bracket"),
+        ("qme", "bvcalc.bv.BVSpace.classical_master_residual"),
         ("ce-cohomology", "bvcalc.lie.ce_cohomology_dims"),
         ("onshell", "bvcalc.bv.BVSpace.antifield_report"),
     ])
@@ -374,6 +374,14 @@ class TestInternalError:
         assert code == 3
         assert captured.out == ""
         assert captured.err.splitlines() == ["internal error: ValueError: library fault"]
+
+
+@pytest.mark.parametrize("command", ["master", "qme", "hbar-seq", "onshell", "omega-square"])
+@pytest.mark.parametrize("model", sorted(MODELS.glob("*.model")), ids=lambda path: path.name)
+def test_no_command_takes_a_self_bracket_through_bracket(command, model, capsys):
+    expected = run(capsys, command, model)
+    with refusing_self_brackets():
+        assert run(capsys, command, model) == expected
 
 
 class TestPreconditions:

@@ -12,7 +12,9 @@ full-complex ranks on drawn Lie algebras, traceless or not, at p = 0 and with
 the adjoint module at p = 1, with the weight-zero monomials the brute-force
 filter names, and the derivation read off an antifield-linear
 S1 by one sweep equals the one built from an antibracket per field on every
-field layout of tests/test_bv.py."""
+field layout of tests/test_bv.py.  On the same layouts, the master residuals
+and the off-shell residual of drawn even actions equal the general bracket,
+and exp_delta takes no self-bracket through ``bracket``."""
 
 from fractions import Fraction
 
@@ -22,16 +24,17 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bvcalc import EVEN, ODD, BVSpace, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
-from bvcalc.gauge import ExpElement  # noqa: E402
+from bvcalc.gauge import ExpElement, exp_delta  # noqa: E402
 from bvcalc.lie import (_ad_traces, _brst_table, _ce_basis, _weight_zero_bases,  # noqa: E402
                         ce_cohomology_dims)
 from bvcalc.superalgebra import Context, Poly, _mul_into  # noqa: E402
 
-from conftest import _matrix_algebra, change_basis, gl, sl2, solvable2  # noqa: E402
-from oracles import (ce_cohomology_dims_full, ce_images, ce_images_scalar,  # noqa: E402
-                     ce_weight_zero_keys, exp_pairs_by_key, extract_by_bracket, jacobi_triple_loop,
-                     mul_into_left_outer, mul_pairwise, rep_commutator_check, substitute_sum,
-                     violations_square)
+from conftest import (_matrix_algebra, change_basis, gl, refusing_self_brackets, sl2,  # noqa: E402
+                      solvable2)
+from oracles import (bracket_sum, ce_cohomology_dims_full, ce_images,  # noqa: E402
+                     ce_images_scalar, ce_weight_zero_keys, exp_delta_split, exp_pairs_by_key,
+                     extract_by_bracket, jacobi_triple_loop, mul_into_left_outer, mul_pairwise,
+                     rep_commutator_check, substitute_sum, violations_square)
 from test_bv import FIELD_SPECS  # noqa: E402
 
 CTX = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD), ("t2", ODD)])
@@ -122,6 +125,45 @@ def test_extract_derivation_equals_bracket_oracle(spec, data):
     swept, oracle = bvs.extract_derivation(s1), extract_by_bracket(bvs, s1)
     assert swept.parity == oracle.parity and swept.ctx == oracle.ctx
     assert list(swept.images.items()) == list(oracle.images.items())
+
+
+@st.composite
+def bv_polys(draw, bvs, parity=None):
+    """A Poly over ``bvs`` of up to 6 terms with exponents up to 2 and Scalar
+    (i, hbar^-1..hbar^2) coefficients, even when ``parity`` is EVEN; zero
+    included."""
+    ctx = bvs.ctx
+    masks = [m for m in range(1 << ctx.n_odd) if parity is None or m.bit_count() % 2 == parity]
+    mono = st.tuples(st.tuples(*[st.integers(0, 2)] * ctx.n_even), st.sampled_from(masks))
+    return Poly(ctx, draw(st.dictionaries(mono, scalars, max_size=6)))
+
+
+@pytest.mark.parametrize("spec", sorted(FIELD_SPECS))
+@hypothesis.settings(max_examples=100, deadline=2000)
+@hypothesis.given(data=st.data())
+def test_self_bracket_residuals_equal_the_general_bracket(spec, data):
+    bvs = BV_SPACES[spec]
+    s = data.draw(bv_polys(bvs, EVEN))
+    parts = dict(bvs.antifield_decompose(s))
+    s0, s1, s2 = (parts.get(k, bvs.ctx.zero()) for k in range(3))
+    hypothesis.event(f"antifield degrees {sorted(parts)}")
+    ss = bvs.bracket(s, s)
+    assert bvs.classical_master_residual(s) == ss == bracket_sum(bvs, s, s)
+    assert bvs.quantum_master_residual(s) == ss - 2 * Scalar.hbar() * Scalar.i() * bvs.delta(s)
+    assert bvs.antifield_report(s).offshell_residual == \
+        bvs.bracket(s1, s1) + 2 * bvs.bracket(s0, s2)
+
+
+@pytest.mark.parametrize("spec", sorted(FIELD_SPECS))
+@hypothesis.settings(max_examples=50, deadline=2000)
+@hypothesis.given(data=st.data())
+def test_exp_delta_takes_no_self_bracket_through_bracket(spec, data):
+    bvs = BV_SPACES[spec]
+    element = ExpElement(bvs, data.draw(st.lists(
+        st.tuples(bv_polys(bvs), bv_polys(bvs, EVEN)), max_size=2)))
+    expected = exp_delta_split(element)
+    with refusing_self_brackets():
+        assert exp_delta(element) == expected
 
 
 # three odd generators, so that unassigned odd factors sit on both sides of
