@@ -26,13 +26,12 @@ Sign conventions (chosen once; every identity test depends on them):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .derivations import Derivation
 from .scalars import Scalar
 from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, Poly,
-                           _derivs, _mul_into, _poly, _sweep)
+                           _Record, _derivs, _mul_into, _poly, _sweep)
 
 
 class BVSpace:
@@ -276,19 +275,18 @@ def _half_self_bracket_into(out: dict, d_s: dict) -> dict:
     return _bracket_into(out, {j: d for j, d in d_s.items() if j & 1}, d_s)
 
 
-@dataclass
-class PointResult:
-    point: dict
-    is_critical: bool
-    gradient_failures: dict
-    onshell_residual: Poly | None
+class PointResult(_Record):
+    def __init__(self, point: dict, is_critical: bool, gradient_failures: dict,
+                 onshell_residual: Poly | None):
+        vars(self).update(point=point, is_critical=is_critical,
+                          gradient_failures=gradient_failures, onshell_residual=onshell_residual)
 
 
-@dataclass
-class AntifieldReport:
-    bracket_s0_s1: Poly
-    offshell_residual: Poly          # {S1,S1} + 2{S0,S2}
-    points: list
+class AntifieldReport(_Record):
+    def __init__(self, bracket_s0_s1: Poly, offshell_residual: Poly, points: list):
+        # offshell_residual is {S1,S1} + 2{S0,S2}
+        vars(self).update(bracket_s0_s1=bracket_s0_s1, offshell_residual=offshell_residual,
+                          points=points)
 
     @property
     def first_order_consistent(self) -> bool:

@@ -14,17 +14,12 @@ Reports are deterministic for a fixed (model, flags, seed) triple.
 from __future__ import annotations
 
 import argparse
-import json
-import random
 import sys
 import warnings
 from fractions import Fraction
 
-from . import gauge, identities, lie
-from .derivations import linf_rows
 from .modelfile import Model, ModelError, load_model
 from .parser import ParseError
-from .randgen import random_poly
 from .scalars import Scalar
 from .superalgebra import Poly
 
@@ -51,6 +46,7 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
         payload = {"command": self.command, "model": self.model,
                    "status": self.status,
                    "details": [[k, str(v)] for k, v in self.details]}
@@ -87,14 +83,15 @@ def _label(kind: str, indices) -> str:
     return f"{kind} (" + ",".join(str(i + 1) for i in indices) + ")"
 
 
-def _require_lie(model: Model) -> lie.LieModel:
+def _require_lie(model: Model):
     if model.lie is None:
         raise Refusal("this command needs a [lie] model")
     return model.lie
 
 
 def _brst_derivation(model: Model):
-    return lie.brst_rep(_require_lie(model), model.module_names)
+    from .lie import brst_rep
+    return brst_rep(_require_lie(model), model.module_names)
 
 
 def _action(model: Model, name: str | None) -> Poly:
@@ -132,6 +129,7 @@ def _parse_point(text: str) -> dict:
 # -- command handlers ------------------------------------------------------
 
 def _cmd_check_lie(model: Model, args):
+    from . import lie
     violations = lie.jacobi_check(_require_lie(model))
     details = [("violations", len(violations))]
     for triple, residual in violations:
@@ -141,6 +139,7 @@ def _cmd_check_lie(model: Model, args):
 
 
 def _cmd_check_rep(model: Model, args):
+    from . import lie
     lm = _require_lie(model)
     if not lm.module_dim:
         raise Refusal("model has no module, nothing to check")
@@ -160,6 +159,7 @@ def _cmd_brst(model: Model, args):
 
 
 def _cmd_linf(model: Model, args):
+    from .derivations import linf_rows
     D = _brst_derivation(model)
     square = D.square_residual()
     square_zero = all(p.is_zero for p in square.values())
@@ -178,6 +178,7 @@ def _cmd_linf(model: Model, args):
 
 
 def _cmd_ce_cohomology(model: Model, args):
+    from . import lie
     lm = _require_lie(model)
     if args.p == 1 and not lm.module_dim:
         raise Refusal("p = 1 needs a module")
@@ -194,6 +195,7 @@ def _cmd_ce_cohomology(model: Model, args):
 
 
 def _cmd_bv_identities(model: Model, args):
+    from . import identities
     _require_count("count", args.count)
     fails = identities.bv_identity_suite(model.bvs, args.seed, args.count)
     details = [("seed", args.seed), ("triples", args.count)]
@@ -249,6 +251,8 @@ def _cmd_onshell(model: Model, args):
 
 
 def _cmd_omega_square(model: Model, args):
+    import random
+    from .randgen import random_poly
     _require_count("count", args.count)
     s = _action(model, args.action)
     bvs = model.bvs
@@ -268,6 +272,7 @@ def _cmd_omega_square(model: Model, args):
 
 
 def _cmd_gauge_exp(model: Model, args):
+    from . import gauge
     bvs = model.bvs
     p = model.expr(args.p)
     t = model.expr(args.t) if args.t else gauge.standard_damping(bvs)
@@ -280,24 +285,26 @@ def _cmd_gauge_exp(model: Model, args):
             raise Refusal(f"gauge {name!r}: {exc}") from None
     if not fermions:
         raise Refusal("give at least one --gauge expression name")
-    if args.boundary:
-        report = gauge.exact_boundary_integrals(element, fermions)
-        details = [(f"integral of delta [{name}]", value)
-                   for name, (_, value) in zip(args.gauge, report.values)]
-        details.append(("all_zero", str(report.all_equal).lower()))
-        return (PASS if report.all_equal else FAIL), details
     try:
-        report = gauge.gauge_independence_experiment(element, fermions)
+        if args.boundary:
+            report = gauge.exact_boundary_integrals(element, fermions)
+        else:
+            report = gauge.gauge_independence_experiment(element, fermions)
     except gauge.NotDeltaClosed as exc:
         raise Refusal("integrand is not delta-closed",
                       [("residual", exc.residual)]) from None
-    details = [(f"integral [{name}]", value)
+    except (gauge.NonNormalizedDamping, gauge.NonGaussianIntegrand) as exc:
+        raise Refusal(str(exc)) from None
+    label, verdict = (("integral of delta", "all_zero") if args.boundary
+                      else ("integral", "all_equal"))
+    details = [(f"{label} [{name}]", value)
                for name, (_, value) in zip(args.gauge, report.values)]
-    details.append(("all_equal", str(report.all_equal).lower()))
+    details.append((verdict, str(report.all_equal).lower()))
     return (PASS if report.all_equal else FAIL), details
 
 
 def _cmd_trace_cond(model: Model, args):
+    from . import lie
     lm = _require_lie(model)
     trace = lie.trace_condition(lm, model.module_names)
     return (PASS if trace.is_zero else FAIL), [("trace", trace)]
@@ -381,8 +388,7 @@ def _run(args) -> int:
             status, details = args.handler(model, args)
         except Refusal as exc:
             status, details = REFUSED, [("error", exc)] + exc.details
-        except (ModelError, ParseError, gauge.NonNormalizedDamping,
-                gauge.NonGaussianIntegrand) as exc:
+        except (ModelError, ParseError) as exc:
             status, details = REFUSED, [("error", exc)]
     report = Report(args.command, args.model, status, details)
     sys.stdout.write(report.to_json() if args.json else report.to_text())

@@ -74,7 +74,6 @@ run unchanged inside the subcomplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
@@ -82,18 +81,16 @@ from math import comb, lcm
 from .derivations import Derivation, _apply_into, _slot_table
 from .linalg import ExactMatrix, pivot_leads
 from .scalars import Scalar
-from .superalgebra import Context, EVEN, Generator, ODD, Poly, _add_into, _mask_bits, _poly
+from .superalgebra import (Context, EVEN, Generator, ODD, Poly, _FrozenRecord, _add_into,
+                           _mask_bits, _poly)
 
 
-@dataclass(frozen=True)
-class LieModel:
+class LieModel(_FrozenRecord):
     """Structure constants of an algebra of dimension dim acting on a
     module of dimension module_dim (0 for no module)."""
 
-    dim: int
-    module_dim: int
-    f: dict
-    rho: dict
+    def __init__(self, dim: int, module_dim: int, f: dict, rho: dict):
+        vars(self).update(dim=dim, module_dim=module_dim, f=f, rho=rho)
 
     @classmethod
     def build(cls, dim: int, brackets=None, module_dim: int = 0, rho=None) -> "LieModel":
@@ -257,7 +254,7 @@ def rep_context(model: LieModel, module_names=None) -> Context:
 
 def brst_lie(model: LieModel) -> Derivation:
     """Odd derivation with c^i -> (1/2) f^i_jk c^j c^k on the ghost algebra."""
-    return brst_rep(replace(model, module_dim=0, rho={}))
+    return brst_rep(LieModel(model.dim, 0, model.f, {}))
 
 
 def brst_rep(model: LieModel, module_names=None) -> Derivation:
@@ -285,17 +282,20 @@ def _weight_zero_bases(model: LieModel, p: int):
     sum of them to carry; the ghost subsets of each half are joined on
     opposite packed weights (meet in the middle)."""
     n, m = model.dim, model.module_dim if p else 0
-    weights = [{} for _ in range(n)]      # [h]{k for c^k, n + a for v^a: weight}
-    diagonal = [True] * n
+    rho = model.rho if p else {}
+    off = {h for i, h, k in model.f if i != k} | {h for a, b, h in rho if a != b}
+    if len(off) == n:
+        return None
+    weights = {h: {} for h in range(n) if h not in off}  # h: {k for c^k, n + a for v^a: weight}
     for (i, h, k), val in model.f.items():
-        weights[h][k] = val               # read only if ad h is diagonal
-        diagonal[h] &= i == k
-    for (a, b, h), val in model.rho.items() if p else ():
-        weights[h][n + a] = val
-        diagonal[h] &= a == b
+        if h in weights:
+            weights[h][k] = val
+    for (a, b, h), val in rho.items():
+        if h in weights:
+            weights[h][n + a] = val
     packed, base = [0] * (n + m), 1
-    for row, ok in zip(weights, diagonal):
-        if ok and row:
+    for row in weights.values():
+        if row:
             scale = lcm(*(w.denominator for w in row.values()))
             row = {g: w.numerator * (scale // w.denominator) for g, w in row.items()}
             packed = [x + base * row.get(g, 0) for g, x in enumerate(packed)]

@@ -22,12 +22,10 @@ raises for [generators].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bv import BVSpace
-from .lie import LieModel, rep_context
 from .parser import ParseError, parse_expression
-from .superalgebra import ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, PLAIN, Poly
+from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, PLAIN, Poly,
+                           _Record)
 
 
 class ModelError(ValueError):
@@ -36,13 +34,11 @@ class ModelError(ValueError):
         self.line = line
 
 
-@dataclass
-class Model:
-    path: str
-    bvs: BVSpace
-    lie: LieModel | None
-    module_names: tuple
-    exprs: dict
+class Model(_Record):
+    """A parsed model file; ``lie`` is the LieModel of a [lie] model, else None."""
+
+    def __init__(self, path: str, bvs: BVSpace, lie, module_names: tuple, exprs: dict):
+        vars(self).update(path=path, bvs=bvs, lie=lie, module_names=module_names, exprs=exprs)
 
     @property
     def ctx(self) -> Context:
@@ -150,6 +146,7 @@ def _rational(coeff, what: str, lineno: int):
 
 
 def _build_lie(sections):
+    from .lie import LieModel, rep_context
     lie_lines, entries, seen = sections["lie"], {}, {}
     for lineno, line in lie_lines:
         key, _, value = line.partition("=")

@@ -43,7 +43,6 @@ pure, so they can be shared freely between threads or processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
@@ -57,12 +56,36 @@ ANTIFIELD = "antifield"
 PLAIN = "plain"
 
 
-@dataclass(frozen=True)
-class Generator:
-    name: str
-    parity: int
-    role: str = PLAIN
-    partner: str | None = None  # for antifields: the paired field's name
+class _Record:
+    """A value record: its fields are the attributes its __init__ sets, in that
+    order; == compares them between records of one class, and repr lists them."""
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A record whose fields cannot be assigned or deleted; it hashes them."""
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Generator(_FrozenRecord):
+    def __init__(self, name: str, parity: int, role: str = PLAIN,
+                 partner: str | None = None):  # partner: an antifield's field
+        vars(self).update(name=name, parity=parity, role=role, partner=partner)
 
 
 class Context:

@@ -182,8 +182,18 @@ class TestExitCodes:
         model.write_text((MODELS / "gauge11.model").read_text() + "T = x^2\n")
         code, out = run(capsys, "gauge-exp", model, "--p", "P0", "--t", "T", "--gauge", "F1")
         assert code == 2
-        assert out.splitlines()[-2:] == [
-            "status: refused", "error: exponent body x^2 is not the standard damping"]
+        assert out == (f"command: gauge-exp\nmodel: {model}\nstatus: refused\n"
+                       "error: exponent body x^2 is not the standard damping\n")
+
+    def test_nonstandard_damping_on_the_boundary_is_two(self, capsys, tmp_path):
+        # delta of P0 e^T is zero, so the boundary run integrates XI's instead
+        model = tmp_path / "damping.model"
+        model.write_text((MODELS / "gauge11.model").read_text() + "T = x^2\n")
+        code, out = run(capsys, "gauge-exp", model, "--p", "XI", "--t", "T", "--gauge", "F1",
+                        "--boundary")
+        assert code == 2
+        assert out == (f"command: gauge-exp\nmodel: {model}\nstatus: refused\n"
+                       "error: exponent body x^2 is not the standard damping\n")
 
     def test_missing_model_is_two(self, capsys):
         code, out = run(capsys, "qme", MODELS / "nope.model")
@@ -669,3 +679,57 @@ class TestDeterminism:
         assert ["residual", "2*i*hbar^2*c1"] in payload["details"]
         cli.main(["qme", str(MODELS / "solvable2.model"), "--json"])
         assert capsys.readouterr().out == out
+
+
+class TestImportFootprint:
+    """A command loads only the modules it runs, read off sys.modules in a
+    fresh interpreter after cli.main returns."""
+
+    LEAN = {"dataclasses", "inspect", "json", "bvcalc.gauge", "bvcalc.identities",
+            "bvcalc.randgen"}
+
+    def loaded(self, *argv):
+        """(new modules, exit code, stdout) of `from bvcalc import cli` and,
+        given argv, of cli.main(argv) in a child; the module list is the
+        last stdout line."""
+        script = ("import sys\nbefore = set(sys.modules)\nfrom bvcalc import cli\n"
+                  f"code = cli.main({list(argv)!r}) if {bool(argv)} else 0\n"
+                  "print(' '.join(sorted(set(sys.modules) - before)))\n"
+                  "sys.exit(code)\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60, cwd=MODELS.parent)
+        *report, modules = proc.stdout.splitlines()
+        return set(modules.split()), proc.returncode, "\n".join(report) + "\n"
+
+    def test_import_alone(self):
+        modules, code, _ = self.loaded()
+        assert code == 0 and "bvcalc.cli" in modules
+        assert not modules & (self.LEAN | {"bvcalc.lie", "bvcalc.linalg"})
+
+    def test_master_on_a_generator_model(self):
+        modules, code, out = self.loaded("master", "models/gauge11.model")
+        assert code == 1 and "status: fail" in out
+        assert not modules & (self.LEAN | {"bvcalc.lie", "bvcalc.linalg"})
+        assert {m for m in modules if m.startswith("bvcalc.")} == {
+            "bvcalc.bv", "bvcalc.cli", "bvcalc.derivations", "bvcalc.modelfile",
+            "bvcalc.parser", "bvcalc.scalars", "bvcalc.superalgebra"}
+
+    def test_check_lie(self):
+        modules, code, _ = self.loaded("check-lie", "models/sl2.model")
+        assert code == 0
+        assert {"bvcalc.lie", "bvcalc.linalg"} <= modules
+        assert not modules & self.LEAN
+
+    def test_gauge_exp_loads_gauge(self):
+        modules, code, out = self.loaded("gauge-exp", "models/gauge11.model",
+                                         "--p", "P0", "--gauge", "F0", "--gauge", "F1")
+        assert code == 0 and "all_equal: true" in out
+        assert "bvcalc.gauge" in modules and "bvcalc.lie" not in modules
+
+    def test_json_renders(self, capsys, monkeypatch):
+        argv = ["qme", "models/solvable2.model", "--json"]
+        modules, code, out = self.loaded(*argv)
+        monkeypatch.chdir(MODELS.parent)
+        assert (code, out) == run(capsys, *argv)
+        assert json.loads(out)["status"] == "fail" and "json" in modules
