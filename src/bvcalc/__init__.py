@@ -7,20 +7,6 @@ one submodule such as ``bvcalc.cli``, loads only the modules that are run.
 
 from importlib import import_module as _import_module
 
-__all__ = [
-    "ANTIFIELD", "AntifieldReport", "BVSpace", "Context", "Derivation",
-    "EVEN", "ExpElement", "FIELD", "GaugeFermion", "Generator", "LieModel",
-    "Model", "ModelError", "NonGaussianIntegrand", "NonNormalizedDamping",
-    "NotACochainComplex", "NotDeltaClosed", "ODD", "OddPowerWarning",
-    "ParseError", "PLAIN", "Poly", "Scalar",
-    "berezin_integrate", "brst_lie", "brst_rep", "ce_cohomology_dims",
-    "ce_matrices", "exact_boundary_integrals", "exp_delta",
-    "gauge_independence_experiment", "gaussian_expectation", "ghost_context",
-    "jacobi_check", "lagrangian_integral", "load_model",
-    "parse_expression", "parse_model", "rep_check", "rep_context",
-    "restrict_to_lagrangian", "standard_damping", "trace_condition",
-]
-
 # public name or submodule name -> the submodule that defines it
 _HOME = {name: module for module, names in (
     ("scalars", "Scalar"), ("derivations", "Derivation"), ("bv", "AntifieldReport BVSpace"),
@@ -34,6 +20,7 @@ _HOME = {name: module for module, names in (
     ("modelfile", "Model ModelError load_model parse_model"),
     ("cli", ""), ("identities", ""), ("linalg", ""), ("randgen", ""),
 ) for name in [module, *names.split()]}
+__all__ = sorted(name for name, module in _HOME.items() if name != module)
 
 
 def __getattr__(name):

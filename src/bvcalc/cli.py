@@ -160,10 +160,10 @@ def _cmd_brst(model: Model, args):
 
 def _cmd_linf(model: Model, args):
     from .derivations import linf_rows
-    D = _brst_derivation(model)
-    square = D.square_residual()
-    square_zero = all(p.is_zero for p in square.values())
+    _require_lie(model)
     _require_count("n_max", args.nmax, MAX_NMAX)
+    square = _brst_derivation(model).square_residual()
+    square_zero = all(p.is_zero for p in square.values())
     rows = linf_rows(square, args.nmax)
     details = []
     for n, row in rows:

@@ -15,15 +15,14 @@ images of the generators as terms dicts keyed by monomial, with ``int``
 coefficients where the denominator is 1 and ``Fraction`` ones otherwise,
 and the slot table of ``derivations._apply_into``, the Leibniz loop of
 ``Derivation.apply`` (each generator's image times the derivative by it),
-listed in ``rep_context``'s generator order.  One reader, ``_violations``,
-takes the Jacobi or the representation residual off the square D^2 of the
-images; the Chevalley-Eilenberg images are the same loop applied to each
-cochain monomial, and ``ce_cohomology_dims`` and ``ce_matrices`` both
-take them from ``_image``.  By linearity the square is D^2(g) = sum c D(m)
-over the terms c m of D(g), so it is read off per-monomial images, each
-built once per call (``_image``): the D(c^j c^k) of the Jacobi square are
-the ghost-degree-2 images at p = 0, and the D(v^b c^k) of the
-representation square the degree-1 images at p = 1.
+listed in ``rep_context``'s generator order.  The Chevalley-Eilenberg
+complex C^(p, *) is built from one list, the degree-p module monomials
+(``_exponents``), times the ghost monomials; each cochain's image is the
+same loop (``_image``), which ``ce_cohomology_dims`` and ``ce_matrices``
+share.  One reader, ``_violations``, takes the residual of the generators
+of module degree p (Jacobi at p = 0, the representation property at p = 1)
+off D^2(g) = sum c D(m) over the terms c m of D(g), from per-monomial images
+built once per call: the ghost-degree-2 ones at p = 0, the degree-1 at p = 1.
 No i or hbar can arise, so no ``Scalar`` is involved; only ``brst_rep``
 wraps the table as Polys (``brst_lie`` is that of the module-free model).
 
@@ -75,8 +74,8 @@ run unchanged inside the subcomplex.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from math import comb, lcm
+from itertools import combinations, combinations_with_replacement
+from math import lcm
 
 from .derivations import Derivation, _apply_into, _slot_table
 from .linalg import ExactMatrix, pivot_leads
@@ -144,8 +143,10 @@ def _rational(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _unit(n: int, j: int) -> tuple:
-    return tuple(int(s == j) for s in range(n))
+def _exponents(m: int, p: int) -> list:
+    """Exponent tuples of the degree-p monomials in m module coordinates, in
+    ``combinations_with_replacement`` order (p = 0: zeros; p = 1: units)."""
+    return [tuple(map(c.count, range(m))) for c in combinations_with_replacement(range(m), p)]
 
 
 def _brst_table(model: LieModel):
@@ -163,10 +164,10 @@ def _brst_table(model: LieModel):
     for (i, j, k), val in model.f.items():
         if j < k and val:
             odd[i][(zero, 1 << j | 1 << k)] = _rational(val)
-    even = [{} for _ in range(n)]
+    even, units = [{} for _ in range(n)], _exponents(n, 1)
     for (i, j, k), val in model.rho.items():
         if val:
-            even[i][(_unit(n, j), 1 << k)] = _rational(val)
+            even[i][(units[j], 1 << k)] = _rational(val)
     # rep_context's generator order: the module coordinates, then the ghosts
     slots = [(EVEN, j) for j in range(n)] + [(ODD, i) for i in range(model.dim)]
     return even, odd, _slot_table(zip(slots, even + odd))
@@ -188,11 +189,11 @@ def _take(images: dict, slots, key):
     return image
 
 
-def _violations(table, check: str, images: dict):
+def _violations(table, p: int, images: dict):
     """[(odd indices, residual)] where the square of ``_brst_table``'s
-    differential fails to vanish, in ``combinations`` order.  For
-    ``check == "jacobi"`` residual entry i is the c^j c^k c^m coefficient of
-    D^2(c^i); for ``"rep"`` entry (a, b) is the v^b c^j c^k one of D^2(v^a).
+    differential fails to vanish on the generators of module degree p, in
+    ``combinations`` order: entry i is the c^j c^k c^m coefficient of D^2(c^i)
+    at p = 0 (Jacobi), entry (a, b) the v^b c^j c^k one of D^2(v^a) at p = 1.
 
     D^2(g) is the sum of c D(m) over the terms c m of D(g), each D(m) taken
     by ``_image`` from ``images``, a monomial -> image dict that the caller
@@ -200,10 +201,9 @@ def _violations(table, check: str, images: dict):
     """
     even, odd, slots = table
     n = len(even)
-    jacobi = check == "jacobi"
-    keys = [(0,) * n] if jacobi else [_unit(n, b) for b in range(n)]
+    keys = _exponents(n, p)
     squares = []
-    for img in odd if jacobi else even:
+    for img in (odd, even)[p]:
         square = {}
         get = square.get
         for m, c in img.items():
@@ -215,7 +215,7 @@ def _violations(table, check: str, images: dict):
     out = []
     for bits, mask in sorted((_mask_bits(mask), mask) for mask in masks):
         rows = [[sq.get((key, mask), 0) for key in keys] for sq in squares]
-        out.append((tuple(bits), [Fraction(c) for c, in rows] if jacobi else ExactMatrix(rows, n)))
+        out.append((tuple(bits), ExactMatrix(rows, n) if p else [Fraction(c) for c, in rows]))
     return out
 
 
@@ -226,7 +226,7 @@ def jacobi_check(model: LieModel):
     D = brst_lie(model), which is the Jacobiator
     sum_l (f^l_jk f^i_lm + f^l_km f^i_lj + f^l_mj f^i_lk).
     """
-    return _violations(_brst_table(model), "jacobi", {})
+    return _violations(_brst_table(model), 0, {})
 
 
 def rep_check(model: LieModel):
@@ -235,7 +235,7 @@ def rep_check(model: LieModel):
     Entry (a, b) of the residual for the pair (j, k) is the v^b c^j c^k
     coefficient of D^2(v^a) for D = brst_rep(model).
     """
-    return _violations(_brst_table(model), "rep", {})
+    return _violations(_brst_table(model), 1, {})
 
 
 def ghost_context(m: int) -> Context:
@@ -268,11 +268,9 @@ def brst_rep(model: LieModel, module_names=None) -> Derivation:
 
 
 def _ce_basis(n_even: int, n_odd: int, p: int, q: int):
-    """Monomial keys of the (p, q) bigraded piece, in a fixed order."""
-    masks = [sum(1 << i for i in combo) for combo in combinations(range(n_odd), q)]
-    if p == 0:
-        return [((0,) * n_even, mask) for mask in masks]
-    return [(_unit(n_even, v), mask) for v in range(n_even) for mask in masks]
+    """Keys of C^(p, q): each degree-p module monomial times each ghost q-subset."""
+    masks = [sum(bits) for bits in combinations([1 << i for i in range(n_odd)], q)]
+    return [(exps, mask) for exps in _exponents(n_even, p) for mask in masks]
 
 
 def _weight_zero_bases(model: LieModel, p: int):
@@ -281,7 +279,7 @@ def _weight_zero_bases(model: LieModel, p: int):
     h's weights, scaled to ints, are a digit of a mixed radix too wide for any
     sum of them to carry; the ghost subsets of each half are joined on
     opposite packed weights (meet in the middle)."""
-    n, m = model.dim, model.module_dim if p else 0
+    n, m = model.dim, model.module_dim
     rho = model.rho if p else {}
     off = {h for i, h, k in model.f if i != k} | {h for a, b, h in rho if a != b}
     if len(off) == n:
@@ -311,11 +309,10 @@ def _weight_zero_bases(model: LieModel, p: int):
     right = {}
     for mask, size, w in halves[1]:
         right.setdefault(w, []).append((mask, size))
-    # the ghosts of v^a c^mask must weigh -rho^a_ah, those of c^mask zero
-    targets = ([(_unit(m, a), -packed[n + a]) for a in range(m)] if p
-               else [((0,) * model.module_dim, 0)])
     bases = [[] for _ in range(n + 1)]
-    for exps, target in targets:
+    for exps in _exponents(m, p):
+        # the ghosts of v^e c^mask must weigh -sum_a e_a rho^a_ah
+        target = -sum(e * w for e, w in zip(exps, packed[n:]))
         for low, size, w in halves[0]:
             for high, more in right.get(target - w, ()):
                 bases[size + more].append((exps, low | high))
@@ -398,22 +395,20 @@ def ce_cohomology_dims(model: LieModel, p: int):
     """
     table = _ce_table(model, p)
     slots, images = table[2], {}
-    for check in ("jacobi", "rep")[:p + 1]:
-        violations = _violations(table, check, images)
+    for k in range(p + 1):
+        violations = _violations(table, k, images)
         if violations:
-            raise NotACochainComplex(check, violations[0])
+            raise NotACochainComplex(("jacobi", "rep")[k], violations[0])
     n = model.dim
     dual = p == 0 and not any(_ad_traces(model))
-    bases = _weight_zero_bases(model, p)
+    bases = (_weight_zero_bases(model, p)
+             or [_ce_basis(model.module_dim, n, p, q) for q in range(n + 1)])
     ranks, leads = [], set()
-    for q in range((n - 1) // 2 + 1 if dual else n):
-        basis = bases[q] if bases else _ce_basis(model.module_dim, n, p, q)
+    for basis in bases[:(n - 1) // 2 + 1 if dual else n]:
         leads = set(pivot_leads([_take(images, slots, key) for key in basis if key not in leads]))
         ranks.append(len(leads))
     ranks += [ranks[n - 1 - q] for q in range(len(ranks), n)] + [0]
-    sizes = ([len(basis) for basis in bases] if bases
-             else [comb(n, q) * (model.module_dim if p else 1) for q in range(n + 1)])
-    return [size - rank - prev for size, rank, prev in zip(sizes, ranks, [0] + ranks)]
+    return [len(basis) - rank - prev for basis, rank, prev in zip(bases, ranks, [0] + ranks)]
 
 
 def trace_condition(model: LieModel, module_names=None) -> Poly:

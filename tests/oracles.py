@@ -27,7 +27,9 @@ outer loop always runs over the left factor; the library's kernel loops
 over the shorter factor.  ``violations_square`` is the earlier reader of
 the Jacobi and representation residuals, which applies the BRST table to
 each generator's whole image; the library sums per-monomial images that
-it builds once per call.
+it builds once per call.  ``ce_basis_split`` is the earlier cochain basis,
+with one branch for p = 0 and one for p = 1; the library builds every
+C^(p, q) from one list of degree-p module monomials.
 
 The sum-loop routes build every step of a sum as a new Poly: the product
 term pair by term pair through the filtering constructor, a derivation as
@@ -85,7 +87,7 @@ from bvcalc.derivations import Derivation, _apply_into
 from bvcalc.gauge import (ExpElement, NonNormalizedDamping, berezin_integrate,
                           gaussian_expectation, restrict_to_lagrangian, standard_damping)
 from bvcalc.identities import IDENTITY_NAMES, MAX_DEGREE, TERMS
-from bvcalc.lie import _ce_basis, _ce_table, _image, _unit, rep_context
+from bvcalc.lie import _ce_basis, _ce_table, _image, rep_context
 from bvcalc.linalg import ExactMatrix, sparse_rank
 from bvcalc.scalars import Scalar, _atom, _guard
 from bvcalc.superalgebra import EVEN, ODD, Poly, _add_into, _mask_bits, _merge_sign
@@ -203,6 +205,19 @@ def rep_commutator_check(model):
         if any(any(row) for row in residual):
             out.append(((j, k), ExactMatrix(residual, n)))
     return out
+
+
+def _unit(n: int, j: int) -> tuple:
+    return tuple(int(s == j) for s in range(n))
+
+
+def ce_basis_split(n_even: int, n_odd: int, p: int, q: int):
+    """The earlier ``lie._ce_basis``: the keys of C^(p, q) with the module
+    part a branch on p, the zero tuple at p = 0 and the units at p = 1."""
+    masks = [sum(1 << i for i in combo) for combo in combinations(range(n_odd), q)]
+    if p == 0:
+        return [((0,) * n_even, mask) for mask in masks]
+    return [(_unit(n_even, v), mask) for v in range(n_even) for mask in masks]
 
 
 def violations_square(table, check: str):

@@ -195,6 +195,19 @@ class TestExitCodes:
         assert out == (f"command: gauge-exp\nmodel: {model}\nstatus: refused\n"
                        "error: exponent body x^2 is not the standard damping\n")
 
+    @pytest.mark.parametrize("boundary", [(), ("--boundary",)], ids=["plain", "boundary"])
+    @pytest.mark.parametrize("t, body", [("T", "x^2"), ("XI", "0")])
+    def test_both_gauge_routes_check_every_exponent(self, t, body, boundary, capsys, tmp_path):
+        # under F1, delta of P0 e^T is zero and XI restricts to 0: the boundary
+        # route has nothing left to integrate, yet refuses as the plain route
+        model = tmp_path / "damping.model"
+        model.write_text((MODELS / "gauge11.model").read_text() + "T = x^2\n")
+        code, out = run(capsys, "gauge-exp", model, "--p", "P0", "--t", t, "--gauge", "F1",
+                        *boundary)
+        assert code == 2
+        assert out == (f"command: gauge-exp\nmodel: {model}\nstatus: refused\n"
+                       f"error: exponent body {body} is not the standard damping\n")
+
     def test_missing_model_is_two(self, capsys):
         code, out = run(capsys, "qme", MODELS / "nope.model")
         assert code == 2
@@ -448,6 +461,24 @@ class TestPreconditions:
             assert time.perf_counter() - start < 1
             assert code == 2
             assert "status: refused\nerror: n_max must be at most 1000\n" in out
+
+    @pytest.mark.parametrize("nmax, message", [("0", "n_max must be at least 1"),
+                                               ("1001", "n_max must be at most 1000")])
+    def test_nmax_refused_before_squaring(self, nmax, message, capsys, monkeypatch):
+        def refuse(self):
+            raise AssertionError("D was squared before --nmax was checked")
+        monkeypatch.setattr(Derivation, "square_residual", refuse)
+        path = MODELS / "sl2.model"
+        code, out = run(capsys, "linf", path, "--nmax", nmax)
+        assert code == 2
+        assert out == f"command: linf\nmodel: {path}\nstatus: refused\nerror: {message}\n"
+
+    def test_linf_needs_lie_before_nmax(self, capsys):
+        path = MODELS / "gauge11.model"
+        code, out = run(capsys, "linf", path, "--nmax", "0")
+        assert code == 2
+        assert out == (f"command: linf\nmodel: {path}\nstatus: refused\n"
+                       "error: this command needs a [lie] model\n")
 
     @pytest.mark.parametrize("text, p, check, message", [
         ("[lie]\nbasis = a b c\n[brackets]\n[a,b] = c\n[b,c] = a\n[a,c] = a\n", "0",

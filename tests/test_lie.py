@@ -7,14 +7,14 @@ from bvcalc import (LieModel, NotACochainComplex, brst_lie, brst_rep,
                     ce_cohomology_dims, ce_matrices, ghost_context, jacobi_check,
                     rep_check, rep_context, trace_condition)
 from bvcalc import lie
-from bvcalc.lie import _ad_traces, _ce_basis, _weight_zero_bases
+from bvcalc.lie import _ad_traces, _ce_basis, _exponents, _weight_zero_bases
 from bvcalc.linalg import ExactMatrix, sparse_rank
 
 from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
 from oracles import (action_matrix, adjoint_loop, bareiss_rank, brst_half_sum,
-                     ce_cohomology_dims_full, ce_images, ce_images_scalar,
+                     ce_basis_split, ce_cohomology_dims_full, ce_images, ce_images_scalar,
                      ce_weight_zero_keys, f_at, jacobi_triple_loop, matmul,
-                     rep_commutator_check)
+                     rep_commutator_check, violations_square)
 
 
 def adjoint_oracle_jacobi(model):
@@ -541,6 +541,43 @@ class TestNotACochainComplex:
             ce_cohomology_dims(broken, 1)
         with pytest.raises(ValueError, match="only p = 0 and p = 1"):
             ce_cohomology_dims(sl2(), 2)
+
+
+class TestOneModuleMonomialList:
+    """Every module-degree choice reads ``lie._exponents``; the earlier
+    two-branch basis and squaring reader in oracles.py must agree with it."""
+
+    def test_exponents(self):
+        assert _exponents(3, 0) == [(0, 0, 0)]
+        assert _exponents(3, 1) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert _exponents(0, 0) == [()] and _exponents(0, 1) == []
+        for m, p in ((2, 2), (3, 2), (3, 3), (4, 2)):
+            exps = _exponents(m, p)
+            assert len(set(exps)) == len(exps) == comb(m + p - 1, p)
+            assert all(len(e) == m and sum(e) == p for e in exps)
+
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["plain", "adjoint"])
+    @pytest.mark.parametrize("sheared", [False, True], ids=["canonical", "sheared"])
+    @pytest.mark.parametrize("build", [lambda: gl(2), lambda: sl(3)], ids=["gl2", "sl3"])
+    def test_equals_the_split_oracles(self, rng, build, sheared, adjoint):
+        model = build()
+        if sheared:
+            model = change_basis(model, random_shears(rng, model.dim))
+        if adjoint:
+            model = model.adjoint()
+        perturbed = LieModel(model.dim, model.module_dim, {**model.f, (0, 0, 1): 1},
+                             {**model.rho, (0, 0, 0): 1} if adjoint else {})
+        for p in (0, 1):
+            for q in range(model.dim + 1):
+                assert (_ce_basis(model.module_dim, model.dim, p, q)
+                        == ce_basis_split(model.module_dim, model.dim, p, q))
+        for table_of in (model, perturbed):
+            table = lie._brst_table(table_of)
+            for k in (0, 1):
+                expected = violations_square(table, ("jacobi", "rep")[k])
+                assert lie._violations(table, k, {}) == expected
+        assert lie._violations(lie._brst_table(perturbed), 0, {})
+        assert bool(lie._violations(lie._brst_table(perturbed), 1, {})) == adjoint
 
 
 def poincare(*degrees):

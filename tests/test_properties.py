@@ -14,7 +14,11 @@ filter names, and the derivation read off an antifield-linear
 S1 by one sweep equals the one built from an antibracket per field on every
 field layout of tests/test_bv.py.  On the same layouts, the master residuals
 and the off-shell residual of drawn even actions equal the general bracket,
-and exp_delta takes no self-bracket through ``bracket``."""
+and exp_delta takes no self-bracket through ``bracket``.  Both gauge routes
+refuse a delta-closed element, with the same message, exactly when one of
+its restricted exponents is not the standard damping plus a nilpotent part,
+also where delta of the element leaves the boundary route nothing to
+integrate."""
 
 from fractions import Fraction
 
@@ -24,7 +28,9 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bvcalc import EVEN, ODD, BVSpace, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
-from bvcalc.gauge import ExpElement, exp_delta  # noqa: E402
+from bvcalc.gauge import (ExpElement, GaugeFermion, NonNormalizedDamping,  # noqa: E402
+                          exact_boundary_integrals, exp_delta, gauge_independence_experiment,
+                          restrict_to_lagrangian, standard_damping)
 from bvcalc.lie import (_ad_traces, _brst_table, _ce_basis, _weight_zero_bases,  # noqa: E402
                         ce_cohomology_dims)
 from bvcalc.superalgebra import Context, Poly, _mul_into  # noqa: E402
@@ -257,6 +263,40 @@ def test_exp_element_merges_like_the_key_merge(pairs):
     expected = exp_pairs_by_key(pairs)
     assert element.pairs == expected
     assert str(element) == (" + ".join(f"({p})*exp({t})" for p, t in expected) or "0")
+
+
+# exponents on BVS: the damping -x^2/2 or not, plus monomials that may hold
+# an odd generator (t*xp, x*t*xp) or not (1, x*tp, which F sends to x*dF/dt)
+damped_exponents = st.tuples(st.sampled_from([0, 1, 1, 2]), st.dictionaries(
+    st.sampled_from([((0, 0), 0), ((1, 1), 0), ((0, 0), 3), ((1, 0), 3)]),
+    st.sampled_from(COEFFS), max_size=2)).map(
+        lambda drawn: drawn[0] * standard_damping(BVS) + Poly(BVS.ctx, drawn[1]))
+# t * (a + b x + c x^2), zero included
+gauge_fermions = st.lists(rationals, min_size=3, max_size=3).map(
+    lambda cs: GaugeFermion(BVS, Poly(BVS.ctx, {((k, 0), 1): Scalar.of(c)
+                                                for k, c in enumerate(cs) if c})))
+
+
+def _refusal(route, element, fermions):
+    try:
+        route(element, fermions)
+    except NonNormalizedDamping as exc:
+        return str(exc)
+    return None
+
+
+@hypothesis.settings(max_examples=100, deadline=2000)
+@hypothesis.given(st.lists(st.tuples(prefactors, damped_exponents), max_size=2),
+                  st.lists(gauge_fermions, min_size=1, max_size=3))
+def test_both_gauge_routes_refuse_the_same_damping(pairs, fermions):
+    element = exp_delta(ExpElement(BVS, pairs))   # delta-closed, and its boundary is zero
+    damping = standard_damping(BVS)
+    bad = any(not mask for fermion in fermions for _, t in element.pairs
+              for _, mask in (restrict_to_lagrangian(t, fermion) - damping).terms)
+    hypothesis.event("refused" if bad else "integrated")
+    refusal = _refusal(gauge_independence_experiment, element, fermions)
+    assert (refusal is not None) == bad
+    assert _refusal(exact_boundary_integrals, element, fermions) == refusal
 
 
 def _table(draw, keys, max_size):
