@@ -30,6 +30,9 @@ INTERNAL_ERROR = 3
 # differential has degree at most 3; the bound caps the report at that many
 # rows.
 MAX_NMAX = 1000
+# bv-identities and omega-square draw --count random triples or samples; the
+# bound keeps a run on a fixture under a second (the defaults are 60 and 40).
+MAX_COUNT = 1000
 
 
 class Report:
@@ -196,7 +199,7 @@ def _cmd_ce_cohomology(model: Model, args):
 
 def _cmd_bv_identities(model: Model, args):
     from . import identities
-    _require_count("count", args.count)
+    _require_count("count", args.count, MAX_COUNT)
     fails = identities.bv_identity_suite(model.bvs, args.seed, args.count)
     details = [("seed", args.seed), ("triples", args.count)]
     ok = True
@@ -253,7 +256,7 @@ def _cmd_onshell(model: Model, args):
 def _cmd_omega_square(model: Model, args):
     import random
     from .randgen import random_poly
-    _require_count("count", args.count)
+    _require_count("count", args.count, MAX_COUNT)
     s = _action(model, args.action)
     bvs = model.bvs
     residual = bvs.quantum_master_residual(s)

@@ -2,24 +2,31 @@
 
 An ExpElement is a finite sum of pairs P * exp(T) with T even.  Restriction
 to the Lagrangian of a gauge fermion F substitutes every antifield by the
-right derivative of F with respect to its field, through one substitution
-map for every P and T, built per call from one derivative sweep of F and
-cached nowhere.  Integration forms only the part of P * exp(N) that holds
-every odd field, Berezin-integrates it over the odd field directions in one
-pass, then takes normalized Gaussian moments over the even ones.
-Everything stays in exact scalars, so gauge comparisons are equality checks
-rather than tolerance checks.
+right derivative of F with respect to its field, taken from one derivative
+sweep of F.  Every gauge assigns every antifield, so the two gauge routes
+split each P and T by its antifield part once per call (``_split``) and,
+per gauge, substitute the images into the split terms through one cache of
+image products that dies with the call (``_substitute``).
+
+The integral of P * exp(N), N the exponent minus the standard damping, is
+fused: only the products of a P term and an exp(N) term that reach a
+nonzero moment are formed, accumulated by even exponent, and the Berezin
+sign and the Gaussian moments are applied once at the end; no integrand
+Poly is built.  ``berezin_integrate`` and ``gaussian_expectation`` remain
+as the public single steps.  Everything stays in exact scalars, so gauge
+comparisons are equality checks rather than tolerance checks.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, and_
 
 from .bv import BVSpace, _bracket_into, _half_self_bracket_into
 from .scalars import Scalar
-from .superalgebra import (EVEN, FIELD, ODD, Poly, _derivs, _mul_into, _poly,
-                           _substitution_map)
+from .superalgebra import (EVEN, FIELD, ODD, PLAIN, Poly, _derivs, _merge_sign, _mul_into,
+                           _poly, _split, _substitute, _substitution_map)
 
 
 class NotDeltaClosed(Exception):
@@ -119,21 +126,29 @@ class ExpElement:
 
 
 def _merge_pairs(pairs) -> tuple:
-    """``ExpElement.pairs`` of checked pairs: a bucket per monomial set merges
-    equal T (terms are canonical), zero sums drop, the rest sort by T.key()."""
-    buckets = {}
-    for p, t in pairs:
-        bucket = buckets.setdefault(frozenset(t.terms), [])
-        for entry in bucket:
-            if entry[1].terms == t.terms:
-                entry[0] = entry[0] + p
-                break
-        else:
-            bucket.append([p, t])
-    merged = [(p, t) for bucket in buckets.values() for p, t in bucket if not p.is_zero]
+    """``ExpElement.pairs`` of checked pairs: ``_merged``, sorted by T.key()."""
+    merged = _merged(pairs)
     if len(merged) > 1:
         merged.sort(key=lambda pair: pair[1].key())
     return tuple(merged)
+
+
+def _merged(pairs) -> list:
+    """(P, T, ...) tuples with equal T merged into the first one: a bucket per
+    monomial set finds them (terms are canonical), their P add, and the
+    tuples whose P sums to zero drop."""
+    buckets = {}
+    for pair in pairs:
+        t = pair[1]
+        bucket = buckets.setdefault(frozenset(t.terms), [])
+        for entry in bucket:
+            if entry[1].terms == t.terms:
+                entry[0] = entry[0] + pair[0]
+                break
+        else:
+            bucket.append(list(pair))
+    return [tuple(entry) for bucket in buckets.values() for entry in bucket
+            if not entry[0].is_zero]
 
 
 def exp_delta(element: ExpElement) -> ExpElement:
@@ -213,24 +228,31 @@ def gaussian_expectation(poly: Poly) -> Scalar:
     monomial; any odd generator or non-field variable is an error.
     """
     ctx = poly.ctx
+    fields = {s for s, name in enumerate(ctx.even_names) if ctx.role_of(name) == FIELD}
     total = Scalar.zero()
     for (exps, mask), c in poly.terms.items():
-        if mask:
-            raise NonGaussianIntegrand("odd generator present in a Gaussian moment")
-        weight = 1
-        dead = False
-        for s, k in enumerate(exps):
-            if not k:
-                continue
-            if ctx.role_of(ctx.even_names[s]) != FIELD:
-                raise NonGaussianIntegrand(f"{ctx.even_names[s]} is not an even field")
-            if k % 2:
-                dead = True
-                break
-            weight *= math.prod(range(k - 1, 0, -2))
-        if not dead:
+        weight = _moment(ctx, fields, exps, mask)
+        if weight:
             total = total + c * weight
     return total
+
+
+def _moment(ctx, fields: set, exps, mask: int) -> int:
+    """``gaussian_expectation`` of one monomial with coefficient 1, the even
+    fields being the slots in ``fields``: the product of (k-1)!! over its
+    powers k, read slot by slot; 0 from the first odd power of a field on,
+    and a refusal at an odd generator or at a non-field before that."""
+    if mask:
+        raise NonGaussianIntegrand("odd generator present in a Gaussian moment")
+    weight = 1
+    for s, k in enumerate(exps):
+        if k:
+            if s not in fields:
+                raise NonGaussianIntegrand(f"{ctx.even_names[s]} is not an even field")
+            if k % 2:
+                return 0
+            weight *= math.prod(range(k - 1, 0, -2))
+    return weight
 
 
 def standard_damping(bvs: BVSpace) -> Poly:
@@ -247,10 +269,19 @@ def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:
     nilpotent part N whose monomials all contain an odd generator; exp(N) is
     then a finite sum, the odd field directions are Berezin-integrated in
     declaration order and the even ones averaged against the normalized
-    Gaussian weight.  Of P * exp(N) only the term pairs whose odd masks are
-    disjoint and cover every odd field are formed: the Berezin part.
+    Gaussian weight.  Of P * exp(N) only the term products that reach a
+    nonzero moment are formed; the value, and any refusal, is that of the
+    whole product.
+
+    Only the restricted pairs that survive the merge are checked, each just
+    before its integral, so an element whose prefactors cancel after
+    restriction integrates to 0 here, where ``gauge_independence_experiment``
+    and ``exact_boundary_integrals`` check every exponent of the element
+    and refuse it (``test_pairs_merged_by_restriction_cancel``).
     """
-    return _integrate(element.bvs, restrict_to_lagrangian(element, fermion).pairs)
+    damping = standard_damping(element.bvs).terms
+    return _integrate(element.bvs, ((p, _nilpotent_part(damping, t))
+                                    for p, t in restrict_to_lagrangian(element, fermion).pairs))
 
 
 def _nilpotent_part(damping: dict, t: Poly) -> dict:
@@ -264,35 +295,92 @@ def _nilpotent_part(damping: dict, t: Poly) -> dict:
     return nil
 
 
-def _integrate(bvs: BVSpace, restricted_pairs) -> Scalar:
-    """``lagrangian_integral`` of restricted, merged pairs."""
-    damping = standard_damping(bvs).terms
-    odds = bvs._field_sweep[1]  # the odd fields' (index, bit) pairs
-    odd_fields = [bvs.pairs[i][0] for i, _ in odds]
+def _integrate(bvs: BVSpace, pairs) -> Scalar:
+    """The integral of the sum of P * exp(N) over (P, N) pairs, P restricted
+    and N its exponent's nilpotent part, taken one pair at a time.
+
+    Only the term products that reach a moment are formed.  A product
+    whose generators are all fields has a moment only if it holds each odd
+    field once and every even field to an even power: the P term must
+    complete the odd fields of the exp(N) term, with field exponents of the
+    same parity, so P's terms are grouped by (odd mask, exponent parities).
+    Those products accumulate by even exponent; the one Berezin sign of the
+    odd fields in declaration order and the (2k-1)!! moments come last.
+    Restriction leaves no antifield, so any other product holds a plain
+    generator.  It has no moment, but ``gaussian_expectation`` refuses it
+    unless it cancels or an odd field power comes first; so where a plain
+    generator occurs, the whole Berezin part is formed as before the fusion
+    and each nonzero term read by ``_moment``, which refuses as that did.
+    """
+    ctx = bvs.ctx
+    evens, odds = bvs._field_sweep
+    fields = {s for _, s in evens}
+    plain = [s for s, name in enumerate(ctx.even_names) if ctx.role_of(name) == PLAIN]
+    ones = (1,) * ctx.n_even
     need = sum(bit for _, bit in odds)
+    flips, mask = 0, need
+    for _, bit in reversed(odds):  # the innermost integral is the last field's
+        mask ^= bit
+        flips += (mask >> bit.bit_length()).bit_count()
+    sums = {}
+    for p, nil in pairs:
+        groups, refusable = {}, False
+        for mono, c in p.terms.items():
+            exps, mask = mono
+            if mask & ~need or plain and any(exps[s] for s in plain):
+                refusable = True
+            else:
+                groups.setdefault((mask, tuple(map(and_, exps, ones))), []).append((exps, c))
+        exp_n = _exp_nilpotent(ctx, nil)
+        for mono, c in exp_n.items():
+            exps, mask = mono
+            if mask & ~need or plain and any(exps[s] for s in plain):
+                refusable = True
+                continue
+            group = groups.get((need ^ mask, tuple(map(and_, exps, ones))))
+            if group:
+                if _merge_sign(need ^ mask, mask) < 0:
+                    c = -c
+                for p_exps, p_c in group:
+                    key = tuple(map(add, p_exps, exps))
+                    prev = sums.get(key)
+                    sums[key] = p_c * c if prev is None else prev + p_c * c
+        if refusable:  # the Berezin part of P * exp(N), in the order it was read unfused
+            top = {}
+            for mask in dict.fromkeys(m[1] for m in exp_n):
+                _mul_into(top, {m: c for m, c in p.terms.items()
+                                if not m[1] & mask and (m[1] | mask) & need == need},
+                          {m: c for m, c in exp_n.items() if m[1] == mask})
+            for (exps, mask), c in top.items():
+                if not c.is_zero:
+                    _moment(ctx, fields, exps, mask ^ need)
     total = Scalar.zero()
-    for p, t in restricted_pairs:
-        groups = {}  # the terms of exp(N) by odd mask
-        for mono, c in _exp_nilpotent(bvs.ctx, _nilpotent_part(damping, t)).items():
-            groups.setdefault(mono[1], {})[mono] = c
-        top = {}
-        for mask, b in groups.items():
-            _mul_into(top, {m: c for m, c in p.terms.items()
-                            if not m[1] & mask and (m[1] | mask) & need == need}, b)
-        total = total + gaussian_expectation(berezin_integrate(Poly(bvs.ctx, top), odd_fields))
-    return total
+    for exps, c in sums.items():
+        total = total + c * _moment(ctx, fields, exps, 0)
+    return -total if flips & 1 else total
 
 
 def _gauge_integrals(bvs: BVSpace, pairs, fermions) -> list:
-    """``lagrangian_integral`` of the pairs on each gauge.  Each T is restricted
-    once per gauge, and all are checked before any integral, so a refusal never
-    hangs on a P that restricts or merges to zero, nor on the gauge order."""
-    maps = [_substitution_map(bvs.ctx, *fermion._slot_images()) for fermion in fermions]
-    restricted = [[(substitute(p), substitute(t)) for p, t in pairs] for substitute in maps]
+    """``lagrangian_integral`` of the pairs on each gauge.  Every gauge
+    assigns every antifield, so each P and T is split once, and per gauge
+    substituted through one product cache that lives for this call only.
+    All restricted exponents are checked before any integral, so a refusal
+    never hangs on a P that restricts or merges to zero, nor on the gauge
+    order; the pairs then merge on equal T and integrate with their N."""
+    ctx = bvs.ctx
+    evens, odds = bvs._antifield_sweep
+    assigned = (tuple(s for _, s in evens), sum(bit for _, bit in odds))
+    splits = [(_split(ctx, assigned, p), _split(ctx, assigned, t)) for p, t in pairs]
     damping = standard_damping(bvs).terms
-    for _, t in (pair for rs in restricted for pair in rs):
-        _nilpotent_part(damping, t)
-    return [_integrate(bvs, _merge_pairs(rs)) for rs in restricted]
+    restricted = []
+    for fermion in fermions:
+        images, cache = fermion._slot_images(), {}
+        rows = []
+        for p, t in splits:
+            t = Poly(ctx, _substitute(t, *images, cache))
+            rows.append((Poly(ctx, _substitute(p, *images, cache)), t, _nilpotent_part(damping, t)))
+        restricted.append(rows)
+    return [_integrate(bvs, [(p, nil) for p, _, nil in _merged(rows)]) for rows in restricted]
 
 
 def _exp_nilpotent(ctx, nil: dict) -> dict:

@@ -30,12 +30,16 @@ derivative lists of ``BVSpace`` all take their derivatives from it; only
 ``BVSpace.delta`` repeats the odd left sign, fused into its double
 derivative.
 
-Substitution touches only the assigned generators: it groups the terms by
-their assigned part, passes the terms with none through unchanged, and
-multiplies each group by the product of its images once.  The private
-``_substitution_map`` builds that map from trusted image terms, with a cache
-of image powers that every Poly it maps shares; ``_substitution`` checks the
-images first, and ``Poly.substitute`` is that applied once.
+Substitution touches only the assigned generators, in two halves.
+``_split`` groups the terms by their assigned part, with the Koszul sign of
+taking that part out, and sets aside the terms with none; it reads only
+which slots are assigned.  ``_substitute`` passes those terms through and
+multiplies each group by the product of its images, memoised by assigned
+part in a cache its caller owns, so one split can be substituted under many
+image sets.  The private ``_substitution_map`` composes the two for trusted
+image terms, with one cache that every Poly it maps shares;
+``_substitution`` checks the images first, and ``Poly.substitute`` is that
+applied once.
 
 All values here are immutable after construction and every operation is
 pure, so they can be shared freely between threads or processes.
@@ -582,63 +586,81 @@ def _substitution(ctx: Context, assignments):
 
 
 def _substitution_map(ctx: Context, even_images: dict, odd_images: dict):
-    """The substitution of the generator at even (odd) slot s by the terms
-    ``even_images[s]`` (``odd_images[s]``), unchecked, as a map Poly -> Poly
-    whose cache of image powers every Poly of ctx shares; {} sends to 0.
-
-    The terms are grouped by their assigned part, P = sum_a A_a * g^a,
-    where g^a is a monomial in the assigned generators and A_a a terms dict
-    in the unassigned ones only.  Splitting an odd set into its unassigned
-    part u and assigned part a gives
-    theta = _merge_sign(u, a) * theta_u * theta_a; since each image has its
-    generator's parity, the morphism maps this to
-    _merge_sign(u, a) * theta_u * (the images of theta_a, in order).  So
-    A_0 passes through unchanged, and each other group costs one product of
-    image powers and odd images, multiplied by A_a into the output.
-    """
-    even_slots = sorted(even_images)
-    odd_mask = sum(1 << s for s in odd_images)
-    take = tuple(int(s in even_images) for s in range(ctx.n_even))
-    keep = tuple(1 - k for k in take)
-    powers = {s: [None, img] for s, img in even_images.items()}
+    """``_split`` then ``_substitute`` by unchecked image terms, as a map
+    Poly -> Poly whose product cache every Poly it maps shares; {} sends to
+    0, and a Poly with no assigned term comes back as it is."""
+    assigned = (tuple(sorted(even_images)), sum(1 << s for s in odd_images))
+    cache = {}
 
     def apply(poly: Poly) -> Poly:
-        if poly.ctx != ctx:
-            raise ValueError("context mismatch in substitution")
-        out, groups = {}, {}
-        for mono, c in poly.terms.items():
-            exps, mask = mono
-            a_mask = mask & odd_mask
-            if not a_mask:
-                for s in even_slots:
-                    if exps[s]:
-                        break
-                else:  # no assigned generator: the term passes through
-                    out[mono] = c
-                    continue
-            a_exps = tuple(map(mul, exps, take))
-            u_mask = mask ^ a_mask
-            if _merge_sign(u_mask, a_mask) < 0:
-                c = -c
-            # the split is injective, so no two terms meet in one group
-            groups.setdefault((a_exps, a_mask), {})[(tuple(map(mul, exps, keep)), u_mask)] = c
-
-        for (a_exps, a_mask), part in groups.items():
-            # even factors first, then odd ones in canonical order, as in
-            # the assigned part of the monomial itself
-            factors = []
-            for s in even_slots:
-                k = a_exps[s]
-                if k:
-                    cache = powers[s]
-                    while len(cache) <= k:
-                        cache.append(Poly(ctx, _mul_into({}, cache[-1], cache[1])).terms)
-                    factors.append(cache[k])
-            factors += [odd_images[s] for s in _mask_bits(a_mask)]
-            product = factors[0]
-            for f in factors[1:]:
-                product = _mul_into({}, product, f)
-            _mul_into(out, part, product)
-        return Poly(ctx, out)
+        split = _split(ctx, assigned, poly)
+        return Poly(ctx, _substitute(split, even_images, odd_images, cache)) if split[1] else poly
 
     return apply
+
+
+def _split(ctx: Context, assigned, poly: Poly):
+    """(free, groups) for ``assigned = (even slots, odd mask)``: the terms of
+    poly with no assigned generator, and {assigned part: the rest}.
+
+    The terms are grouped as P = sum_a A_a * g^a, where g^a is a monomial in
+    the assigned generators and A_a a terms dict in the unassigned ones
+    only.  Splitting an odd set into its unassigned part u and assigned part
+    a gives theta = _merge_sign(u, a) * theta_u * theta_a, and that sign goes
+    into A_a.  The split is injective, so no two terms meet in one group.
+    """
+    if poly.ctx != ctx:
+        raise ValueError("context mismatch in substitution")
+    even_slots, odd_mask = assigned
+    take = tuple(int(s in even_slots) for s in range(ctx.n_even))
+    keep = tuple(1 - k for k in take)
+    free, groups = {}, {}
+    for mono, c in poly.terms.items():
+        exps, mask = mono
+        a_mask = mask & odd_mask
+        if not a_mask:
+            for s in even_slots:
+                if exps[s]:
+                    break
+            else:
+                free[mono] = c
+                continue
+        u_mask = mask ^ a_mask
+        if _merge_sign(u_mask, a_mask) < 0:
+            c = -c
+        groups.setdefault((tuple(map(mul, exps, take)), a_mask), {})[
+            tuple(map(mul, exps, keep)), u_mask] = c
+    return free, groups
+
+
+def _substitute(split, even_images: dict, odd_images: dict, cache=None) -> dict:
+    """The terms of a ``_split`` Poly with the generator at even (odd) slot s
+    sent to the terms ``even_images[s]`` (``odd_images[s]``).
+
+    Each image has its generator's parity, so A_a * g^a goes to A_a times
+    the images of g^a, even factors first, then odd ones in canonical order.
+    ``cache`` (a fresh one if None) holds those products by assigned part,
+    each the product of a shorter part, one factor less, times that factor's
+    image, so every prefix is multiplied once per cache.
+    """
+    free, groups = split
+    out = dict(free)
+    cache = {} if cache is None else cache
+    for part, rest in groups.items():
+        chain, key = [], part
+        while key not in cache and (key[1] or any(key[0])):
+            exps, mask = key
+            if mask:
+                s = mask.bit_length() - 1
+                chain.append((key, odd_images[s]))
+                key = (exps, mask ^ (1 << s))
+            else:
+                s = next(s for s, k in enumerate(exps) if k)
+                chain.append((key, even_images[s]))
+                key = (exps[:s] + (exps[s] - 1,) + exps[s + 1:], 0)
+        product = cache.get(key)  # None at the empty part
+        for key, image in reversed(chain):
+            product = cache[key] = image if product is None else {
+                m: c for m, c in _mul_into({}, product, image).items() if not c.is_zero}
+        _mul_into(out, rest, cache[part])
+    return out

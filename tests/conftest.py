@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from bvcalc import BVSpace, EVEN, LieModel, ODD
+from bvcalc import BVSpace, EVEN, LieModel, ODD, gauge, superalgebra
 from bvcalc.superalgebra import Context
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -27,6 +27,28 @@ def refusing_self_brackets():
         yield
     finally:
         BVSpace.bracket = original
+
+
+@contextlib.contextmanager
+def splitting_each_poly_once():
+    """``superalgebra._split`` (as ``gauge`` and ``superalgebra`` name it) fails
+    while inside when handed a Poly it has split before: a gauge route splits
+    each P and T once per call, whatever the number of gauges.  Yields the
+    list of the Polys split so far, which also keeps their ids apart."""
+    original = superalgebra._split
+    seen = []
+
+    def split(ctx, assigned, poly):
+        if any(poly is q for q in seen):
+            raise AssertionError(f"{poly} split twice in one call")
+        seen.append(poly)
+        return original(ctx, assigned, poly)
+
+    superalgebra._split = gauge._split = split
+    try:
+        yield seen
+    finally:
+        superalgebra._split = gauge._split = original
 
 
 @pytest.fixture

@@ -17,8 +17,12 @@ variables in one pass, and takes the Laplacian of P*exp(T) from one
 derivative sweep of T, with 1/2 {T, T} as a sum over pairs and the sign of
 P per monomial.  ``lagrangian_integral_full`` is the earlier gauge integral:
 it subtracts the damping as a Poly and forms the whole product P * exp(N)
-before the Berezin integral; the library forms only the term pairs whose
-odd parts cover every odd field.  ``exp_pairs_by_key`` merges the pairs of
+before the Berezin integral.  ``integrate_top`` is the integral of the
+route that followed: it forms only the term pairs whose odd parts cover
+every odd field, as a ``top`` Poly, then calls ``berezin_integrate`` and
+``gaussian_expectation``.  The library forms only the products that reach
+a moment and accumulates them by even exponent, with no Poly between.
+``exp_pairs_by_key`` merges the pairs of
 an ExpElement under each exponent's canonical key and sorts on it; the
 library compares exponents as terms dicts and takes the key only to sort.
 
@@ -38,8 +42,8 @@ antibracket as sums over pairs, and substitution as a sum over terms of
 factor-by-factor products.  The library accumulates each of these into one
 terms dict through its multiply-accumulate kernel; its substitution also
 groups the terms by their assigned part and multiplies only the assigned
-factors, with the Koszul sign of splitting them off, and one substitution
-map checks the images once and shares their powers between Polys.
+factors, with the Koszul sign of splitting them off, checks the images
+once, and shares the image products between Polys split against them.
 
 The BRST routes build the Lie-algebra differential the textbook way, with
 c^i -> (1/2) f^i_jk c^j c^k summed over both orders of (j, k) as Scalar
@@ -84,13 +88,14 @@ from math import factorial, lcm
 from operator import add
 
 from bvcalc.derivations import Derivation, _apply_into
-from bvcalc.gauge import (ExpElement, NonNormalizedDamping, berezin_integrate,
-                          gaussian_expectation, restrict_to_lagrangian, standard_damping)
+from bvcalc.gauge import (ExpElement, NonNormalizedDamping, _exp_nilpotent, _nilpotent_part,
+                          berezin_integrate, gaussian_expectation, restrict_to_lagrangian,
+                          standard_damping)
 from bvcalc.identities import IDENTITY_NAMES, MAX_DEGREE, TERMS
 from bvcalc.lie import _ce_basis, _ce_table, _image, rep_context
 from bvcalc.linalg import ExactMatrix, sparse_rank
 from bvcalc.scalars import Scalar, _atom, _guard
-from bvcalc.superalgebra import EVEN, ODD, Poly, _add_into, _mask_bits, _merge_sign
+from bvcalc.superalgebra import EVEN, ODD, Poly, _add_into, _mask_bits, _merge_sign, _mul_into
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -482,6 +487,29 @@ def lagrangian_integral_full(element, fermion) -> Scalar:
             raise NonNormalizedDamping(f"exponent body {t} is not the standard damping")
         body = berezin_integrate(p * exp_nilpotent(nil), odd_fields)
         total = total + gaussian_expectation(body)
+    return total
+
+
+def integrate_top(bvs, restricted_pairs) -> Scalar:
+    """The earlier ``gauge._integrate`` of restricted, merged (P, T) pairs:
+    per pair, N = T - damping checked, exp(N) on terms dicts grouped by odd
+    mask, the ``top`` Poly of the P terms that complete each mask times its
+    group, then ``berezin_integrate`` over the odd fields and
+    ``gaussian_expectation``."""
+    damping = standard_damping(bvs).terms
+    odds = bvs._field_sweep[1]  # the odd fields' (index, bit) pairs
+    odd_fields = [bvs.pairs[i][0] for i, _ in odds]
+    need = sum(bit for _, bit in odds)
+    total = Scalar.zero()
+    for p, t in restricted_pairs:
+        groups = {}  # the terms of exp(N) by odd mask
+        for mono, c in _exp_nilpotent(bvs.ctx, _nilpotent_part(damping, t)).items():
+            groups.setdefault(mono[1], {})[mono] = c
+        top = {}
+        for mask, b in groups.items():
+            _mul_into(top, {m: c for m, c in p.terms.items()
+                            if not m[1] & mask and (m[1] | mask) & need == need}, b)
+        total = total + gaussian_expectation(berezin_integrate(Poly(bvs.ctx, top), odd_fields))
     return total
 
 

@@ -445,6 +445,9 @@ class TestPreconditions:
         (["bv-identities", "models/gauge11.model", "--count", "-5"], "count must be at least 1"),
         (["omega-square", "models/gauge11.model", "--count", "0"], "count must be at least 1"),
         (["omega-square", "models/gauge11.model", "--count", "-5"], "count must be at least 1"),
+        (["bv-identities", "models/gauge11.model", "--count", "1001"], "count must be at most 1000"),
+        (["omega-square", "models/gauge11.model", "--count", str(10 ** 18)],
+         "count must be at most 1000"),
     ])
     def test_refused_on_fixture(self, args, message, capsys):
         code, out = run(capsys, args[0], MODELS.parent / args[1], *args[2:])

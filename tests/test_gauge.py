@@ -8,14 +8,16 @@ from bvcalc import (EVEN, ODD, BVSpace, Scalar, berezin_integrate,
                     lagrangian_integral, restrict_to_lagrangian,
                     standard_damping)
 from bvcalc.gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,
-                          NonNormalizedDamping, NotDeltaClosed, _exp_nilpotent)
+                          NonNormalizedDamping, NotDeltaClosed, _exp_nilpotent, _integrate,
+                          _nilpotent_part)
 from bvcalc.modelfile import load_model
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import (ANTIFIELD, FIELD, Context, Generator, Poly, _mul_into,
                                  _substitution, _substitution_map)
 
-from conftest import MODELS
-from oracles import exp_nilpotent, exp_pairs_by_key, lagrangian_integral_full, substitute_sum
+from conftest import MODELS, splitting_each_poly_once
+from oracles import (exp_nilpotent, exp_pairs_by_key, integrate_top, lagrangian_integral_full,
+                     substitute_sum)
 
 # a 2|2 space, and a 1|1 space with an even plain generator w that no
 # restriction removes and no Gaussian moment accepts
@@ -377,6 +379,49 @@ class TestLagrangianIntegral:
         assert (NonGaussianIntegrand in seen) == (space == "plain-w")
 
 
+    @pytest.mark.parametrize("space", sorted(SPACES) + ["plain-uw"])
+    def test_fused_integral_equals_top_only_oracle(self, space, rng):
+        # the products that reach a moment, summed by even exponent, against
+        # the top Poly, its Berezin integral and its Gaussian moments on the
+        # same restricted, merged pairs: the same value, or the same refusal
+        # with the same message.  plain-uw adds an odd plain generator u to
+        # plain-w, so that one integrand can hold both kinds of refusal
+        if space == "plain-uw":
+            bvs = BVSpace(Context([
+                Generator("x", EVEN, FIELD), Generator("th", ODD, FIELD), Generator("w", EVEN),
+                Generator("u", ODD), Generator("xp", ODD, ANTIFIELD, "x"),
+                Generator("thp", EVEN, ANTIFIELD, "th")]))
+        else:
+            bvs = SPACES[space]()
+        ctx = bvs.ctx
+        damping = standard_damping(bvs)
+        fermions = drawn_fermions(rng, bvs, 4)
+        if space == "plain-w":
+            fermions.append(GaugeFermion(bvs, ctx.gen("w") * ctx.gen("th")))
+        seen = set()
+        for _ in range(120):
+            nil = random_poly(rng, ctx, 4, 4, parity=EVEN, hbar_max=1)
+            nil = Poly(ctx, {m: c for m, c in nil.terms.items() if m[1]})
+            element = ExpElement(bvs, [(random_poly(rng, ctx, 5, 6, hbar_max=1), damping + nil),
+                                       (random_poly(rng, ctx, 4, 3), damping)])
+            for fermion in fermions:
+                pairs = restrict_to_lagrangian(element, fermion).pairs
+                outcomes = []
+                for route in (lambda: _integrate(bvs, [(p, _nilpotent_part(damping.terms, t))
+                                                       for p, t in pairs]),
+                              lambda: integrate_top(bvs, pairs)):
+                    try:
+                        outcomes.append(route())
+                    except NonGaussianIntegrand as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1]
+                seen.add(outcomes[0] if isinstance(outcomes[0], str) else outcomes[0].is_zero)
+        refusals = {"2|2": set(), "plain-w": {"w is not an even field"},
+                    "plain-uw": {"w is not an even field",
+                                 "odd generator present in a Gaussian moment"}}[space]
+        assert seen == {False, True} | refusals
+
+
 class TestGaugeIndependence:
     def test_closed_with_antifields(self, bvs_1_1, fermions):
         ctx = bvs_1_1.ctx
@@ -388,6 +433,26 @@ class TestGaugeIndependence:
         report = gauge_independence_experiment(phi, fermions)
         assert report.all_equal
         assert report.values[0][1] == Scalar.one()
+
+    @pytest.mark.parametrize("count", [1, 3, 6])
+    def test_each_poly_split_once_per_call(self, bvs_2_2, rng, count):
+        # both routes split each P and T of their pairs once, on one gauge
+        # or on six; the integrand's pairs have two exponents, and delta of
+        # the seed keeps a pair for each of its own two
+        ctx = bvs_2_2.ctx
+        g = ctx.gen
+        fermions = drawn_fermions(rng, bvs_2_2, count)[:count]
+        damping = standard_damping(bvs_2_2)
+        for _ in range(5):
+            seed = ExpElement(bvs_2_2, [(random_poly(rng, ctx, 4, 3), damping),
+                                        (random_poly(rng, ctx, 4, 3), damping + g("t1") * g("x1p"))])
+            closed = ExpElement(bvs_2_2, [(g("t1") * g("t2"), damping)]) + exp_delta(seed)
+            with splitting_each_poly_once() as split:
+                gauge_independence_experiment(closed, fermions)
+            assert len(split) == 2 * len(closed.pairs) == 4
+            with splitting_each_poly_once() as split:
+                exact_boundary_integrals(seed, fermions)
+            assert len(split) == 2 * len(seed.pairs) == 4
 
     def test_refusal(self, bvs_1_1, fermions):
         bad = element(bvs_1_1, bvs_1_1.ctx.gen("xp"))

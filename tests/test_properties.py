@@ -18,8 +18,13 @@ and exp_delta takes no self-bracket through ``bracket``.  Both gauge routes
 refuse a delta-closed element, with the same message, exactly when one of
 its restricted exponents is not the standard damping plus a nilpotent part,
 also where delta of the element leaves the boundary route nothing to
-integrate."""
+integrate.  On drawn elements and fermions of the spaces of
+tests/test_gauge.py, refusals included, the routes' integrals equal the
+whole-product oracle on every gauge or raise the same refusal type, and
+one split of each P and T, shared by every gauge, substitutes to the
+term-by-term substitution."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,20 +33,24 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bvcalc import EVEN, ODD, BVSpace, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
-from bvcalc.gauge import (ExpElement, GaugeFermion, NonNormalizedDamping,  # noqa: E402
-                          exact_boundary_integrals, exp_delta, gauge_independence_experiment,
-                          restrict_to_lagrangian, standard_damping)
+from bvcalc.gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,  # noqa: E402
+                          NonNormalizedDamping, _gauge_integrals, exact_boundary_integrals,
+                          exp_delta, gauge_independence_experiment, restrict_to_lagrangian,
+                          standard_damping)
 from bvcalc.lie import (_ad_traces, _brst_table, _ce_basis, _weight_zero_bases,  # noqa: E402
                         ce_cohomology_dims)
-from bvcalc.superalgebra import Context, Poly, _mul_into  # noqa: E402
+from bvcalc.randgen import random_poly  # noqa: E402
+from bvcalc.superalgebra import Context, Poly, _mul_into, _split, _substitute  # noqa: E402
 
 from conftest import (_matrix_algebra, change_basis, gl, refusing_self_brackets, sl2,  # noqa: E402
                       solvable2)
 from oracles import (bracket_sum, ce_cohomology_dims_full, ce_images,  # noqa: E402
                      ce_images_scalar, ce_weight_zero_keys, exp_delta_split, exp_pairs_by_key,
-                     extract_by_bracket, jacobi_triple_loop, mul_into_left_outer, mul_pairwise,
+                     extract_by_bracket, jacobi_triple_loop, lagrangian_integral_full,
+                     mul_into_left_outer, mul_pairwise,
                      rep_commutator_check, substitute_sum, violations_square)
 from test_bv import FIELD_SPECS  # noqa: E402
+from test_gauge import SPACES, integral_outcome  # noqa: E402
 
 CTX = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD), ("t2", ODD)])
 
@@ -297,6 +306,84 @@ def test_both_gauge_routes_refuse_the_same_damping(pairs, fermions):
     refusal = _refusal(gauge_independence_experiment, element, fermions)
     assert (refusal is not None) == bad
     assert _refusal(exact_boundary_integrals, element, fermions) == refusal
+
+
+GAUGE_SPACES = {name: make() for name, make in SPACES.items()}
+
+
+@st.composite
+def gauge_cases(draw):
+    """(space, element, fermions) on a space of tests/test_gauge.py: the zero
+    fermion, on plain-w maybe w*th (whose images hold w), and up to two
+    drawn ones; one to three pairs of a drawn P and the damping plus a drawn
+    even part, with or without its odd-free monomials (a refusal), and
+    maybe a pair whose exponent differs from the first by an antifield
+    term, so that its P merges with the first one's under the zero gauge
+    and cancels it.  The polynomials come from random_poly on a drawn seed."""
+    name = draw(st.sampled_from(sorted(GAUGE_SPACES)))
+    bvs = GAUGE_SPACES[name]
+    ctx = bvs.ctx
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    fermions = [GaugeFermion(bvs, ctx.zero())]
+    if name == "plain-w" and draw(st.booleans()):
+        fermions.append(GaugeFermion(bvs, ctx.gen("w") * ctx.gen("th")))
+    for _ in range(draw(st.integers(0, 2))):
+        drawn = random_poly(rng, bvs.field_ctx, 3, 3, parity=ODD)
+        fermions.append(GaugeFermion(bvs, bvs.field_ctx.transport(drawn, ctx)))
+    damping = standard_damping(bvs)
+    pairs = []
+    for _ in range(draw(st.integers(1, 3))):
+        body = random_poly(rng, ctx, 4, 3, parity=EVEN, hbar_max=1)
+        if draw(st.booleans()):
+            body = Poly(ctx, {m: c for m, c in body.terms.items() if m[1]})
+        pairs.append((random_poly(rng, ctx, 5, 5, hbar_max=1), damping + body))
+    if draw(st.booleans()):
+        anti = next(a for f, a in bvs.pairs if ctx.parity_of(f) == EVEN)
+        odd_field = next(f for f, _ in bvs.pairs if ctx.parity_of(f) == ODD)
+        pairs.append((-pairs[0][0], pairs[0][1] + ctx.gen(anti) * ctx.gen(odd_field)))
+    return bvs, ExpElement(bvs, pairs), fermions
+
+
+@hypothesis.settings(max_examples=100, deadline=5000)
+@hypothesis.given(gauge_cases())
+def test_gauge_integrals_equal_the_full_product_oracle(case):
+    # every restricted exponent is checked first; then each gauge gives the
+    # whole-product value, or the first gauge the oracle refuses raises
+    # that refusal
+    bvs, element, fermions = case
+    damping = standard_damping(bvs)
+    if any(not mask for fermion in fermions for _, t in element.pairs
+           for _, mask in (restrict_to_lagrangian(t, fermion) - damping).terms):
+        expected = NonNormalizedDamping
+    else:
+        values = [integral_outcome(lagrangian_integral_full, element, f) for f in fermions]
+        expected = next((v for v in values if isinstance(v, type)), values)
+    try:
+        got = _gauge_integrals(bvs, element.pairs, fermions)
+    except (NonNormalizedDamping, NonGaussianIntegrand) as exc:
+        got = type(exc)
+    hypothesis.event(got.__name__ if isinstance(got, type) else "integrated")
+    assert got == expected
+
+
+@hypothesis.settings(max_examples=100, deadline=5000)
+@hypothesis.given(gauge_cases())
+def test_one_split_serves_every_gauge(case):
+    # each P and T split once against the antifield slots, then substituted
+    # per gauge through one cache, against the term-by-term substitution;
+    # the splits stay as they were, and no cache gives the same terms
+    bvs, element, fermions = case
+    ctx = bvs.ctx
+    evens, odds = bvs._antifield_sweep
+    assigned = (tuple(s for _, s in evens), sum(bit for _, bit in odds))
+    polys = [q for pair in element.pairs for q in pair]
+    splits = [_split(ctx, assigned, q) for q in polys]
+    for fermion in fermions:
+        images, cache = fermion._slot_images(), {}
+        expected = [substitute_sum(q, fermion.antifield_images()) for q in polys]
+        assert [Poly(ctx, _substitute(split, *images, cache)) for split in splits] == expected
+        assert [Poly(ctx, _substitute(split, *images)) for split in splits] == expected
+    assert splits == [_split(ctx, assigned, q) for q in polys]
 
 
 def _table(draw, keys, max_size):
