@@ -42,7 +42,7 @@ class BVSpace:
     """
 
     __slots__ = ("ctx", "field_ctx", "pairs", "_pair_slots", "_pair_sweep",
-                 "_field_sweep", "_antifield_sweep")
+                 "_field_sweep", "_antifield_sweep", "_antifield_slots")
 
     def __init__(self, ctx: Context):
         by_name = {g.name: g for g in ctx.generators}
@@ -67,6 +67,9 @@ class BVSpace:
         # derivative i of a field or antifield sweep is by the member of pair i
         self._field_sweep = _sweep([ctx.slot(f) for f, _ in self.pairs])
         self._antifield_sweep = _sweep([ctx.slot(a) for _, a in self.pairs])
+        # the antifields as (even slots, odd mask), which restriction assigns
+        evens, odds = self._antifield_sweep
+        self._antifield_slots = (tuple(s for _, s in evens), sum(bit for _, bit in odds))
         # per pair: the even member's slot and the odd member's bit for
         # delta, and both members, even first, in the bracket's sweep
         slots, self._pair_slots = [], []
@@ -215,8 +218,8 @@ class BVSpace:
     def antifield_degree(self, mono) -> int:
         """The number of antifield factors in a monomial of ``ctx``."""
         exps, mask = mono
-        evens, odds = self._antifield_sweep
-        return sum(exps[s] for _, s in evens) + sum(1 for _, bit in odds if mask & bit)
+        evens, odds = self._antifield_slots
+        return sum(exps[s] for s in evens) + (mask & odds).bit_count()
 
     def antifield_decompose(self, poly: Poly):
         """[(k, Poly)]: the parts of antifield degree k, k ascending."""

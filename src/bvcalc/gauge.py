@@ -3,10 +3,13 @@
 An ExpElement is a finite sum of pairs P * exp(T) with T even.  Restriction
 to the Lagrangian of a gauge fermion F substitutes every antifield by the
 right derivative of F with respect to its field, taken from one derivative
-sweep of F.  Every gauge assigns every antifield, so the two gauge routes
-split each P and T by its antifield part once per call (``_split``) and,
-per gauge, substitute the images into the split terms through one cache of
-image products that dies with the call (``_substitute``).
+sweep of F.  Every gauge assigns every antifield (``BVSpace``'s antifield
+slots), so restriction and the integrals split each P and T by its
+antifield part once per call (``_split``) and, per gauge, substitute the
+images into the split terms through one cache of image products that dies
+with the call (``_substitute``).  ``lagrangian_integral`` is
+``_gauge_integrals`` on one gauge, so every integral checks every exponent
+of the element before it integrates any pair.
 
 The integral of P * exp(N), N the exponent minus the standard damping, is
 fused: only the products of a P term and an exp(N) term that reach a
@@ -26,7 +29,7 @@ from operator import add, and_
 from .bv import BVSpace, _bracket_into, _half_self_bracket_into
 from .scalars import Scalar
 from .superalgebra import (EVEN, FIELD, ODD, PLAIN, Poly, _derivs, _merge_sign, _mul_into,
-                           _poly, _split, _substitute, _substitution_map)
+                           _poly, _split, _substitute)
 
 
 class NotDeltaClosed(Exception):
@@ -48,7 +51,8 @@ class NonGaussianIntegrand(ValueError):
 
 
 class GaugeFermion:
-    """An odd polynomial in the field generators only."""
+    """An odd polynomial in which no antifield occurs: the fields, and any
+    plain generator (``w*th`` with w plain is one); an antifield is refused."""
 
     __slots__ = ("bvs", "poly")
 
@@ -97,7 +101,10 @@ class ExpElement:
             if not t.is_zero and t.parity() != EVEN:
                 raise ValueError("exponent must be even")
         self.bvs = bvs
-        self.pairs = _merge_pairs(pairs)
+        merged = _merged(pairs)
+        if len(merged) > 1:
+            merged.sort(key=lambda pair: pair[1].key())
+        self.pairs = tuple(merged)
 
     @property
     def is_zero(self) -> bool:
@@ -123,14 +130,6 @@ class ExpElement:
 
     def __repr__(self):
         return f"ExpElement({self})"
-
-
-def _merge_pairs(pairs) -> tuple:
-    """``ExpElement.pairs`` of checked pairs: ``_merged``, sorted by T.key()."""
-    merged = _merged(pairs)
-    if len(merged) > 1:
-        merged.sort(key=lambda pair: pair[1].key())
-    return tuple(merged)
 
 
 def _merged(pairs) -> list:
@@ -180,13 +179,15 @@ def _delta_pairs(element: ExpElement) -> list:
 
 def restrict_to_lagrangian(obj, fermion: GaugeFermion):
     """Substitute every antifield by the gauge-fermion derivative of its field."""
-    substitute = _substitution_map(fermion.bvs.ctx, *fermion._slot_images())
+    ctx, assigned = fermion.bvs.ctx, fermion.bvs._antifield_slots
+    images, cache = fermion._slot_images(), {}
+
+    def restrict(poly: Poly) -> Poly:
+        return Poly(ctx, _substitute(_split(ctx, assigned, poly), *images, cache))
+
     if isinstance(obj, Poly):
-        return substitute(obj)
-    restricted = object.__new__(ExpElement)  # substitution keeps context and parity
-    restricted.bvs, restricted.pairs = obj.bvs, _merge_pairs(
-        [(substitute(p), substitute(t)) for p, t in obj.pairs])
-    return restricted
+        return restrict(obj)
+    return ExpElement(obj.bvs, [(restrict(p), restrict(t)) for p, t in obj.pairs])
 
 
 def berezin_integrate(poly: Poly, odd_names) -> Poly:
@@ -271,17 +272,9 @@ def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:
     declaration order and the even ones averaged against the normalized
     Gaussian weight.  Of P * exp(N) only the term products that reach a
     nonzero moment are formed; the value, and any refusal, is that of the
-    whole product.
-
-    Only the restricted pairs that survive the merge are checked, each just
-    before its integral, so an element whose prefactors cancel after
-    restriction integrates to 0 here, where ``gauge_independence_experiment``
-    and ``exact_boundary_integrals`` check every exponent of the element
-    and refuse it (``test_pairs_merged_by_restriction_cancel``).
+    whole product.  This is ``_gauge_integrals`` on the one gauge.
     """
-    damping = standard_damping(element.bvs).terms
-    return _integrate(element.bvs, ((p, _nilpotent_part(damping, t))
-                                    for p, t in restrict_to_lagrangian(element, fermion).pairs))
+    return _gauge_integrals(element.bvs, element.pairs, [fermion])[0]
 
 
 def _nilpotent_part(damping: dict, t: Poly) -> dict:
@@ -361,19 +354,20 @@ def _integrate(bvs: BVSpace, pairs) -> Scalar:
 
 
 def _gauge_integrals(bvs: BVSpace, pairs, fermions) -> list:
-    """``lagrangian_integral`` of the pairs on each gauge.  Every gauge
-    assigns every antifield, so each P and T is split once, and per gauge
-    substituted through one product cache that lives for this call only.
-    All restricted exponents are checked before any integral, so a refusal
-    never hangs on a P that restricts or merges to zero, nor on the gauge
-    order; the pairs then merge on equal T and integrate with their N."""
-    ctx = bvs.ctx
-    evens, odds = bvs._antifield_sweep
-    assigned = (tuple(s for _, s in evens), sum(bit for _, bit in odds))
+    """The integral of the pairs over the graph Lagrangian of each gauge.
+    Every gauge assigns every antifield, so each P and T is split once, and
+    per gauge substituted through one product cache that lives for this
+    call only.  All restricted exponents are checked before any integral,
+    so a refusal never hangs on a P that restricts or merges to zero, nor
+    on the gauge order; the pairs then merge on equal T and integrate with
+    their N."""
+    ctx, assigned = bvs.ctx, bvs._antifield_slots
     splits = [(_split(ctx, assigned, p), _split(ctx, assigned, t)) for p, t in pairs]
     damping = standard_damping(bvs).terms
     restricted = []
     for fermion in fermions:
+        if fermion.bvs.ctx != ctx:
+            raise ValueError("context mismatch in substitution")
         images, cache = fermion._slot_images(), {}
         rows = []
         for p, t in splits:

@@ -36,9 +36,8 @@ taking that part out, and sets aside the terms with none; it reads only
 which slots are assigned.  ``_substitute`` passes those terms through and
 multiplies each group by the product of its images, memoised by assigned
 part in a cache its caller owns, so one split can be substituted under many
-image sets.  The private ``_substitution_map`` composes the two for trusted
-image terms, with one cache that every Poly it maps shares;
-``_substitution`` checks the images first, and ``Poly.substitute`` is that
+image sets.  ``_substitution`` checks the images and composes the two, with
+one cache that every Poly it maps shares; ``Poly.substitute`` is that
 applied once.
 
 All values here are immutable after construction and every operation is
@@ -572,7 +571,9 @@ def _poly(ctx: Context, terms) -> Poly:
 
 def _substitution(ctx: Context, assignments):
     """``Poly.substitute`` as a map, Poly -> Poly, that checks the images
-    once; the map is ``_substitution_map`` of their terms."""
+    once: ``_split`` then ``_substitute`` through one product cache that
+    every Poly it maps shares.  A zero image sends its generator to 0, and a
+    Poly with no assigned term comes back as it is."""
     even_images, odd_images = {}, {}
     for name, img in assignments.items():
         parity, s = ctx.slot(name)
@@ -582,13 +583,6 @@ def _substitution(ctx: Context, assignments):
         if not img.is_zero and img.parity() != parity:
             raise ValueError(f"substitution for {name} changes parity")
         (even_images if parity == EVEN else odd_images)[s] = img.terms
-    return _substitution_map(ctx, even_images, odd_images)
-
-
-def _substitution_map(ctx: Context, even_images: dict, odd_images: dict):
-    """``_split`` then ``_substitute`` by unchecked image terms, as a map
-    Poly -> Poly whose product cache every Poly it maps shares; {} sends to
-    0, and a Poly with no assigned term comes back as it is."""
     assigned = (tuple(sorted(even_images)), sum(1 << s for s in odd_images))
     cache = {}
 

@@ -2,8 +2,10 @@
 must end in a Poly or a ParseError with a column inside the line, and model
 files built from the same pieces must give ``check-lie`` an exit code of 0,
 1 or 2 and ``ce-cohomology`` one of 0 or 2 (2 whenever ``check-lie`` gives
-1), with no traceback.  Each case has a deadline, so an input that runs
-away fails the test.
+1), with no traceback.  ``gauge-exp``, with and without ``--boundary``,
+must exit 0, 1 or 2 with no traceback on drawn ``[generators]`` models of
+gauge11's shape.  Each case has a deadline, so an input that runs away
+fails the test.
 
 The term products of '*' and '^' are budgeted, weighted by the hbar powers
 of each coefficient, but not the digits of a coefficient, so literals here
@@ -180,3 +182,46 @@ def test_ce_cohomology_exits_0_or_2_without_traceback(model_path, text):
         if lie_code == 1:
             assert code == 2
 
+
+# gauge11's fields and antifields, plus a plain even w that no restriction
+# removes and no Gaussian moment accepts and a plain odd u that no Berezin
+# integral removes
+GAUGE_MODEL = ("[generators]\nx even field\nth odd field\nxp odd antifield x\n"
+               "thp even antifield th\nw even plain\nu odd plain\n[exprs]\n")
+GAUGE_NAMES = ("x", "th", "xp", "thp", "w", "u")
+
+
+@st.composite
+def gauge_exp_runs(draw):
+    """(model text, gauge-exp flags): a prefactor P, maybe an exponent T and
+    one to three gauges F1..Fk, each a fixed expression that the integral
+    accepts or one that it refuses, or a drawn one; T may be the standard
+    damping plus a drawn part, and each gauge th or u times a drawn part,
+    so that drawn inputs also reach the integral."""
+    drawn = expressions(GAUGE_NAMES, 2)
+    p = draw(st.sampled_from(["th", "x*th", "th*w", "u", "1", "x*xp*th"]) | drawn)
+    t = draw(st.sampled_from(["-1/2*x^2", "-1/2*x^2 + xp*th*u", "x^2", "-1/2*x^2 + u*th"])
+             | drawn.map("-1/2*x^2 + {}".format) | drawn)
+    gauges = draw(st.lists(st.sampled_from(["0", "th*x", "-3*th*x", "th*w", "u", "xp", "x"])
+                           | drawn.map("th*({})".format) | drawn.map("u*({})".format) | drawn,
+                           min_size=1, max_size=3))
+    lines = [f"P = {p}", f"T = {t}"] + [f"F{k} = {f}" for k, f in enumerate(gauges)]
+    flags = ["--p", "P"] + (["--t", "T"] if draw(st.booleans()) else [])
+    for k in range(len(gauges)):
+        flags += ["--gauge", f"F{k}"]
+    return GAUGE_MODEL + "\n".join(lines) + "\n", flags
+
+
+@hypothesis.settings(max_examples=100, deadline=5000)
+@hypothesis.given(run=gauge_exp_runs())
+@hypothesis.example(run=(GAUGE_MODEL + "P = th\nT = x^2\nF0 = th*x\n",
+                         ["--p", "P", "--t", "T", "--gauge", "F0"]))
+@hypothesis.example(run=(GAUGE_MODEL + "P = th*w\nT = 0\nF0 = th*w\n",
+                         ["--p", "P", "--gauge", "F0"]))
+def test_gauge_exp_exits_0_1_or_2_without_traceback(model_path, run):
+    text, flags = run
+    model_path.write_text(text, encoding="utf-8")
+    for boundary in ([], ["--boundary"]):
+        code = run_cli("gauge-exp", model_path, *flags, *boundary)
+        hypothesis.event(f"{' '.join(boundary) or 'plain'}: exit {code}")
+        assert code in (0, 1, 2)

@@ -8,12 +8,12 @@ from bvcalc import (EVEN, ODD, BVSpace, Scalar, berezin_integrate,
                     lagrangian_integral, restrict_to_lagrangian,
                     standard_damping)
 from bvcalc.gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,
-                          NonNormalizedDamping, NotDeltaClosed, _exp_nilpotent, _integrate,
-                          _nilpotent_part)
+                          NonNormalizedDamping, NotDeltaClosed, _exp_nilpotent, _gauge_integrals,
+                          _integrate, _nilpotent_part)
 from bvcalc.modelfile import load_model
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import (ANTIFIELD, FIELD, Context, Generator, Poly, _mul_into,
-                                 _substitution, _substitution_map)
+                                 _substitution)
 
 from conftest import MODELS, splitting_each_poly_once
 from oracles import (exp_nilpotent, exp_pairs_by_key, integrate_top, lagrangian_integral_full,
@@ -158,26 +158,24 @@ class TestRestriction:
 
     @pytest.mark.parametrize("space", sorted(SPACES))
     def test_sweep_fed_map_equals_checked_map(self, space, rng):
-        # the map restriction builds from the fermion's slot images against
-        # the checked map of its antifield images and the term-by-term sum
+        # restriction, fed by the fermion's slot images, against the checked
+        # map of its antifield images and the term-by-term sum
         bvs = SPACES[space]()
         ctx = bvs.ctx
         fermions = drawn_fermions(rng, bvs, 6)
         assert any(not img.terms for img in fermions[1].antifield_images().values())
         for fermion in fermions:
             images = fermion.antifield_images()
-            sweep_fed = _substitution_map(ctx, *fermion._slot_images())
             checked = _substitution(ctx, images)
             for _ in range(10):
                 p = random_poly(rng, ctx, 5, 5, hbar_max=1)
-                assert sweep_fed(p) == checked(p) == substitute_sum(p, images)
-                assert restrict_to_lagrangian(p, fermion) == sweep_fed(p)
+                assert restrict_to_lagrangian(p, fermion) == checked(p) == substitute_sum(p, images)
 
     @pytest.mark.parametrize("space", sorted(SPACES))
     def test_restricted_pairs_equal_checked_constructor(self, space, rng):
-        # restriction merges its pairs without the constructor's checks:
-        # the same pairs in the same order as the checked constructor, and
-        # as the merge under each exponent's key
+        # restriction merges its pairs through the constructor: the same
+        # pairs in the same order as the constructor on the checked
+        # substitution, and as the merge under each exponent's key
         bvs = SPACES[space]()
         ctx = bvs.ctx
         damping = standard_damping(bvs)
@@ -306,16 +304,38 @@ class TestLagrangianIntegral:
 
     def test_pairs_merged_by_restriction_cancel(self, bvs_1_1, fermions):
         # two exponents that differ by xp*th, which every gauge here sends
-        # to 0: the restricted pairs merge, their prefactors cancel, and the
-        # non-standard body -x^2 is never integrated
+        # to 0: the restricted pairs merge and their prefactors cancel, but
+        # every exponent is checked first, so the non-standard body -x^2 is
+        # refused with the message of the gauge routes
         ctx = bvs_1_1.ctx
         body = ctx.monomial(-1, {"x": 2})
         phi = ExpElement(bvs_1_1, [(ctx.gen("th"), body),
                                    (-ctx.gen("th"), body + ctx.gen("xp") * ctx.gen("th"))])
         assert len(phi.pairs) == 2
+        message = "exponent body -1*x^2 is not the standard damping"
         for F in fermions:
             assert restrict_to_lagrangian(phi, F).is_zero
-            assert lagrangian_integral(phi, F).is_zero
+            refusals = []
+            for route in (lambda: lagrangian_integral(phi, F),
+                          lambda: _gauge_integrals(bvs_1_1, phi.pairs, [F]),
+                          lambda: exact_boundary_integrals(phi, [F])):
+                with pytest.raises(NonNormalizedDamping) as err:
+                    route()
+                refusals.append(str(err.value))
+            assert refusals == [message] * 3
+
+    def test_fermion_from_another_context_refused(self, bvs_1_1):
+        # a fermion over other generators has other antifield slots, so
+        # restriction and every integral refuse it instead of reading them
+        other = BVSpace.over_fields([("y", EVEN), ("et", ODD)])
+        F = GaugeFermion(other, other.ctx.gen("et") * other.ctx.gen("y"))
+        phi = element(bvs_1_1, bvs_1_1.ctx.gen("th"))
+        for route in (lambda: restrict_to_lagrangian(phi, F),
+                      lambda: lagrangian_integral(phi, F),
+                      lambda: gauge_independence_experiment(phi, [F]),
+                      lambda: exact_boundary_integrals(phi, [F])):
+            with pytest.raises(ValueError, match="context mismatch"):
+                route()
 
     def test_nilpotent_exponent_expansion(self, bvs_2_2):
         # exp(N) with N = t1 t2 g(x) truncates after the linear term
@@ -351,7 +371,9 @@ class TestLagrangianIntegral:
     @pytest.mark.parametrize("space", sorted(SPACES))
     def test_equals_full_product_oracle(self, space, rng):
         # the top-only integrand against the whole product P * exp(N): the
-        # same value, or a refusal of the same type, on every gauge
+        # same value, or a refusal of the same type, on every gauge; every
+        # restricted exponent is checked first, so one that is not the
+        # damping plus a nilpotent part is refused whatever it merges with
         bvs = SPACES[space]()
         ctx = bvs.ctx
         damping = standard_damping(bvs)
@@ -373,7 +395,11 @@ class TestLagrangianIntegral:
             element = ExpElement(bvs, pairs)
             for fermion in fermions:
                 got = integral_outcome(lagrangian_integral, element, fermion)
-                assert got == integral_outcome(lagrangian_integral_full, element, fermion)
+                if any(not mask for _, t in element.pairs
+                       for _, mask in (restrict_to_lagrangian(t, fermion) - damping).terms):
+                    assert got is NonNormalizedDamping
+                else:
+                    assert got == integral_outcome(lagrangian_integral_full, element, fermion)
                 seen.add(got if isinstance(got, type) else got.is_zero)
         assert {NonNormalizedDamping, False, True} <= seen
         assert (NonGaussianIntegrand in seen) == (space == "plain-w")
@@ -437,8 +463,9 @@ class TestGaugeIndependence:
     @pytest.mark.parametrize("count", [1, 3, 6])
     def test_each_poly_split_once_per_call(self, bvs_2_2, rng, count):
         # both routes split each P and T of their pairs once, on one gauge
-        # or on six; the integrand's pairs have two exponents, and delta of
-        # the seed keeps a pair for each of its own two
+        # or on six, and so do lagrangian_integral and the restriction of
+        # an element on each gauge; the integrand's pairs have two
+        # exponents, and delta of the seed keeps a pair for each of its own two
         ctx = bvs_2_2.ctx
         g = ctx.gen
         fermions = drawn_fermions(rng, bvs_2_2, count)[:count]
@@ -453,6 +480,13 @@ class TestGaugeIndependence:
             with splitting_each_poly_once() as split:
                 exact_boundary_integrals(seed, fermions)
             assert len(split) == 2 * len(seed.pairs) == 4
+            for fermion in fermions:
+                with splitting_each_poly_once() as split:
+                    lagrangian_integral(closed, fermion)
+                assert len(split) == 4
+                with splitting_each_poly_once() as split:
+                    restrict_to_lagrangian(closed, fermion)
+                assert len(split) == 4
 
     def test_refusal(self, bvs_1_1, fermions):
         bad = element(bvs_1_1, bvs_1_1.ctx.gen("xp"))

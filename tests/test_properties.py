@@ -35,8 +35,8 @@ st = hypothesis.strategies
 from bvcalc import EVEN, ODD, BVSpace, LieModel, Scalar, jacobi_check, rep_check  # noqa: E402
 from bvcalc.gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,  # noqa: E402
                           NonNormalizedDamping, _gauge_integrals, exact_boundary_integrals,
-                          exp_delta, gauge_independence_experiment, restrict_to_lagrangian,
-                          standard_damping)
+                          exp_delta, gauge_independence_experiment, lagrangian_integral,
+                          restrict_to_lagrangian, standard_damping)
 from bvcalc.lie import (_ad_traces, _brst_table, _ce_basis, _weight_zero_bases,  # noqa: E402
                         ce_cohomology_dims)
 from bvcalc.randgen import random_poly  # noqa: E402
@@ -349,7 +349,8 @@ def gauge_cases(draw):
 def test_gauge_integrals_equal_the_full_product_oracle(case):
     # every restricted exponent is checked first; then each gauge gives the
     # whole-product value, or the first gauge the oracle refuses raises
-    # that refusal
+    # that refusal.  lagrangian_integral on each gauge is the helper on
+    # that gauge alone: the same value, or the same refusal type
     bvs, element, fermions = case
     damping = standard_damping(bvs)
     if any(not mask for fermion in fermions for _, t in element.pairs
@@ -364,6 +365,12 @@ def test_gauge_integrals_equal_the_full_product_oracle(case):
         got = type(exc)
     hypothesis.event(got.__name__ if isinstance(got, type) else "integrated")
     assert got == expected
+    for fermion in fermions:
+        try:
+            alone = _gauge_integrals(bvs, element.pairs, [fermion])[0]
+        except (NonNormalizedDamping, NonGaussianIntegrand) as exc:
+            alone = type(exc)
+        assert integral_outcome(lagrangian_integral, element, fermion) == alone
 
 
 @hypothesis.settings(max_examples=100, deadline=5000)
