@@ -3,33 +3,37 @@
 An ExpElement is a finite sum of pairs P * exp(T) with T even.  Restriction
 to the Lagrangian of a gauge fermion F substitutes every antifield by the
 right derivative of F with respect to its field, taken from one derivative
-sweep of F.  Every gauge assigns every antifield (``BVSpace``'s antifield
-slots), so restriction and the integrals split each P and T by its
-antifield part once per call (``_split``) and, per gauge, substitute the
-images into the split terms through one cache of image products that dies
-with the call (``_substitute``).  ``lagrangian_integral`` is
-``_gauge_integrals`` on one gauge, so every integral checks every exponent
-of the element before it integrates any pair.
+sweep of F; ``restrict_to_lagrangian`` is ``superalgebra._substitution`` of
+those images.  Every gauge assigns every antifield (``BVSpace``'s antifield
+slots), so the integrals split each P and T by its antifield part once per
+call (``_split``) and, per gauge, substitute the images into the split
+terms through one cache of image products that dies with the call
+(``_substitute``).  ``lagrangian_integral`` is ``_gauge_integrals`` on one
+gauge, so every integral checks every exponent of the element before it
+integrates any pair.
 
 The integral of P * exp(N), N the exponent minus the standard damping, is
-fused: only the products of a P term and an exp(N) term that reach a
-nonzero moment are formed, accumulated by even exponent, and the Berezin
-sign and the Gaussian moments are applied once at the end; no integrand
-Poly is built.  ``berezin_integrate`` and ``gaussian_expectation`` remain
-as the public single steps.  Everything stays in exact scalars, so gauge
-comparisons are equality checks rather than tolerance checks.
+fused: only the products of a P term and an exp(N) term that can reach a
+nonzero moment are formed, summed by monomial, and read by the one moment
+rule of ``_expectation``; no integrand Poly is built.  That rule gives 0
+for an odd power of an even field, whatever else the monomial holds, and
+refuses any other monomial with an odd generator or a non-field, so a
+result never depends on the declaration order.  ``berezin_integrate`` and
+``gaussian_expectation`` remain as the public single steps.  Everything
+stays in exact scalars, so gauge comparisons are equality checks rather
+than tolerance checks.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, and_
+from operator import add, and_, mul
 
 from .bv import BVSpace, _bracket_into, _half_self_bracket_into
 from .scalars import Scalar
-from .superalgebra import (EVEN, FIELD, ODD, PLAIN, Poly, _derivs, _merge_sign, _mul_into,
-                           _poly, _split, _substitute)
+from .superalgebra import (EVEN, FIELD, ODD, Poly, _derivs, _merge_sign, _mul_into, _poly,
+                           _split, _substitute, _substitution)
 
 
 class NotDeltaClosed(Exception):
@@ -179,12 +183,7 @@ def _delta_pairs(element: ExpElement) -> list:
 
 def restrict_to_lagrangian(obj, fermion: GaugeFermion):
     """Substitute every antifield by the gauge-fermion derivative of its field."""
-    ctx, assigned = fermion.bvs.ctx, fermion.bvs._antifield_slots
-    images, cache = fermion._slot_images(), {}
-
-    def restrict(poly: Poly) -> Poly:
-        return Poly(ctx, _substitute(_split(ctx, assigned, poly), *images, cache))
-
+    restrict = _substitution(fermion.bvs.ctx, fermion.antifield_images())
     if isinstance(obj, Poly):
         return restrict(obj)
     return ExpElement(obj.bvs, [(restrict(p), restrict(t)) for p, t in obj.pairs])
@@ -223,37 +222,44 @@ def berezin_integrate(poly: Poly, odd_names) -> Poly:
 
 
 def gaussian_expectation(poly: Poly) -> Scalar:
-    """Moments of the product weight exp(-1/2 sum x^2), normalized to 1.
-
-    Each even-field power 2k contributes (2k-1)!! and odd powers kill the
-    monomial; any odd generator or non-field variable is an error.
-    """
+    """Moments of the product weight exp(-1/2 sum x^2), normalized to 1, by
+    the rule of ``_expectation``: an odd power of an even field gives 0,
+    each even power 2k gives (2k-1)!!, and any other monomial that holds an
+    odd generator or a non-field variable is an error."""
     ctx = poly.ctx
-    fields = {s for s, name in enumerate(ctx.even_names) if ctx.role_of(name) == FIELD}
-    total = Scalar.zero()
-    for (exps, mask), c in poly.terms.items():
-        weight = _moment(ctx, fields, exps, mask)
-        if weight:
-            total = total + c * weight
-    return total
+    return _expectation(ctx, [int(ctx.role_of(name) == FIELD) for name in ctx.even_names],
+                        poly.terms)
 
 
-def _moment(ctx, fields: set, exps, mask: int) -> int:
-    """``gaussian_expectation`` of one monomial with coefficient 1, the even
-    fields being the slots in ``fields``: the product of (k-1)!! over its
-    powers k, read slot by slot; 0 from the first odd power of a field on,
-    and a refusal at an odd generator or at a non-field before that."""
-    if mask:
+def _expectation(ctx, fields: list, terms: dict) -> Scalar:
+    """The Gaussian expectation of a terms dict, ``fields`` holding 1 at
+    each even field's slot and 0 at every other even slot.
+
+    A monomial with an odd power of an even field gives 0, whatever else it
+    holds: the integral of an odd function of x vanishes, and a plain
+    generator is a constant.  Any other monomial gives its coefficient
+    times (k-1)!! per power k, unless it holds an odd generator or a
+    non-field; one such monomial with a nonzero coefficient refuses the
+    sum.  The refusal names an odd generator if any of them holds one, and
+    else the first non-field they hold, so no verdict hangs on the
+    declaration order of the generators.
+    """
+    total, refused = Scalar.zero(), []
+    for (exps, mask), c in terms.items():
+        if any(map(and_, exps, fields)):
+            continue
+        if not (mask or sum(exps) > sum(map(mul, exps, fields))):  # fields only
+            # (k-1)!! is 1 below k = 4
+            total = total + c * math.prod(math.prod(range(k - 1, 0, -2)) for k in exps if k > 3)
+        elif not c.is_zero:
+            refused.append((exps, mask))
+    if any(mask for _, mask in refused):
         raise NonGaussianIntegrand("odd generator present in a Gaussian moment")
-    weight = 1
-    for s, k in enumerate(exps):
-        if k:
-            if s not in fields:
-                raise NonGaussianIntegrand(f"{ctx.even_names[s]} is not an even field")
-            if k % 2:
-                return 0
-            weight *= math.prod(range(k - 1, 0, -2))
-    return weight
+    if refused:
+        name = next(name for s, name in enumerate(ctx.even_names)
+                    if not fields[s] and any(exps[s] for exps, _ in refused))
+        raise NonGaussianIntegrand(f"{name} is not an even field")
+    return total
 
 
 def standard_damping(bvs: BVSpace) -> Poly:
@@ -270,7 +276,7 @@ def lagrangian_integral(element: ExpElement, fermion: GaugeFermion) -> Scalar:
     nilpotent part N whose monomials all contain an odd generator; exp(N) is
     then a finite sum, the odd field directions are Berezin-integrated in
     declaration order and the even ones averaged against the normalized
-    Gaussian weight.  Of P * exp(N) only the term products that reach a
+    Gaussian weight.  Of P * exp(N) only the term products that can reach a
     nonzero moment are formed; the value, and any refusal, is that of the
     whole product.  This is ``_gauge_integrals`` on the one gauge.
     """
@@ -292,65 +298,53 @@ def _integrate(bvs: BVSpace, pairs) -> Scalar:
     """The integral of the sum of P * exp(N) over (P, N) pairs, P restricted
     and N its exponent's nilpotent part, taken one pair at a time.
 
-    Only the term products that reach a moment are formed.  A product
-    whose generators are all fields has a moment only if it holds each odd
-    field once and every even field to an even power: the P term must
-    complete the odd fields of the exp(N) term, with field exponents of the
-    same parity, so P's terms are grouped by (odd mask, exponent parities).
-    Those products accumulate by even exponent; the one Berezin sign of the
-    odd fields in declaration order and the (2k-1)!! moments come last.
-    Restriction leaves no antifield, so any other product holds a plain
-    generator.  It has no moment, but ``gaussian_expectation`` refuses it
-    unless it cancels or an odd field power comes first; so where a plain
-    generator occurs, the whole Berezin part is formed as before the fusion
-    and each nonzero term read by ``_moment``, which refuses as that did.
+    Only the term products that can reach a nonzero moment are formed: one
+    that misses an odd field has no Berezin part, and one with an odd power
+    of an even field is 0 by the rule of ``_expectation``.  So P's terms are
+    grouped by their odd fields and the parities of their even-field
+    exponents, and each exp(N) term meets the one group that completes it.
+    The Koszul sign of P's odd fields before the exp(N) term is taken once
+    per exp(N) term, and only a P term with another odd generator adds its
+    own.  Each pair's products are summed by Berezin-part monomial, other
+    generators included, and read by ``_expectation``.  The Berezin integral
+    takes no sign where the odd fields are the only odd generators: their
+    bits increase in pair order, so clearing the last one first crosses
+    none.  Elsewhere its sign is one per monomial, which has no value and
+    can only be refused, so it is dropped.
     """
     ctx = bvs.ctx
     evens, odds = bvs._field_sweep
-    fields = {s for _, s in evens}
-    plain = [s for s, name in enumerate(ctx.even_names) if ctx.role_of(name) == PLAIN]
-    ones = (1,) * ctx.n_even
+    fields = [0] * ctx.n_even  # 1 at each even field's slot
+    for _, s in evens:
+        fields[s] = 1
     need = sum(bit for _, bit in odds)
-    flips, mask = 0, need
-    for _, bit in reversed(odds):  # the innermost integral is the last field's
-        mask ^= bit
-        flips += (mask >> bit.bit_length()).bit_count()
-    sums = {}
+    total = Scalar.zero()
     for p, nil in pairs:
-        groups, refusable = {}, False
-        for mono, c in p.terms.items():
-            exps, mask = mono
-            if mask & ~need or plain and any(exps[s] for s in plain):
-                refusable = True
-            else:
-                groups.setdefault((mask, tuple(map(and_, exps, ones))), []).append((exps, c))
-        exp_n = _exp_nilpotent(ctx, nil)
-        for mono, c in exp_n.items():
-            exps, mask = mono
-            if mask & ~need or plain and any(exps[s] for s in plain):
-                refusable = True
-                continue
-            group = groups.get((need ^ mask, tuple(map(and_, exps, ones))))
+        groups = {}
+        for (exps, mask), c in p.terms.items():
+            groups.setdefault((mask & need, tuple(map(and_, exps, fields))), []).append(
+                (exps, mask & ~need, c))
+        sums = {}
+        for (exps, mask), c in _exp_nilpotent(ctx, nil).items():
+            fill = need & ~mask
+            group = groups.get((fill, tuple(map(and_, exps, fields))))
             if group:
-                if _merge_sign(need ^ mask, mask) < 0:
+                if _merge_sign(fill, mask) < 0:
                     c = -c
-                for p_exps, p_c in group:
-                    key = tuple(map(add, p_exps, exps))
+                rest = mask & ~need
+                for p_exps, other, p_c in group:
+                    if other:
+                        sign = _merge_sign(other, mask)
+                        if sign is None:  # an odd generator twice
+                            continue
+                        if sign < 0:
+                            p_c = -p_c
+                    key = (tuple(map(add, p_exps, exps)), other | rest)
                     prev = sums.get(key)
                     sums[key] = p_c * c if prev is None else prev + p_c * c
-        if refusable:  # the Berezin part of P * exp(N), in the order it was read unfused
-            top = {}
-            for mask in dict.fromkeys(m[1] for m in exp_n):
-                _mul_into(top, {m: c for m, c in p.terms.items()
-                                if not m[1] & mask and (m[1] | mask) & need == need},
-                          {m: c for m, c in exp_n.items() if m[1] == mask})
-            for (exps, mask), c in top.items():
-                if not c.is_zero:
-                    _moment(ctx, fields, exps, mask ^ need)
-    total = Scalar.zero()
-    for exps, c in sums.items():
-        total = total + c * _moment(ctx, fields, exps, 0)
-    return -total if flips & 1 else total
+        if sums:
+            total = total + _expectation(ctx, fields, sums)
+    return total
 
 
 def _gauge_integrals(bvs: BVSpace, pairs, fermions) -> list:

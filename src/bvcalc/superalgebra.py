@@ -436,7 +436,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError("only non-negative integer powers")
         out = self.ctx.one()
         for _ in range(n):

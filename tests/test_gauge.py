@@ -5,7 +5,7 @@ import pytest
 from bvcalc import (EVEN, ODD, BVSpace, Scalar, berezin_integrate,
                     exact_boundary_integrals, exp_delta,
                     gauge_independence_experiment, gaussian_expectation,
-                    lagrangian_integral, restrict_to_lagrangian,
+                    lagrangian_integral, parse_expression, restrict_to_lagrangian,
                     standard_damping)
 from bvcalc.gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,
                           NonNormalizedDamping, NotDeltaClosed, _exp_nilpotent, _gauge_integrals,
@@ -279,6 +279,59 @@ class TestGaussian:
             assert gaussian_expectation(x * g) == gaussian_expectation(g.left_deriv("x"))
 
 
+def plain_wu(plain_first):
+    """x, th and their antifields, with a plain even w and a plain odd u
+    declared after the fields or before them."""
+    fields = [Generator("x", EVEN, FIELD), Generator("th", ODD, FIELD),
+              Generator("xp", ODD, ANTIFIELD, "x"), Generator("thp", EVEN, ANTIFIELD, "th")]
+    plain = [Generator("w", EVEN), Generator("u", ODD)]
+    return BVSpace(Context(plain + fields if plain_first else fields + plain))
+
+
+@pytest.mark.parametrize("plain_first", [False, True])
+class TestMomentRule:
+    """An odd power of an even field integrates to 0 whatever else its
+    monomial holds; any other monomial with an odd generator or a non-field
+    is refused, for an odd generator if one of them holds one.  Neither
+    verdict hangs on the declaration order."""
+
+    @pytest.mark.parametrize("p, refusal", [
+        ("th*x*w", None),
+        ("th*x^2*w", "w is not an even field"),
+        ("th*x*u", None),
+        ("th*u", "odd generator present in a Gaussian moment"),
+        # equal degrees, whose monomial order follows the declaration order
+        ("th*w^3 + th*u*x^2", "odd generator present in a Gaussian moment"),
+        ("th*w^3 - th*x^2*w^3", "w is not an even field"),
+    ])
+    def test_closed_forms(self, plain_first, p, refusal):
+        bvs = plain_wu(plain_first)
+        phi = element(bvs, parse_expression(p, bvs.ctx))
+        F = GaugeFermion(bvs, bvs.ctx.zero())
+        if refusal is None:
+            assert lagrangian_integral(phi, F).is_zero
+        else:
+            with pytest.raises(NonGaussianIntegrand) as err:
+                lagrangian_integral(phi, F)
+            assert str(err.value) == refusal
+
+    @pytest.mark.parametrize("p, outcome", [
+        ("x*w", 0),
+        ("x*th", 0),
+        ("x*w*u + 3*x^2", 3),
+        ("u*x^2 + w", "odd generator present in a Gaussian moment"),
+        ("x^2*w + 3", "w is not an even field"),
+    ])
+    def test_gaussian_expectation(self, plain_first, p, outcome):
+        poly = parse_expression(p, plain_wu(plain_first).ctx)
+        if isinstance(outcome, int):
+            assert gaussian_expectation(poly) == Scalar.of(outcome)
+        else:
+            with pytest.raises(NonGaussianIntegrand) as err:
+                gaussian_expectation(poly)
+            assert str(err.value) == outcome
+
+
 class TestLagrangianIntegral:
     def test_plain_odd_coordinate(self, bvs_1_1, fermions):
         phi = element(bvs_1_1, bvs_1_1.ctx.gen("th"))
@@ -346,6 +399,26 @@ class TestLagrangianIntegral:
         F0 = GaugeFermion(bvs_2_2, ctx.zero())
         # integrand becomes x1 * (1 + t1 t2 x1): Berezin picks x1^2 -> 1
         assert lagrangian_integral(phi, F0) == Scalar.one()
+
+    @pytest.mark.parametrize("names", [("t1", "u", "t2"), ("u", "t1", "t2"), ("t1", "t2", "u")])
+    def test_products_with_a_plain_odd_generator_cancel(self, names):
+        # u * t1*t2 = t1*u*t2 with the sign of u crossing t1, which is -1
+        # when u is declared between t1 and t2: the two products of
+        # (t1*u*t2 + u) * exp(t1*t2) cancel, so nothing is left to refuse;
+        # with - u instead of + u they add up and the odd u is refused
+        odd = {"t1": Generator("t1", ODD, FIELD), "t2": Generator("t2", ODD, FIELD),
+               "u": Generator("u", ODD)}
+        bvs = BVSpace(Context([Generator("x", EVEN, FIELD)] + [odd[n] for n in names] + [
+            Generator("xp", ODD, ANTIFIELD, "x"), Generator("t1p", EVEN, ANTIFIELD, "t1"),
+            Generator("t2p", EVEN, ANTIFIELD, "t2")]))
+        ctx = bvs.ctx
+        exponent = standard_damping(bvs) + parse_expression("t1*t2", ctx)
+        F = GaugeFermion(bvs, ctx.zero())
+        cancelling = element(bvs, parse_expression("t1*u*t2 + u", ctx), exponent)
+        assert lagrangian_integral(cancelling, F).is_zero
+        adding = element(bvs, parse_expression("t1*u*t2 - u", ctx), exponent)
+        with pytest.raises(NonGaussianIntegrand, match="odd generator present"):
+            lagrangian_integral(adding, F)
 
     @pytest.mark.parametrize("space", sorted(SPACES))
     def test_exp_nilpotent_equals_oracle(self, space, rng):

@@ -91,6 +91,12 @@ class TestProducts:
         with pytest.raises(ValueError, match="exponent of x must be non-negative"):
             ctx_mixed.monomial(1, {"x": -2})
 
+    @pytest.mark.parametrize("n", [True, False, 1.0, -1])
+    def test_power_refuses_a_bool_or_non_integer(self, ctx_mixed, n):
+        # (x+1) ** True once returned x+1, as if True were 1
+        with pytest.raises(ValueError, match="only non-negative integer powers"):
+            (ctx_mixed.gen("x") + 1) ** n
+
     def test_context_mismatch_rejected(self, ctx_mixed):
         other = Context.plain([("x", EVEN)])
         with pytest.raises(ValueError, match="context"):
