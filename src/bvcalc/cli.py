@@ -279,7 +279,10 @@ def _cmd_gauge_exp(model: Model, args):
     bvs = model.bvs
     p = model.expr(args.p)
     t = model.expr(args.t) if args.t else gauge.standard_damping(bvs)
-    element = _checked(gauge.ExpElement, bvs, [(p, t)])
+    try:
+        element = gauge.ExpElement(bvs, [(p, t)])
+    except ValueError as exc:     # only a --t exponent can fail its checks
+        raise Refusal(f"exponent {args.t!r}: {exc}") from None
     fermions = []
     for name in args.gauge:
         try:

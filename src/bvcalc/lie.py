@@ -75,13 +75,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import lcm
+from operator import add, neg
 
 from .derivations import Derivation, _apply_into, _slot_table
 from .linalg import ExactMatrix, pivot_leads
 from .scalars import Scalar
-from .superalgebra import (Context, EVEN, Generator, ODD, Poly, _FrozenRecord, _add_into,
-                           _mask_bits, _poly)
+from .superalgebra import (Context, EVEN, Generator, ODD, Poly, _FrozenRecord, _mask_bits,
+                           _poly)
 
 
 class LieModel(_FrozenRecord):
@@ -275,46 +275,35 @@ def _ce_basis(n_even: int, n_odd: int, p: int, q: int):
 
 def _weight_zero_bases(model: LieModel, p: int):
     """The keys of C^(p, q) of weight zero under every basis element h acting
-    diagonally with a nonzero weight, one list per q; None if no h does.  Each
-    h's weights, scaled to ints, are a digit of a mixed radix too wide for any
-    sum of them to carry; the ghost subsets of each half are joined on
-    opposite packed weights (meet in the middle)."""
-    n, m = model.dim, model.module_dim
+    diagonally, one list per q; None if no such h gives any generator a
+    nonzero weight.  Each generator's weights under those h are one exact
+    tuple of ints and Fractions, read off f^k_hk for c^k and rho^a_ah for
+    v^a, so no sum of them can alias; the ghost subsets of each half are
+    joined on opposite tuples (meet in the middle)."""
+    n, m, f = model.dim, model.module_dim, model.f
     rho = model.rho if p else {}
-    off = {h for i, h, k in model.f if i != k} | {h for a, b, h in rho if a != b}
-    if len(off) == n:
-        return None
-    weights = {h: {} for h in range(n) if h not in off}  # h: {k for c^k, n + a for v^a: weight}
-    for (i, h, k), val in model.f.items():
-        if h in weights:
-            weights[h][k] = val
-    for (a, b, h), val in rho.items():
-        if h in weights:
-            weights[h][n + a] = val
-    packed, base = [0] * (n + m), 1
-    for row in weights.values():
-        if row:
-            scale = lcm(*(w.denominator for w in row.values()))
-            row = {g: w.numerator * (scale // w.denominator) for g, w in row.items()}
-            packed = [x + base * row.get(g, 0) for g, x in enumerate(packed)]
-            base *= 2 * sum(map(abs, row.values())) + 1
-    if base == 1:
+    off = {h for i, h, k in f if i != k} | {h for a, b, h in rho if a != b}
+    hs = [h for h in range(n) if h not in off]
+    ghost = [tuple(_rational(f.get((k, h, k), 0)) for h in hs) for k in range(n)]
+    module = [tuple(_rational(rho.get((a, a, h), 0)) for h in hs) for a in range(m)]
+    if not any(map(any, ghost + module)):
         return None
     halves = []
     for part in (range(n // 2), range(n // 2, n)):
-        subsets = [(0, 0, 0)]
+        subsets = [(0, 0, (0,) * len(hs))]
         for k in part:
-            subsets += [(mask | 1 << k, size + 1, w + packed[k]) for mask, size, w in subsets]
+            subsets += [(mask | 1 << k, size + 1, tuple(map(add, w, ghost[k])))
+                        for mask, size, w in subsets]
         halves.append(subsets)
     right = {}
     for mask, size, w in halves[1]:
-        right.setdefault(w, []).append((mask, size))
+        right.setdefault(tuple(map(neg, w)), []).append((mask, size))
     bases = [[] for _ in range(n + 1)]
     for exps in _exponents(m, p):
         # the ghosts of v^e c^mask must weigh -sum_a e_a rho^a_ah
-        target = -sum(e * w for e, w in zip(exps, packed[n:]))
+        load = [sum(e * w[j] for e, w in zip(exps, module)) for j in range(len(hs))]
         for low, size, w in halves[0]:
-            for high, more in right.get(target - w, ()):
+            for high, more in right.get(tuple(map(add, w, load)), ()):
                 bases[size + more].append((exps, low | high))
     return bases
 
@@ -351,12 +340,9 @@ def ce_matrices(model: LieModel, p: int):
 
 
 def _ad_traces(model: LieModel):
-    """tr ad(e_k) = sum_i f^i_ik for k = 0..dim-1, as Fractions."""
-    traces = [Fraction(0)] * model.dim
-    for (i, j, k), val in model.f.items():
-        if i == j:
-            traces[k] += val
-    return traces
+    """tr ad(e_k) = sum_i f^i_ik for k = 0..dim-1, as ints or Fractions."""
+    f, dims = model.f, range(model.dim)
+    return [sum(f.get((i, i, k), 0) for i in dims) for k in dims]
 
 
 class NotACochainComplex(Exception):
@@ -417,12 +403,8 @@ def trace_condition(model: LieModel, module_names=None) -> Poly:
     Zero iff the action and the bracket are both traceless, which is exactly
     when the hbar-linear lift solves the quantum master equation.
     """
-    ctx = rep_context(model, module_names)
-    cs = ctx.odd_names
-    out = {}
-    for k, total in enumerate(_ad_traces(model)):
-        for i in range(model.module_dim):
-            total += model.rho_at(i, i, k)
-        if total:
-            _add_into(out, ctx.monomial(total, odd=[cs[k]]).terms)
-    return Poly(ctx, out)
+    m, rho = model.module_dim, model.rho
+    traces = [t + sum(rho.get((a, a, k), 0) for a in range(m))
+              for k, t in enumerate(_ad_traces(model))]
+    return _poly(rep_context(model, module_names),
+                 {((0,) * m, 1 << k): Scalar.of(t) for k, t in enumerate(traces) if t})

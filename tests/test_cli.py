@@ -425,7 +425,10 @@ class TestPreconditions:
         (["onshell", "--point", "th=1"], "th is not an even field coordinate"),
         (["onshell", "--point", "w=1"], "w is not an even field coordinate"),
         (["onshell", "--point", "zz=1"], "unknown generator 'zz'"),
-        (["gauge-exp", "--p", "S", "--t", "ODD", "--gauge", "F1"], "exponent must be even"),
+        (["gauge-exp", "--p", "S", "--t", "ODD", "--gauge", "F1"],
+         "exponent 'ODD': exponent must be even"),
+        (["gauge-exp", "--p", "S", "--t", "MIX", "--gauge", "F1"],
+         "exponent 'MIX': polynomial is not parity-homogeneous"),
         (["gauge-exp", "--p", "PZ", "--gauge", "F1"],
          "odd generator present in a Gaussian moment"),
         (["gauge-exp", "--p", "PW", "--gauge", "F1"], "w is not an even field"),
@@ -501,6 +504,56 @@ class TestPreconditions:
         assert f"status: refused\nerror: {message}\n" in out
 
 
+
+GENERATORS = "[generators]\nx even field\nxp odd antifield x\n"
+LIE = "[lie]\nbasis = a\nmodule = v\n"
+
+
+@pytest.mark.parametrize("text, args, message", [
+    ("[generators]\nx even\n", ["master"],
+     "generator lines look like 'name parity role [field]' (line 2)"),
+    ("[generators]\n1x even field\n", ["master"], "bad generator name '1x' (line 2)"),
+    ("[generators]\nx evn field\n", ["master"],
+     "parity must be 'even' or 'odd', not 'evn' (line 2)"),
+    ("[generators]\nx even ghost\n", ["master"],
+     "role must be field, antifield or plain (line 2)"),
+    ("[generators]\nx even field\nxp odd antifield\n", ["master"],
+     "antifield lines name their field: 'name parity antifield fieldname' (line 3)"),
+    ("[generators]\nx even field x\n", ["master"], "unexpected trailing word 'x' (line 2)"),
+    (GENERATORS + "[brackets]\n[a,b] = a\n", ["master"],
+     "[brackets] requires a [lie] section (line 5)"),
+    (GENERATORS + "[rep]\na.v = v\n", ["master"], "[rep] requires a [lie] section (line 5)"),
+    (GENERATORS + "[exprs]\nS x^2\n", ["master"],
+     "expression lines look like 'name = expr' (line 5)"),
+    (GENERATORS + "[exprs]\n2S = x^2\n", ["master"], "bad expression name '2S' (line 5)"),
+    (GENERATORS + "[exprs]\nS = x^2\nS = x\n", ["master"],
+     "duplicate expression 'S' (line 6)"),
+    ("[lie]\nmodule = v\n", ["check-lie"], "[lie] needs a 'basis = name...' line (line 2)"),
+    (LIE + "[rep]\nb.v = v\n", ["check-rep"], "unknown basis vector 'b' (line 5)"),
+    (LIE + "[rep]\na.w = v\n", ["check-rep"], "unknown module coordinate 'w' (line 5)"),
+    (GENERATORS, ["master", "--action", "S"], "model has no expression named 'S'"),
+    (GENERATORS, ["master"], "no action: give --action or name an expression 'S'"),
+    (GENERATORS + "[exprs]\nS = x^2\n", ["onshell", "--point", "x"],
+     "bad point syntax 'x'; use 'x=0,y=1/2'"),
+    (GENERATORS + "[exprs]\nS = x^2\n", ["onshell", "--point", "x=1/0"],
+     "bad rational '1/0' in point"),
+    (GENERATORS + "[exprs]\nP = 1\n", ["gauge-exp", "--p", "P"],
+     "give at least one --gauge expression name"),
+], ids=["generator-word-count", "generator-name", "generator-parity", "generator-role",
+        "antifield-without-field", "generator-trailing-word", "brackets-without-lie",
+        "rep-without-lie", "expr-without-equals", "expr-name", "expr-repeated",
+        "lie-without-basis", "rep-unknown-vector", "rep-unknown-coordinate",
+        "flag-names-missing-expr", "no-action", "point-syntax", "point-rational",
+        "gauge-exp-without-gauge"])
+def test_refusal_names_its_cause(text, args, message, tmp_path, capsys):
+    model = tmp_path / "refused.model"
+    model.write_text(text)
+    code, out = run(capsys, args[0], model, *args[1:])
+    assert code == 2
+    assert out == (f"command: {args[0]}\nmodel: {model}\nstatus: refused\n"
+                   f"error: {message}\n")
+
+
 class TestCommands:
     def test_check_lie_abelian(self, capsys):
         code, out = run(capsys, "check-lie", MODELS / "abelian.model")
@@ -526,6 +579,14 @@ class TestCommands:
         code, out = run(capsys, "linf", MODELS / "sl2.model", "--nmax", "3")
         assert code == 0
         assert "row 3: 0" in out
+
+    def test_linf_row_with_terms(self, capsys, tmp_path):
+        # [a,b] = c, [b,c] = a, [a,c] = a fails Jacobi: D^2(c3) is cubic
+        model = tmp_path / "nonjacobi.model"
+        model.write_text("[lie]\nbasis = a b c\n[brackets]\n[a,b] = c\n[b,c] = a\n[a,c] = a\n")
+        code, out = run(capsys, "linf", model)
+        assert code == 1
+        assert out.endswith("row 2: 0\nrow 3 (c3): -1*c1*c2*c3\nsquare_zero: false\n")
 
     @pytest.mark.parametrize("name", ["abelian", "sl2", "sl2_adjoint", "solvable2"])
     @pytest.mark.parametrize("flags", [(), ("--nmax", "5")], ids=["default", "nmax5"])

@@ -189,6 +189,26 @@ def test_ce_cohomology_exits_0_or_2_without_traceback(model_path, text):
             assert code == 2
 
 
+
+LIE_RUNS = (["check-rep"], ["brst"], ["linf"], ["trace-cond"], ["bv-identities", "--count", "3"])
+
+
+@hypothesis.settings(max_examples=150, deadline=5000)
+@hypothesis.given(text=lie_model_files())
+@hypothesis.example(text="[lie]\nbasis = a b e\n[brackets]\n[a,b] = e + a\n[b,e] = a\n"
+                         "[e,a] = b\n")
+@hypothesis.example(text="[lie]\nbasis = a b\nmodule = v w\n[brackets]\n[a,b] = b\n[rep]\n"
+                         "a.v = w\nb.v = v\n")
+def test_lie_commands_exit_0_1_or_2_without_traceback(model_path, text):
+    """check-rep, brst, linf, trace-cond and bv-identities --count 3 on a
+    drawn [lie] model."""
+    model_path.write_text(text, encoding="utf-8")
+    for command, *flags in LIE_RUNS:
+        code = run_cli(command, model_path, *flags)
+        hypothesis.event(f"{command}: exit {code}")
+        assert code in (0, 1, 2)
+
+
 # gauge11's fields and antifields, plus a plain even w that no restriction
 # removes and no Gaussian moment accepts and a plain odd u that no Berezin
 # integral removes

@@ -400,7 +400,19 @@ class TestLagrangianIntegral:
         # integrand becomes x1 * (1 + t1 t2 x1): Berezin picks x1^2 -> 1
         assert lagrangian_integral(phi, F0) == Scalar.one()
 
-    @pytest.mark.parametrize("names", [("t1", "u", "t2"), ("u", "t1", "t2"), ("t1", "t2", "u")])
+    def test_koszul_sign_of_the_odd_fields_of_p(self):
+        # t2 * exp(x^2 t1 t3) = t2 + x^2 t2 t1 t3, and t2 t1 t3 = -t1 t2 t3:
+        # the exp(N) term must cross P's t2 to reach field order, so the
+        # integral is -<x^2> = -1
+        bvs = BVSpace.over_fields([("x", EVEN), ("t1", ODD), ("t2", ODD), ("t3", ODD)])
+        ctx = bvs.ctx
+        exponent = standard_damping(bvs) + parse_expression("x^2*t1*t3", ctx)
+        phi = element(bvs, ctx.gen("t2"), exponent)
+        F0 = GaugeFermion(bvs, ctx.zero())
+        assert lagrangian_integral(phi, F0) == -Scalar.one()
+        assert lagrangian_integral_full(phi, F0) == -Scalar.one()
+
+    @pytest.mark.parametrize("names",[("t1", "u", "t2"), ("u", "t1", "t2"), ("t1", "t2", "u")])
     def test_products_with_a_plain_odd_generator_cancel(self, names):
         # u * t1*t2 = t1*u*t2 with the sign of u crossing t1, which is -1
         # when u is declared between t1 and t2: the two products of

@@ -457,9 +457,12 @@ class TestWeightZeroRoute:
         (lambda: gl(2).adjoint(), 1), (lambda: sl2_half_f().adjoint(), 1),
         (lambda: LieModel.build(3, {(1, 0, 1): Fraction(2, 3), (2, 0, 2): Fraction(-1, 2),
                                     (0, 1, 2): 1}), 0),
-        (lambda: ray(9), 0)],
+        (lambda: ray(9), 0), (lambda: gl(2).adjoint(), 2),
+        # v1^3 v2 weighs 3 under e1 and -1 under e2, so no cochain has weight zero
+        (lambda: LieModel.build(2, {}, 2, {(0, 0, 0): 1, (1, 1, 1): -1}), 4)],
         ids=["gl3", "sl3", "solvable2", "sl2-adjoint-p0", "sl2-adjoint",
-             "gl2-adjoint", "sl2-half-f-adjoint", "fraction-weights", "ray9"])
+             "gl2-adjoint", "sl2-half-f-adjoint", "fraction-weights", "ray9",
+             "gl2-adjoint-p2", "abelian2-diagonal-p4"])
     def test_bases_equal_brute_force_oracle(self, build, p):
         model = build()
         bases = _weight_zero_bases(model, p)
