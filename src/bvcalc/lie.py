@@ -10,7 +10,8 @@ Conventions, fixed once here and used everywhere:
   is present, v^i to rho^i_jk v^j c^k.
 
 Every quantity here is computed over Q from one BRST table,
-``_brst_table``, built once per call on ``rep_context``'s slots: the
+``_brst_table``, built once per call (and once more for a table rewritten
+in an eigenbasis, below) on ``rep_context``'s slots: the
 images of the generators as terms dicts keyed by monomial, with ``int``
 coefficients where the denominator is 1 and ``Fraction`` ones otherwise,
 and the slot table of ``derivations._apply_into``, the Leibniz loop of
@@ -69,6 +70,22 @@ same guard, ``ce_cohomology_dims`` ranks only the monomials of weight zero
 under every such h (``_weight_zero_bases``).  The complement of a weight-zero
 mask weighs tr ad h, zero whenever duality is used, so both routes above
 run unchanged inside the subcomplex.
+
+A change of basis when no basis element acts diagonally.  A sheared basis
+often holds an h whose ad (and, at p = 1, module action) is diagonalizable
+over Q without being diagonal.  Rewritten in a basis of eigenvectors of h
+that contains h, the table has h acting diagonally, and the filter applies.
+The change of basis is an isomorphism of Lie algebras and of modules, so it
+induces an isomorphism of cochain complexes: every rank, every trace and so
+every dim and the duality test are unchanged.  ``_eigenbasis.rewrite``
+reads each new constant off one eigenspace coordinate, with no inverse
+matrix, which is valid only because ad h is a derivation of the bracket and
+of the action; so it runs after the guard, on a table that has passed it,
+and a table that fails is refused exactly as before.  It runs only on
+complexes of at least ``_EIGENBASIS_MIN_SIZE`` cochains, where it is cheaper
+than ranking the whole complex (Hochschild & Serre as above; finding a split
+Cartan subalgebra when no basis element will do is harder, de Graaf,
+"Lie Algebras: Theory and Algorithms", 2000).
 """
 
 from __future__ import annotations
@@ -345,6 +362,12 @@ def _ad_traces(model: LieModel):
     return [sum(f.get((i, i, k), 0) for i in dims) for k in dims]
 
 
+# The fewest cochains of C^(p, *) for which ``ce_cohomology_dims`` looks for
+# an eigenbasis when no basis element acts diagonally: below it ranking the
+# whole complex is cheaper.  It chooses the route, never the answer.
+_EIGENBASIS_MIN_SIZE = 256
+
+
 class NotACochainComplex(Exception):
     """Raised when the BRST differential of a table does not square to zero,
     so it has no Chevalley-Eilenberg cohomology.
@@ -369,11 +392,18 @@ def ce_cohomology_dims(model: LieModel, p: int):
     ``jacobi_check`` or, at p = 1, ``rep_check`` would return: the dims are
     defined only when d squares to zero.  The guard and every image come
     from one ``_brst_table``, and the guard reads D^2 off per-monomial
-    images that the ranking then takes instead of building them again.
+    images that the ranking then takes instead of building them again;
+    only a table rewritten in an eigenbasis (below) is ranked from a second
+    table of its own.
     Here d_q maps ghost degree q to q + 1, and each d_q is ranked on the
     basis monomials of C^q that are not pivot leads of d_(q-1), a
     complement of its image, and that have weight zero under every basis
     element acting diagonally, if any does (see the module docstring).
+    If none does and the complex has at least ``_EIGENBASIS_MIN_SIZE``
+    cochains, the table that passed the guard is first rewritten in an
+    eigenbasis of the first basis element whose ad (and, at p = 1, module
+    action) is diagonalizable over Q with a nonzero eigenvalue, if there is
+    one; the isomorphic complex has the same dims and is filtered by weight.
     At p = 0 with every trace tr ad(e_k) zero, only d_q for q <= (n-1)//2 is
     built and ranked, for n = dim, and rank d_q = rank d_(n-1-q) for the
     other q < n (Poincare duality).  Otherwise d_0..d_(n-1) are ranked.
@@ -387,8 +417,15 @@ def ce_cohomology_dims(model: LieModel, p: int):
             raise NotACochainComplex(("jacobi", "rep")[k], violations[0])
     n = model.dim
     dual = p == 0 and not any(_ad_traces(model))
-    bases = (_weight_zero_bases(model, p)
-             or [_ce_basis(model.module_dim, n, p, q) for q in range(n + 1)])
+    bases = _weight_zero_bases(model, p)
+    size = 2 ** n * len(_exponents(model.module_dim, p))
+    if bases is None and size >= _EIGENBASIS_MIN_SIZE:
+        from ._eigenbasis import rewrite
+        rewritten = rewrite(model, p)
+        if rewritten is not None:
+            model, slots, images = rewritten, _brst_table(rewritten)[2], {}
+            bases = _weight_zero_bases(model, p)
+    bases = bases or [_ce_basis(model.module_dim, n, p, q) for q in range(n + 1)]
     ranks, leads = [], set()
     for basis in bases[:(n - 1) // 2 + 1 if dual else n]:
         leads = set(pivot_leads([_take(images, slots, key) for key in basis if key not in leads]))

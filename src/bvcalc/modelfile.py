@@ -17,7 +17,8 @@ suffixing 'p', so a module coordinate may take neither form.  An entry given
 twice (a [lie] basis or module line, a bracket pair in either order, a rep
 entry, a generator name) is refused at its second line.  All diagnostics
 carry the offending line number, except the pairing errors that BVSpace
-raises for [generators].
+raises for [generators]; a refusal about a section with no entries names the
+line of its header.
 """
 
 from __future__ import annotations
@@ -67,6 +68,7 @@ def load_model(path: str) -> Model:
 
 def parse_model(text: str, path: str = "<string>") -> Model:
     sections: dict[str, list] = {}
+    headers: dict[str, int] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # entries keep their indentation so that diagnostics give file columns
@@ -80,7 +82,7 @@ def parse_model(text: str, path: str = "<string>") -> Model:
                 raise ModelError(f"unknown section [{name}]", lineno)
             if name in sections:
                 raise ModelError(f"duplicate section [{name}]", lineno)
-            current = sections.setdefault(name, [])
+            current, headers[name] = sections.setdefault(name, []), lineno
             continue
         if current is None:
             raise ModelError("content before the first section header", lineno)
@@ -90,12 +92,13 @@ def parse_model(text: str, path: str = "<string>") -> Model:
         raise ModelError("a model needs exactly one of [lie] or [generators]")
 
     if "lie" in sections:
-        model, bvs, module_names = _build_lie(sections)
+        model, bvs, module_names = _build_lie(sections, headers["lie"])
     else:
         for forbidden in ("brackets", "rep"):
             if forbidden in sections:
-                line = sections[forbidden][0][0] if sections[forbidden] else None
-                raise ModelError(f"[{forbidden}] requires a [lie] section", line)
+                entries = sections[forbidden]
+                raise ModelError(f"[{forbidden}] requires a [lie] section",
+                                 entries[0][0] if entries else headers[forbidden])
         model = None
         module_names = ()
         bvs = _build_generators(sections["generators"])
@@ -145,7 +148,9 @@ def _rational(coeff, what: str, lineno: int):
         raise ModelError(f"{what}: {exc}", lineno) from None
 
 
-def _build_lie(sections):
+def _build_lie(sections, header: int):
+    """(LieModel, BVSpace, module names) of the sections of a [lie] model;
+    header is the line of the [lie] header."""
     from .lie import LieModel, rep_context
     lie_lines, entries, seen = sections["lie"], {}, {}
     for lineno, line in lie_lines:
@@ -157,7 +162,7 @@ def _build_lie(sections):
         entries[key] = (lineno, value.split())
     if "basis" not in entries:
         raise ModelError("[lie] needs a 'basis = name...' line",
-                         lie_lines[0][0] if lie_lines else None)
+                         lie_lines[0][0] if lie_lines else header)
     basis_line, basis = entries["basis"]
     if not basis:
         raise ModelError("[lie] basis names no vector", basis_line)

@@ -33,7 +33,12 @@ the Jacobi and representation residuals, which applies the BRST table to
 each generator's whole image; the library sums per-monomial images that
 it builds once per call.  ``ce_basis_split`` is the earlier cochain basis,
 with one branch for p = 0 and one for p = 1; the library builds every
-C^(p, q) from one list of degree-p module monomials.
+C^(p, q) from one list of degree-p module monomials.  ``rational_spectrum``
+finds the eigenvalues of a matrix diagonalizable over Q by scanning every
+candidate a/d up to the bound sqrt(tr A^2) and taking nullities by
+Gauss-Jordan elimination on Fractions; the library takes integer roots of
+the characteristic polynomial by Newton's method and eigenspaces by
+fraction-free elimination.
 
 The sum-loop routes build every step of a sum as a new Poly: the product
 term pair by term pair through the filtering constructor, a derivation as
@@ -84,7 +89,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, isqrt, lcm
 from operator import add
 
 from bvcalc.derivations import Derivation, _apply_into
@@ -152,6 +157,40 @@ def fraction_rank(rows) -> int:
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def rational_spectrum(rows):
+    """{eigenvalue: nullity} of a square rational matrix A that is
+    diagonalizable over Q, else None.  With d the lcm of its denominators,
+    d A has algebraic-integer eigenvalues, so a rational one is a/d for an
+    integer a, and |a| <= d sqrt(tr A^2) when every eigenvalue is real; each
+    such a/d is scanned."""
+    n = len(rows)
+    d = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    square = sum(Fraction(rows[i][j]) * rows[j][i] for i in range(n) for j in range(n))
+    bound = isqrt(max(0, int(square * d * d)))
+    spectrum = {}
+    for a in range(-bound, bound + 1):
+        value = Fraction(a, d)
+        nullity = n - fraction_rank([[x - value * (i == j) for j, x in enumerate(row)]
+                                     for i, row in enumerate(rows)])
+        if nullity:
+            spectrum[value] = nullity
+    return spectrum if sum(spectrum.values()) == n else None
+
+
+def first_split_element(model, p: int):
+    """Oracle for the element ``lie.ce_cohomology_dims`` changes basis by:
+    (h, spectrum of ad h, spectrum of the action of h) for the first basis
+    vector h whose ad and, at p = 1, whose module action are diagonalizable
+    over Q with some eigenvalue nonzero (the action counts as empty at
+    p = 0), by ``rational_spectrum``; None if there is none."""
+    for h in range(model.dim):
+        spectra = [rational_spectrum(action_matrix(model.adjoint(), h).rows),
+                   rational_spectrum(action_matrix(model, h).rows) if p else {}]
+        if None not in spectra and any(any(s) for s in spectra):
+            return h, *spectra
+    return None
 
 
 def f_at(model, i, j, k) -> Fraction:

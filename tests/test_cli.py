@@ -13,7 +13,7 @@ import pytest
 from bvcalc import Derivation, ModelError, OddPowerWarning, cli, parse_model
 from bvcalc.modelfile import load_model
 
-from conftest import MODELS, refusing_self_brackets
+from conftest import MODELS, change_basis, gl, refusing_self_brackets
 
 SRC = MODELS.parent / "src"
 # the exit code and stdout sha256 of every fixture run, recorded for the
@@ -529,6 +529,12 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
     (GENERATORS + "[exprs]\nS = x^2\nS = x\n", ["master"],
      "duplicate expression 'S' (line 6)"),
     ("[lie]\nmodule = v\n", ["check-lie"], "[lie] needs a 'basis = name...' line (line 2)"),
+    # a section with no entries is named by its header's line
+    (GENERATORS + "[rep]\n", ["master"], "[rep] requires a [lie] section (line 4)"),
+    (GENERATORS + "\n[brackets]\n# none\n", ["master"],
+     "[brackets] requires a [lie] section (line 5)"),
+    ("# a Lie model\n[lie]\n[brackets]\n", ["check-lie"],
+     "[lie] needs a 'basis = name...' line (line 2)"),
     (LIE + "[rep]\nb.v = v\n", ["check-rep"], "unknown basis vector 'b' (line 5)"),
     (LIE + "[rep]\na.w = v\n", ["check-rep"], "unknown module coordinate 'w' (line 5)"),
     (GENERATORS, ["master", "--action", "S"], "model has no expression named 'S'"),
@@ -542,7 +548,8 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
 ], ids=["generator-word-count", "generator-name", "generator-parity", "generator-role",
         "antifield-without-field", "generator-trailing-word", "brackets-without-lie",
         "rep-without-lie", "expr-without-equals", "expr-name", "expr-repeated",
-        "lie-without-basis", "rep-unknown-vector", "rep-unknown-coordinate",
+        "lie-without-basis", "empty-rep-without-lie", "empty-brackets-without-lie",
+        "empty-lie", "rep-unknown-vector", "rep-unknown-coordinate",
         "flag-names-missing-expr", "no-action", "point-syntax", "point-rational",
         "gauge-exp-without-gauge"])
 def test_refusal_names_its_cause(text, args, message, tmp_path, capsys):
@@ -815,6 +822,26 @@ class TestImportFootprint:
         assert code == 0
         assert {"bvcalc.lie", "bvcalc.linalg"} <= modules
         assert not modules & self.LEAN
+
+    def test_eigenbasis_loads_only_past_its_gate(self, tmp_path):
+        # sl(2) has a diagonal element and 8 cochains; gl(3) under nine
+        # shears has none and 512, so ce-cohomology rewrites it
+        modules, code, _ = self.loaded("ce-cohomology", "models/sl2.model")
+        assert code == 0 and "bvcalc.lie" in modules and "bvcalc._eigenbasis" not in modules
+        model = change_basis(gl(3), [(0, 4, 1), (3, 1, -1), (8, 2, 1), (5, 0, -1), (2, 7, 1),
+                                     (6, 3, 1), (1, 8, -1), (4, 6, 1), (7, 5, -1)])
+        names = [f"g{k}" for k in range(9)]
+        lines = ["[lie]", "basis = " + " ".join(names), "[brackets]"]
+        lines += [f"[{names[j]},{names[k]}] = "
+                  + " + ".join(f"{val}*{names[i]}" for (i, b, c), val in model.f.items()
+                               if (b, c) == (j, k))
+                  for j in range(9) for k in range(j + 1, 9)
+                  if any((b, c) == (j, k) for _, b, c in model.f)]
+        path = tmp_path / "sheared_gl3.model"
+        path.write_text("\n".join(lines) + "\n")
+        modules, code, out = self.loaded("ce-cohomology", str(path))
+        assert code == 0 and "dims: (1, 1, 0, 1, 1, 1, 1, 0, 1, 1)" in out
+        assert "bvcalc._eigenbasis" in modules
 
     def test_gauge_exp_loads_gauge(self):
         modules, code, out = self.loaded("gauge-exp", "models/gauge11.model",

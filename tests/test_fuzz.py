@@ -5,7 +5,8 @@ files built from the same pieces must give ``check-lie`` an exit code of 0,
 1), with no traceback.  ``gauge-exp``, with and without ``--boundary``,
 must exit 0, 1 or 2 with no traceback on drawn ``[generators]`` models of
 gauge11's shape.  Each case has a deadline, so an input that runs away
-fails the test.
+fails the test; a sheared [lie] model with eigenvalues 10^30, which takes
+the eigenbasis route of ``ce_cohomology_dims``, is one of the examples.
 
 The term products of '*' and '^' are budgeted, weighted by the hbar powers
 of each coefficient, but not the digits of a coefficient, so literals here
@@ -170,12 +171,22 @@ def test_check_lie_exits_0_1_or_2_without_traceback(model_path, text):
     assert code in (0, 1, 2)
 
 
+# [g1, gk] = W gk for k = 2..8 with W = 10^30, in the basis g1, g1 + g2, g3,
+# ..., g8 (test_lie.huge_ray): no basis vector acts diagonally, the complex
+# has 256 cochains, and g1 has the eigenvalue W seven times
+W = "1" + "0" * 30
+HUGE_RAY = ("[lie]\nbasis = " + " ".join(f"g{k}" for k in range(1, 9)) + "\n[brackets]\n"
+            + f"[g1,g2] = {W}*g2 - {W}*g1\n"
+            + "".join(f"[g{j},g{k}] = {W}*g{k}\n" for j in (1, 2) for k in range(3, 9)))
+
+
 @hypothesis.settings(max_examples=150, deadline=5000)
 @hypothesis.given(text=lie_model_files())
 @hypothesis.example(text="[lie]\nbasis = a b e\n[brackets]\n[a,b] = e + a\n[b,e] = a\n"
                          "[e,a] = b\n")
 @hypothesis.example(text="[lie]\nbasis = a b\nmodule = v w\n[brackets]\n[a,b] = b\n[rep]\n"
                          "a.v = w\nb.v = v\n")
+@hypothesis.example(text=HUGE_RAY)
 def test_ce_cohomology_exits_0_or_2_without_traceback(model_path, text):
     """ce-cohomology ranks only a complex: a table that fails check-lie is
     refused, never reported as a failed or passed check."""
@@ -188,6 +199,12 @@ def test_ce_cohomology_exits_0_or_2_without_traceback(model_path, text):
         if lie_code == 1:
             assert code == 2
 
+
+
+def test_huge_eigenvalues_give_exact_dims(model_path):
+    model_path.write_text(HUGE_RAY, encoding="utf-8")
+    code, report = cli_report("ce-cohomology", model_path)
+    assert code == 0 and "\ndims: (1, 1, 0, 0, 0, 0, 0, 0, 0)\n" in report
 
 
 LIE_RUNS = (["check-rep"], ["brst"], ["linf"], ["trace-cond"], ["bv-identities", "--count", "3"])

@@ -6,14 +6,15 @@ import pytest
 from bvcalc import (LieModel, NotACochainComplex, brst_lie, brst_rep,
                     ce_cohomology_dims, ce_matrices, ghost_context, jacobi_check,
                     rep_check, rep_context, trace_condition)
-from bvcalc import lie
+from bvcalc import _eigenbasis, lie
+from bvcalc._eigenbasis import rewrite
 from bvcalc.lie import _ad_traces, _ce_basis, _exponents, _weight_zero_bases
 from bvcalc.linalg import ExactMatrix, sparse_rank
 
 from conftest import abelian, change_basis, gl, sl, sl2, sl2_rescaled, solvable2
 from oracles import (action_matrix, adjoint_loop, bareiss_rank, brst_half_sum,
                      ce_basis_split, ce_cohomology_dims_full, ce_images, ce_images_scalar,
-                     ce_weight_zero_keys, f_at, jacobi_triple_loop, matmul,
+                     ce_weight_zero_keys, f_at, first_split_element, jacobi_triple_loop, matmul,
                      rep_commutator_check, violations_square)
 
 
@@ -256,16 +257,17 @@ class TestOneTablePerCall:
 
 class TestSharedImages:
     """``ce_cohomology_dims`` ranks the images its d^2 = 0 guard built
-    instead of building them again."""
+    instead of building them again.  On the eigenbasis route (sheared gl(3)
+    here) it ranks the images of the rewritten table, each built once."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The monomial of every image a library call builds."""
+        """The table and monomial of every image a library call builds."""
         keys = []
         real = lie._apply_into
 
         def spy(out, slots, terms):
-            keys.extend(terms)
+            keys.extend((id(slots), key) for key in terms)
             return real(out, slots, terms)
         monkeypatch.setattr(lie, "_apply_into", spy)
         return keys
@@ -368,8 +370,10 @@ class TestDualityRoute:
     """With every tr ad(e_k) zero, ce_cohomology_dims at p = 0 ranks
     d_0..d_((n-1)//2) only; otherwise it ranks d_0..d_(n-1).  Each d_q is
     ranked on the basis monomials that are not pivot leads of d_(q-1), and
-    only on those of weight zero when a basis element acts diagonally; a
-    sheared copy, where none does, ranks every other basis monomial.  Every
+    only on those of weight zero when a basis element acts diagonally.  A
+    sheared copy, where none does, is rewritten in an eigenbasis when its
+    complex is large enough (gl(3) and sl(3) at p = 0) and then filtered
+    the same way; a small one ranks every other basis monomial.  Every
     route agrees with the full-complex oracle."""
 
     def test_solvable2_takes_full_route(self, ranked):
@@ -431,8 +435,13 @@ class TestDualityRoute:
         full = [sparse_rank(images) for _, images in pieces]
         assert ce_cohomology_dims(model, p) == ce_cohomology_dims_full(model, p)
         if sheared:
-            # no diagonal element: every basis monomial but the leads
             assert _weight_zero_bases(model, p) is None
+        if sheared and p == 0:
+            # 512 and 256 cochains pass the gate: the weight-zero cochains of
+            # the table rewritten in an eigenbasis
+            assert ranked == weight_zero_ranked(rewrite(model, p), p)[:len(ranked)]
+        elif sheared:
+            # 64 and 24 cochains do not: every basis monomial but the leads
             assert ranked == [len(basis) - prev for (basis, _), prev
                               in zip(pieces, [0] + full)][:len(ranked)]
         else:
@@ -629,6 +638,134 @@ class TestClosedFormCohomology:
 
     def test_gl2_adjoint(self):
         assert ce_cohomology_dims(gl(2).adjoint(), 1) == [1, 1, 0, 1, 1]
+
+
+def huge_ray() -> LieModel:
+    """[g1, gk] = W gk for k = 2..8 with W = 10^30, in the basis g1, g1 + g2,
+    g3, ..., g8: no basis vector acts diagonally, g1 is diagonalizable with
+    eigenvalues 0 and W (seven times), and tr (ad g1)^2 = 7 W^2."""
+    w = 10 ** 30
+    brackets = {(1, 0, 1): w, (0, 0, 1): -w}
+    brackets.update({(k, j, k): w for j in (0, 1) for k in range(2, 8)})
+    return LieModel.build(8, brackets)
+
+
+def diagonal_spectra(model, p):
+    """[(weights of c^k, weights of v^a)] under each basis vector whose ad
+    and, at p = 1, whose module action are diagonal, as sorted lists."""
+    n, m = model.dim, model.module_dim if p else 0
+    return [(sorted(f_at(model, k, h, k) for k in range(n)),
+             sorted(model.rho_at(a, a, h) for a in range(m)))
+            for h in range(n)
+            if not any(f_at(model, i, h, k) for i in range(n) for k in range(n) if i != k)
+            and not any(model.rho_at(a, b, h) for a in range(m) for b in range(m) if a != b)]
+
+
+class TestEigenbasisRoute:
+    """With no basis vector acting diagonally and a complex of at least
+    ``lie._EIGENBASIS_MIN_SIZE`` cochains, ``ce_cohomology_dims`` rewrites
+    the table in an eigenbasis of the first basis vector h whose ad (and, at
+    p = 1, module action) is diagonalizable over Q with a nonzero eigenvalue,
+    after the d^2 = 0 guard, and filters by weight there.  ``gate_open``
+    lets every complex take the route."""
+
+    @pytest.fixture
+    def gate_open(self, monkeypatch):
+        monkeypatch.setattr(lie, "_EIGENBASIS_MIN_SIZE", 0)
+
+    @pytest.fixture
+    def rewrites(self, monkeypatch):
+        """The (dim, p) of every table ``ce_cohomology_dims`` rewrites."""
+        calls = []
+        real = _eigenbasis.rewrite
+
+        def spy(model, p):
+            calls.append((model.dim, p))
+            return real(model, p)
+        monkeypatch.setattr(_eigenbasis, "rewrite", spy)
+        return calls
+
+    @pytest.mark.parametrize("build, p, dims", [
+        (lambda: gl(3), 0, poincare(1, 3, 5)), (lambda: sl(3), 0, poincare(3, 5)),
+        (lambda: gl(2), 1, poincare(1, 3))], ids=["gl3", "sl3", "gl2-adjoint"])
+    def test_closed_forms_of_sheared_tables(self, gate_open, rewrites, rng, build, p, dims):
+        # Chevalley-Eilenberg for gl(3) and sl(3), (1 + t)(1 + t^3) for the
+        # gl(2) adjoint
+        for _ in range(3):
+            model = change_basis(build(), random_shears(rng, build().dim))
+            model = model.adjoint() if p else model
+            assert _weight_zero_bases(model, p) is None
+            rewritten = rewrite(model, p)
+            assert first_split_element(model, p) is not None and rewritten is not None
+            assert jacobi_check(rewritten) == rep_check(rewritten) == []
+            rewrites.clear()
+            assert ce_cohomology_dims(model, p) == ce_cohomology_dims(rewritten, p) == dims
+            assert rewrites == [(model.dim, p)]
+
+    def test_the_gate_sizes(self, rewrites, rng):
+        # 512 and 256 cochains take the route, 64 and 24 do not; a canonical
+        # table is filtered without it
+        cases = [(lambda: gl(3), 0, True), (lambda: sl(3), 0, True),
+                 (lambda: gl(2), 1, False), (sl2, 1, False), (sl2, 0, False)]
+        for build, p, routed in cases:
+            model = change_basis(build(), random_shears(rng, build().dim))
+            model = model.adjoint() if p else model
+            rewrites.clear()
+            ce_cohomology_dims(model, p)
+            assert rewrites == ([(model.dim, p)] if routed else [])
+        rewrites.clear()
+        assert ce_cohomology_dims(gl(3), 0) == poincare(1, 3, 5) and rewrites == []
+
+    def test_rewritten_table_is_diagonal_in_h(self, rng):
+        model = change_basis(gl(3), random_shears(rng, 9)).adjoint()
+        for p in (0, 1):
+            _, ad, action = first_split_element(model, p)
+            rewritten = rewrite(model, p)
+            assert jacobi_check(rewritten) == rep_check(rewritten) == []
+            spectrum = (sorted(v for v, k in ad.items() for _ in range(k)),
+                        sorted(v for v, k in action.items() for _ in range(k)))
+            assert spectrum in diagonal_spectra(rewritten, p)
+            assert ce_cohomology_dims(model, p) == poincare(1, 3, 5)
+
+    def test_sheared_table_that_fails_jacobi(self, gate_open, rewrites, ranked, rng):
+        sheared = change_basis(gl(3), random_shears(rng, 9))
+        broken = LieModel(9, 0, {**sheared.f, (0, 1, 2): sheared.f.get((0, 1, 2), 0) + 1,
+                                 (0, 2, 1): sheared.f.get((0, 2, 1), 0) - 1}, {})
+        assert _weight_zero_bases(broken, 0) is None and rewrite(broken, 0) is not None
+        with pytest.raises(NotACochainComplex) as info:
+            ce_cohomology_dims(broken, 0)
+        assert info.value.check == "jacobi" and info.value.violation == jacobi_check(broken)[0]
+        assert rewrites == ranked == []
+
+    def test_sheared_module_that_is_not_a_representation(self, gate_open, rewrites, ranked,
+                                                          rng):
+        adj = change_basis(gl(2), random_shears(rng, 4)).adjoint()
+        broken = LieModel(4, 4, adj.f, {**adj.rho, (0, 0, 0): adj.rho_at(0, 0, 0) + 1})
+        assert _weight_zero_bases(broken, 1) is None and rewrite(broken, 1) is not None
+        with pytest.raises(NotACochainComplex) as info:
+            ce_cohomology_dims(broken, 1)
+        assert info.value.check == "rep" and info.value.violation == rep_check(broken)[0]
+        assert rewrites == ranked == []
+
+    def test_the_module_action_must_be_diagonalizable_too(self, gate_open, rewrites):
+        # sl(2) + <z> in the basis h + z, e, f, z, with sl(2) acting on C^2
+        # by 0 and z by a Jordan block: ad(h + z) is diagonal, but the action
+        # of h + z is not diagonalizable, so at p = 1 no basis vector serves
+        model = LieModel.build(4, {(1, 0, 1): 2, (2, 0, 2): -2, (0, 1, 2): 1, (3, 1, 2): -1},
+                               2, {(0, 1, 0): 1, (0, 1, 3): 1})
+        assert jacobi_check(model) == rep_check(model) == []
+        assert _weight_zero_bases(model, 1) is None
+        assert first_split_element(model, 1) is None and rewrite(model, 1) is None
+        assert first_split_element(model, 0)[0] == 0 and rewrite(model, 0) is not None
+        assert ce_cohomology_dims(model, 1) == ce_cohomology_dims_full(model, 1)
+        assert rewrites == [(4, 1)]
+
+    def test_huge_eigenvalues(self, rewrites):
+        model = huge_ray()
+        assert jacobi_check(model) == [] and _weight_zero_bases(model, 0) is None
+        assert diagonal_spectra(rewrite(model, 0), 0) == [([0] + [10 ** 30] * 7, [])]
+        assert ce_cohomology_dims(model, 0) == [1, 1] + [0] * 7
+        assert rewrites == [(8, 0)]
 
 
 class TestTraceCondition:

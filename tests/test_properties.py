@@ -10,7 +10,8 @@ per-monomial images equal the Scalar and the whole-image routes on drawn
 antisymmetric tables, and the Chevalley-Eilenberg dims equal the
 full-complex ranks on drawn Lie algebras, traceless or not, at p = 0 and with
 the adjoint module at p = 1, with the weight-zero monomials the brute-force
-filter names, and the derivation read off an antifield-linear
+filter names, also when the gate of the eigenbasis route is open and every
+sheared table takes it, and the derivation read off an antifield-linear
 S1 by one sweep equals the one built from an antibracket per field on every
 field layout of tests/test_bv.py.  On the same layouts, the master residuals
 and the off-shell residual of drawn even actions equal the general bracket,
@@ -37,6 +38,8 @@ from bvcalc.gauge import (ExpElement, GaugeFermion, NonGaussianIntegrand,  # noq
                           NonNormalizedDamping, _gauge_integrals, exact_boundary_integrals,
                           exp_delta, gauge_independence_experiment, lagrangian_integral,
                           restrict_to_lagrangian, standard_damping)
+from bvcalc import lie  # noqa: E402
+from bvcalc._eigenbasis import rewrite  # noqa: E402
 from bvcalc.lie import (_ad_traces, _brst_table, _ce_basis, _weight_zero_bases,  # noqa: E402
                         ce_cohomology_dims)
 from bvcalc.randgen import random_poly  # noqa: E402
@@ -46,10 +49,12 @@ from conftest import (_matrix_algebra, change_basis, gl, refusing_self_brackets,
                       solvable2)
 from oracles import (bracket_sum, ce_cohomology_dims_full, ce_images,  # noqa: E402
                      ce_images_scalar, ce_weight_zero_keys, exp_delta_split, exp_pairs_by_key,
-                     extract_by_bracket, jacobi_triple_loop, lagrangian_integral_full,
+                     extract_by_bracket, first_split_element, jacobi_triple_loop,
+                     lagrangian_integral_full,
                      mul_into_left_outer, mul_pairwise,
                      rep_commutator_check, substitute_sum, violations_square)
 from test_bv import FIELD_SPECS  # noqa: E402
+from test_lie import diagonal_spectra  # noqa: E402
 from test_gauge import SPACES, integral_outcome  # noqa: E402
 
 CTX = Context.plain([("x", EVEN), ("y", EVEN), ("t1", ODD), ("t2", ODD)])
@@ -527,3 +532,31 @@ def test_ce_dims_equal_full_complex_oracle(model):
         adj = model.adjoint()
         assert rep_check(adj) == []
         assert ce_cohomology_dims(adj, 1) == ce_cohomology_dims_full(adj, 1)
+
+
+@hypothesis.settings(max_examples=150, deadline=5000)
+@hypothesis.given(lie_algebras())
+@hypothesis.example(change_basis(gl(2), [(0, 3, 1), (2, 1, -1)]))
+@hypothesis.example(rescale(change_basis(sl2(), [(0, 1, 1), (2, 0, -1)]),
+                            [Fraction(1), Fraction(2), Fraction(-1, 3)]))
+def test_eigenbasis_route_equals_full_complex_oracle(model):
+    """Each drawn table, and its adjoint at p = 1, is rewritten in an
+    eigenbasis of the element ``first_split_element`` names, if there is
+    one: the rewritten table is a Lie algebra and a module on which that
+    element acts diagonally with its spectrum.  With the gate open,
+    ``ce_cohomology_dims`` takes that route wherever no basis vector acts
+    diagonally, and its dims equal the full-complex oracle's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lie, "_EIGENBASIS_MIN_SIZE", 0)
+        for p, table in [(0, model)] + [(1, model.adjoint())] * (model.dim <= 4):
+            rewritten, split = rewrite(table, p), first_split_element(table, p)
+            routed = rewritten is not None and _weight_zero_bases(table, p) is None
+            hypothesis.event(f"p = {p}: " + ("eigenbasis route" if routed else "other route"))
+            assert (rewritten is None) == (split is None)
+            if rewritten is not None:
+                _, ad, action = split
+                assert jacobi_check(rewritten) == rep_check(rewritten) == []
+                assert (sorted(v for v, k in ad.items() for _ in range(k)),
+                        sorted(v for v, k in action.items() for _ in range(k))) \
+                    in diagonal_spectra(rewritten, p)
+            assert ce_cohomology_dims(table, p) == ce_cohomology_dims_full(table, p)
