@@ -32,8 +32,8 @@ from operator import add, and_, mul
 
 from .bv import BVSpace, _bracket_into, _half_self_bracket_into
 from .scalars import Scalar
-from .superalgebra import (EVEN, FIELD, ODD, Poly, _derivs, _merge_sign, _mul_into, _poly,
-                           _split, _substitute, _substitution)
+from .superalgebra import (EVEN, FIELD, ODD, Poly, _derivs, _merge_sign, _mul_into,
+                           _odd_product, _poly, _split, _substitute, _substitution)
 
 
 class NotDeltaClosed(Exception):
@@ -195,29 +195,30 @@ def berezin_integrate(poly: Poly, odd_names) -> Poly:
     A single integral extracts the coefficient with the variable moved to the
     rightmost position of the odd part, which is minus the right derivative,
     so integrating in declaration order picks out the top monomial
-    coefficient with sign +1.  One pass keeps the terms holding every variable
-    and clears the variables innermost first, each flipping the sign once per
-    odd generator still set above it.  Names must be odd; a repeat gives 0.
+    coefficient with sign +1.  A term holding every variable is its other
+    odd factors times the variables in canonical order, with the sign
+    ``_merge_sign(rest, need)``, and those variables are their listed
+    product times the sign of its sort (``_odd_product``).  Integrating the
+    listed product innermost first leaves the other factors, so the term
+    keeps the product of the two signs.  Names must be odd; a repeat gives 0.
     """
-    shifts = []
-    for name in reversed(list(odd_names)):
+    slots = []
+    for name in odd_names:
         parity, s = poly.ctx.slot(name)
         if parity != ODD:
             raise ValueError(f"{name} is not odd")
-        shifts.append(s)
-    need = sum({1 << s for s in shifts})
-    if need.bit_count() < len(shifts):
+        slots.append(s)
+    product = _odd_product(slots)
+    if product is None:
         return poly.ctx.zero()
+    need, flip = product
+    sign = -1 if flip else 1
     out = {}
     for (exps, mask), c in poly.terms.items():
-        if mask & need != need:
-            continue
-        flips = 0
-        for s in shifts:
-            mask ^= 1 << s
-            flips += (mask >> s).bit_count()
-        # clearing a fixed set of bits is injective: no merge, no zero
-        out[exps, mask] = -c if flips & 1 else c
+        if mask & need == need:
+            rest = mask ^ need
+            # clearing a fixed set of bits is injective: no merge, no zero
+            out[exps, rest] = c if _merge_sign(rest, need) == sign else -c
     return _poly(poly.ctx, out)
 
 

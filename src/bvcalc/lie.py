@@ -146,9 +146,6 @@ class LieModel(_FrozenRecord):
                 full_rho[(i, j, k)] = val
         return cls(dim, module_dim, full_f, full_rho)
 
-    def rho_at(self, i, j, k) -> Fraction:
-        return self.rho.get((i, j, k), Fraction(0))
-
     def adjoint(self) -> "LieModel":
         """Same algebra acting on itself: rho[i, j, k] = f[i, k, j]."""
         rho = {(i, j, k): val for (i, k, j), val in self.f.items() if val}

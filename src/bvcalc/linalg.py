@@ -2,10 +2,9 @@
 
 Rank has one route, ``pivot_leads``: each vector is a sparse map
 {column key: rational}, scaled to a primitive integer row, and the rows are
-reduced into an echelon form keyed by their lead column; ``sparse_rank`` is
-the number of leads.  Every intermediate
-row is divided by the gcd of its entries, so no floating point and no
-fraction blow-up is involved.
+reduced into an echelon form keyed by their lead column; the rank is the
+number of leads.  Every intermediate row is divided by the gcd of its
+entries, so no floating point and no fraction blow-up is involved.
 """
 
 from __future__ import annotations
@@ -42,8 +41,7 @@ class ExactMatrix:
         return all(not x for row in self.rows for x in row)
 
     def rank(self) -> int:
-        return sparse_rank({col: x for col, x in enumerate(row) if x}
-                           for row in self.rows)
+        return len(pivot_leads(dict(enumerate(row)) for row in self.rows))
 
     def __eq__(self, other):
         return (isinstance(other, ExactMatrix)
@@ -106,9 +104,3 @@ def pivot_leads(vectors) -> list:
             if row:
                 row = _primitive(row)
     return [keys[lead] for lead in pivots]
-
-
-def sparse_rank(vectors) -> int:
-    """Rank over Q of sparse vectors {column key: int or Fraction}: the
-    number of ``pivot_leads``."""
-    return len(pivot_leads(vectors))

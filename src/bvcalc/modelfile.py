@@ -18,7 +18,8 @@ twice (a [lie] basis or module line, a bracket pair in either order, a rep
 entry, a generator name) is refused at its second line.  All diagnostics
 carry the offending line number, except the pairing errors that BVSpace
 raises for [generators]; a refusal about a section with no entries names the
-line of its header.
+line of its header.  ``load_model`` reads UTF-8, with or without a leading
+byte-order mark.
 """
 
 from __future__ import annotations
@@ -56,7 +57,9 @@ _SECTIONS = ("lie", "brackets", "rep", "generators", "exprs")
 
 def load_model(path: str) -> Model:
     with open(path, "rb") as fh:
-        data = fh.read()
+        # a byte-order mark is dropped here, not by the utf-8-sig codec, whose
+        # error offsets would skip it while the refusal below indexes data
+        data = fh.read().removeprefix(b"\xef\xbb\xbf")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -68,24 +68,18 @@ MAX_PRODUCT_WORK = 200_000
 # the bound does not depend on the interpreter or its settings.
 MAX_LITERAL_DIGITS = 4300
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-                    r"|(?P<op>[-+*/^()]))")
+_TOKEN = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
+                    r"|\s+|(?P<bad>\S)")
 
 
 def _tokenize(src: str, line: int):
-    pos = 0
     out = []
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if not m or m.end() == m.start():
-            stripped = src[pos:].lstrip()
-            if not stripped:
-                break
-            col = pos + (len(src[pos:]) - len(stripped)) + 1
-            raise ParseError(f"unexpected character {stripped[0]!r}", line, col)
-        if m.lastgroup:
-            out.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup) + 1))
-        pos = m.end()
+    for m in _TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, m.start() + 1)
+        if kind:
+            out.append((kind, m.group(), m.start() + 1))
     out.append(("end", "", len(src) + 1))
     return out
 

@@ -5,12 +5,14 @@ reproduces the exact same polynomials, reports and verdicts.
 
 Draw order, on which every ``--seed`` report of the CLI depends: per term,
 ``random_poly`` draws the degree d by ``randint(0, max_degree)``, then d
-``choice`` calls over the generators in declaration order.  A term with a
-repeated odd generator, or of the wrong parity, draws nothing more; the
-others draw ``randint(-4, 4)``, ``randint(1, 3)`` and ``random()``, then
-``randint(-3, 3)`` and ``randint(1, 2)`` only if that was below 0.4, then
-``randint(0, hbar_max)`` only if ``hbar_max`` is nonzero.  A zero
-coefficient becomes 1.  ``random_homogeneous`` first draws ``randint(0, 1)``.
+``choice`` calls over the generators in declaration order.  The odd picks,
+in draw order, are sorted by ``superalgebra._odd_product``, whose parity
+signs the coefficient.  A term with a repeated odd generator, or of the
+wrong parity, draws nothing more; the others draw ``randint(-4, 4)``,
+``randint(1, 3)`` and ``random()``, then ``randint(-3, 3)`` and
+``randint(1, 2)`` only if that was below 0.4, then ``randint(0, hbar_max)``
+only if ``hbar_max`` is nonzero.  A zero coefficient becomes 1.
+``random_homogeneous`` first draws ``randint(0, 1)``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from math import gcd
 
 from .scalars import _make
-from .superalgebra import Context, EVEN, ODD, Poly, _add_into
+from .superalgebra import Context, EVEN, ODD, Poly, _add_into, _odd_product
 
 
 def _coefficient(rng, hbar_max: int) -> tuple:
@@ -40,20 +42,16 @@ def random_poly(rng, ctx: Context, max_degree: int = 4, terms: int = 4,
     out = {}
     for _ in range(terms):
         picks = [rng.choice(slots) for _ in range(rng.randint(0, max_degree))]
-        odd = [s for p, s in picks if p == ODD]
-        if len(set(odd)) != len(odd) or (parity is not None and len(odd) % 2 != parity):
+        odd = _odd_product(s for p, s in picks if p == ODD)
+        if odd is None or (parity is not None and odd[0].bit_count() % 2 != parity):
             continue
+        mask, flip = odd
         exps = [0] * ctx.n_even
         for p, s in picks:
             if p == EVEN:
                 exps[s] += 1
-        # sorting the odd factors: each one moves left past those above it
-        mask = flips = 0
-        for s in odd:
-            flips += (mask >> s).bit_count()
-            mask |= 1 << s
         power, (re, im, den) = _coefficient(rng, hbar_max)
-        c = _make({power: (-re, -im, den) if flips & 1 else (re, im, den)})
+        c = _make({power: (-re, -im, den) if flip else (re, im, den)})
         _add_into(out, {(tuple(exps), mask): c})
     return Poly(ctx, out)
 

@@ -6,7 +6,11 @@ live in ``bv.BVSpace``).  Polynomials are sparse maps from canonical
 monomials to exact Scalars.  A monomial stores a vector of exponents over the
 even generators and a strictly increasing set of odd generators (as a bitmask);
 odd squares vanish, and every product sign is the parity of the number of
-transpositions needed to merge the odd factor lists.
+transpositions needed to merge the odd factor lists.  An ordered product of
+odd generators is sorted by one fold, ``_odd_product``, which gives its
+canonical mask and the parity of the sort (None for an odd square);
+``Context.monomial`` (and so ``gen``), ``Context.transport``,
+``randgen.random_poly`` and ``gauge.berezin_integrate`` all take it from there.
 
 Every product goes through one private kernel, ``_mul_into(terms, a, b)``:
 it adds ``a * b`` into a plain dict of terms, merging equal monomials as it
@@ -145,10 +149,6 @@ class Context:
     def n_even(self) -> int:
         return len(self.even_names)
 
-    @property
-    def n_odd(self) -> int:
-        return len(self.odd_names)
-
     def zero_mono(self):
         return ((0,) * self.n_even, 0)
 
@@ -167,14 +167,9 @@ class Context:
         return self.scalar(1)
 
     def gen(self, name: str) -> "Poly":
-        parity, s = self.slot(name)
-        exps = [0] * self.n_even
-        mask = 0
-        if parity == EVEN:
-            exps[s] = 1
-        else:
-            mask = 1 << s
-        return Poly(self, {(tuple(exps), mask): Scalar.one()})
+        if self.parity_of(name) == EVEN:
+            return self.monomial(even={name: 1})
+        return self.monomial(odd=(name,))
 
     def monomial(self, coeff=1, even=None, odd=()) -> "Poly":
         """Monomial from {even name: exponent} and an odd name sequence.
@@ -193,18 +188,17 @@ class Context:
                 raise ValueError(f"exponent of {name} must be non-negative, not {k}")
             exps[s] += k
         c = Scalar.of(coeff)
-        mask = 0
+        slots = []
         for name in odd:
             parity, s = self.slot(name)
             if parity != ODD:
                 raise ValueError(f"{name} is even; pass it in the even mapping")
-            sign = _merge_sign(mask, 1 << s)
-            if sign is None:
-                return self.zero()
-            if sign < 0:
-                c = -c
-            mask |= 1 << s
-        return Poly(self, {(tuple(exps), mask): c})
+            slots.append(s)
+        product = _odd_product(slots)
+        if product is None:
+            return self.zero()
+        mask, flip = product
+        return Poly(self, {(tuple(exps), mask): -c if flip else c})
 
     def transport(self, poly: "Poly", target: "Context") -> "Poly":
         """Rebuild a Poly by generator names inside another context.
@@ -222,15 +216,10 @@ class Context:
             for s, k in enumerate(exps):
                 if k:
                     new_exps[_target_slot(even_to[s], self.even_names[s], EVEN)] = k
-            # odd factors are placed left to right in this context's order,
-            # each to the right of those before it, as a product would
-            new_mask = 0
-            for s in _mask_bits(mask):
-                bit = 1 << _target_slot(odd_to[s], self.odd_names[s], ODD)
-                if _merge_sign(new_mask, bit) < 0:
-                    c = -c
-                new_mask |= bit
-            terms[(tuple(new_exps), new_mask)] = c
+            # the odd factors, in this context's order, as a product there
+            new_mask, flip = _odd_product(_target_slot(odd_to[s], self.odd_names[s], ODD)
+                                          for s in _mask_bits(mask))
+            terms[(tuple(new_exps), new_mask)] = -c if flip else c
         # the slot map is injective and signs never vanish: no merge, no zero
         return _poly(target, terms)
 
@@ -281,6 +270,20 @@ def _merge_sign(a: int, b: int):
         inv += (a >> (j + 1)).bit_count()
         m ^= low
     return -1 if inv & 1 else 1
+
+
+def _odd_product(slots):
+    """(mask, parity) of the product of the odd generators at ``slots``, in
+    that order: its canonical mask and the parity of the transpositions that
+    sort it, each factor moving left past the earlier ones above it (the
+    ``_merge_sign`` of one bit).  None when a slot repeats: an odd square."""
+    mask = flips = 0
+    for s in slots:
+        if mask >> s & 1:
+            return None
+        flips += (mask >> s).bit_count()
+        mask |= 1 << s
+    return mask, flips & 1
 
 
 def _mul_into(terms: dict, a: dict, b: dict) -> dict:

@@ -98,7 +98,7 @@ from bvcalc.gauge import (ExpElement, NonNormalizedDamping, _exp_nilpotent, _nil
                           standard_damping)
 from bvcalc.identities import IDENTITY_NAMES, MAX_DEGREE, TERMS
 from bvcalc.lie import _ce_basis, _ce_table, _image, rep_context
-from bvcalc.linalg import ExactMatrix, sparse_rank
+from bvcalc.linalg import ExactMatrix, pivot_leads
 from bvcalc.scalars import Scalar, _atom, _guard
 from bvcalc.superalgebra import EVEN, ODD, Poly, _add_into, _mask_bits, _merge_sign, _mul_into
 
@@ -201,7 +201,7 @@ def f_at(model, i, j, k) -> Fraction:
 def action_matrix(model, k: int) -> ExactMatrix:
     """Matrix of basis vector k acting on the module."""
     n = model.module_dim
-    return ExactMatrix([[model.rho_at(i, j, k) for j in range(n)]
+    return ExactMatrix([[model.rho.get((i, j, k), 0) for j in range(n)]
                         for i in range(n)], n)
 
 
@@ -347,13 +347,13 @@ def ce_weight_zero_keys(model, p: int, q: int):
     rng = range(n)
     hs = [h for h in rng
           if not any(f_at(model, i, h, k) for i in rng for k in rng if i != k)
-          and not (p and any(model.rho_at(a, b, h)
+          and not (p and any(model.rho.get((a, b, h), 0)
                              for a in range(m) for b in range(m) if a != b))]
 
     def weight(key, h):
         exps, mask = key
         return (sum(f_at(model, k, h, k) for k in rng if mask >> k & 1)
-                + sum(e * model.rho_at(a, a, h) for a, e in enumerate(exps)))
+                + sum(e * model.rho.get((a, a, h), 0) for a, e in enumerate(exps)))
     return [key for key in _ce_basis(m, n, p, q) if all(weight(key, h) == 0 for h in hs)]
 
 
@@ -363,7 +363,7 @@ def ce_cohomology_dims_full(model, p: int):
     dims = []
     prev_rank = 0
     for basis, images in ce_images(model, p):
-        rank = sparse_rank(images)
+        rank = len(pivot_leads(images))
         dims.append(len(basis) - rank - prev_rank)
         prev_rank = rank
     return dims

@@ -275,9 +275,11 @@ class TestHostileInput:
 
     def test_invalid_utf8(self, tmp_path):
         model = tmp_path / "bytes.model"
-        model.write_bytes(b"[generators]\nx even field\nxp odd antifield x\n"
-                          b"[exprs]\nS = x\xff\n")
-        self.assert_refused(self.run_child(model), "invalid UTF-8 byte 0xff (line 5)")
+        text = b"[generators]\nx even field\nxp odd antifield x\n[exprs]\nS = x\xff\n"
+        # a byte-order mark moves neither the byte nor its line
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            model.write_bytes(prefix + text)
+            self.assert_refused(self.run_child(model), "invalid UTF-8 byte 0xff (line 5)")
 
     def test_huge_exponent(self, tmp_path):
         model = tmp_path / "power.model"
@@ -537,6 +539,18 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
      "[lie] needs a 'basis = name...' line (line 2)"),
     (LIE + "[rep]\nb.v = v\n", ["check-rep"], "unknown basis vector 'b' (line 5)"),
     (LIE + "[rep]\na.w = v\n", ["check-rep"], "unknown module coordinate 'w' (line 5)"),
+    (GENERATORS + "[exprs]\n\n[exprs]\n", ["master"], "duplicate section [exprs] (line 6)"),
+    ("[exprs]\nS = 1\n", ["master"], "a model needs exactly one of [lie] or [generators]"),
+    ("[lie]\nbasis = a\nx = a\n", ["check-lie"], "unknown [lie] entry 'x' (line 3)"),
+    ("[lie]\nbasis = a b\n[brackets]\n[a] = b\n", ["check-lie"],
+     "bracket lines look like '[a,b] = expr' (line 4)"),
+    ("# header next\n[nope]\n", ["master"], "unknown section [nope] (line 2)"),
+    ("\nx even field\n[generators]\n", ["master"],
+     "content before the first section header (line 2)"),
+    ("[lie]\nbasis = a b\n[brackets]\n[a,q] = b\n", ["check-lie"],
+     "unknown basis vector 'q' (line 4)"),
+    ("[lie]\nbasis = a b\n[brackets]\n[a,b] = a*b\n", ["check-lie"],
+     "bracket [a,b] must be linear in the basis (line 4)"),
     (GENERATORS, ["master", "--action", "S"], "model has no expression named 'S'"),
     (GENERATORS, ["master"], "no action: give --action or name an expression 'S'"),
     (GENERATORS + "[exprs]\nS = x^2\n", ["onshell", "--point", "x"],
@@ -549,7 +563,10 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
         "antifield-without-field", "generator-trailing-word", "brackets-without-lie",
         "rep-without-lie", "expr-without-equals", "expr-name", "expr-repeated",
         "lie-without-basis", "empty-rep-without-lie", "empty-brackets-without-lie",
-        "empty-lie", "rep-unknown-vector", "rep-unknown-coordinate",
+        "empty-lie", "rep-unknown-vector", "rep-unknown-coordinate", "section-repeated",
+        "neither-lie-nor-generators", "lie-unknown-entry", "bracket-without-comma",
+        "section-unknown", "content-before-header", "bracket-unknown-vector",
+        "bracket-not-linear",
         "flag-names-missing-expr", "no-action", "point-syntax", "point-rational",
         "gauge-exp-without-gauge"])
 def test_refusal_names_its_cause(text, args, message, tmp_path, capsys):
@@ -817,11 +834,15 @@ class TestImportFootprint:
             "bvcalc.bv", "bvcalc.cli", "bvcalc.derivations", "bvcalc.modelfile",
             "bvcalc.parser", "bvcalc.scalars", "bvcalc.superalgebra"}
 
-    def test_check_lie(self):
-        modules, code, _ = self.loaded("check-lie", "models/sl2.model")
-        assert code == 0
-        assert {"bvcalc.lie", "bvcalc.linalg"} <= modules
-        assert not modules & self.LEAN
+    def test_check_lie(self, tmp_path):
+        # a UTF-8 byte-order mark before the first header is not content
+        bom = tmp_path / "sl2.model"
+        bom.write_bytes(b"\xef\xbb\xbf" + (MODELS / "sl2.model").read_bytes())
+        for path in ("models/sl2.model", str(bom)):
+            modules, code, out = self.loaded("check-lie", path)
+            assert code == 0 and "status: pass\nviolations: 0\n" in out
+            assert {"bvcalc.lie", "bvcalc.linalg"} <= modules
+            assert not modules & self.LEAN
 
     def test_eigenbasis_loads_only_past_its_gate(self, tmp_path):
         # sl(2) has a diagonal element and 8 cochains; gl(3) under nine

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from bvcalc.linalg import ExactMatrix, pivot_leads, sparse_rank
+from bvcalc.linalg import ExactMatrix, pivot_leads
 
 from oracles import bareiss_rank, fraction_rank
 
@@ -51,8 +51,8 @@ class TestRank:
             assert bareiss_rank(rows) == fraction_rank(rows)
 
     def test_empty_and_zero(self):
-        assert sparse_rank([]) == 0
-        assert sparse_rank([{}, {0: 0, 3: Fraction(0)}]) == 0
+        assert len(pivot_leads([])) == 0
+        assert len(pivot_leads([{}, {0: 0, 3: Fraction(0)}])) == 0
         assert ExactMatrix([], 3).rank() == 0
         assert ExactMatrix([[Fraction(0), Fraction(0)]]).rank() == 0
         assert bareiss_rank([]) == 0
@@ -63,7 +63,7 @@ class TestRank:
             rows = random_rows(rng, rng.randint(1, 9), rng.randint(1, 9))
             expected = bareiss_rank(rows)
             assert fraction_rank(rows) == expected
-            assert sparse_rank(sparse(rows)) == expected
+            assert len(pivot_leads(sparse(rows))) == expected
             assert ExactMatrix(rows).rank() == expected
 
     def test_block_diagonal(self, rng):
@@ -74,7 +74,7 @@ class TestRank:
             rng.shuffle(rows)
             expected = sum(bareiss_rank(block) for block in blocks)
             assert bareiss_rank(rows) == expected
-            assert sparse_rank(sparse(rows)) == expected
+            assert len(pivot_leads(sparse(rows))) == expected
 
     def test_keys_need_only_be_hashable(self):
         # monomial keys and keys of mixed types; the third vector is the
@@ -82,12 +82,12 @@ class TestRank:
         vectors = [{((1, 0), 3): Fraction(1, 2), "c1": 2},
                    {"c1": Fraction(-1, 3), 7: 1},
                    {((1, 0), 3): Fraction(1, 2), "c1": Fraction(5, 3), 7: 1}]
-        assert sparse_rank(vectors) == 2
-        assert sparse_rank(vectors + [{7: 1}]) == 3
+        assert len(pivot_leads(vectors)) == 2
+        assert len(pivot_leads(vectors + [{7: 1}])) == 3
 
     def test_integer_and_fraction_entries_agree(self):
-        assert sparse_rank([{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}]) == 1
-        assert sparse_rank([{0: 10**30, 1: 1}, {0: 1, 1: Fraction(1, 10**30)}]) == 1
+        assert len(pivot_leads([{0: 2, 1: 4}, {0: Fraction(1, 3), 1: Fraction(2, 3)}])) == 1
+        assert len(pivot_leads([{0: 10**30, 1: 1}, {0: 1, 1: Fraction(1, 10**30)}])) == 1
 
     def test_non_leads_span_a_complement(self, rng):
         # the unit vectors of the columns that are not leads, added to the

@@ -72,6 +72,21 @@ class TestGrammar:
         assert err.value.line == 3
         assert err.value.col == 5
 
+    def test_trailing_whitespace_ends_the_input(self, ctx):
+        assert parse_expression("x + 1  ", ctx) == ctx.gen("x") + 1
+        assert parse_expression("x\t\u3000\n", ctx) == ctx.gen("x")
+
+    @pytest.mark.parametrize("src, char, col", [
+        ("x +\u00a0$", "$", 5),           # after a no-break space
+        ("x\u3000\u2003+ y?", "?", 7),    # after ideographic and em spaces
+        ("\u2028\u00e9", "\u00e9", 2),    # a letter outside [A-Za-z_]
+    ])
+    def test_bad_character_after_unicode_whitespace(self, ctx, src, char, col):
+        with pytest.raises(ParseError) as err:
+            parse_expression(src, ctx, line=2)
+        assert str(err.value) == f"unexpected character {char!r} (line 2, column {col})"
+        assert (err.value.line, err.value.col) == (2, col)
+
     def test_nesting_limit(self, ctx):
         deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
         assert parse_expression(deepest, ctx) == ctx.gen("x")

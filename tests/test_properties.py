@@ -153,7 +153,8 @@ def bv_polys(draw, bvs, parity=None):
     (i, hbar^-1..hbar^2) coefficients, even when ``parity`` is EVEN; zero
     included."""
     ctx = bvs.ctx
-    masks = [m for m in range(1 << ctx.n_odd) if parity is None or m.bit_count() % 2 == parity]
+    masks = [m for m in range(1 << len(ctx.odd_names))
+             if parity is None or m.bit_count() % 2 == parity]
     mono = st.tuples(st.tuples(*[st.integers(0, 2)] * ctx.n_even), st.sampled_from(masks))
     return Poly(ctx, draw(st.dictionaries(mono, scalars, max_size=6)))
 

@@ -4,7 +4,8 @@ import pytest
 
 from bvcalc import EVEN, ODD, BVSpace, Scalar
 from bvcalc.randgen import random_homogeneous, random_poly
-from bvcalc.superalgebra import Context, Poly, _derivs, _mul_into, _substitution, _sweep
+from bvcalc.superalgebra import (Context, Poly, _derivs, _mul_into, _odd_product,
+                                 _substitution, _sweep)
 
 from oracles import add_pairwise, mul_pairwise, right_deriv_split, substitute_sum
 
@@ -61,6 +62,27 @@ class TestProducts:
             else:
                 assert mono == ctx.monomial(3 * expected, {"u": 1},
                                             [f"t{i}" for i in sorted(picks)])
+
+    def test_odd_product_against_inversion_count(self, rng):
+        for _ in range(300):
+            slots = [rng.randrange(7) for _ in range(rng.randint(0, 6))]
+            if len(set(slots)) < len(slots):
+                assert _odd_product(slots) is None
+                continue
+            inversions = sum(a > b for i, a in enumerate(slots) for b in slots[i + 1:])
+            assert _odd_product(slots) == (sum(1 << s for s in slots), inversions % 2)
+
+    @pytest.mark.parametrize("space", ["ctx_mixed", "bvs_1_1", "bvs_2_2"])
+    def test_gen_is_the_monomial_of_one_generator(self, space, request):
+        fixture = request.getfixturevalue(space)
+        ctx = fixture if isinstance(fixture, Context) else fixture.ctx
+        for name in ctx.even_names:
+            unit = tuple(int(n == name) for n in ctx.even_names)
+            assert ctx.gen(name) == ctx.monomial(1, {name: 1}) == \
+                Poly(ctx, {(unit, 0): Scalar.one()})
+        for s, name in enumerate(ctx.odd_names):
+            assert ctx.gen(name) == ctx.monomial(1, odd=[name]) == \
+                Poly(ctx, {(ctx.zero_mono()[0], 1 << s): Scalar.one()})
 
     def test_graded_commutativity_random(self, ctx_mixed, rng):
         for _ in range(120):
