@@ -8,6 +8,9 @@ Preconditions on the input are checked before the computation they guard,
 so a ValueError raised inside a computation is an internal error, not a
 refusal; a precondition the library checks itself, such as d^2 = 0 for
 ce-cohomology, is raised as its own exception type and refused.
+A ``--point`` value is a constant expression of the parser's grammar
+(``-1/2``, ``(1/2)^2``), bounded as a model's expressions are; one that does
+not read as a plain rational is refused as a bad rational.
 Reports are deterministic for a fixed (model, flags, seed) triple.
 """
 
@@ -19,9 +22,9 @@ import warnings
 from fractions import Fraction
 
 from .modelfile import Model, ModelError, load_model
-from .parser import ParseError
+from .parser import parse_expression
 from .scalars import Scalar
-from .superalgebra import Poly
+from .superalgebra import Context, Poly
 
 PASS, FAIL, REFUSED = "pass", "fail", "refused"
 _EXIT = {PASS: 0, FAIL: 1, REFUSED: 2}
@@ -35,29 +38,14 @@ MAX_NMAX = 1000
 MAX_COUNT = 1000
 
 
-class Report:
-    def __init__(self, command: str, model: str, status: str, details=()):
-        self.command = command
-        self.model = model
-        self.status = status
-        self.details = list(details)
-
-    def to_text(self) -> str:
-        lines = [f"command: {self.command}", f"model: {self.model}",
-                 f"status: {self.status}"]
-        lines += [f"{key}: {value}" for key, value in self.details]
-        return "\n".join(lines) + "\n"
-
-    def to_json(self) -> str:
+def _render(args, status: str, details) -> str:
+    """The report: 'key: value' lines, or one JSON object under --json."""
+    head = {"command": args.command, "model": args.model, "status": status}
+    if args.json:
         import json
-        payload = {"command": self.command, "model": self.model,
-                   "status": self.status,
-                   "details": [[k, str(v)] for k, v in self.details]}
-        return json.dumps(payload, sort_keys=True) + "\n"
-
-    @property
-    def exit_code(self) -> int:
-        return _EXIT[self.status]
+        rows = [[key, str(value)] for key, value in details]
+        return json.dumps(head | {"details": rows}, sort_keys=True) + "\n"
+    return "".join(f"{key}: {value}\n" for key, value in [*head.items(), *details])
 
 
 class Refusal(Exception):
@@ -74,10 +62,10 @@ def _checked(check, *args):
         raise Refusal(str(exc)) from None
 
 
-def _require_count(name: str, value: int, most: int | None = None) -> None:
+def _require_count(name: str, value: int, most: int) -> None:
     if value < 1:
         raise Refusal(f"{name} must be at least 1")
-    if most is not None and value > most:
+    if value > most:
         raise Refusal(f"{name} must be at most {most}")
 
 
@@ -114,6 +102,8 @@ def _action(model: Model, name: str | None) -> Poly:
 
 
 def _parse_point(text: str) -> dict:
+    """Coordinate values, each a constant expression of the parser's grammar
+    (so its rationals, literal bound and work budget apply)."""
     point = {}
     for piece in text.split(","):
         name, _, value = piece.partition("=")
@@ -123,8 +113,9 @@ def _parse_point(text: str) -> dict:
         if name in point:
             raise Refusal(f"coordinate {name} is given twice in the point")
         try:
-            point[name] = Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            constant = parse_expression(value, Context(())).terms.values()
+            point[name] = sum(constant, Scalar.zero()).as_fraction()
+        except ValueError:     # a ParseError, or a constant with i or hbar
             raise Refusal(f"bad rational {value!r} in point") from None
     return point
 
@@ -387,18 +378,17 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         model = load_model(args.model)
-    except (ModelError, ParseError, OSError) as exc:
+    except (ModelError, OSError) as exc:
         status, details = REFUSED, [("error", exc)]
     else:
         try:
             status, details = args.handler(model, args)
         except Refusal as exc:
             status, details = REFUSED, [("error", exc)] + exc.details
-        except (ModelError, ParseError) as exc:
+        except ModelError as exc:
             status, details = REFUSED, [("error", exc)]
-    report = Report(args.command, args.model, status, details)
-    sys.stdout.write(report.to_json() if args.json else report.to_text())
-    return report.exit_code
+    sys.stdout.write(_render(args, status, details))
+    return _EXIT[status]
 
 
 def entry() -> None:

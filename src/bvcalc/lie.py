@@ -105,6 +105,9 @@ class LieModel(_FrozenRecord):
     """Structure constants of an algebra of dimension dim acting on a
     module of dimension module_dim (0 for no module)."""
 
+    # f and rho are mutable dicts, so a hash of their contents could change
+    __hash__ = None
+
     def __init__(self, dim: int, module_dim: int, f: dict, rho: dict):
         vars(self).update(dim=dim, module_dim=module_dim, f=f, rho=rho)
 

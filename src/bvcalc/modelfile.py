@@ -11,11 +11,16 @@ A model file has sections introduced by bracketed headers:
                    xp odd antifield x
     [exprs]        S0 = vh^2 + 4*ve*vf    (parsed on the full BV context)
 
-Exactly one of [lie] / [generators] must be present.  Ghost coordinates of a
+Exactly one of [lie] / [generators] must be present.  Every declared name
+(generator, basis vector, module coordinate, expression) must match the
+parser's identifier rule ``parser._NAME``, and the reserved words of
+``parser._CONSTANTS`` ('i', 'hbar') name no generator, basis vector or module
+coordinate.  Ghost coordinates of a
 Lie model are named c1..cm and every field gets an antifield named by
-suffixing 'p', so a module coordinate may take neither form.  An entry given
-twice (a [lie] basis or module line, a bracket pair in either order, a rep
-entry, a generator name) is refused at its second line.  All diagnostics
+suffixing 'p', so a module coordinate may take neither form.  Anything given
+twice (a section header, a [lie] basis or module line, a bracket pair in
+either order, a rep entry, a generator name, an expression name) is refused
+at its second line by ``_claim``, which names the first.  All diagnostics
 carry the offending line number, except the pairing errors that BVSpace
 raises for [generators]; a refusal about a section with no entries names the
 line of its header.  ``load_model`` reads UTF-8, with or without a leading
@@ -25,7 +30,7 @@ byte-order mark.
 from __future__ import annotations
 
 from .bv import BVSpace
-from .parser import ParseError, parse_expression
+from .parser import _CONSTANTS, _NAME, ParseError, parse_expression
 from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, PLAIN, Poly,
                            _Record)
 
@@ -71,7 +76,7 @@ def load_model(path: str) -> Model:
 
 def parse_model(text: str, path: str = "<string>") -> Model:
     sections: dict[str, list] = {}
-    headers: dict[str, int] = {}
+    headers: dict[str, tuple] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # entries keep their indentation so that diagnostics give file columns
@@ -83,9 +88,8 @@ def parse_model(text: str, path: str = "<string>") -> Model:
             name = line[1:-1].strip()
             if name not in _SECTIONS:
                 raise ModelError(f"unknown section [{name}]", lineno)
-            if name in sections:
-                raise ModelError(f"duplicate section [{name}]", lineno)
-            current, headers[name] = sections.setdefault(name, []), lineno
+            _claim(headers, name, f"section [{name}]", lineno)
+            current = sections.setdefault(name, [])
             continue
         if current is None:
             raise ModelError("content before the first section header", lineno)
@@ -95,27 +99,25 @@ def parse_model(text: str, path: str = "<string>") -> Model:
         raise ModelError("a model needs exactly one of [lie] or [generators]")
 
     if "lie" in sections:
-        model, bvs, module_names = _build_lie(sections, headers["lie"])
+        model, bvs, module_names = _build_lie(sections, headers["lie"][0])
     else:
         for forbidden in ("brackets", "rep"):
             if forbidden in sections:
                 entries = sections[forbidden]
                 raise ModelError(f"[{forbidden}] requires a [lie] section",
-                                 entries[0][0] if entries else headers[forbidden])
-        model = None
-        module_names = ()
+                                 entries[0][0] if entries else headers[forbidden][0])
+        model, module_names = None, ()
         bvs = _build_generators(sections["generators"])
 
-    exprs = {}
+    exprs, seen = {}, {}
     for lineno, line in sections.get("exprs", []):
         name, _, src = line.partition("=")
         name, src = name.strip(), src.strip()
         if not name or not src:
             raise ModelError("expression lines look like 'name = expr'", lineno)
-        if not name.isidentifier():
+        if not _NAME.fullmatch(name):
             raise ModelError(f"bad expression name {name!r}", lineno)
-        if name in exprs:
-            raise ModelError(f"duplicate expression {name!r}", lineno)
+        _claim(seen, name, f"expression {name!r}", lineno)
         exprs[name] = _parse_rhs(line, lineno, bvs.ctx, f"expression {name!r}")
 
     return Model(path, bvs, model, module_names, exprs)
@@ -173,10 +175,10 @@ def _build_lie(sections, header: int):
     m, n = len(basis), len(module)
     for what, names, lineno in (("basis", basis, basis_line),
                                 ("module", module, module_line)):
-        if len(set(names)) != len(names) or not all(v.isidentifier() for v in names):
+        if len(set(names)) != len(names) or not all(map(_NAME.fullmatch, names)):
             raise ModelError(f"{what} names must be distinct identifiers", lineno)
         for name in names:
-            if name in ("i", "hbar"):
+            if name in _CONSTANTS:
                 raise ModelError(f"{name!r} is reserved in expressions", lineno)
     # the BV context adds ghosts c1..cm and an antifield <name>p per field
     generated = {f"c{k + 1}": f"ghost c{k + 1}" for k in range(m)}
@@ -254,7 +256,7 @@ def _build_generators(lines):
             raise ModelError("generator lines look like 'name parity role [field]'",
                              lineno)
         name, parity_text, role = parts[:3]
-        if not name.isidentifier() or name in ("i", "hbar"):
+        if not _NAME.fullmatch(name) or name in _CONSTANTS:
             raise ModelError(f"bad generator name {name!r}", lineno)
         _claim(seen, name, f"generator {name}", lineno)
         if parity_text not in ("even", "odd"):

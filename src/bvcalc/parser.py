@@ -6,8 +6,14 @@ Grammar (juxtaposition is not multiplication):
     term     := factor ('*' factor)*
     factor   := rational | 'i' | 'hbar' | ident | factor '^' uint | '(' expr ')'
     rational := int ('/' uint)?
+    ident    := [A-Za-z_][A-Za-z_0-9]*
 
-Identifiers must be declared generators.  An odd generator raised to a power
+This module is the one home of the input's lexical rules: ``_NAME`` is the
+identifier pattern, which the model reader also applies to every name a
+model file declares, and ``_CONSTANTS`` maps the reserved words 'i' and
+'hbar' to their scalars.  Other identifiers must be declared generators;
+on an empty Context the grammar reads constant expressions, as the CLI's
+``--point`` values are read.  An odd generator raised to a power
 of two or more yields zero, with an ``OddPowerWarning`` that names the line
 and column of its '^'.  Parentheses nest at most ``MAX_NESTING`` deep;
 deeper input is a ParseError at the offending '('.
@@ -68,7 +74,12 @@ MAX_PRODUCT_WORK = 200_000
 # the bound does not depend on the interpreter or its settings.
 MAX_LITERAL_DIGITS = 4300
 
-_TOKEN = re.compile(r"(?P<num>\d+)|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])"
+# the identifier rule of expressions and of every name a model file declares,
+# and the reserved words, which read as constants
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_CONSTANTS = {"i": Scalar.i, "hbar": Scalar.hbar}
+
+_TOKEN = re.compile(rf"(?P<num>\d+)|(?P<ident>{_NAME.pattern})|(?P<op>[-+*/^()])"
                     r"|\s+|(?P<bad>\S)")
 
 
@@ -206,10 +217,8 @@ class _Parser:
                 self.error("expected a number after '-'", num)
             return self._rational(-self._int(num))
         if kind == "ident":
-            if text == "i":
-                return self.ctx.scalar(Scalar.i())
-            if text == "hbar":
-                return self.ctx.scalar(Scalar.hbar())
+            if text in _CONSTANTS:
+                return self.ctx.scalar(_CONSTANTS[text]())
             try:
                 return self.ctx.gen(text)
             except ValueError:

@@ -435,11 +435,16 @@ class TestPreconditions:
          "odd generator present in a Gaussian moment"),
         (["gauge-exp", "--p", "PW", "--gauge", "F1"], "w is not an even field"),
         (["onshell", "--point", "x=1,x=2"], "coordinate x is given twice in the point"),
+        # a point value is a constant expression of the grammar, not a float
+        (["onshell", "--point", "x=0.5"], "bad rational '0.5' in point"),
+        (["onshell", "--point", "x=1e1000000"], "bad rational '1e1000000' in point"),
     ])
     def test_refused(self, args, message, tmp_path, capsys):
         model = tmp_path / "plain.model"
         model.write_text(self.MODEL)
+        start = time.perf_counter()
         code, out = run(capsys, args[0], model, *args[1:])
+        assert time.perf_counter() - start < 1
         assert code == 2
         assert f"status: refused\nerror: {message}\n" in out
 
@@ -515,6 +520,12 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
     ("[generators]\nx even\n", ["master"],
      "generator lines look like 'name parity role [field]' (line 2)"),
     ("[generators]\n1x even field\n", ["master"], "bad generator name '1x' (line 2)"),
+    # a name the expression tokenizer cannot read is refused where it is declared
+    ("[generators]\nξ even field\n", ["master"], "bad generator name 'ξ' (line 2)"),
+    ("[lie]\nbasis = a ξ\n", ["check-lie"],
+     "basis names must be distinct identifiers (line 2)"),
+    ("[lie]\nbasis = a\nmodule = v ξ\n", ["check-lie"],
+     "module names must be distinct identifiers (line 3)"),
     ("[generators]\nx evn field\n", ["master"],
      "parity must be 'even' or 'odd', not 'evn' (line 2)"),
     ("[generators]\nx even ghost\n", ["master"],
@@ -528,8 +539,9 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
     (GENERATORS + "[exprs]\nS x^2\n", ["master"],
      "expression lines look like 'name = expr' (line 5)"),
     (GENERATORS + "[exprs]\n2S = x^2\n", ["master"], "bad expression name '2S' (line 5)"),
+    (GENERATORS + "[exprs]\nξ = x^2\n", ["master"], "bad expression name 'ξ' (line 5)"),
     (GENERATORS + "[exprs]\nS = x^2\nS = x\n", ["master"],
-     "duplicate expression 'S' (line 6)"),
+     "expression 'S' is given twice, first at line 5 (line 6)"),
     ("[lie]\nmodule = v\n", ["check-lie"], "[lie] needs a 'basis = name...' line (line 2)"),
     # a section with no entries is named by its header's line
     (GENERATORS + "[rep]\n", ["master"], "[rep] requires a [lie] section (line 4)"),
@@ -539,7 +551,8 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
      "[lie] needs a 'basis = name...' line (line 2)"),
     (LIE + "[rep]\nb.v = v\n", ["check-rep"], "unknown basis vector 'b' (line 5)"),
     (LIE + "[rep]\na.w = v\n", ["check-rep"], "unknown module coordinate 'w' (line 5)"),
-    (GENERATORS + "[exprs]\n\n[exprs]\n", ["master"], "duplicate section [exprs] (line 6)"),
+    (GENERATORS + "[exprs]\n\n[exprs]\n", ["master"],
+     "section [exprs] is given twice, first at line 4 (line 6)"),
     ("[exprs]\nS = 1\n", ["master"], "a model needs exactly one of [lie] or [generators]"),
     ("[lie]\nbasis = a\nx = a\n", ["check-lie"], "unknown [lie] entry 'x' (line 3)"),
     ("[lie]\nbasis = a b\n[brackets]\n[a] = b\n", ["check-lie"],
@@ -559,9 +572,11 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
      "bad rational '1/0' in point"),
     (GENERATORS + "[exprs]\nP = 1\n", ["gauge-exp", "--p", "P"],
      "give at least one --gauge expression name"),
-], ids=["generator-word-count", "generator-name", "generator-parity", "generator-role",
-        "antifield-without-field", "generator-trailing-word", "brackets-without-lie",
-        "rep-without-lie", "expr-without-equals", "expr-name", "expr-repeated",
+], ids=["generator-word-count", "generator-name", "generator-name-non-ascii",
+        "basis-name-non-ascii", "module-name-non-ascii", "generator-parity",
+        "generator-role", "antifield-without-field", "generator-trailing-word",
+        "brackets-without-lie", "rep-without-lie", "expr-without-equals", "expr-name",
+        "expr-name-non-ascii", "expr-repeated",
         "lie-without-basis", "empty-rep-without-lie", "empty-brackets-without-lie",
         "empty-lie", "rep-unknown-vector", "rep-unknown-coordinate", "section-repeated",
         "neither-lie-nor-generators", "lie-unknown-entry", "bracket-without-comma",
@@ -571,7 +586,7 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
         "gauge-exp-without-gauge"])
 def test_refusal_names_its_cause(text, args, message, tmp_path, capsys):
     model = tmp_path / "refused.model"
-    model.write_text(text)
+    model.write_text(text, encoding="utf-8")
     code, out = run(capsys, args[0], model, *args[1:])
     assert code == 2
     assert out == (f"command: {args[0]}\nmodel: {model}\nstatus: refused\n"
@@ -673,6 +688,11 @@ class TestCommands:
                         "--point", "x=1")
         assert code == 1
         assert "not critical" in out
+        # a point value is a constant expression, reported as its rational
+        code, out = run(capsys, "onshell", MODELS / "gauge11.model",
+                        "--point", "x=(1/2)^2")
+        assert code == 1
+        assert "point x=1/4: not critical: d/dx = 1/2\n" in out
 
     def test_omega_square_generator_model(self, capsys):
         code, out = run(capsys, "omega-square", MODELS / "gauge11.model",

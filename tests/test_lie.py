@@ -1,11 +1,12 @@
+import collections.abc
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from bvcalc import (LieModel, NotACochainComplex, brst_lie, brst_rep,
-                    ce_cohomology_dims, ce_matrices, ghost_context, jacobi_check,
-                    rep_check, rep_context, trace_condition)
+from bvcalc import (EVEN, Generator, LieModel, NotACochainComplex, brst_lie,
+                    brst_rep, ce_cohomology_dims, ce_matrices, ghost_context,
+                    jacobi_check, rep_check, rep_context, trace_condition)
 from bvcalc import _eigenbasis, lie
 from bvcalc._eigenbasis import rewrite
 from bvcalc.lie import _ad_traces, _ce_basis, _exponents, _weight_zero_bases
@@ -113,6 +114,14 @@ class TestBuild:
     def test_self_bracket_rejected(self):
         with pytest.raises(ValueError, match="itself"):
             LieModel.build(2, {(0, 1, 1): 1})
+
+    def test_declares_no_hash(self):
+        # f and rho are dicts, so the record must not claim a hash of its fields
+        model = LieModel.build(2, {(1, 0, 1): 1})
+        assert not isinstance(model, collections.abc.Hashable)
+        with pytest.raises(TypeError, match="'LieModel'"):
+            hash(model)
+        assert hash(Generator("x", EVEN)) == hash(Generator("x", EVEN))
 
     @pytest.mark.parametrize("build", [lambda: gl(3), lambda: sl(3),
                                        lambda: change_basis(gl(3), [(0, 4, 1), (3, 1, -1)]),
