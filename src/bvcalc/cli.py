@@ -10,7 +10,8 @@ refusal; a precondition the library checks itself, such as d^2 = 0 for
 ce-cohomology, is raised as its own exception type and refused.
 A ``--point`` value is a constant expression of the parser's grammar
 (``-1/2``, ``(1/2)^2``), bounded as a model's expressions are; one that does
-not read as a plain rational is refused as a bad rational.
+not read as a plain rational, or passes those bounds, is refused as a bad
+rational.
 Reports are deterministic for a fixed (model, flags, seed) triple.
 """
 
@@ -356,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # exact answers may have coefficients past the interpreter's str(int)
-    # digit limit; parser.MAX_LITERAL_DIGITS bounds the input literals instead
+    # digit limit; parser.MAX_LITERAL_DIGITS bounds the input numbers instead
     lift = hasattr(sys, "set_int_max_str_digits")
     if lift:
         saved = sys.get_int_max_str_digits()

@@ -28,7 +28,10 @@ so it is the term count when every coefficient carries one power, and it
 also counts the hbar polynomials that ``(1+hbar)^n`` builds.  The '*' or
 '^' whose product would pass the budget is a ParseError at its column.
 A number literal has at most ``MAX_LITERAL_DIGITS`` digits; a longer one is
-a ParseError at the literal's column.
+a ParseError at the literal's column.  Every numerator and denominator of
+the coefficients that a '+', '-', '*' or step of '^' builds has the same
+bound; the operator whose result passes it is a ParseError at its column.
+Numbers are ASCII digits, as names are ASCII letters, digits and '_'.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import re
 import warnings
 from fractions import Fraction
 
-from .scalars import Scalar
+from .scalars import Scalar, height
 from .superalgebra import Context, Poly
 
 
@@ -74,12 +77,15 @@ MAX_PRODUCT_WORK = 200_000
 # the bound does not depend on the interpreter or its settings.
 MAX_LITERAL_DIGITS = 4300
 
+# a numerator or denominator this large or larger has more digits than that
+_DIGIT_BOUND = 10 ** MAX_LITERAL_DIGITS
+
 # the identifier rule of expressions and of every name a model file declares,
 # and the reserved words, which read as constants
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _CONSTANTS = {"i": Scalar.i, "hbar": Scalar.hbar}
 
-_TOKEN = re.compile(rf"(?P<num>\d+)|(?P<ident>{_NAME.pattern})|(?P<op>[-+*/^()])"
+_TOKEN = re.compile(rf"(?P<num>[0-9]+)|(?P<ident>{_NAME.pattern})|(?P<op>[-+*/^()])"
                     r"|\s+|(?P<bad>\S)")
 
 
@@ -128,9 +134,10 @@ class _Parser:
         while True:
             kind, text, _ = self.peek()
             if kind == "op" and text in "+-":
-                self.advance()
+                op = self.advance()
                 rhs = self.term()
-                value = value + rhs if text == "+" else value - rhs
+                value, what = (value + rhs, "sum") if text == "+" else (value - rhs, "difference")
+                value = self._bounded(value, what, op)
             else:
                 return value
 
@@ -141,8 +148,7 @@ class _Parser:
             if kind == "op" and text == "*":
                 star = self.advance()
                 rhs = self.factor()
-                self._charge(_size(value) * _size(rhs), "product", star)
-                value = value * rhs
+                value = self._product(value, rhs, "product", star)
             elif kind in ("num", "ident") or (kind == "op" and text == "("):
                 self.error("juxtaposition is not multiplication; use '*'")
             else:
@@ -175,18 +181,24 @@ class _Parser:
                               f"(line {self.line}, column {caret[2]})", OddPowerWarning)
                 return self.ctx.zero()
         out = base
-        base_size = _size(base)
         for _ in range(n - 1):
-            self._charge(_size(out) * base_size, "power", caret)
-            out = out * base
+            out = self._product(out, base, "power", caret)
         return out
 
-    def _charge(self, work: int, what: str, tok):
-        """Draw work term products, weighted by hbar powers, from the
-        expression's budget."""
-        self.work += work
+    def _product(self, left: Poly, right: Poly, what: str, tok) -> Poly:
+        """left * right, its term products (weighted by hbar powers) drawn
+        from the expression's budget before it is formed."""
+        self.work += _size(left) * _size(right)
         if self.work > MAX_PRODUCT_WORK:
             self.error(f"{what} needs more than {MAX_PRODUCT_WORK} term products", tok)
+        return self._bounded(left * right, what, tok)
+
+    def _bounded(self, value: Poly, what: str, tok) -> Poly:
+        """value, unless a numerator or denominator of its coefficients has
+        more than MAX_LITERAL_DIGITS digits."""
+        if height(value.terms.values()) >= _DIGIT_BOUND:
+            self.error(f"{what} has a coefficient of more than {MAX_LITERAL_DIGITS} digits", tok)
+        return value
 
     def _int(self, tok) -> int:
         # counted before int(), whose time grows with the square of the digits

@@ -18,6 +18,7 @@ TypeError, never a silent conversion.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 
@@ -237,6 +238,13 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def height(scalars) -> int:
+    """The largest |re|, |im| or den stored for any of the scalars (0 when
+    all are zero): no numerator or denominator of their values is larger."""
+    triples = chain.from_iterable(s._terms.values() for s in scalars)
+    return max(map(abs, chain.from_iterable(triples)), default=0)
 
 
 _new = object.__new__

@@ -331,12 +331,13 @@ class TestHostileInput:
                             f"number literal too long (5000 digits) (line 5, column {col})")
 
     def test_answer_past_int_digit_limit_is_reported(self, tmp_path, capsys):
-        # the x-derivative at x=1 is 2*10^5000, past str(int)'s default limit
+        # the x-derivative at x=10^1000 is 2*10^5000, past str(int)'s default
+        # limit, though no coefficient or point value passes 4300 digits
         model = tmp_path / "wide.model"
         model.write_text("[generators]\nx even field\nxp odd antifield x\n[exprs]\n"
-                         "S = (10^1000)^5*x^2\n")
+                         "S = (10^1000)^4*x^2\n")
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-        code, out = run(capsys, "onshell", model, "--action", "S", "--point", "x=1")
+        code, out = run(capsys, "onshell", model, "--action", "S", "--point", "x=10^1000")
         assert code == 1
         assert "status: fail" in out
         assert f"d/dx = 2{'0' * 5000}\n" in out
@@ -438,6 +439,8 @@ class TestPreconditions:
         # a point value is a constant expression of the grammar, not a float
         (["onshell", "--point", "x=0.5"], "bad rational '0.5' in point"),
         (["onshell", "--point", "x=1e1000000"], "bad rational '1e1000000' in point"),
+        # the same 10^1000000 in the grammar passes its coefficient digit bound
+        (["onshell", "--point", "x=10^1000^1000"], "bad rational '10^1000^1000' in point"),
     ])
     def test_refused(self, args, message, tmp_path, capsys):
         model = tmp_path / "plain.model"
@@ -542,6 +545,8 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
     (GENERATORS + "[exprs]\nξ = x^2\n", ["master"], "bad expression name 'ξ' (line 5)"),
     (GENERATORS + "[exprs]\nS = x^2\nS = x\n", ["master"],
      "expression 'S' is given twice, first at line 5 (line 6)"),
+    (GENERATORS + "[exprs]\nS = 10^1000^1000*x\n", ["master"],
+     "in expression 'S': power has a coefficient of more than 4300 digits (line 5, column 12)"),
     ("[lie]\nmodule = v\n", ["check-lie"], "[lie] needs a 'basis = name...' line (line 2)"),
     # a section with no entries is named by its header's line
     (GENERATORS + "[rep]\n", ["master"], "[rep] requires a [lie] section (line 4)"),
@@ -576,7 +581,7 @@ LIE = "[lie]\nbasis = a\nmodule = v\n"
         "basis-name-non-ascii", "module-name-non-ascii", "generator-parity",
         "generator-role", "antifield-without-field", "generator-trailing-word",
         "brackets-without-lie", "rep-without-lie", "expr-without-equals", "expr-name",
-        "expr-name-non-ascii", "expr-repeated",
+        "expr-name-non-ascii", "expr-repeated", "expr-coefficient-digits",
         "lie-without-basis", "empty-rep-without-lie", "empty-brackets-without-lie",
         "empty-lie", "rep-unknown-vector", "rep-unknown-coordinate", "section-repeated",
         "neither-lie-nor-generators", "lie-unknown-entry", "bracket-without-comma",

@@ -9,10 +9,10 @@ fails the test; a sheared [lie] model with eigenvalues 10^30, which takes
 the eigenbasis route of ``ce_cohomology_dims``, is one of the examples.
 
 The term products of '*' and '^' are budgeted, weighted by the hbar powers
-of each coefficient, but not the digits of a coefficient, so literals here
-have at most 40 digits or are past ``MAX_LITERAL_DIGITS`` (refused),
-exponents past 3 sit only on bases whose coefficients stay small, and no
-base mixes hbar powers under them."""
+of each coefficient but not by its digits (``MAX_LITERAL_DIGITS`` bounds
+those, not their cost), so literals here have at most 40 digits or are
+past ``MAX_LITERAL_DIGITS`` (refused), exponents past 3 sit only on bases
+whose coefficients stay small, and no base mixes hbar powers under them."""
 
 import contextlib
 import io

@@ -80,6 +80,7 @@ class TestGrammar:
         ("x +\u00a0$", "$", 5),           # after a no-break space
         ("x\u3000\u2003+ y?", "?", 7),    # after ideographic and em spaces
         ("\u2028\u00e9", "\u00e9", 2),    # a letter outside [A-Za-z_]
+        ("\u2003\u0663", "\u0663", 2),    # a digit outside [0-9]
     ])
     def test_bad_character_after_unicode_whitespace(self, ctx, src, char, col):
         with pytest.raises(ParseError) as err:
@@ -196,6 +197,23 @@ class TestGrammar:
         for src, col in ((f"{wider}*x", 1), (f"x + 1/{wider}", 7), ("x - " + "0" * 5000, 5)):
             with pytest.raises(ParseError, match="number literal too long") as err:
                 parse_expression(src, ctx, line=3)
+            assert (err.value.line, err.value.col) == (3, col)
+        # a coefficient the grammar builds has the same bound, on its
+        # numerator and its denominator, at the operator that passes it
+        assert parse_expression("(10^1000)^4*10^299", ctx) == ctx.scalar(10 ** 4299)
+        assert parse_expression("((1/10)^1000)^4*(1/10)^299", ctx) == \
+            ctx.scalar(Fraction(1, 10 ** 4299))
+        nines = "9" * 2151
+        for src, what, col in (("10^1000^1000", "power", 8),
+                               ("(10^1000)^4*10^300", "product", 12),
+                               ("x*((1/10)^1000)^4*(1/10)^300", "product", 18),
+                               (f"1/{nines} + 1/{nines[:-1]}8", "sum", 2155),
+                               (f"x - 1/{nines} - 1/{nines[:-1]}8", "difference", 2159)):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match=f"{what} has a coefficient of more than "
+                                                 f"{MAX_LITERAL_DIGITS} digits") as err:
+                parse_expression(src, ctx, line=3)
+            assert time.perf_counter() - start < 1
             assert (err.value.line, err.value.col) == (3, col)
 
 
