@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
 
-from .lie import LieModel
+from .lie import LieModel, _rational
 
 
 def _trace(a, b):
@@ -138,7 +138,7 @@ def _actions(table: dict, acting_first: bool) -> dict:
     out = {}
     for (i, j, k), x in table.items():
         c, d = (j, k) if acting_first else (k, j)
-        out.setdefault(c, []).append((i, d, x.numerator if x.denominator == 1 else x))
+        out.setdefault(c, []).append((i, d, _rational(x)))
     return out
 
 

@@ -6,8 +6,10 @@ error (an exception no handler expects; one line on stderr, no traceback).
 A warning, such as an odd generator squared, is one "warning:" line on stderr.
 Preconditions on the input are checked before the computation they guard,
 so a ValueError raised inside a computation is an internal error, not a
-refusal; a precondition the library checks itself, such as d^2 = 0 for
-ce-cohomology, is raised as its own exception type and refused.
+refusal.  Every library ValueError on the input becomes a refusal through
+one helper, ``_checked``, whose optional prefix names the input at fault
+(``gauge 'F1': ...``); a precondition the library checks itself, such as
+d^2 = 0 for ce-cohomology, is raised as its own exception type and refused.
 A ``--point`` value is a constant expression of the parser's grammar
 (``-1/2``, ``(1/2)^2``), bounded as a model's expressions are; one that does
 not read as a plain rational, or passes those bounds, is refused as a bad
@@ -55,12 +57,13 @@ class Refusal(Exception):
         self.details = list(details)
 
 
-def _checked(check, *args):
-    """Run a library check of the input; its ValueError is a refusal."""
+def _checked(check, *args, prefix: str = ""):
+    """Run a library check of the input; its ValueError is a refusal, its
+    message led by ``prefix``."""
     try:
         return check(*args)
     except ValueError as exc:
-        raise Refusal(str(exc)) from None
+        raise Refusal(prefix + str(exc)) from None
 
 
 def _require_count(name: str, value: int, most: int) -> None:
@@ -73,6 +76,20 @@ def _require_count(name: str, value: int, most: int) -> None:
 def _label(kind: str, indices) -> str:
     """'triple (1,2,3)': 1-based indices, as check-lie and check-rep number them."""
     return f"{kind} (" + ",".join(str(i + 1) for i in indices) + ")"
+
+
+def _bracketed(residual) -> str:
+    """'[a, b]' for a residual vector, '[[a, b]; [c, d]]' for one of rows."""
+    if isinstance(residual[0], tuple):
+        return "[" + "; ".join(map(_bracketed, residual)) + "]"
+    return "[" + ", ".join(map(str, residual)) + "]"
+
+
+def _violation_report(kind: str, violations):
+    """check-lie's and check-rep's report: the count, then each violation."""
+    details = [("violations", len(violations))]
+    details += [(_label(kind, indices), _bracketed(residual)) for indices, residual in violations]
+    return PASS if not violations else FAIL, details
 
 
 def _require_lie(model: Model):
@@ -125,12 +142,7 @@ def _parse_point(text: str) -> dict:
 
 def _cmd_check_lie(model: Model, args):
     from . import lie
-    violations = lie.jacobi_check(_require_lie(model))
-    details = [("violations", len(violations))]
-    for triple, residual in violations:
-        vec = "[" + ", ".join(str(x) for x in residual) + "]"
-        details.append((_label("triple", triple), vec))
-    return PASS if not violations else FAIL, details
+    return _violation_report("triple", lie.jacobi_check(_require_lie(model)))
 
 
 def _cmd_check_rep(model: Model, args):
@@ -138,13 +150,7 @@ def _cmd_check_rep(model: Model, args):
     lm = _require_lie(model)
     if not lm.module_dim:
         raise Refusal("model has no module, nothing to check")
-    violations = lie.rep_check(lm)
-    details = [("violations", len(violations))]
-    for pair, residual in violations:
-        rows = "[" + "; ".join("[" + ", ".join(str(x) for x in row) + "]"
-                               for row in residual.rows) + "]"
-        details.append((_label("pair", pair), rows))
-    return PASS if not violations else FAIL, details
+    return _violation_report("pair", lie.rep_check(lm))
 
 
 def _cmd_brst(model: Model, args):
@@ -271,16 +277,11 @@ def _cmd_gauge_exp(model: Model, args):
     bvs = model.bvs
     p = model.expr(args.p)
     t = model.expr(args.t) if args.t else gauge.standard_damping(bvs)
-    try:
-        element = gauge.ExpElement(bvs, [(p, t)])
-    except ValueError as exc:     # only a --t exponent can fail its checks
-        raise Refusal(f"exponent {args.t!r}: {exc}") from None
-    fermions = []
-    for name in args.gauge:
-        try:
-            fermions.append(gauge.GaugeFermion(bvs, model.expr(name)))
-        except ValueError as exc:     # the constructor only checks its input
-            raise Refusal(f"gauge {name!r}: {exc}") from None
+    # only a --t exponent can fail the element's checks
+    element = _checked(gauge.ExpElement, bvs, [(p, t)], prefix=f"exponent {args.t!r}: ")
+    # a missing name is refused under the gauge's name, as the constructor's checks are
+    fermions = [_checked(lambda: gauge.GaugeFermion(bvs, model.expr(name)),
+                         prefix=f"gauge {name!r}: ") for name in args.gauge]
     if not fermions:
         raise Refusal("give at least one --gauge expression name")
     try:

@@ -32,7 +32,7 @@ from operator import add, and_, mul
 
 from .bv import BVSpace, _bracket_into, _half_self_bracket_into
 from .scalars import Scalar
-from .superalgebra import (EVEN, FIELD, ODD, Poly, _derivs, _merge_sign, _mul_into,
+from .superalgebra import (EVEN, FIELD, ODD, Poly, _Record, _derivs, _merge_sign, _mul_into,
                            _odd_product, _poly, _split, _substitute, _substitution)
 
 
@@ -404,13 +404,6 @@ def exact_boundary_integrals(element: ExpElement, fermions):
     return GaugeReport(values, all(v.is_zero for _, v in values))
 
 
-class GaugeReport:
-    __slots__ = ("values", "all_equal")
-
+class GaugeReport(_Record):
     def __init__(self, values, all_equal):
-        self.values = values
-        self.all_equal = all_equal
-
-    def __repr__(self):
-        vals = ", ".join(str(v) for _, v in self.values)
-        return f"GaugeReport([{vals}], all_equal={self.all_equal})"
+        vars(self).update(values=values, all_equal=all_equal)

@@ -24,6 +24,8 @@ share.  One reader, ``_violations``, takes the residual of the generators
 of module degree p (Jacobi at p = 0, the representation property at p = 1)
 off D^2(g) = sum c D(m) over the terms c m of D(g), from per-monomial images
 built once per call: the ghost-degree-2 ones at p = 0, the degree-1 at p = 1.
+A residual is a list of ``Fraction`` for ``jacobi_check`` and a tuple of
+row tuples of ``Fraction`` for ``rep_check``; no matrix type is involved.
 No i or hbar can arise, so no ``Scalar`` is involved; only ``brst_rep``
 wraps the table as Polys (``brst_lie`` is that of the module-free model).
 
@@ -201,9 +203,7 @@ def _image(images: dict, slots, key):
 def _take(images: dict, slots, key):
     """``_image``, which ``images`` no longer holds afterwards: the ranking
     is the last use of an image, and it keeps only its own rows."""
-    image = _image(images, slots, key)
-    del images[key]
-    return image
+    return images.pop(key) if key in images else _apply_into({}, slots, {key: 1})
 
 
 def _violations(table, p: int, images: dict):
@@ -211,14 +211,15 @@ def _violations(table, p: int, images: dict):
     differential fails to vanish on the generators of module degree p, in
     ``combinations`` order: entry i is the c^j c^k c^m coefficient of D^2(c^i)
     at p = 0 (Jacobi), entry (a, b) the v^b c^j c^k one of D^2(v^a) at p = 1.
+    A residual is a list of ``Fraction`` at p = 0 and a tuple of row tuples
+    of ``Fraction`` at p = 1.
 
     D^2(g) is the sum of c D(m) over the terms c m of D(g), each D(m) taken
     by ``_image`` from ``images``, a monomial -> image dict that the caller
     may share with the cochain images it ranks.
     """
     even, odd, slots = table
-    n = len(even)
-    keys = _exponents(n, p)
+    keys = _exponents(len(even), p)
     squares = []
     for img in (odd, even)[p]:
         square = {}
@@ -231,8 +232,8 @@ def _violations(table, p: int, images: dict):
     masks = {mask for sq in squares for (_, mask), c in sq.items() if c}
     out = []
     for bits, mask in sorted((_mask_bits(mask), mask) for mask in masks):
-        rows = [[sq.get((key, mask), 0) for key in keys] for sq in squares]
-        out.append((tuple(bits), ExactMatrix(rows, n) if p else [Fraction(c) for c, in rows]))
+        rows = [tuple(Fraction(sq.get((key, mask), 0)) for key in keys) for sq in squares]
+        out.append((tuple(bits), tuple(rows) if p else [c for c, in rows]))
     return out
 
 
@@ -249,8 +250,9 @@ def jacobi_check(model: LieModel):
 def rep_check(model: LieModel):
     """Violations of rho([g_j, g_k]) = rho(g_j) rho(g_k) - rho(g_k) rho(g_j).
 
-    Entry (a, b) of the residual for the pair (j, k) is the v^b c^j c^k
-    coefficient of D^2(v^a) for D = brst_rep(model).
+    Each residual is a tuple of row tuples of ``Fraction``: entry (a, b) of
+    the residual for the pair (j, k) is the v^b c^j c^k coefficient of
+    D^2(v^a) for D = brst_rep(model).
     """
     return _violations(_brst_table(model), 1, {})
 

@@ -5,6 +5,10 @@ Rank has one route, ``pivot_leads``: each vector is a sparse map
 reduced into an echelon form keyed by their lead column; the rank is the
 number of leads.  Every intermediate row is divided by the gcd of its
 entries, so no floating point and no fraction blow-up is involved.
+
+``ExactMatrix`` is the dense matrix of ``lie.ce_matrices`` and serves
+nothing else in the package; the residuals of ``lie.rep_check`` are tuples
+of row tuples.
 """
 
 from __future__ import annotations

@@ -246,12 +246,7 @@ def _target_slot(target, name: str, parity: int) -> int:
 
 
 def _mask_bits(mask: int):
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return bits
+    return [s for s in range(mask.bit_length()) if mask >> s & 1]
 
 
 def _merge_sign(a: int, b: int):
@@ -418,12 +413,7 @@ class Poly:
         return _poly(self.ctx, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        get = terms.get
-        for mono, c in self._coerce(other).terms.items():
-            prev = get(mono)
-            terms[mono] = -c if prev is None else prev + -c
-        return Poly(self.ctx, terms)
+        return self + -other
 
     def __rsub__(self, other):
         return self._coerce(other) - self

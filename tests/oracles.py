@@ -235,7 +235,8 @@ def jacobi_triple_loop(model):
 
 
 def rep_commutator_check(model):
-    """Violations of rho([g_j, g_k]) = rho(g_j) rho(g_k) - rho(g_k) rho(g_j)."""
+    """Violations of rho([g_j, g_k]) = rho(g_j) rho(g_k) - rho(g_k) rho(g_j),
+    each residual a tuple of row tuples of ``Fraction``."""
     out = []
     n, m = model.module_dim, model.dim
     mats = [action_matrix(model, k) for k in range(m)]
@@ -247,7 +248,7 @@ def rep_commutator_check(model):
         residual = [[lhs[a][b] - comm_jk.rows[a][b] + comm_kj.rows[a][b]
                      for b in range(n)] for a in range(n)]
         if any(any(row) for row in residual):
-            out.append(((j, k), ExactMatrix(residual, n)))
+            out.append(((j, k), tuple(map(tuple, residual))))
     return out
 
 
@@ -276,8 +277,8 @@ def violations_square(table, check: str):
     masks = {mask for sq in squares for (_, mask), c in sq.items() if c}
     out = []
     for bits, mask in sorted((_mask_bits(mask), mask) for mask in masks):
-        rows = [[sq.get((key, mask), 0) for key in keys] for sq in squares]
-        out.append((tuple(bits), [Fraction(c) for c, in rows] if jacobi else ExactMatrix(rows, n)))
+        rows = [tuple(Fraction(sq.get((key, mask), 0)) for key in keys) for sq in squares]
+        out.append((tuple(bits), [c for c, in rows] if jacobi else tuple(rows)))
     return out
 
 

@@ -435,6 +435,13 @@ class TestPreconditions:
         (["gauge-exp", "--p", "PZ", "--gauge", "F1"],
          "odd generator present in a Gaussian moment"),
         (["gauge-exp", "--p", "PW", "--gauge", "F1"], "w is not an even field"),
+        # each --gauge name is read and checked under its own name
+        (["gauge-exp", "--p", "F1", "--gauge", "NOPE"],
+         "gauge 'NOPE': model has no expression named 'NOPE'"),
+        (["gauge-exp", "--p", "F1", "--gauge", "MIX"],
+         "gauge 'MIX': polynomial is not parity-homogeneous"),
+        (["gauge-exp", "--p", "F1", "--gauge", "S"],
+         "gauge 'S': gauge fermion depends on antifields"),
         (["onshell", "--point", "x=1,x=2"], "coordinate x is given twice in the point"),
         # a point value is a constant expression of the grammar, not a float
         (["onshell", "--point", "x=0.5"], "bad rational '0.5' in point"),
