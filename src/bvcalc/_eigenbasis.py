@@ -10,24 +10,27 @@ All arithmetic is on integers: ad h and the action are scaled by the lcm of
 their denominators.  The characteristic polynomial comes from Newton's
 identities on the traces of powers, its integer roots from Newton's method
 run down from sqrt(tr B^2), a bound on every eigenvalue when all are real,
-and each eigenspace from fraction-free Gauss-Jordan elimination, one
-primitive integer kernel vector per free column.  Such a vector u has an
-entry s at its free column c, and every other vector of its eigenspace is 0
-there, so a vector x of that eigenspace has coordinate x_c / s along u.  As
-ad h is a derivation of the bracket and of the action, [u_j, u_k] lies in
-the eigenspace of lambda_j + lambda_k and u_k . w_b in that of
-lambda_k + mu_b, so each new structure constant is one such coordinate and
-no inverse matrix is formed.  That needs the Jacobi identity and, at p = 1,
-the representation property, which the caller's guard has checked.
+and each eigenspace from ``linalg.kernel`` on the sparse rows of B - lambda,
+the elimination that ranks the complex: one primitive integer vector per
+free column, that is per column that is not a pivot lead.  Such a vector u
+has an entry s at its free column c, and every other vector of its
+eigenspace is 0 there, so a vector x of that eigenspace has coordinate
+x_c / s along u.  As ad h is a derivation of the bracket and of the action,
+[u_j, u_k] lies in the eigenspace of lambda_j + lambda_k and u_k . w_b in
+that of lambda_k + mu_b, so each new structure constant is one such
+coordinate and no inverse matrix is formed.  That needs the Jacobi
+identity and, at p = 1, the representation property, which the caller's
+guard has checked.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 
 from .lie import LieModel, _rational
+from .linalg import kernel
 
 
 def _trace(a, b):
@@ -82,49 +85,19 @@ def _integer_roots(coeffs: list) -> list:
     return roots
 
 
-def _eliminate(row, pivot, col):
-    """row with its entry at col cleared by pivot, divided by its gcd."""
-    if not row[col]:
-        return row
-    row = [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)]
-    g = gcd(*row) or 1
-    return [x // g for x in row]
-
-
-def _kernel(b, value: int) -> list:
-    """[(free column, primitive integer vector)] spanning the kernel of
-    b - value, one per free column of its Gauss-Jordan form."""
-    n = len(b)
-    rest = [[x - value * (i == j) for j, x in enumerate(row)] for i, row in enumerate(b)]
-    pivots = []
-    for col in range(n):
-        pivot = next((row for row in rest if row[col]), None)
-        if pivot is not None:
-            rest = [_eliminate(row, pivot, col) for row in rest if row is not pivot]
-            pivots = [(c, _eliminate(row, pivot, col)) for c, row in pivots] + [(col, pivot)]
-    scale = lcm(*(row[c] for c, row in pivots))
-    out = []
-    for free in sorted(set(range(n)) - {c for c, _ in pivots}):
-        vec = [0] * n
-        vec[free] = scale
-        for c, row in pivots:
-            vec[c] = -row[free] * scale // row[c]
-        g = gcd(*vec)
-        out.append((free, [x // g for x in vec]))
-    return out
-
-
 def _eigenbasis(b):
-    """[(eigenvalue, free column, vector)] for a basis of eigenvectors of the
-    integer matrix b, or None if b is not diagonalizable over Q: its
-    characteristic polynomial has fewer integer roots than its degree, or an
-    eigenspace is smaller than its root's multiplicity."""
+    """[(eigenvalue, free column, sparse vector {column: int})] for a basis
+    of eigenvectors of the integer matrix b, or None if b is not
+    diagonalizable over Q: its characteristic polynomial has fewer integer
+    roots than its degree, or an eigenspace is smaller than its root's
+    multiplicity."""
     roots = _integer_roots(_charpoly(b))
     if len(roots) < len(b):
         return None
     basis = []
     for value in sorted(set(roots), reverse=True):
-        vectors = _kernel(b, value)
+        shifted = [{j: x - value * (i == j) for j, x in enumerate(row)} for i, row in enumerate(b)]
+        vectors = kernel(shifted, range(len(b)))
         if len(vectors) < roots.count(value):
             return None
         basis += [(value, col, vec) for col, vec in vectors]
@@ -150,12 +123,12 @@ def _transform(actions: dict, acting, acted) -> dict:
     out = {}
     for k, (lam, _, u) in enumerate(acting):
         mat = [[0] * len(acted) for _ in acted]
-        for c, y in enumerate(u):
-            for i, d, x in actions.get(c, ()) if y else ():
+        for c, y in u.items():
+            for i, d, x in actions.get(c, ()):
                 mat[i][d] += x * y
         for b, (mu, _, w) in enumerate(acted):
             for a, col, s in readers.get(lam + mu, ()):
-                x = sum(map(mul, mat[col], w))
+                x = sum(mat[col][d] * y for d, y in w.items())
                 if x:
                     out[(a, b, k)] = Fraction(x, s)
     return out

@@ -34,6 +34,16 @@ from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, Poly
                            _Record, _derivs, _mul_into, _poly, _sweep)
 
 
+class PairingError(ValueError):
+    """A context whose fields and antifields do not pair.  ``generator``
+    names the generator refused: the antifield for a bad antifield, else
+    the first field with no antifield, or None when there is no field."""
+
+    def __init__(self, message: str, generator: str | None):
+        super().__init__(message)
+        self.generator = generator
+
+
 class BVSpace:
     """A Context in which every field generator has a paired antifield.
 
@@ -51,16 +61,18 @@ class BVSpace:
             if g.role == ANTIFIELD:
                 f = by_name.get(g.partner)
                 if f is None or f.role != FIELD:
-                    raise ValueError(f"antifield {g.name} is not paired with a field")
+                    raise PairingError(f"antifield {g.name} is not paired with a field", g.name)
                 if f.parity == g.parity:
-                    raise ValueError(f"antifield {g.name} must have opposite parity to {f.name}")
+                    raise PairingError(
+                        f"antifield {g.name} must have opposite parity to {f.name}", g.name)
                 if f.name in claimed:
-                    raise ValueError(f"field {f.name} has two antifields")
+                    raise PairingError(f"field {f.name} has two antifields", g.name)
                 claimed[f.name] = g.name
         fields = [g for g in ctx.generators if g.role == FIELD]
         # the claimed names are distinct fields, so equal counts pair them all
         if not fields or len(claimed) != len(fields):
-            raise ValueError("context lacks a perfect field/antifield pairing")
+            raise PairingError("context lacks a perfect field/antifield pairing",
+                               next((f.name for f in fields if f.name not in claimed), None))
         self.ctx = ctx
         self.pairs = tuple((g.name, claimed[g.name]) for g in fields)
         self.field_ctx = Context(Generator(g.name, g.parity, FIELD) for g in fields)

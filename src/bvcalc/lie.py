@@ -80,14 +80,15 @@ that contains h, the table has h acting diagonally, and the filter applies.
 The change of basis is an isomorphism of Lie algebras and of modules, so it
 induces an isomorphism of cochain complexes: every rank, every trace and so
 every dim and the duality test are unchanged.  ``_eigenbasis.rewrite``
-reads each new constant off one eigenspace coordinate, with no inverse
-matrix, which is valid only because ad h is a derivation of the bracket and
-of the action; so it runs after the guard, on a table that has passed it,
-and a table that fails is refused exactly as before.  It runs only on
-complexes of at least ``_EIGENBASIS_MIN_SIZE`` cochains, where it is cheaper
-than ranking the whole complex (Hochschild & Serre as above; finding a split
-Cartan subalgebra when no basis element will do is harder, de Graaf,
-"Lie Algebras: Theory and Algorithms", 2000).
+takes each eigenspace from ``linalg.kernel``, the echelon form that also
+ranks, and reads each new constant off one eigenspace coordinate, with no
+inverse matrix, which is valid only because ad h is a derivation of the
+bracket and of the action; so it runs after the guard, on a table that has
+passed it, and a table that fails is refused exactly as before.  It runs
+only on complexes of at least ``_EIGENBASIS_MIN_SIZE`` cochains, where it is
+cheaper than ranking the whole complex (Hochschild & Serre as above;
+finding a split Cartan subalgebra when no basis element will do is harder,
+de Graaf, "Lie Algebras: Theory and Algorithms", 2000).
 """
 
 from __future__ import annotations

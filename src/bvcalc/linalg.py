@@ -1,9 +1,13 @@
-"""Exact rational matrices and their rank by sparse integer elimination.
+"""Exact rational matrices, their ranks and kernels by one sparse integer
+elimination.
 
-Rank has one route, ``pivot_leads``: each vector is a sparse map
-{column key: rational}, scaled to a primitive integer row, and the rows are
-reduced into an echelon form keyed by their lead column; the rank is the
-number of leads.  Every intermediate row is divided by the gcd of its
+Every exact linear-algebra question the package asks goes through one
+echelon form, ``_echelon``: each vector is a sparse map {column key:
+rational}, scaled to a primitive integer row, and the rows are reduced into
+pivot rows keyed by their lead column.  ``pivot_leads`` reads the rank off
+it as the number of leads, and ``kernel`` reads a kernel basis off it by
+back-substitution, one vector per column that is not a lead.  Every
+intermediate row, and every kernel vector, is divided by the gcd of its
 entries, so no floating point and no fraction blow-up is involved.
 
 ``ExactMatrix`` is the dense matrix of ``lie.ce_matrices`` and serves
@@ -61,22 +65,22 @@ def _primitive(row: dict) -> dict:
     return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
-def pivot_leads(vectors) -> list:
-    """Column keys of the pivot leads of an echelon form of sparse vectors
-    {column key: int or Fraction}, one per pivot, so as many as the rank.
+def _echelon(vectors, columns=()):
+    """(keys, column, pivots) for sparse vectors {column key: int or
+    Fraction} on the column keys they hold and those of ``columns``:
+    ``column`` numbers the keys from the rarest to the most common, keys
+    lists them in that order, and pivots maps each lead column number to its
+    primitive integer pivot row {column number: int}.
 
-    Column keys need only be hashable.  Columns are renumbered from the
-    rarest to the most common and each row's lead is its rarest column,
-    which keeps fill-in low.  Rows are reduced sparsest first; a row meets
-    only the pivot rows whose lead it contains, and each reduction step
-    removes the row's lead without adding a rarer column.  So every pivot
-    row is zero on the columns rarer than its lead, and the pivot rows
-    together with the unit vectors of the columns that are not leads form
-    a triangular basis: those unit vectors span a complement of the span of
-    the vectors.
+    Each row's lead is its rarest column, which keeps fill-in low.  Rows are
+    reduced sparsest first; a row meets only the pivot rows whose lead it
+    contains, and each reduction step removes the row's lead without adding
+    a rarer column.  So every pivot row is zero on the columns rarer than
+    its lead.
     """
     vectors = [{k: x for k, x in vec.items() if x} for vec in vectors]
     counts = Counter(k for vec in vectors for k in vec)
+    counts.update(dict.fromkeys(columns, 0))
     keys = [k for k, _ in sorted(counts.items(), key=itemgetter(1))]
     column = {k: n for n, k in enumerate(keys)}
     rows = []
@@ -107,4 +111,47 @@ def pivot_leads(vectors) -> list:
                     del row[k]
             if row:
                 row = _primitive(row)
+    return keys, column, pivots
+
+
+def pivot_leads(vectors) -> list:
+    """Column keys of the pivot leads of an echelon form of sparse vectors
+    {column key: int or Fraction}, one per pivot, so as many as the rank.
+
+    Column keys need only be hashable.  The pivot rows together with the
+    unit vectors of the columns that are not leads form a triangular basis:
+    those unit vectors span a complement of the span of the vectors.
+    """
+    keys, _, pivots = _echelon(vectors)
     return [keys[lead] for lead in pivots]
+
+
+def kernel(vectors, columns) -> list:
+    """[(column, vector)], a basis of the vectors on the column keys
+    ``columns``, which hold every key of ``vectors``, that are orthogonal
+    to every sparse vector {column key: int or Fraction} of ``vectors``:
+    one primitive integer vector {column key: int} per column that is not a
+    pivot lead, in the order of ``columns``.  Each is nonzero at its own
+    column and zero at the other such columns.
+
+    Each vector is read by back-substitution from the most common lead
+    down: a pivot row is zero on the columns rarer than its lead, so every
+    other column it holds is already set when its lead entry is solved for.
+    Each step scales the partial vector by the least factor that keeps it
+    integer.
+    """
+    keys, column, pivots = _echelon(vectors, columns)
+    leads = sorted(pivots.items(), reverse=True)
+    out = []
+    for col in columns:
+        if column[col] in pivots:
+            continue
+        vec = {column[col]: 1}
+        for lead, row in leads:
+            s = sum(x * vec[k] for k, x in row.items() if k in vec)
+            if s:
+                g = gcd(s, row[lead])
+                vec = {k: row[lead] // g * x for k, x in vec.items()}
+                vec[lead] = -s // g
+        out.append((col, {keys[k]: x for k, x in _primitive(vec).items()}))
+    return out

@@ -15,21 +15,22 @@ Exactly one of [lie] / [generators] must be present.  Every declared name
 (generator, basis vector, module coordinate, expression) must match the
 parser's identifier rule ``parser._NAME``, and the reserved words of
 ``parser._CONSTANTS`` ('i', 'hbar') name no generator, basis vector or module
-coordinate.  Ghost coordinates of a
-Lie model are named c1..cm and every field gets an antifield named by
-suffixing 'p', so a module coordinate may take neither form.  Anything given
-twice (a section header, a [lie] basis or module line, a bracket pair in
-either order, a rep entry, a generator name, an expression name) is refused
-at its second line by ``_claim``, which names the first.  All diagnostics
-carry the offending line number, except the pairing errors that BVSpace
-raises for [generators]; a refusal about a section with no entries names the
-line of its header.  ``load_model`` reads UTF-8, with or without a leading
-byte-order mark.
+coordinate.  Ghost coordinates of a Lie model are named c1..cm and every
+field gets an antifield named by suffixing 'p', so a module coordinate may
+take neither form.  Anything given twice (a section header, a [lie] basis or
+module line, a bracket pair in either order, a rep entry, a generator name,
+an expression name) is refused at its second line by ``_claim``, which names
+the first.  All diagnostics but "a model needs exactly one of [lie] or
+[generators]" carry the offending line number.  A pairing that BVSpace
+refuses for [generators] names the line of the antifield it refuses, else of
+the first field with no antifield; a refusal about a section with no
+entries, or with no field, names the line of its header.  ``load_model``
+reads UTF-8, with or without a leading byte-order mark.
 """
 
 from __future__ import annotations
 
-from .bv import BVSpace
+from .bv import BVSpace, PairingError
 from .parser import _CONSTANTS, _NAME, ParseError, parse_expression
 from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, PLAIN, Poly,
                            _Record)
@@ -107,7 +108,7 @@ def parse_model(text: str, path: str = "<string>") -> Model:
                 raise ModelError(f"[{forbidden}] requires a [lie] section",
                                  entries[0][0] if entries else headers[forbidden][0])
         model, module_names = None, ()
-        bvs = _build_generators(sections["generators"])
+        bvs = _build_generators(sections["generators"], headers["generators"][0])
 
     exprs, seen = {}, {}
     for lineno, line in sections.get("exprs", []):
@@ -248,7 +249,7 @@ def _build_lie(sections, header: int):
     return lie, bvs, tuple(module)
 
 
-def _build_generators(lines):
+def _build_generators(lines, header: int):
     gens, seen = [], {}
     for lineno, line in lines:
         parts = line.split()
@@ -276,5 +277,5 @@ def _build_generators(lines):
         gens.append(Generator(name, parity, role, partner))
     try:
         return BVSpace(Context(gens))
-    except ValueError as exc:
-        raise ModelError(str(exc)) from exc
+    except PairingError as exc:
+        raise ModelError(str(exc), seen[exc.generator][0] if exc.generator else header) from exc

@@ -37,8 +37,12 @@ C^(p, q) from one list of degree-p module monomials.  ``rational_spectrum``
 finds the eigenvalues of a matrix diagonalizable over Q by scanning every
 candidate a/d up to the bound sqrt(tr A^2) and taking nullities by
 Gauss-Jordan elimination on Fractions; the library takes integer roots of
-the characteristic polynomial by Newton's method and eigenspaces by
-fraction-free elimination.
+the characteristic polynomial by Newton's method.  ``_kernel`` is the
+earlier eigenspace route: dense fraction-free Gauss-Jordan elimination of
+B - lambda, with ``_eliminate`` clearing one column at a time, and one
+primitive integer vector per free column.  The library reads each kernel
+off the sparse echelon form that also ranks (``linalg.kernel``), by
+back-substitution.
 
 The sum-loop routes build every step of a sum as a new Poly: the product
 term pair by term pair through the filtering constructor, a derivation as
@@ -89,7 +93,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import add
 
 from bvcalc.derivations import Derivation, _apply_into
@@ -177,6 +181,38 @@ def rational_spectrum(rows):
         if nullity:
             spectrum[value] = nullity
     return spectrum if sum(spectrum.values()) == n else None
+
+
+def _eliminate(row, pivot, col):
+    """row with its entry at col cleared by pivot, divided by its gcd."""
+    if not row[col]:
+        return row
+    row = [pivot[col] * x - row[col] * y for x, y in zip(row, pivot)]
+    g = gcd(*row) or 1
+    return [x // g for x in row]
+
+
+def _kernel(b, value: int) -> list:
+    """[(free column, primitive integer vector)] spanning the kernel of
+    b - value, one per free column of its Gauss-Jordan form."""
+    n = len(b)
+    rest = [[x - value * (i == j) for j, x in enumerate(row)] for i, row in enumerate(b)]
+    pivots = []
+    for col in range(n):
+        pivot = next((row for row in rest if row[col]), None)
+        if pivot is not None:
+            rest = [_eliminate(row, pivot, col) for row in rest if row is not pivot]
+            pivots = [(c, _eliminate(row, pivot, col)) for c, row in pivots] + [(col, pivot)]
+    scale = lcm(*(row[c] for c, row in pivots))
+    out = []
+    for free in sorted(set(range(n)) - {c for c, _ in pivots}):
+        vec = [0] * n
+        vec[free] = scale
+        for c, row in pivots:
+            vec[c] = -row[free] * scale // row[c]
+        g = gcd(*vec)
+        out.append((free, [x // g for x in vec]))
+    return out
 
 
 def first_split_element(model, p: int):

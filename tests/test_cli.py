@@ -142,16 +142,22 @@ class TestModelFiles:
         assert f"status: refused\nerror: {message}\n" in out
 
     @pytest.mark.parametrize("generators, message", [
-        ("x even field\nxp odd antifield y\n", "antifield xp is not paired with a field"),
-        ("x even field\nxp even antifield x\n", "antifield xp must have opposite parity to x"),
-        ("x even field\na odd antifield x\nb odd antifield x\n", "field x has two antifields"),
+        ("x even field\nxp odd antifield y\n",
+         "antifield xp is not paired with a field (line 4)"),
+        ("x even field\nxp even antifield x\n",
+         "antifield xp must have opposite parity to x (line 4)"),
+        ("x even field\na odd antifield x\nb odd antifield x\n",
+         "field x has two antifields (line 5)"),
         ("x even field\nt odd field\ntp even antifield t\n",
-         "context lacks a perfect field/antifield pairing"),
+         "context lacks a perfect field/antifield pairing (line 3)"),
+        ("w even plain\n", "context lacks a perfect field/antifield pairing (line 2)"),
     ])
     def test_pairing_refusals(self, generators, message, capsys, tmp_path):
-        # BVSpace checks the pairing; the message names no line
+        # BVSpace checks the pairing; the model file names the line of the
+        # antifield refused, of the first unpaired field, or, with no field,
+        # of the [generators] header, which a comment line puts at line 2
         model = tmp_path / "bad.model"
-        model.write_text("[generators]\n" + generators)
+        model.write_text("# pairing\n[generators]\n" + generators)
         code, out = run(capsys, "master", model)
         assert code == 2
         assert f"status: refused\nerror: {message}\n" in out

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bvcalc.linalg import ExactMatrix, pivot_leads
+from bvcalc.linalg import ExactMatrix, kernel, pivot_leads
 
-from oracles import bareiss_rank, fraction_rank
+from oracles import _kernel, bareiss_rank, fraction_rank
 
 
 def sparse(rows):
@@ -91,7 +93,9 @@ class TestRank:
 
     def test_non_leads_span_a_complement(self, rng):
         # the unit vectors of the columns that are not leads, added to the
-        # vectors, give full rank: they span a complement of the span
+        # vectors, give full rank: they span a complement of the span; and
+        # on tuple column keys and Fraction entries, the kernel has one
+        # vector per such column, orthogonal to every row
         for _ in range(200):
             ncols = rng.randint(1, 9)
             rows = random_rows(rng, rng.randint(1, 9), ncols)
@@ -100,6 +104,51 @@ class TestRank:
             units = [[Fraction(int(c == k)) for c in range(ncols)]
                      for k in range(ncols) if k not in leads]
             assert bareiss_rank(rows + units) == ncols
+            keyed = [{(c, "c"): x for c, x in row.items()} for row in sparse(rows)]
+            vectors = kernel(keyed, [(c, "c") for c in range(ncols)])
+            assert [c for (c, _), _ in vectors] == [k for k in range(ncols) if k not in leads]
+            for _, vec in vectors:
+                assert all(sum(x * vec.get(k, 0) for k, x in row.items()) == 0
+                           for row in keyed)
+
+
+@st.composite
+def shifted_squares(draw):
+    """(B, lambda) for an integer lambda and a square integer B whose B - lambda
+    has zero columns, repeated rows and entries up to 10^30."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from([0, 10**30, -10**30]))
+    shifted = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2)):
+        shifted[j] = list(shifted[i])
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in shifted:
+            row[c] = 0
+    value = draw(st.one_of(st.integers(-3, 3), st.sampled_from([10**30, -10**30])))
+    return [[x + value * (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(shifted)], value
+
+
+@settings(max_examples=200, deadline=None)
+@given(shifted_squares())
+def test_kernel_spans_the_oracle_eigenspace(square):
+    # one primitive vector per free column, each orthogonal to every row of
+    # B - lambda, nonzero at its own free column and zero at the others,
+    # together spanning the Gauss-Jordan oracle's kernel
+    b, value = square
+    n = len(b)
+    shifted = [[x - value * (i == j) for j, x in enumerate(row)] for i, row in enumerate(b)]
+    vectors = kernel(sparse(shifted), range(n))
+    assert len(vectors) == n - bareiss_rank(shifted)
+    free = [c for c, _ in vectors]
+    for c, vec in vectors:
+        assert gcd(*vec.values()) == 1
+        assert all(sum(x * vec.get(k, 0) for k, x in enumerate(row)) == 0 for row in shifted)
+        assert vec[c] and not any(vec.get(f) for f in free if f != c)
+    ours = [[vec.get(k, 0) for k in range(n)] for _, vec in vectors]
+    oracle = [vec for _, vec in _kernel(b, value)]
+    assert bareiss_rank(ours + oracle) == bareiss_rank(ours) == bareiss_rank(oracle)
 
 
 class TestExactMatrix:
