@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 
 
 class Scalar:
@@ -37,15 +37,9 @@ class Scalar:
                     if not isinstance(part, (int, Fraction)) or isinstance(part, bool):
                         raise TypeError(f"a scalar part must be an int or Fraction, "
                                         f"not {part!r}")
-                if re or im:
-                    # Both parts are reduced, so over their lcm the triple
-                    # already has gcd 1: a prime dividing den divides the
-                    # denominator of one part to full power, and that part's
-                    # numerator is prime to it.
-                    d1, d2 = re.denominator, im.denominator
-                    den = d1 if d1 == d2 else lcm(d1, d2)
-                    clean[k] = (re.numerator * (den // d1),
-                                im.numerator * (den // d2), den)
+                value = (Scalar.of(re) + Scalar.of(im) * Scalar.i())._terms
+                if value:
+                    clean[k] = value[0]
         self._terms = clean
 
     # -- constructors -------------------------------------------------

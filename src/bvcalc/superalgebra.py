@@ -620,19 +620,18 @@ def _split(ctx: Context, assigned, poly: Poly):
     return free, groups
 
 
-def _substitute(split, even_images: dict, odd_images: dict, cache=None) -> dict:
+def _substitute(split, even_images: dict, odd_images: dict, cache: dict) -> dict:
     """The terms of a ``_split`` Poly with the generator at even (odd) slot s
     sent to the terms ``even_images[s]`` (``odd_images[s]``).
 
     Each image has its generator's parity, so A_a * g^a goes to A_a times
     the images of g^a, even factors first, then odd ones in canonical order.
-    ``cache`` (a fresh one if None) holds those products by assigned part,
-    each the product of a shorter part, one factor less, times that factor's
-    image, so every prefix is multiplied once per cache.
+    ``cache`` holds those products by assigned part, each the product of a
+    shorter part, one factor less, times that factor's image, so every
+    prefix is multiplied once per cache.
     """
     free, groups = split
     out = dict(free)
-    cache = {} if cache is None else cache
     for part, rest in groups.items():
         chain, key = [], part
         while key not in cache and (key[1] or any(key[0])):

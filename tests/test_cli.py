@@ -764,41 +764,61 @@ def broken_sl2_adjoint() -> str:
 
 
 class TestFailingReports:
-    """Failing check-lie / check-rep reports, pinned detail by detail."""
+    """check-lie, check-rep and master reports that fail, pinned detail by
+    detail, and the passing ce-cohomology report of sl(2) with half-integer
+    weights, which the weight filter holds as exact Fraction tuples."""
 
     CASES = {
-        "check-lie": (lambda: NON_JACOBI, [
+        "check-lie": ("check-lie", NON_JACOBI, 1, [
             ("violations", "2"),
             ("triple (1,2,4)", "[1, 0, 0, 0]"),
             ("triple (2,3,4)", "[0, 0, 1, 0]"),
         ]),
-        "check-rep": (broken_sl2_adjoint, [
+        "check-rep": ("check-rep", broken_sl2_adjoint(), 1, [
             ("violations", "2"),
             ("pair (1,2)", "[[0, 0, 0]; [0, 0, -1]; [0, 0, 0]]"),
             ("pair (2,3)", "[[1, 0, -3]; [-1, -1, 0]; [0, 0, 0]]"),
         ]),
+        # only t.va and e.va are given, so the pairs (t,e) and (e,f) fail on va
+        "check-rep-partial": ("check-rep", "[lie]\nbasis = t e f\nmodule = va vb\n"
+                              "[brackets]\n[t,e] = e\n[t,f] = -1*f\n[e,f] = 2*t\n"
+                              "[rep]\nt.va = va\ne.va = vb\n", 1, [
+            ("violations", "2"),
+            ("pair (1,2)", "[[0, 0]; [2, 0]]"),
+            ("pair (2,3)", "[[2, 0]; [0, 0]]"),
+        ]),
+        # {S,S} = 2(2 x th thp - x^2 xp) by hand
+        "master": ("master", "[generators]\nx even field\nth odd field\nxp odd antifield x\n"
+                   "thp even antifield th\n[exprs]\nS = xp*th + thp*x^2\n", 1, [
+            ("residual", "4*x*th*thp - 2*x^2*xp"),
+        ]),
+        "ce-cohomology-half-sl2": ("ce-cohomology", "[lie]\nbasis = h e f\n[brackets]\n"
+                                   "[h,e] = 1/2*e\n[h,f] = -1/2*f\n[e,f] = 4*h\n", 0, [
+            ("dims", "(1, 0, 0, 1)"), ("H^0", "1"), ("H^1", "0"), ("H^2", "0"), ("H^3", "1"),
+        ]),
     }
 
-    @pytest.mark.parametrize("command", sorted(CASES))
-    def test_text_report(self, capsys, tmp_path, command):
-        text, details = self.CASES[command]
-        model = tmp_path / "broken.model"
-        model.write_text(text())
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_text_report(self, capsys, tmp_path, case):
+        command, text, exit_code, details = self.CASES[case]
+        model = tmp_path / "report.model"
+        model.write_text(text)
         code, out = run(capsys, command, model)
-        assert code == 1
-        expected = [f"command: {command}", f"model: {model}", "status: fail"]
+        assert code == exit_code
+        expected = [f"command: {command}", f"model: {model}",
+                    f"status: {('pass', 'fail')[code]}"]
         expected += [f"{key}: {value}" for key, value in details]
         assert out == "\n".join(expected) + "\n"
 
-    @pytest.mark.parametrize("command", sorted(CASES))
-    def test_json_report(self, capsys, tmp_path, command):
-        text, details = self.CASES[command]
-        model = tmp_path / "broken.model"
-        model.write_text(text())
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_json_report(self, capsys, tmp_path, case):
+        command, text, exit_code, details = self.CASES[case]
+        model = tmp_path / "report.model"
+        model.write_text(text)
         code, out = run(capsys, command, model, "--json")
-        assert code == 1
+        assert code == exit_code
         assert json.loads(out) == {
-            "command": command, "model": str(model), "status": "fail",
+            "command": command, "model": str(model), "status": ("pass", "fail")[code],
             "details": [list(d) for d in details]}
 
 

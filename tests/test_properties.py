@@ -395,7 +395,7 @@ def test_one_split_serves_every_gauge(case):
         images, cache = fermion._slot_images(), {}
         expected = [substitute_sum(q, fermion.antifield_images()) for q in polys]
         assert [Poly(ctx, _substitute(split, *images, cache)) for split in splits] == expected
-        assert [Poly(ctx, _substitute(split, *images)) for split in splits] == expected
+        assert [Poly(ctx, _substitute(split, *images, {})) for split in splits] == expected
     assert splits == [_split(ctx, assigned, q) for q in polys]
 
 

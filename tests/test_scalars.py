@@ -217,6 +217,7 @@ def test_two_routes_to_one_value_share_storage():
     direct = Scalar({0: (Fraction(2, 4), Fraction(3, 6))})
     product = Scalar.of(Fraction(1, 2)) * (1 + Scalar.i())
     assert direct._terms == product._terms == {0: (1, 1, 2)}
+    assert Scalar({0: (Fraction(1, 6), Fraction(1, 4))})._terms == {0: (2, 3, 12)}
     assert hash(direct) == hash(product)
     summed = Scalar.hbar(-1) * Fraction(1, 6) + Scalar.hbar(-1) * Fraction(1, 3)
     scaled = Scalar.hbar(-1) * Fraction(3, 2) * Fraction(1, 3)
