@@ -14,7 +14,7 @@ _HOME = {name: module for module, names in (
     ("lie", "LieModel NotACochainComplex brst_lie brst_rep ce_cohomology_dims ce_matrices "
             "ghost_context jacobi_check rep_check rep_context trace_condition"),
     ("gauge", "ExpElement GaugeFermion NonGaussianIntegrand NonNormalizedDamping NotDeltaClosed "
-              "berezin_integrate exp_delta exact_boundary_integrals gauge_independence_experiment "
+              "exp_delta exact_boundary_integrals gauge_independence_experiment "
               "gaussian_expectation lagrangian_integral restrict_to_lagrangian standard_damping"),
     ("parser", "OddPowerWarning ParseError parse_expression"),
     ("modelfile", "Model ModelError load_model parse_model"),

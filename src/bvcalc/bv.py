@@ -26,8 +26,6 @@ Sign conventions (chosen once; every identity test depends on them):
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .derivations import Derivation
 from .scalars import Scalar
 from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, Poly,
@@ -242,13 +240,15 @@ class BVSpace:
 
     def evaluate_even_fields(self, poly: Poly, point) -> Poly:
         """Substitute rational values for even fields; odd coordinates and
-        antifields stay symbolic.  The result is zero iff every odd-monomial
-        coefficient vanishes at the point."""
+        antifields stay symbolic.  Values are taken by ``Scalar.of`` and must
+        be rational, and every even field the point leaves out is set to 0.
+        The result is zero iff every odd-monomial coefficient vanishes at the
+        point."""
         assignments = {}
         for name, value in point.items():
             if self.ctx.parity_of(name) != EVEN or self.ctx.role_of(name) != FIELD:
                 raise ValueError(f"{name} is not an even field coordinate")
-            assignments[name] = self.ctx.scalar(Fraction(value))
+            assignments[name] = self.ctx.scalar(Scalar.of(value).as_fraction())
         for f, _ in self.pairs:
             if self.ctx.parity_of(f) == EVEN and f not in assignments:
                 assignments[f] = self.ctx.scalar(0)

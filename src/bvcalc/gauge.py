@@ -18,10 +18,9 @@ nonzero moment are formed, summed by monomial, and read by the one moment
 rule of ``_expectation``; no integrand Poly is built.  That rule gives 0
 for an odd power of an even field, whatever else the monomial holds, and
 refuses any other monomial with an odd generator or a non-field, so a
-result never depends on the declaration order.  ``berezin_integrate`` and
-``gaussian_expectation`` remain as the public single steps.  Everything
-stays in exact scalars, so gauge comparisons are equality checks rather
-than tolerance checks.
+result never depends on the declaration order.  ``gaussian_expectation``
+is the public face of that moment rule.  Everything stays in exact scalars,
+so gauge comparisons are equality checks rather than tolerance checks.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from operator import add, and_, mul
 from .bv import BVSpace, _bracket_into, _half_self_bracket_into
 from .scalars import Scalar
 from .superalgebra import (EVEN, FIELD, ODD, Poly, _Record, _derivs, _merge_sign, _mul_into,
-                           _odd_product, _poly, _split, _substitute, _substitution)
+                           _poly, _split, _substitute, _substitution)
 
 
 class NotDeltaClosed(Exception):
@@ -187,39 +186,6 @@ def restrict_to_lagrangian(obj, fermion: GaugeFermion):
     if isinstance(obj, Poly):
         return restrict(obj)
     return ExpElement(obj.bvs, [(restrict(p), restrict(t)) for p, t in obj.pairs])
-
-
-def berezin_integrate(poly: Poly, odd_names) -> Poly:
-    """Iterated single-variable Berezin integrals, innermost = last listed.
-
-    A single integral extracts the coefficient with the variable moved to the
-    rightmost position of the odd part, which is minus the right derivative,
-    so integrating in declaration order picks out the top monomial
-    coefficient with sign +1.  A term holding every variable is its other
-    odd factors times the variables in canonical order, with the sign
-    ``_merge_sign(rest, need)``, and those variables are their listed
-    product times the sign of its sort (``_odd_product``).  Integrating the
-    listed product innermost first leaves the other factors, so the term
-    keeps the product of the two signs.  Names must be odd; a repeat gives 0.
-    """
-    slots = []
-    for name in odd_names:
-        parity, s = poly.ctx.slot(name)
-        if parity != ODD:
-            raise ValueError(f"{name} is not odd")
-        slots.append(s)
-    product = _odd_product(slots)
-    if product is None:
-        return poly.ctx.zero()
-    need, flip = product
-    sign = -1 if flip else 1
-    out = {}
-    for (exps, mask), c in poly.terms.items():
-        if mask & need == need:
-            rest = mask ^ need
-            # clearing a fixed set of bits is injective: no merge, no zero
-            out[exps, rest] = c if _merge_sign(rest, need) == sign else -c
-    return _poly(poly.ctx, out)
 
 
 def gaussian_expectation(poly: Poly) -> Scalar:

@@ -26,8 +26,10 @@ off D^2(g) = sum c D(m) over the terms c m of D(g), from per-monomial images
 built once per call: the ghost-degree-2 ones at p = 0, the degree-1 at p = 1.
 A residual is a list of ``Fraction`` for ``jacobi_check`` and a tuple of
 row tuples of ``Fraction`` for ``rep_check``; no matrix type is involved.
-No i or hbar can arise, so no ``Scalar`` is involved; only ``brst_rep``
-wraps the table as Polys (``brst_lie`` is that of the module-free model).
+``LieModel.build`` reads each value by ``Scalar.of``'s rule and keeps it as
+a ``Fraction``, so no i or hbar can arise and no ``Scalar`` is involved
+after it; only ``brst_rep`` wraps the table as Polys (``brst_lie`` is that
+of the module-free model).
 
 Poincare duality of the ghost complex.  The traces tr ad(e_k) = f^i_ik
 (``_ad_traces``) are the bracket half of ``trace_condition``.  On the top
@@ -119,11 +121,17 @@ class LieModel(_FrozenRecord):
         """Normalize and antisymmetrize input tables.
 
         ``brackets`` maps (i, j, k) -> value with the convention above; both
-        orders of (j, k) may appear as long as they are consistent.
+        orders of (j, k) may appear as long as they are consistent.  Values
+        are taken by ``Scalar.of`` and must be rational, so a float, str or
+        bool is refused, as is a ``dim`` or ``module_dim`` that is not a
+        non-negative int.
         """
+        for name, n in (("dim", dim), ("module_dim", module_dim)):
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise ValueError(f"{name} must be a non-negative int, not {n!r}")
         f = {}
         for (i, j, k), val in (brackets or {}).items():
-            val = Fraction(val)
+            val = Scalar.of(val).as_fraction()
             for idx in (i, j, k):
                 if not 0 <= idx < dim:
                     raise ValueError(f"bracket index {idx} out of range")
@@ -143,7 +151,7 @@ class LieModel(_FrozenRecord):
                 full_f[(i, k, j)] = -val
         full_rho = {}
         for (i, j, k), val in (rho or {}).items():
-            val = Fraction(val)
+            val = Scalar.of(val).as_fraction()
             if not 0 <= i < module_dim or not 0 <= j < module_dim:
                 raise ValueError("module index out of range")
             if not 0 <= k < dim:

@@ -92,12 +92,13 @@ class Scalar:
         """The value as an exact rational; raises if i or hbar is present."""
         if not self._terms:
             return Fraction(0)
-        if set(self._terms) != {0}:
+        if len(self._terms) > 1 or 0 not in self._terms:
             raise ValueError(f"scalar {self} carries hbar, not a plain rational")
         re, im, den = self._terms[0]
         if im:
             raise ValueError(f"scalar {self} has an imaginary part")
-        return Fraction(re, den)
+        # (re, den) is already in lowest terms; the int path skips Fraction's gcd.
+        return Fraction(re) if den == 1 else Fraction(re, den)
 
     # -- arithmetic ---------------------------------------------------
 

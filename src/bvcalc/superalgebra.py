@@ -9,8 +9,8 @@ odd squares vanish, and every product sign is the parity of the number of
 transpositions needed to merge the odd factor lists.  An ordered product of
 odd generators is sorted by one fold, ``_odd_product``, which gives its
 canonical mask and the parity of the sort (None for an odd square);
-``Context.monomial`` (and so ``gen``), ``Context.transport``,
-``randgen.random_poly`` and ``gauge.berezin_integrate`` all take it from there.
+``Context.monomial`` (and so ``gen``), ``Context.transport`` and
+``randgen.random_poly`` all take it from there.
 
 Every product goes through one private kernel, ``_mul_into(terms, a, b)``:
 it adds ``a * b`` into a plain dict of terms, merging equal monomials as it

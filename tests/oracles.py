@@ -10,21 +10,23 @@ and applies derivations as vector fields; tests require exact equality.
 The Koszul-sign routes below split their arguments by parity and apply a
 sign table per homogeneous component: the antibracket as four sub-brackets,
 the right derivative as two signed left derivatives, Berezin integration as
-a hand-written coefficient loop per variable and as minus the right
-derivative per variable, and the Laplacian of P*exp(T) per parity of P.
-The library takes every sign per monomial instead, integrates over all the
-variables in one pass, and takes the Laplacian of P*exp(T) from one
-derivative sweep of T, with 1/2 {T, T} as a sum over pairs and the sign of
-P per monomial.  ``lagrangian_integral_full`` is the earlier gauge integral:
-it subtracts the damping as a Poly and forms the whole product P * exp(N)
-before the Berezin integral.  ``integrate_top`` is the integral of the
-route that followed: it forms only the term pairs whose odd parts cover
-every odd field, as a ``top`` Poly, then calls ``berezin_integrate`` and
+a hand-written coefficient loop per variable (``berezin_loop``) and as
+minus the right derivative per variable (``berezin_right_deriv``), and the
+Laplacian of P*exp(T) per parity of P.  The library takes every sign per
+monomial instead, has no Berezin integral outside the fused gauge
+integral, and takes the Laplacian of P*exp(T) from one derivative sweep of
+T, with 1/2 {T, T} as a sum over pairs and the sign of P per monomial.
+``lagrangian_integral_full`` is the earlier gauge integral: it subtracts
+the damping as a Poly and forms the whole product P * exp(N) before the
+Berezin integral.  ``integrate_top`` is the integral of the route that
+followed: it forms only the term pairs whose odd parts cover every odd
+field, as a ``top`` Poly.  Both integrate by ``berezin_loop``, which the
+tests check against ``berezin_right_deriv`` and closed forms, and then by
 ``gaussian_expectation``.  The library forms only the products that reach
 a moment and accumulates them by even exponent, with no Poly between.
-``exp_pairs_by_key`` merges the pairs of
-an ExpElement under each exponent's canonical key and sorts on it; the
-library compares exponents as terms dicts and takes the key only to sort.
+``exp_pairs_by_key`` merges the pairs of an ExpElement under each
+exponent's canonical key and sorts on it; the library compares exponents
+as terms dicts and takes the key only to sort.
 
 ``mul_into_left_outer`` is the earlier multiply-accumulate kernel, whose
 outer loop always runs over the left factor; the library's kernel loops
@@ -98,8 +100,7 @@ from operator import add
 
 from bvcalc.derivations import Derivation, _apply_into
 from bvcalc.gauge import (ExpElement, NonNormalizedDamping, _exp_nilpotent, _nilpotent_part,
-                          berezin_integrate, gaussian_expectation, restrict_to_lagrangian,
-                          standard_damping)
+                          gaussian_expectation, restrict_to_lagrangian, standard_damping)
 from bvcalc.identities import IDENTITY_NAMES, MAX_DEGREE, TERMS
 from bvcalc.lie import _ce_basis, _ce_table, _image, rep_context
 from bvcalc.linalg import ExactMatrix, pivot_leads
@@ -561,7 +562,7 @@ def lagrangian_integral_full(element, fermion) -> Scalar:
         nil = t - damping
         if any(not mask for (_, mask) in nil.terms):
             raise NonNormalizedDamping(f"exponent body {t} is not the standard damping")
-        body = berezin_integrate(p * exp_nilpotent(nil), odd_fields)
+        body = berezin_loop(p * exp_nilpotent(nil), odd_fields)
         total = total + gaussian_expectation(body)
     return total
 
@@ -570,7 +571,7 @@ def integrate_top(bvs, restricted_pairs) -> Scalar:
     """The earlier ``gauge._integrate`` of restricted, merged (P, T) pairs:
     per pair, N = T - damping checked, exp(N) on terms dicts grouped by odd
     mask, the ``top`` Poly of the P terms that complete each mask times its
-    group, then ``berezin_integrate`` over the odd fields and
+    group, then ``berezin_loop`` over the odd fields and
     ``gaussian_expectation``."""
     damping = standard_damping(bvs).terms
     odds = bvs._field_sweep[1]  # the odd fields' (index, bit) pairs
@@ -585,7 +586,7 @@ def integrate_top(bvs, restricted_pairs) -> Scalar:
         for mask, b in groups.items():
             _mul_into(top, {m: c for m, c in p.terms.items()
                             if not m[1] & mask and (m[1] | mask) & need == need}, b)
-        total = total + gaussian_expectation(berezin_integrate(Poly(bvs.ctx, top), odd_fields))
+        total = total + gaussian_expectation(berezin_loop(Poly(bvs.ctx, top), odd_fields))
     return total
 
 

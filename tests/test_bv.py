@@ -4,7 +4,7 @@ import pytest
 
 from bvcalc import (BVSpace, Derivation, EVEN, ODD, Scalar, brst_lie,
                     brst_rep, cli, load_model, parse_expression, trace_condition)
-from bvcalc.gauge import ExpElement, berezin_integrate, exp_delta, standard_damping
+from bvcalc.gauge import ExpElement, exp_delta, standard_damping
 from bvcalc.randgen import random_poly
 from bvcalc.superalgebra import ANTIFIELD, FIELD, Context, Generator, Poly
 
@@ -22,6 +22,38 @@ def random_field_derivation(rng, bvs, max_degree=3):
         if not img.is_zero:
             images[g.name] = img
     return Derivation(field_ctx, ODD, images)
+
+
+# a 1|1 space and another context, for the context checks
+BVS = BVSpace.over_fields([("x", EVEN), ("th", ODD)])
+OTHER = Context.plain([("x", EVEN)])
+
+# refusals of a context or a point value, each with its whole message; a point
+# value goes by Scalar.of, so a float, str or bool is not silently converted
+REFUSALS = {
+    "delta": (lambda: BVS.delta(OTHER.one()), ValueError, "context mismatch"),
+    "bracket": (lambda: BVS.bracket(BVS.ctx.one(), OTHER.one()), ValueError, "context mismatch"),
+    "action": (lambda: BVS.check_action(OTHER.one()), ValueError, "context mismatch"),
+    "float-point": (lambda: BVS.evaluate_even_fields(BVS.ctx.one(), {"x": 0.1}),
+                    TypeError, "cannot make a Scalar out of 0.1"),
+    "str-point": (lambda: BVS.evaluate_even_fields(BVS.ctx.one(), {"x": "1/2"}),
+                  TypeError, "cannot make a Scalar out of '1/2'"),
+    "bool-point": (lambda: BVS.evaluate_even_fields(BVS.ctx.one(), {"x": True}),
+                   TypeError, "cannot make a Scalar out of True"),
+    "i-point": (lambda: BVS.evaluate_even_fields(BVS.ctx.one(), {"x": Scalar.i()}),
+                ValueError, "scalar i has an imaginary part"),
+    "hbar-point": (lambda: BVS.evaluate_even_fields(BVS.ctx.one(), {"x": Scalar.hbar()}),
+                   ValueError, "scalar hbar carries hbar, not a plain rational"),
+    "report-point": (lambda: BVS.antifield_report(BVS.ctx.gen("x"), [{"x": 0.5}]),
+                     TypeError, "cannot make a Scalar out of 0.5"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestDelta:
@@ -174,9 +206,9 @@ class TestSignOracles:
             assert bvs.quantum_master_residual(s) == qme
 
     def test_berezin(self, spec, rng):
-        # the one-pass integral against the coefficient loop and minus the
-        # right derivative per variable, on shuffled and repeated names; an
-        # even or unknown name is refused even after a repeated one
+        # the coefficient loop against minus the right derivative per
+        # variable, on shuffled and repeated names; an even or unknown name
+        # is refused even after a repeated one
         bvs = space(spec)
         ctx = bvs.ctx
         odd_fields = [f for f, _ in bvs.pairs if ctx.parity_of(f) == ODD]
@@ -189,12 +221,12 @@ class TestSignOracles:
             rng.shuffle(repeated)
             for names in ([odd_fields, ctx.odd_names, shuffled, repeated, [first, first]]
                           + [[n] for n in ctx.odd_names]):
-                out = berezin_integrate(a, names)
-                assert out == berezin_loop(a, names) == berezin_right_deriv(a, names)
+                out = berezin_loop(a, names)
+                assert out == berezin_right_deriv(a, names)
                 assert all(not c.is_zero for c in out.terms.values())
-            assert berezin_integrate(a, repeated).is_zero
+            assert berezin_loop(a, repeated).is_zero
             for names in bad:
-                for route in (berezin_integrate, berezin_loop, berezin_right_deriv):
+                for route in (berezin_loop, berezin_right_deriv):
                     with pytest.raises(ValueError):
                         route(a, names)
 
@@ -484,6 +516,23 @@ class TestAntifieldReport:
         report = bvs_2_2.antifield_report(s, points=[{"x1": 1, "x2": 0}])
         assert not report.points[0].is_critical
         assert "x1" in report.points[0].gradient_failures
+
+    def test_point_values_are_exact(self, bvs_2_2):
+        x1 = bvs_2_2.ctx.gen("x1")
+        for value in (Fraction(1, 10), Scalar.of(Fraction(1, 10))):
+            assert bvs_2_2.evaluate_even_fields(x1, {"x1": value}) == Fraction(1, 10)
+
+    def test_missing_coordinates_are_zero(self, bvs_2_2):
+        ctx = bvs_2_2.ctx
+        g = ctx.gen
+        s = g("x1") * g("x1") + g("x2") * g("t1") * g("t2") + 2 * g("x2") + g("x1p") * g("t1")
+        assert bvs_2_2.evaluate_even_fields(s, {"x1": 3}) \
+            == bvs_2_2.evaluate_even_fields(s, {"x1": 3, "x2": 0}) == 9 + g("x1p") * g("t1")
+        assert bvs_2_2.evaluate_even_fields(s, {}) == bvs_2_2.evaluate_even_fields(
+            s, {"x1": 0, "x2": 0})
+        short, full = bvs_2_2.antifield_report(s, [{"x1": 3}, {"x1": 3, "x2": 0}]).points
+        assert (short.is_critical, short.gradient_failures, short.onshell_residual) \
+            == (full.is_critical, full.gradient_failures, full.onshell_residual)
 
     def test_gradient_is_the_per_field_left_derivative(self, bvs_2_2):
         # every field's derivative of S0, in pair order, at a point where

@@ -697,6 +697,16 @@ class TestCommands:
         assert code == 0
         assert "onshell residual 0" in out
 
+    @pytest.mark.parametrize("short, full", [("vh=1", "ve=0,vf=0,vh=1"),
+                                             ("ve=0", "ve=0,vf=0,vh=0")])
+    def test_onshell_point_leaves_out_zeros(self, short, full, capsys):
+        # an even field the point leaves out is 0; only the label differs
+        reports = [run(capsys, "onshell", MODELS / "sl2_adjoint.model", "--point", point)
+                   for point in (short, full)]
+        assert reports[0][0] == reports[1][0]
+        assert reports[0][1].replace(f"point {short}", f"point {full}") == reports[1][1]
+        assert f"point {short}" in reports[0][1]
+
     def test_onshell_generator_model(self, capsys):
         # gauge11 declares S = x^2 + xp*x*th: first order in antifields
         code, out = run(capsys, "onshell", MODELS / "gauge11.model",

@@ -37,6 +37,29 @@ def homotopy_derivation(ctx, with_top=True):
     return Derivation(ctx, ODD, images)
 
 
+# two contexts that differ, for the context checks
+CTX = Context.plain([("c1", ODD), ("b", EVEN)])
+OTHER = Context.plain([("c1", ODD)])
+
+# refusals of Derivation, each with its whole message
+REFUSALS = {
+    "parity": (lambda: Derivation(CTX, 2, {}), "derivation parity must be 0 or 1"),
+    "image-context": (lambda: Derivation(CTX, ODD, {"b": OTHER.gen("c1")}),
+                      "context mismatch in derivation image"),
+    "apply-context": (lambda: Derivation(CTX, ODD, {}).apply(OTHER.gen("c1")),
+                      "context mismatch"),
+    "commutator-context": (lambda: Derivation(CTX, ODD, {}).commutator(
+        Derivation(OTHER, ODD, {})), "context mismatch"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusal(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
 class TestApply:
     def test_sl2_image(self):
         D = brst_lie(sl2())

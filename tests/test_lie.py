@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from bvcalc import (EVEN, Generator, LieModel, NotACochainComplex, brst_lie,
+from bvcalc import (EVEN, Generator, LieModel, NotACochainComplex, Scalar, brst_lie,
                     brst_rep, ce_cohomology_dims, ce_matrices, ghost_context,
                     jacobi_check, rep_check, rep_context, trace_condition)
 from bvcalc import _eigenbasis, lie
@@ -115,6 +115,19 @@ class TestBuild:
         with pytest.raises(ValueError, match="itself"):
             LieModel.build(2, {(0, 1, 1): 1})
 
+    def test_zero_self_bracket_is_dropped(self):
+        model = LieModel.build(2, {(0, 1, 1): 0, (1, 0, 1): 1})
+        assert model.f == solvable2().f
+
+    def test_values_are_exact_rationals(self):
+        # an int, a Fraction and a rational Scalar are all stored as Fractions
+        model = LieModel.build(3, {(1, 0, 1): Fraction(1, 10), (2, 0, 2): 2}, 1,
+                               {(0, 0, 1): Scalar.of(3)})
+        assert model.f == {(1, 0, 1): Fraction(1, 10), (1, 1, 0): Fraction(-1, 10),
+                           (2, 0, 2): 2, (2, 2, 0): -2}
+        assert model.rho == {(0, 0, 1): 3}
+        assert all(type(v) is Fraction for v in [*model.f.values(), *model.rho.values()])
+
     def test_declares_no_hash(self):
         # f and rho are dicts, so the record must not claim a hash of its fields
         model = LieModel.build(2, {(1, 0, 1): 1})
@@ -132,6 +145,55 @@ class TestBuild:
         adj = model.adjoint()
         assert adj.rho == adjoint_loop(model)
         assert (adj.dim, adj.module_dim, adj.f) == (model.dim, model.dim, model.f)
+
+
+# refusals of LieModel.build and rep_context, each with its whole message;
+# values go by Scalar.of, so a float, str or bool is not silently converted
+REFUSALS = {
+    "bracket-index": (lambda: LieModel.build(2, {(2, 0, 1): 1}),
+                      ValueError, "bracket index 2 out of range"),
+    "module-index": (lambda: LieModel.build(2, {}, 1, {(1, 0, 0): 1}),
+                     ValueError, "module index out of range"),
+    "algebra-index": (lambda: LieModel.build(2, {}, 1, {(0, 0, 2): 1}),
+                      ValueError, "algebra index out of range"),
+    "module-names": (lambda: rep_context(LieModel.build(1, {}, 1), ["a", "b"]),
+                     ValueError, "module name count mismatch"),
+    "float-bracket": (lambda: LieModel.build(2, {(1, 0, 1): 0.1}),
+                      TypeError, "cannot make a Scalar out of 0.1"),
+    "str-bracket": (lambda: LieModel.build(2, {(1, 0, 1): "1/2"}),
+                    TypeError, "cannot make a Scalar out of '1/2'"),
+    "bool-bracket": (lambda: LieModel.build(2, {(1, 0, 1): True}),
+                     TypeError, "cannot make a Scalar out of True"),
+    "i-bracket": (lambda: LieModel.build(2, {(1, 0, 1): Scalar.i()}),
+                  ValueError, "scalar i has an imaginary part"),
+    "float-rho": (lambda: LieModel.build(1, {}, 1, {(0, 0, 0): 0.5}),
+                  TypeError, "cannot make a Scalar out of 0.5"),
+    "str-rho": (lambda: LieModel.build(1, {}, 1, {(0, 0, 0): "1"}),
+                TypeError, "cannot make a Scalar out of '1'"),
+    "bool-rho": (lambda: LieModel.build(1, {}, 1, {(0, 0, 0): False}),
+                 TypeError, "cannot make a Scalar out of False"),
+    "hbar-rho": (lambda: LieModel.build(1, {}, 1, {(0, 0, 0): Scalar.hbar()}),
+                 ValueError, "scalar hbar carries hbar, not a plain rational"),
+    "float-dim": (lambda: LieModel.build(2.0, {(1, 0, 1): 1}),
+                  ValueError, "dim must be a non-negative int, not 2.0"),
+    "bool-dim": (lambda: LieModel.build(True),
+                 ValueError, "dim must be a non-negative int, not True"),
+    "negative-dim": (lambda: LieModel.build(-1),
+                     ValueError, "dim must be a non-negative int, not -1"),
+    "str-module-dim": (lambda: LieModel.build(2, {}, "1"),
+                       ValueError, "module_dim must be a non-negative int, not '1'"),
+    "bool-module-dim": (lambda: LieModel.build(2, {}, False),
+                        ValueError, "module_dim must be a non-negative int, not False"),
+    "negative-module-dim": (lambda: LieModel.build(2, {}, -1),
+                            ValueError, "module_dim must be a non-negative int, not -1"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusal(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestJacobi:

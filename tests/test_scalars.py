@@ -92,10 +92,14 @@ def test_split_hbar_strips_power():
 
 def test_as_fraction_guards():
     assert Scalar.of(Fraction(-7, 4)).as_fraction() == Fraction(-7, 4)
+    assert type(Scalar.of(-3).as_fraction()) is Fraction
+    assert Scalar.of(-3).as_fraction() == -3
     with pytest.raises(ValueError):
         Scalar.i().as_fraction()
     with pytest.raises(ValueError):
         Scalar.hbar().as_fraction()
+    with pytest.raises(ValueError, match="carries hbar"):
+        (Scalar.one() + Scalar.hbar()).as_fraction()
 
 
 @pytest.mark.parametrize("scalar, text", [

@@ -4,7 +4,7 @@ import pytest
 
 from bvcalc import EVEN, ODD, BVSpace, Scalar
 from bvcalc.randgen import random_homogeneous, random_poly
-from bvcalc.superalgebra import (Context, Poly, _derivs, _mul_into, _odd_product,
+from bvcalc.superalgebra import (Context, Generator, Poly, _derivs, _mul_into, _odd_product,
                                  _substitution, _sweep)
 
 from oracles import add_pairwise, mul_pairwise, right_deriv_split, substitute_sum
@@ -23,6 +23,26 @@ def brute_merge_sign(left, right):
                 seq[j], seq[j + 1] = seq[j + 1], seq[j]
                 swaps += 1
     return -1 if swaps % 2 else 1
+
+
+CTX = Context.plain([("x", EVEN), ("t1", ODD)])
+
+# refusals of Context, each with its whole message
+REFUSALS = {
+    "parity": (lambda: Context([Generator("x", 2)]), "bad parity for generator x"),
+    "role": (lambda: Context([Generator("x", EVEN, "ghost")]), "bad role for generator x"),
+    "role-of-unknown": (lambda: CTX.role_of("zz"), "unknown generator 'zz'"),
+    "odd-as-even": (lambda: CTX.monomial(even={"t1": 1}),
+                    "t1 is odd; pass it in the odd sequence"),
+    "even-as-odd": (lambda: CTX.monomial(odd=("x",)), "x is even; pass it in the even mapping"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS)
+def test_refusal(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestProducts:
