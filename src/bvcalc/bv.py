@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from .derivations import Derivation
 from .scalars import Scalar
-from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, ODD, Poly,
-                           _Record, _derivs, _mul_into, _poly, _sweep)
+from .superalgebra import (ANTIFIELD, Context, EVEN, FIELD, Generator, Poly, _Record,
+                           _derivs, _mul_into, _poly, _sweep, _twisted)
 
 
 class PairingError(ValueError):
@@ -141,20 +141,17 @@ class BVSpace:
 
     def bracket_via_defect(self, phi: Poly, psi: Poly) -> Poly:
         """The bracket recovered from delta and the product alone:
-        (-1)^p(Phi) delta(Phi Psi) + (-1)^(p(Phi)+1) delta(Phi) Psi - Phi delta(Psi).
+            delta(Phi' Psi) - delta(Phi') Psi - Phi delta(Psi),
+        with Phi' = Phi with its odd monomials negated (``_twisted``).  On a
+        homogeneous Phi this is the defect of delta as a derivation,
+        (-1)^p(Phi) delta(Phi Psi) + (-1)^(p(Phi)+1) delta(Phi) Psi - Phi delta(Psi),
+        and by linearity it holds for Phi of mixed parity.
 
         Kept on purpose as a second, independent route: it is the cross-check
         of ``bracket``, which is computed from the derivative formula.
         """
-        out = self.ctx.zero()
-        for phi_h, p_phi in zip(phi.parity_split(), (EVEN, ODD)):
-            if phi_h.is_zero:
-                continue
-            term = (self.delta(phi_h * psi) - self.delta(phi_h) * psi)
-            if p_phi:
-                term = -term
-            out = out + term - phi_h * self.delta(psi)
-        return out
+        twisted = _poly(phi.ctx, _twisted(phi.terms))
+        return self.delta(twisted * psi) - self.delta(twisted) * psi - phi * self.delta(psi)
 
     # -- lifts between field derivations and quadratic actions -------------
 

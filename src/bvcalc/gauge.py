@@ -32,7 +32,7 @@ from operator import add, and_, mul
 from .bv import BVSpace, _bracket_into, _half_self_bracket_into
 from .scalars import Scalar
 from .superalgebra import (EVEN, FIELD, ODD, Poly, _Record, _derivs, _merge_sign, _mul_into,
-                           _poly, _split, _substitute, _substitution)
+                           _poly, _split, _substitute, _substitution, _twisted)
 
 
 class NotDeltaClosed(Exception):
@@ -158,9 +158,10 @@ def exp_delta(element: ExpElement) -> ExpElement:
 
     delta(P) + {sP, T} + sP (delta(T) + 1/2 {T, T}),
 
-    where sP is P with its odd monomials negated.  One pair sweep of T
-    feeds both brackets, through the kernels of ``bv`` (see its module
-    docstring for 1/2 {T, T}).  The three parts add into one terms dict.
+    where sP is P with its odd monomials negated (``_twisted``).  One pair
+    sweep of T feeds both brackets, through the kernels of ``bv`` (see its
+    module docstring for 1/2 {T, T}).  The three parts add into one terms
+    dict.
     """
     return ExpElement(element.bvs, _delta_pairs(element))
 
@@ -173,7 +174,7 @@ def _delta_pairs(element: ExpElement) -> list:
     for p, t in element.pairs:
         d_t = _derivs(t.terms, sweep)
         curvature = _half_self_bracket_into(dict(bvs.delta(t).terms), d_t)
-        signed = {m: -c if m[1].bit_count() & 1 else c for m, c in p.terms.items()}
+        signed = _twisted(p.terms)
         terms = _bracket_into(dict(bvs.delta(p).terms), _derivs(signed, sweep, right=True), d_t)
         _mul_into(terms, signed, Poly(bvs.ctx, curvature).terms)
         out.append((Poly(bvs.ctx, terms), t))

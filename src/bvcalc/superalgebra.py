@@ -27,12 +27,19 @@ Every first derivative comes from one private sweep, ``_derivs(terms,
 sweep, right)``: one pass over the terms yields the left (or right)
 derivative by each generator of ``sweep = _sweep(slots)``, which a caller
 builds once from its generators' ``Context.slot`` pairs in its own order;
-derivative i is the one by ``slots[i]``.  The split into even and odd
-generators stays inside this module.  ``Poly.left_deriv``,
+derivative i is the one by ``slots[i]``.  A sweep holds an even and an odd
+half of (index, slot) pairs, which callers may read as slot lists; only
+``_derivs`` applies signs from it.  ``Poly.left_deriv``,
 ``Poly.right_deriv``, the antibracket, ``Derivation.apply`` and the per-field
 derivative lists of ``BVSpace`` all take their derivatives from it; only
 ``BVSpace.delta`` repeats the odd left sign, fused into its double
 derivative.
+
+No route splits a polynomial by parity.  A formula stated for a homogeneous
+argument Phi with a sign (-1)^p(Phi) takes that sign from ``_twisted``, the
+one place it is written: it negates each odd monomial's coefficient, which
+by linearity is the formula applied to each parity part.  ``exp_delta``'s
+sP and ``BVSpace.bracket_via_defect`` read it there.
 
 Substitution touches only the assigned generators, in two halves.
 ``_split`` groups the terms by their assigned part, with the Koszul sign of
@@ -334,6 +341,13 @@ def _add_into(terms: dict, a: dict) -> dict:
     return terms
 
 
+def _twisted(terms: dict) -> dict:
+    """``terms`` with each odd monomial's coefficient negated: the sign
+    (-1)^p(Phi) that a formula stated for a homogeneous Phi puts on Phi,
+    taken per monomial, so the formula holds for Phi of mixed parity."""
+    return {m: -c if m[1].bit_count() & 1 else c for m, c in terms.items()}
+
+
 def _sweep(slots) -> tuple:
     """The sweep ``_derivs`` takes for the generators at ``slots``, a list of
     ``Context.slot`` pairs (parity, slot) in the caller's order: the
@@ -455,13 +469,6 @@ class Poly:
         if len(parities) > 1:
             raise ValueError("polynomial is not parity-homogeneous")
         return parities.pop() if parities else 0
-
-    def parity_split(self):
-        """(even part, odd part)."""
-        even, odd = {}, {}
-        for m, c in self.terms.items():
-            (even if m[1].bit_count() & 1 == 0 else odd)[m] = c
-        return _poly(self.ctx, even), _poly(self.ctx, odd)
 
     # -- derivatives -------------------------------------------------------
 

@@ -7,8 +7,9 @@ the graded Leibniz rule spliced factor by factor.  The library ranks sparse
 vectors, reads the same quantities off the square of the BRST differential
 and applies derivations as vector fields; tests require exact equality.
 
-The Koszul-sign routes below split their arguments by parity and apply a
-sign table per homogeneous component: the antibracket as four sub-brackets,
+The Koszul-sign routes below split their arguments by parity
+(``parity_split``, once ``Poly.parity_split``) and apply a sign table per
+homogeneous component: the antibracket as four sub-brackets,
 the right derivative as two signed left derivatives, Berezin integration as
 a hand-written coefficient loop per variable (``berezin_loop``) and as
 minus the right derivative per variable (``berezin_right_deriv``), and the
@@ -451,11 +452,19 @@ def _splice(ctx, prefix_mono, image, suffix_mono, coeff):
     return left * image * right
 
 
+def parity_split(poly: Poly):
+    """(even part, odd part)."""
+    even, odd = {}, {}
+    for m, c in poly.terms.items():
+        (odd if m[1].bit_count() & 1 else even)[m] = c
+    return Poly(poly.ctx, even), Poly(poly.ctx, odd)
+
+
 def right_deriv_split(poly: Poly, name: str) -> Poly:
     """(-1)^(parity(v)*parity(component)) * left derivative, per component."""
     v_par = poly.ctx.parity_of(name)
     out = poly.ctx.zero()
-    for part, par in zip(poly.parity_split(), (EVEN, ODD)):
+    for part, par in zip(parity_split(poly), (EVEN, ODD)):
         d = part.left_deriv(name)
         if v_par and par:
             d = -d
@@ -470,10 +479,10 @@ def bracket_split(bvs, phi: Poly, psi: Poly) -> Poly:
     """
     ctx = bvs.ctx
     out = ctx.zero()
-    for phi_h, p_phi in zip(phi.parity_split(), (EVEN, ODD)):
+    for phi_h, p_phi in zip(parity_split(phi), (EVEN, ODD)):
         if phi_h.is_zero:
             continue
-        for psi_h, p_psi in zip(psi.parity_split(), (EVEN, ODD)):
+        for psi_h, p_psi in zip(parity_split(psi), (EVEN, ODD)):
             if psi_h.is_zero:
                 continue
             for f, a in bvs.pairs:
@@ -538,7 +547,7 @@ def exp_delta_split(element):
     out = []
     for p, t in element.pairs:
         curvature = bvs.delta(t) + Fraction(1, 2) * bracket_split(bvs, t, t)
-        for p_h, par in zip(p.parity_split(), (EVEN, ODD)):
+        for p_h, par in zip(parity_split(p), (EVEN, ODD)):
             if p_h.is_zero:
                 continue
             coeff = bracket_split(bvs, p_h, t) + p_h * curvature

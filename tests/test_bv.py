@@ -33,6 +33,8 @@ OTHER = Context.plain([("x", EVEN)])
 REFUSALS = {
     "delta": (lambda: BVS.delta(OTHER.one()), ValueError, "context mismatch"),
     "bracket": (lambda: BVS.bracket(BVS.ctx.one(), OTHER.one()), ValueError, "context mismatch"),
+    "defect": (lambda: BVS.bracket_via_defect(BVS.ctx.zero(), OTHER.one()),
+               ValueError, "context mismatch"),
     "action": (lambda: BVS.check_action(OTHER.one()), ValueError, "context mismatch"),
     "float-point": (lambda: BVS.evaluate_even_fields(BVS.ctx.one(), {"x": 0.1}),
                     TypeError, "cannot make a Scalar out of 0.1"),
@@ -90,10 +92,12 @@ class TestBracket:
         assert bvs_1_1.bracket(ctx.gen("x"), ctx.gen("x")).is_zero
 
     def test_both_routes_agree(self, bvs_2_2, rng):
-        for _ in range(60):
-            a = random_poly(rng, bvs_2_2.ctx, 4, 3)
-            b = random_poly(rng, bvs_2_2.ctx, 4, 3)
-            assert bvs_2_2.bracket(a, b) == bvs_2_2.bracket_via_defect(a, b)
+        # mixed-parity draws, with Q(i) and with Laurent-hbar coefficients
+        for hbar_max in (0, 1):
+            for _ in range(60):
+                a = random_poly(rng, bvs_2_2.ctx, 4, 3, hbar_max=hbar_max)
+                b = random_poly(rng, bvs_2_2.ctx, 4, 3, hbar_max=hbar_max)
+                assert bvs_2_2.bracket(a, b) == bvs_2_2.bracket_via_defect(a, b)
 
     def test_constants_central(self, bvs_2_2, rng):
         one = bvs_2_2.ctx.one()

@@ -51,7 +51,7 @@ from oracles import (bracket_sum, ce_cohomology_dims_full, ce_images,  # noqa: E
                      ce_images_scalar, ce_weight_zero_keys, exp_delta_split, exp_pairs_by_key,
                      extract_by_bracket, first_split_element, jacobi_triple_loop,
                      lagrangian_integral_full,
-                     mul_into_left_outer, mul_pairwise,
+                     mul_into_left_outer, mul_pairwise, parity_split,
                      rep_commutator_check, substitute_sum, violations_square)
 from test_bv import FIELD_SPECS  # noqa: E402
 from test_lie import diagonal_spectra  # noqa: E402
@@ -132,7 +132,7 @@ def antifield_linear(draw, bvs):
         even = {x: draw(st.integers(0, 2)) for x in evens}
         odd = draw(st.permutations(odds))[:draw(st.integers(0, len(odds)))]
         s1 = s1 + ctx.gen(a) * ctx.monomial(draw(scalars), even, odd)
-    return s1.parity_split()[draw(st.integers(0, 1))]
+    return parity_split(s1)[draw(st.integers(0, 1))]
 
 
 @pytest.mark.parametrize("spec", sorted(FIELD_SPECS))
