@@ -47,9 +47,6 @@ class Derivation:
     def is_zero(self) -> bool:
         return not self.images
 
-    def __call__(self, poly: Poly) -> Poly:
-        return self.apply(poly)
-
     def apply(self, poly: Poly) -> Poly:
         """The vector field sum_v D(v) * d/dv with left derivatives.
 

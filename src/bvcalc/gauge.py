@@ -31,7 +31,7 @@ from operator import add, and_, mul
 
 from .bv import BVSpace, _bracket_into, _half_self_bracket_into
 from .scalars import Scalar
-from .superalgebra import (EVEN, FIELD, ODD, Poly, _Record, _derivs, _merge_sign, _mul_into,
+from .superalgebra import (EVEN, FIELD, ODD, Poly, _Record, _crossings, _derivs, _mul_into,
                            _poly, _split, _substitute, _substitution, _twisted)
 
 
@@ -271,14 +271,19 @@ def _integrate(bvs: BVSpace, pairs) -> Scalar:
     of an even field is 0 by the rule of ``_expectation``.  So P's terms are
     grouped by their odd fields and the parities of their even-field
     exponents, and each exp(N) term meets the one group that completes it.
-    The Koszul sign of P's odd fields before the exp(N) term is taken once
-    per exp(N) term, and only a P term with another odd generator adds its
-    own.  Each pair's products are summed by Berezin-part monomial, other
-    generators included, and read by ``_expectation``.  The Berezin integral
-    takes no sign where the odd fields are the only odd generators: their
-    bits increase in pair order, so clearing the last one first crosses
-    none.  Elsewhere its sign is one per monomial, which has no value and
-    can only be refused, so it is dropped.
+    The Koszul sign of merging P's odd factors with the exp(N) term's is
+    read off that term's crossing mask, ``_crossings(mask, left=False)``,
+    built once per exp(N) term: P's odd fields take it once per exp(N)
+    term, and only a P term with another odd generator adds its own.  Every
+    exp(N) term has an even number of odd factors, so the block order of a
+    P term's plain odd factors and an exp(N) term cannot change a sign,
+    nor can the side the crossing mask is built for.  Each pair's products
+    are summed by Berezin-part monomial, other generators included, and
+    read by ``_expectation``.  The Berezin integral takes no sign where the
+    odd fields are the only odd generators: their bits increase in pair
+    order, so clearing the last one first crosses none.  Elsewhere its sign
+    is one per monomial, which has no value and can only be refused, so it
+    is dropped.
     """
     ctx = bvs.ctx
     evens, odds = bvs._field_sweep
@@ -297,16 +302,15 @@ def _integrate(bvs: BVSpace, pairs) -> Scalar:
             fill = need & ~mask
             group = groups.get((fill, tuple(map(and_, exps, fields))))
             if group:
-                if _merge_sign(fill, mask) < 0:
+                cross = _crossings(mask, left=False)
+                if (cross & fill).bit_count() & 1:
                     c = -c
                 rest = mask & ~need
                 for p_exps, other, p_c in group:
-                    if other:
-                        sign = _merge_sign(other, mask)
-                        if sign is None:  # an odd generator twice
-                            continue
-                        if sign < 0:
-                            p_c = -p_c
+                    if other & mask:  # an odd generator twice
+                        continue
+                    if (cross & other).bit_count() & 1:
+                        p_c = -p_c
                     key = (tuple(map(add, p_exps, exps)), other | rest)
                     prev = sums.get(key)
                     sums[key] = p_c * c if prev is None else prev + p_c * c

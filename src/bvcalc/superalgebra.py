@@ -10,12 +10,16 @@ transpositions needed to merge the odd factor lists.  An ordered product of
 odd generators is sorted by one fold, ``_odd_product``, which gives its
 canonical mask and the parity of the sort (None for an odd square);
 ``Context.monomial`` (and so ``gen``), ``Context.transport`` and
-``randgen.random_poly`` all take it from there.
+``randgen.random_poly`` all take it from there.  Two sorted odd sets merge
+by one crossing mask, ``_crossings(m, left)``, whose bit j is the parity of
+m's factors that a factor at slot j crosses on the other side of m; the
+product kernel, the split of a substitution and ``gauge._integrate`` take
+every merge sign from it.
 
 Every product goes through one private kernel, ``_mul_into(terms, a, b)``:
 it adds ``a * b`` into a plain dict of terms, merging equal monomials as it
 goes and leaving any coefficient that cancels to zero in place.  Its outer
-loop runs over the factor with fewer terms, and the Koszul sign mask comes
+loop runs over the factor with fewer terms, and the crossing mask comes
 from whichever side that is; coefficients commute, so the products are the
 same either way.  A sum of products (a derivation applied to a polynomial,
 the antibracket, a substitution) therefore accumulates into one dict, and
@@ -256,29 +260,28 @@ def _mask_bits(mask: int):
     return [s for s in range(mask.bit_length()) if mask >> s & 1]
 
 
-def _merge_sign(a: int, b: int):
-    """Koszul sign for placing odd set b to the right of odd set a.
-
-    Returns None when the sets overlap (an odd square), otherwise +1/-1 from
-    the parity of transpositions needed to merge-sort the concatenation.
+def _crossings(m: int, left: bool = True) -> int:
+    """The crossing mask of the odd set m: bit j is the parity of the
+    factors of m that an odd factor at slot j crosses when it sits on the
+    other side of m.  Those are m's factors above j when m is the left set,
+    and m's factors below j when it is the right one.  So for disjoint odd
+    sets a and b, theta_a * theta_b is (-1)^k theta_(a|b) with k the parity
+    of ``_crossings(a) & b``, or equally of ``_crossings(b, left=False) & a``.
     """
-    if a & b:
-        return None
-    inv = 0
-    m = b
+    mask = 0
     while m:
         low = m & -m
-        j = low.bit_length() - 1
-        inv += (a >> (j + 1)).bit_count()
+        # the bits below the factor, or (m on the right) the bits above it
+        mask ^= low - 1 if left else -(low << 1)
         m ^= low
-    return -1 if inv & 1 else 1
+    return mask
 
 
 def _odd_product(slots):
     """(mask, parity) of the product of the odd generators at ``slots``, in
     that order: its canonical mask and the parity of the transpositions that
     sort it, each factor moving left past the earlier ones above it (the
-    ``_merge_sign`` of one bit).  None when a slot repeats: an odd square."""
+    ``_crossings`` sign of one bit).  None when a slot repeats: an odd square."""
     mask = flips = 0
     for s in slots:
         if mask >> s & 1:
@@ -292,13 +295,12 @@ def _mul_into(terms: dict, a: dict, b: dict) -> dict:
     """Add a * b into ``terms``, with a, b and terms monomial -> coefficient
     (a Scalar, or an int or Fraction in ``lie``).
 
-    Each term pair follows the ``_merge_sign`` rule: overlapping odd masks
-    are skipped, and the Koszul sign of merging a's odd factors with b's
-    flips the product.  The outer loop runs over the factor with fewer
-    terms (a on a tie), so its sign mask is built once per outer term and
-    the inner loop is the long one.  The mask's bit j is the parity of the
-    outer term's odd factors that an odd factor j of the inner term must
-    cross: those above j when a is outer, those below j when b is.  The
+    Each term pair follows the Koszul merge rule: overlapping odd masks
+    are skipped, and the parity of the odd factors that cross each other
+    when a's and b's are merged flips the product.  The outer loop runs
+    over the factor with fewer terms (a on a tie), so its crossing mask,
+    ``_crossings(m, left)`` with ``left`` true when a is outer, is built
+    once per outer term and the inner loop is the long one.  The
     coefficient is ``c_outer * c_inner`` either way, which is the same
     value since Scalar, int and Fraction products commute.  Coefficients
     that cancel stay in ``terms`` as zeros; the ``Poly`` constructor drops
@@ -309,13 +311,7 @@ def _mul_into(terms: dict, a: dict, b: dict) -> dict:
     outer, inner = (a, b) if left else (b, a)
     for (e1, m1), c1 in outer.items():
         neg = None
-        mask = 0
-        m = m1
-        while m:
-            low = m & -m
-            # the bits below the factor, or (b outer) the bits above it
-            mask ^= low - 1 if left else -(low << 1)
-            m ^= low
+        mask = _crossings(m1, left)
         for (e2, m2), c2 in inner.items():
             if m1 & m2:
                 continue
@@ -600,8 +596,9 @@ def _split(ctx: Context, assigned, poly: Poly):
     The terms are grouped as P = sum_a A_a * g^a, where g^a is a monomial in
     the assigned generators and A_a a terms dict in the unassigned ones
     only.  Splitting an odd set into its unassigned part u and assigned part
-    a gives theta = _merge_sign(u, a) * theta_u * theta_a, and that sign goes
-    into A_a.  The split is injective, so no two terms meet in one group.
+    a gives theta = (-1)^k theta_u * theta_a, k the parity of
+    ``_crossings(u) & a``, and that sign goes into A_a.  The split is
+    injective, so no two terms meet in one group.
     """
     if poly.ctx != ctx:
         raise ValueError("context mismatch in substitution")
@@ -620,7 +617,7 @@ def _split(ctx: Context, assigned, poly: Poly):
                 free[mono] = c
                 continue
         u_mask = mask ^ a_mask
-        if _merge_sign(u_mask, a_mask) < 0:
+        if (_crossings(u_mask) & a_mask).bit_count() & 1:
             c = -c
         groups.setdefault((tuple(map(mul, exps, take)), a_mask), {})[
             tuple(map(mul, exps, keep)), u_mask] = c

@@ -48,8 +48,9 @@ off the sparse echelon form that also ranks (``linalg.kernel``), by
 back-substitution.
 
 The sum-loop routes build every step of a sum as a new Poly: the product
-term pair by term pair through the filtering constructor, a derivation as
-the sum over generators of image times left derivative, delta and the
+term pair by term pair through the filtering constructor, each sign from a
+bubble sort of the two odd slot lists (``brute_merge_sign``), a derivation
+as the sum over generators of image times left derivative, delta and the
 antibracket as sums over pairs, and substitution as a sum over terms of
 factor-by-factor products.  The library accumulates each of these into one
 terms dict through its multiply-accumulate kernel; its substitution also
@@ -106,7 +107,7 @@ from bvcalc.identities import IDENTITY_NAMES, MAX_DEGREE, TERMS
 from bvcalc.lie import _ce_basis, _ce_table, _image, rep_context
 from bvcalc.linalg import ExactMatrix, pivot_leads
 from bvcalc.scalars import Scalar, _atom, _guard
-from bvcalc.superalgebra import EVEN, ODD, Poly, _add_into, _mask_bits, _merge_sign, _mul_into
+from bvcalc.superalgebra import EVEN, ODD, Poly, _add_into, _mask_bits, _mul_into
 
 
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -618,12 +619,28 @@ def add_pairwise(p: Poly, q: Poly) -> Poly:
     return Poly(p.ctx, terms)
 
 
+def brute_merge_sign(left, right):
+    """Independent Koszul-sign oracle: bubble-sort the concatenated index
+    lists and count the swaps; None when an index repeats."""
+    seq = list(left) + list(right)
+    if len(set(seq)) != len(seq):
+        return None
+    swaps = 0
+    for i in range(len(seq)):
+        for j in range(len(seq) - 1 - i):
+            if seq[j] > seq[j + 1]:
+                seq[j], seq[j + 1] = seq[j + 1], seq[j]
+                swaps += 1
+    return -1 if swaps % 2 else 1
+
+
 def mul_pairwise(p: Poly, q: Poly) -> Poly:
-    """p * q term pair by term pair, with the Koszul sign of ``_merge_sign``."""
+    """p * q term pair by term pair, with the Koszul sign of
+    ``brute_merge_sign`` on the two odd slot lists."""
     terms = {}
     for (e1, m1), c1 in p.terms.items():
         for (e2, m2), c2 in q.terms.items():
-            sign = _merge_sign(m1, m2)
+            sign = brute_merge_sign(_mask_bits(m1), _mask_bits(m2))
             if sign is None:
                 continue
             mono = (tuple(a + b for a, b in zip(e1, e2)), m1 | m2)

@@ -1,13 +1,52 @@
 """Static checks on the sources, read with ast: no dead imports or private
 definitions in src/bvcalc, and no oracle in tests/oracles.py that no test
-names.  Paths are taken from this file, not the working directory."""
+names.  Paths are taken from this file, not the working directory.
+
+It also holds the code-line yardstick, ``code_lines``.  Run as a script,
+``python tests/test_hygiene.py``, it prints the code lines of each module
+of src/bvcalc and their total, then tests/oracles.py apart from that total,
+so a helper moved into the oracles shows on both sides."""
 
 import ast
 import collections
+import io
+import tokenize
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "bvcalc"
+
+SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+        tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(path) -> int:
+    """Lines of path holding a token other than a comment, less the lines of
+    module, class and function docstrings; blank lines hold none."""
+    text = Path(path).read_text(encoding="utf-8")
+    docs = set()
+    for node in ast.walk(ast.parse(text)):
+        body = getattr(node, "body", None)
+        if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            docs.update(range(body[0].lineno, body[0].end_lineno + 1))
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in SKIP:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docs)
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    # docstrings, a comment line and a blank line count 0; a call spread
+    # over three lines counts 3
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text('"""Module\ndocstring."""\n\n'
+                       'def f():\n    """Function\n    docstring."""\n'
+                       '    # a comment\n\n'
+                       '    return max(\n        1,\n        2)\n', encoding="utf-8")
+    assert code_lines(snippet) == 4  # the def line and the three-line call
 
 
 def refs(node) -> collections.Counter:
@@ -72,3 +111,12 @@ def test_no_unexercised_oracles():
            if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
            and named[d.name] == refs(d)[d.name]]
     assert not bad, "\n".join(bad)
+
+
+if __name__ == "__main__":
+    total = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        total += (n := code_lines(path))
+        print(f"{n:6d}  {path.name}")
+    print(f"{total:6d}  total")
+    print(f"{code_lines(TESTS / 'oracles.py'):6d}  tests/oracles.py (not in the total)")

@@ -4,25 +4,11 @@ import pytest
 
 from bvcalc import EVEN, ODD, BVSpace, Scalar
 from bvcalc.randgen import random_homogeneous, random_poly
-from bvcalc.superalgebra import (Context, Generator, Poly, _derivs, _mul_into, _odd_product,
-                                 _substitution, _sweep)
+from bvcalc.superalgebra import (Context, Generator, Poly, _crossings, _derivs, _mul_into,
+                                 _odd_product, _substitution, _sweep)
 
-from oracles import add_pairwise, mul_pairwise, right_deriv_split, substitute_sum
-
-
-def brute_merge_sign(left, right):
-    """Independent Koszul-sign oracle: bubble-sort the concatenated index
-    lists and count the swaps."""
-    seq = list(left) + list(right)
-    if len(set(seq)) != len(seq):
-        return None
-    swaps = 0
-    for i in range(len(seq)):
-        for j in range(len(seq) - 1 - i):
-            if seq[j] > seq[j + 1]:
-                seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                swaps += 1
-    return -1 if swaps % 2 else 1
+from oracles import (add_pairwise, brute_merge_sign, mul_pairwise, right_deriv_split,
+                     substitute_sum)
 
 
 CTX = Context.plain([("x", EVEN), ("t1", ODD)])
@@ -70,6 +56,23 @@ class TestProducts:
             else:
                 combined = [f"t{i}" for i in sorted(left + right)]
                 assert product == ctx.monomial(expected, odd=combined)
+
+    def test_crossings_against_bubble_sort_oracle(self, rng):
+        # disjoint odd sets over 8 slots, either possibly empty: the parity
+        # of a's crossing mask on b, with a on the left, and of b's on a,
+        # with b on the right, are both the sign of the merge a, b
+        seen = set()
+        for _ in range(400):
+            slots = rng.sample(range(8), rng.randint(0, 8))
+            cut = rng.randint(0, len(slots))
+            left, right = sorted(slots[:cut]), sorted(slots[cut:])
+            a, b = sum(1 << s for s in left), sum(1 << s for s in right)
+            expected = brute_merge_sign(left, right)
+            assert (-1) ** ((_crossings(a) & b).bit_count() & 1) == expected
+            assert (-1) ** ((_crossings(b, left=False) & a).bit_count() & 1) == expected
+            seen.add((bool(a), bool(b), expected))
+        # both signs and both empty sides were drawn
+        assert {(True, True, 1), (True, True, -1), (False, True, 1), (True, False, 1)} <= seen
 
     def test_monomial_reorders_with_the_bubble_sort_sign(self, rng):
         ctx = Context.plain([(f"t{i}", ODD) for i in range(6)] + [("u", EVEN)])
